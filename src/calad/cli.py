@@ -163,19 +163,8 @@ def _cmd_report(args) -> int:
         raise DataError(f"{args.rows}: no rows")
     out = Path(args.out_dir or _default_out())
     out.mkdir(parents=True, exist_ok=True)
-    methods = {}
-    for row in rows:
-        methods.setdefault(row["method"], []).append(row)
-    summary = []
-    for method, group in methods.items():
-        agg = {"class_id": group[0]["class_id"], "method": method}
-        for key in group[0]:
-            if key in ("seed", "class_id", "method"):
-                continue
-            agg[key] = float(np.mean([float(r[key]) for r in group]))
-        summary.append(agg)
     localization = "aupro" in rows[0]
-    reports.write_rows_csv(out / "summary.csv", summary, localization)
+    reports.write_rows_csv(out / "summary.csv", harness.aggregate(rows), localization)
     print(f"wrote {out / 'summary.csv'}")
     return 0
 

@@ -16,7 +16,6 @@ class DetectionData:
     train_normal: np.ndarray
     test_normal: np.ndarray
     test_anomalous: np.ndarray
-    oe_pool: np.ndarray  # auxiliary outlier-exposure stand-in, never in test
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class TileData:
     train_images: np.ndarray       # (n, 1, s, s) defect-free
     test_images: np.ndarray        # (m, 1, s, s) mixed
     test_masks: np.ndarray         # (m, s, s) binary
-    oe_pool: np.ndarray            # (k, 1, s, s) defective tiles
 
 
 def _ring(rng, n, r_lo, r_hi):
@@ -48,12 +46,10 @@ def gaussian_ring(seed: int, n_train: int = 400, n_test: int = 150,
     test_normal = rng.normal(0.0, sigma, (n_test, 2))
     if basin:
         test_anom = _ring(rng, n_test, 1.75, 3.0)
-        oe = _ring(rng, max(n_train, 4 * n_test), 1.75, 3.0)
     else:
         test_anom = _ring(rng, n_test, 1.0, 2.5)
-        oe = _ring(rng, max(n_train, 4 * n_test), 0.8, 3.5)
     return DetectionData(train_normal=train, test_normal=test_normal,
-                         test_anomalous=test_anom, oe_pool=oe)
+                         test_anomalous=test_anom)
 
 
 def _texture(rng, size):
@@ -90,11 +86,6 @@ def textured_tiles(seed: int, n_train: int = 200, n_test: int = 60,
     test = np.concatenate([good, np.stack(bad)])[:, None]
     test_masks = np.concatenate([np.zeros((n_good, size, size), dtype=np.uint8),
                                  np.stack(masks)])
-    oe = []
-    for _ in range(n_train):
-        tile, _ = _defect(rng, _texture(rng, size), size)
-        oe.append(tile)
     return TileData(train_images=np.clip(train, 0.0, 1.0),
                     test_images=np.clip(test, 0.0, 1.0),
-                    test_masks=test_masks,
-                    oe_pool=np.clip(np.stack(oe)[:, None], 0.0, 1.0))
+                    test_masks=test_masks)

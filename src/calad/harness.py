@@ -2,9 +2,11 @@
 evaluate with and without input perturbation, and emit reports.
 
 One run evaluates the configured method next to its fully trained
-baseline. The baseline is trained on the full normal training data with
-its own normalization statistics; a calibrated method trains its base
-scorer on the 3:1 training split, uses split statistics, and fits the
+baseline. Both are the same experiment arm: normalize with the statistics
+of its training rows, draw anomaly pools, train the base scorer, optionally
+fit a calibrator, and evaluate on the shared test set. The baseline arm
+trains on the full normal training data and fits no calibrator; a
+calibrated method's arm trains on the 3:1 training split and fits the
 calibrator on the calibration split against synthetic anomalies from the
 configured source. Calibration metrics are always measured on normal test
 data plus an equal-sized held-out pool of the synthetic anomalies, never
@@ -13,31 +15,35 @@ and its seed list.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import reports
-from .calibration import (OptimizerConfig, ece, fit_beta, fit_head, fit_platt,
-                          fitting_digest, mce, reliability, save_calibrator)
+from .calibration import (OptimizerConfig, ReliabilityHistogram, ece, fit_beta,
+                          fit_head, fit_platt, fitting_digest, mce, reliability,
+                          save_calibrator)
 from .datasets import gaussian_ring, textured_tiles
 from .errors import ConfigError, DataError
 from .losses import clamp_probability, logit, sigmoid
 from .metrics import aupro, pixel_auroc
 from .perturbation import PerturbConfig, evaluate_pair, perturb_batch
-from .scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig,
-                     forward, init_scorer, init_svdd_center, train)
+from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
+                     TrainConfig, forward, init_scorer, init_svdd_center, train)
 from .segmentation import SsimConfig, fcdd_heatmap, gaussian_upsample
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
 
 DATA_SEED = 54172  # builtin datasets are fixed; run seeds vary everything else
 
+BASELINE = "Fully Trained"
+
 METHOD_LABELS = {
-    ("none", "oe"): "Fully Trained",
-    ("none", "spectral"): "Fully Trained",
+    ("none", "oe"): BASELINE,
+    ("none", "spectral"): BASELINE,
     ("head", "oe"): "CalHead OE",
     ("head", "spectral"): "CalHead Spectral",
     ("platt", "oe"): "Platt OE",
@@ -231,8 +237,7 @@ def _dir_dataset(normal_dir: Path, masks_dir):
         prepare_resize(img.shape[-2:], shape)
         prepare_resize(mask.shape, shape)
     data = TileData(train_images=train, test_images=np.stack(test_imgs),
-                    test_masks=np.stack(masks),
-                    oe_pool=np.empty((0,) + train.shape[1:]))
+                    test_masks=np.stack(masks))
     return {"kind": "tiles", "class_id": normal_dir.name, "data": data}
 
 
@@ -248,7 +253,7 @@ def _csv_detection(rows, n_test):
     if anoms.shape[1] < rows.shape[1]:
         anoms = np.pad(anoms, ((0, 0), (0, rows.shape[1] - anoms.shape[1])))
     return DetectionData(train_normal=train, test_normal=test,
-                         test_anomalous=anoms, oe_pool=anoms * 0.8)
+                         test_anomalous=anoms)
 
 
 def _load_oe_dir(oe_dir) -> np.ndarray:
@@ -275,13 +280,42 @@ def _load_oe_dir(oe_dir) -> np.ndarray:
     return np.concatenate(parts)
 
 
+class _TestSet(NamedTuple):
+    """Seed-independent test inputs: raw rows with normals first."""
+    x: np.ndarray
+    y: np.ndarray                 # 0 normal, 1 anomalous
+    masks: Optional[np.ndarray]   # tiles only, aligned with the rows
+
+
+def _normal_and_test(dataset):
+    """Raw normal training rows and the test set of a loaded dataset."""
+    data = dataset["data"]
+    if dataset["kind"] == "detection":
+        x = np.concatenate([data.test_normal, data.test_anomalous])
+        y = np.concatenate([np.zeros(len(data.test_normal)),
+                            np.ones(len(data.test_anomalous))])
+        return data.train_normal, _TestSet(x, y, None)
+    anomalous = data.test_masks.sum(axis=(1, 2)) > 0
+    order = np.argsort(anomalous, kind="stable")  # normal tiles first
+    test = _TestSet(data.test_images[order].reshape(len(order), -1),
+                   anomalous[order].astype(float), data.test_masks[order])
+    return data.train_images.reshape(len(data.train_images), -1), test
+
+
+def _image_shape(dataset):
+    """(h, w) of a tile dataset; None for tabular rows."""
+    if dataset["kind"] == "tiles":
+        return dataset["data"].train_images.shape[-2:]
+    return None
+
+
 # -- synthetic anomaly pools ---------------------------------------------
 
 
 def _spectral_tabular(n: int, d: int, seed: int, box_lo, box_hi) -> np.ndarray:
     """Spectral pixels reshaped into d-wide rows, mapped onto an expanded
     bounding box of the (normalized) training data."""
-    side = 16
+    side = max(16, math.isqrt(d - 1) + 1)  # every image holds at least one row
     per_image = (side * side) // d
     n_images = int(np.ceil(n / per_image))
     images, _ = synthesize_batch(SpectralConfig(side, side, seed=seed), n_images)
@@ -293,14 +327,10 @@ def _spectral_tabular(n: int, d: int, seed: int, box_lo, box_hi) -> np.ndarray:
 
 
 def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
-                   n_each: int, image_shape=None):
+                   n_each: int):
     """Three disjoint normalized pools: training, calibration, evaluation."""
     if cfg.anomaly_source == "oe":
-        if cfg.oe_dir is not None:
-            pool = _load_oe_dir(cfg.oe_dir)
-        else:
-            raw = dataset["data"].oe_pool
-            pool = raw.reshape(len(raw), -1)
+        pool = _load_oe_dir(cfg.oe_dir)
         if len(pool) < 3:
             raise DataError("OE pool must hold at least three samples")
         perm = np.random.default_rng(seed + 101).permutation(len(pool))
@@ -308,6 +338,7 @@ def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
         parts = [normalize(pool[t], stats) for t in thirds]
         return {"train": parts[0], "calib": parts[1], "eval": parts[2]}
     # spectral
+    image_shape = _image_shape(dataset)
     if image_shape is not None:
         h, w = image_shape
         pools = {}
@@ -327,7 +358,7 @@ def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
 # -- model construction ---------------------------------------------------
 
 
-def _scorer_spec(loss: str, d: int, image_shape=None) -> MlpSpec:
+def _scorer_spec(loss: str, d: int) -> MlpSpec:
     if loss == "svdd":
         # enough embedding width and gain that squared distances spread the
         # induced probability estimates across reliability bins
@@ -346,11 +377,8 @@ def _scorer_spec(loss: str, d: int, image_shape=None) -> MlpSpec:
 
 def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
                 image_shape=None, ssim_cfg=None):
-    d = x_train.shape[1]
-    spec = _scorer_spec(cfg.loss, d, image_shape)
-    state = init_scorer(spec, seed=seed)
-    supervised = cfg.loss in ("hsc", "logistic", "fcdd")
-    if supervised:
+    state = init_scorer(_scorer_spec(cfg.loss, x_train.shape[1]), seed=seed)
+    if cfg.loss in SUPERVISED_LOSSES:
         data = np.concatenate([x_train, anoms_train])
         labels = np.concatenate([np.zeros(len(x_train)), np.ones(len(anoms_train))])
     else:
@@ -366,18 +394,13 @@ def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
     return trained, center
 
 
-def _features(state: ScorerState, x, loss: str):
-    """Frozen features feeding the calibration head."""
-    if loss == "logistic":
-        trunk = _truncate(state)
-        return forward(trunk, x)
-    if loss == "ssim":
-        trunk = _truncate(state)
-        return forward(trunk, x)
-    return forward(state, x)
-
-
-def _truncate(state: ScorerState) -> ScorerState:
+def _head_trunk(state: ScorerState, loss: str) -> ScorerState:
+    """Frozen scorer under the calibration head; logistic and ssim scorers
+    drop their output layer."""
+    if loss not in ("logistic", "ssim"):
+        trunk = state.copy()
+        trunk.frozen = [True] * trunk.n_layers
+        return trunk
     spec = MlpSpec(state.spec.widths[:-1], activation=state.spec.activation,
                    use_bias=state.spec.use_bias)
     return ScorerState(spec, [w.copy() for w in state.weights[:-1]],
@@ -385,36 +408,39 @@ def _truncate(state: ScorerState) -> ScorerState:
                        [True] * (state.n_layers - 1))
 
 
-def _head_pipeline(state: ScorerState, loss: str, head_params) -> LossPipeline:
-    if loss in ("logistic", "ssim"):
-        trunk = _truncate(state)
+def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
+                    seed: int):
+    """Fit cfg.calibrator to the uncalibrated pipeline; (params, digest)."""
+    opt = OptimizerConfig(seed=seed)
+    if cfg.calibrator == "head":
+        feats = forward(_head_trunk(base.state, cfg.loss), cal_x)
+        return fit_head(feats, cal_y, opt), fitting_digest(feats, cal_y)
+    per_pixel = base.image_shape is not None
+    if per_pixel:
+        # per-pixel calibration pools the pixel logits of the tiles
+        est = _pixel_estimates(base, _tile_heatmaps(base, cal_x))
+        est = est.reshape(len(cal_x), -1)
+        z = logit(clamp_probability(est)).ravel()
+        cal_y = np.repeat(cal_y, est.shape[1])
     else:
-        trunk = state.copy()
-        trunk.frozen = [True] * trunk.n_layers
-    return LossPipeline(trunk, "logistic", head=head_params)
-
-
-def _build_pipeline(cfg, state, center, calibrator, image_shape, ssim_cfg):
-    return LossPipeline(state, cfg.loss, center=center, calibrator=calibrator,
-                        ssim_cfg=ssim_cfg, image_shape=image_shape)
+        z = base.logits(cal_x)
+    if cfg.calibrator == "platt":
+        return fit_platt(z, cal_y, opt), fitting_digest(z, cal_y)
+    e = sigmoid(z)
+    # the per-pixel Beta fit digests its logits, the per-sample one its estimates
+    return fit_beta(e, cal_y, opt), fitting_digest(z if per_pixel else e, cal_y)
 
 
 # -- evaluation ------------------------------------------------------------
 
 
-def _calibrated_estimates(pipeline: LossPipeline, x) -> np.ndarray:
-    _, eta = pipeline.calibrated(x)
-    return eta
-
-
 def _detection_row(cfg, method, class_id, pipeline, x_test, y_test,
-                   x_eval_normal, x_eval_anom, bins):
+                   x_eval_normal, x_eval_anom):
     pair = evaluate_pair(pipeline, x_test, y_test,
                          PerturbConfig(epsilon=cfg.epsilon, target_label=0))
     xe = np.concatenate([x_eval_normal, x_eval_anom])
     ye = np.concatenate([np.zeros(len(x_eval_normal)), np.ones(len(x_eval_anom))])
-    eta = _calibrated_estimates(pipeline, xe)
-    hist = reliability(eta, ye, bins)
+    hist = reliability(pipeline.calibrated(xe)[1], ye, cfg.bins)
     row = {
         "class_id": class_id,
         "method": method,
@@ -426,8 +452,8 @@ def _detection_row(cfg, method, class_id, pipeline, x_test, y_test,
     return row, hist, pair.deltas
 
 
-def _tile_heatmaps(pipeline: LossPipeline, x, image_shape):
-    h, w = image_shape
+def _tile_heatmaps(pipeline: LossPipeline, x):
+    h, w = pipeline.image_shape
     maps = []
     if pipeline.loss_name == "ssim":
         for row in np.atleast_2d(x):
@@ -457,21 +483,21 @@ def _pixel_estimates(pipeline: LossPipeline, heatmaps):
 
 
 def _tiles_row(cfg, method, class_id, pipeline, x_test, y_test, masks,
-               x_eval_normal, x_eval_anom, image_shape, bins):
+               x_eval_normal, x_eval_anom):
     pair = evaluate_pair(pipeline, x_test, y_test,
                          PerturbConfig(epsilon=cfg.epsilon, target_label=0))
-    maps_before = _tile_heatmaps(pipeline, x_test, image_shape)
+    maps_before = _tile_heatmaps(pipeline, x_test)
     x_tilde = perturb_batch(pipeline, x_test,
                             PerturbConfig(epsilon=cfg.epsilon, target_label=0))
-    maps_after = _tile_heatmaps(pipeline, x_tilde, image_shape)
+    maps_after = _tile_heatmaps(pipeline, x_tilde)
     # per-pixel calibration metrics on normal test tiles plus synthetic tiles
     n_eval = min(len(x_eval_normal), len(x_eval_anom))
     eval_x = np.concatenate([x_eval_normal[:n_eval], x_eval_anom[:n_eval]])
-    eval_maps = _tile_heatmaps(pipeline, eval_x, image_shape)
+    eval_maps = _tile_heatmaps(pipeline, eval_x)
     eval_eta = _pixel_estimates(pipeline, eval_maps).reshape(2 * n_eval, -1)
     eval_y = np.concatenate([np.zeros((n_eval, eval_eta.shape[1])),
                              np.ones((n_eval, eval_eta.shape[1]))])
-    hist = reliability(eval_eta.ravel(), eval_y.ravel(), bins)
+    hist = reliability(eval_eta.ravel(), eval_y.ravel(), cfg.bins)
     row = {
         "class_id": class_id,
         "method": method,
@@ -499,190 +525,129 @@ class RunResult:
     calibrators: dict = field(default_factory=dict)
 
 
-def _run_seed(cfg: ExperimentConfig, dataset, seed: int):
-    kind = dataset["kind"]
-    data = dataset["data"]
-    class_id = dataset["class_id"]
-    image_shape = None
+class _Arm(NamedTuple):
+    """One method evaluated on one seed."""
+    row: dict
+    hist: ReliabilityHistogram
+    deltas: np.ndarray
+    calibrator: Optional[tuple]   # (params, digest) when one was fitted
+    pipeline: LossPipeline
+    x_test: np.ndarray            # test rows under the arm's statistics
+
+
+def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
+             seed: int, normal, calib=None) -> _Arm:
+    """Normalize with `normal`'s statistics, draw anomaly pools, train the
+    base scorer on `normal`, fit cfg.calibrator on `calib` if given, and
+    evaluate on the test set. Without `calib` this is the fully trained
+    baseline."""
+    method = BASELINE if calib is None else cfg.method_label
+    image_shape = _image_shape(dataset)
+    stats = fit_normalizer(normal)
+    n_each = max(64, len(normal) // 2 if calib is None else len(calib))
+    pools = _anomaly_pools(cfg, dataset, seed, stats, n_each=n_each)
+    x_train = normalize(normal, stats)
+    x_test = normalize(test.x, stats)
     ssim_cfg = None
-    if kind == "tiles":
-        image_shape = data.train_images.shape[-2:]
-        normal_raw = data.train_images.reshape(len(data.train_images), -1)
-        test_n_raw = [img.reshape(-1) for img in
-                      data.test_images[data.test_masks.sum(axis=(1, 2)) == 0]]
-        test_a_raw = [img.reshape(-1) for img in
-                      data.test_images[data.test_masks.sum(axis=(1, 2)) > 0]]
-        test_raw = np.concatenate([np.stack(test_n_raw), np.stack(test_a_raw)])
-        masks = np.concatenate(
-            [data.test_masks[data.test_masks.sum(axis=(1, 2)) == 0],
-             data.test_masks[data.test_masks.sum(axis=(1, 2)) > 0]])
-        y_test = np.concatenate([np.zeros(len(test_n_raw)), np.ones(len(test_a_raw))])
-    else:
-        normal_raw = data.train_normal
-        test_raw = np.concatenate([data.test_normal, data.test_anomalous])
-        y_test = np.concatenate([np.zeros(len(data.test_normal)),
-                                 np.ones(len(data.test_anomalous))])
-        masks = None
-
-    rows, hists, cals, deltas, extras = [], {}, {}, {}, {}
-
-    # fully trained baseline: full normal data and full-data statistics
-    stats_full = fit_normalizer(normal_raw)
-    pools_full = _anomaly_pools(cfg, dataset, seed, stats_full,
-                                n_each=max(64, len(normal_raw) // 2),
-                                image_shape=image_shape)
-    if kind == "tiles":
-        ssim_cfg = SsimConfig(pad_value=float(normalize(normal_raw, stats_full).mean()))
-    x_train_full = normalize(normal_raw, stats_full)
-    x_test_full = normalize(test_raw, stats_full)
-    state_full, center_full = _train_base(cfg, x_train_full, pools_full["train"],
-                                          seed, image_shape, ssim_cfg)
-    base_pipe = _build_pipeline(cfg, state_full, center_full, None,
+    if image_shape is not None:
+        ssim_cfg = SsimConfig(pad_value=float(x_train.mean()))
+    state, center = _train_base(cfg, x_train, pools["train"], seed,
                                 image_shape, ssim_cfg)
-    n_eval = min(len(x_test_full[y_test == 0]), len(pools_full["eval"]))
-    # the calibration head is a detection-only method, so its runs keep the
-    # detection row schema even on mask-bearing data
-    localization = kind == "tiles" and cfg.calibrator != "head"
-    if localization:
-        row, hist, dl = _tiles_row(cfg, "Fully Trained", class_id, base_pipe,
-                                   x_test_full, y_test, masks,
-                                   x_test_full[y_test == 0][:n_eval],
-                                   pools_full["eval"][:n_eval],
-                                   image_shape, cfg.bins)
-    else:
-        row, hist, dl = _detection_row(cfg, "Fully Trained", class_id, base_pipe,
-                                       x_test_full, y_test,
-                                       x_test_full[y_test == 0][:n_eval],
-                                       pools_full["eval"][:n_eval], cfg.bins)
-    rows.append(row)
-    hists["Fully Trained"] = hist
-    deltas["Fully Trained"] = dl
-    extras["Fully Trained"] = {"pipeline": base_pipe, "x_test": x_test_full,
-                               "image_shape": image_shape}
-
-    if cfg.calibrator != "none":
-        # calibrated method: 3:1 split, split statistics, post-hoc fit
-        train_split, calib_split = split(normal_raw, cfg.split_ratio, seed)
-        stats = fit_normalizer(train_split)
-        pools = _anomaly_pools(cfg, dataset, seed, stats,
-                               n_each=max(64, len(calib_split)),
-                               image_shape=image_shape)
-        if kind == "tiles":
-            ssim_cfg = SsimConfig(pad_value=float(normalize(train_split, stats).mean()))
-        x_tr = normalize(train_split, stats)
-        x_cal = normalize(calib_split, stats)
-        x_test = normalize(test_raw, stats)
-        state, center = _train_base(cfg, x_tr, pools["train"], seed,
-                                    image_shape, ssim_cfg)
-        base_for_cal = _build_pipeline(cfg, state, center, None,
-                                       image_shape, ssim_cfg)
+    pipeline = LossPipeline(state, cfg.loss, center=center, ssim_cfg=ssim_cfg,
+                            image_shape=image_shape)
+    fitted = None
+    if calib is not None:
+        x_cal = normalize(calib, stats)
         n_cal = min(len(x_cal), len(pools["calib"]))
         cal_x = np.concatenate([x_cal[:n_cal], pools["calib"][:n_cal]])
         cal_y = np.concatenate([np.zeros(n_cal), np.ones(n_cal)])
-        opt = OptimizerConfig(seed=seed)
-        if kind == "tiles" and cfg.calibrator in ("platt", "beta"):
-            # per-pixel calibration pools the pixel logits of the tiles
-            cal_maps = _tile_heatmaps(base_for_cal, cal_x, image_shape)
-            cal_est = _pixel_estimates(base_for_cal, cal_maps).reshape(len(cal_x), -1)
-            cal_logits = logit(clamp_probability(cal_est)).ravel()
-            cal_pixel_y = np.repeat(cal_y, cal_est.shape[1])
-            if cfg.calibrator == "platt":
-                calibrator = fit_platt(cal_logits, cal_pixel_y, opt)
-            else:
-                calibrator = fit_beta(sigmoid(cal_logits), cal_pixel_y, opt)
-            digest = fitting_digest(cal_logits, cal_pixel_y)
-        elif cfg.calibrator == "platt":
-            z = base_for_cal.logits(cal_x)
-            calibrator = fit_platt(z, cal_y, opt)
-            digest = fitting_digest(z, cal_y)
-        elif cfg.calibrator == "beta":
-            e = base_for_cal.estimates(cal_x)
-            calibrator = fit_beta(e, cal_y, opt)
-            digest = fitting_digest(e, cal_y)
-        else:  # head
-            feats = _features(state, cal_x, cfg.loss)
-            calibrator = fit_head(feats, cal_y, opt)
-            digest = fitting_digest(feats, cal_y)
-        cals[cfg.method_label] = (calibrator, digest)
+        fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed)
         if cfg.calibrator == "head":
-            pipe = _head_pipeline(state, cfg.loss, calibrator)
+            pipeline = LossPipeline(_head_trunk(state, cfg.loss), "logistic",
+                                    head=fitted[0])
         else:
-            pipe = _build_pipeline(cfg, state, center, calibrator,
-                                   image_shape, ssim_cfg)
-        n_eval = min(len(x_test[y_test == 0]), len(pools["eval"]))
-        if localization:
-            row, hist, dl = _tiles_row(cfg, cfg.method_label, class_id, pipe,
-                                       x_test, y_test, masks,
-                                       x_test[y_test == 0][:n_eval],
-                                       pools["eval"][:n_eval],
-                                       image_shape, cfg.bins)
-        else:
-            row, hist, dl = _detection_row(cfg, cfg.method_label, class_id, pipe,
-                                           x_test, y_test,
-                                           x_test[y_test == 0][:n_eval],
-                                           pools["eval"][:n_eval], cfg.bins)
-        rows.append(row)
-        hists[cfg.method_label] = hist
-        deltas[cfg.method_label] = dl
-        extras[cfg.method_label] = {"pipeline": pipe, "x_test": x_test,
-                                    "image_shape": image_shape}
+            pipeline = LossPipeline(state, cfg.loss, center=center,
+                                    calibrator=fitted[0], ssim_cfg=ssim_cfg,
+                                    image_shape=image_shape)
+    x_normal = x_test[test.y == 0]
+    n_eval = min(len(x_normal), len(pools["eval"]))
+    evals = (x_normal[:n_eval], pools["eval"][:n_eval])
+    if localization:
+        row, hist, deltas = _tiles_row(cfg, method, dataset["class_id"], pipeline,
+                                       x_test, test.y, test.masks, *evals)
+    else:
+        row, hist, deltas = _detection_row(cfg, method, dataset["class_id"],
+                                           pipeline, x_test, test.y, *evals)
+    return _Arm(row, hist, deltas, fitted, pipeline, x_test)
 
-    return rows, hists, cals, deltas, extras
+
+def aggregate(per_seed) -> list:
+    """Per-method means over the seeds, methods in first-seen order.
+
+    Values go through float(), so rows read back from per_seed.csv give
+    the same summary as the rows of the run itself.
+    """
+    groups = {}
+    for row in per_seed:
+        groups.setdefault(row["method"], []).append(row)
+    summary = []
+    for method, rows in groups.items():
+        agg = {"class_id": rows[0]["class_id"], "method": method}
+        for key in rows[0]:
+            if key not in ("seed", "class_id", "method"):
+                agg[key] = float(np.mean([float(r[key]) for r in rows]))
+        summary.append(agg)
+    return summary
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run every seed, aggregate, and write all artifacts to cfg.out_dir."""
     dataset = _load_dataset(cfg)
+    # the calibration head is a detection-only method, so its runs keep the
+    # detection row schema even on mask-bearing data
     localization = dataset["kind"] == "tiles" and cfg.calibrator != "head"
-    per_seed, histograms, calibrators, first_extras = [], {}, {}, {}
-    all_deltas = {}
+    normal, test = _normal_and_test(dataset)
+    per_seed, deltas, first = [], {}, None
     for seed in cfg.seeds:
-        rows, hists, cals, deltas, extras = _run_seed(cfg, dataset, seed)
-        for row in rows:
-            per_seed.append({"seed": seed, **row})
-        if not histograms:
-            histograms.update(hists)
-            calibrators.update(cals)  # first seed's fits back the figures
-            first_extras.update(extras)
-        for method, dl in deltas.items():
-            all_deltas[(seed, method)] = dl
-
-    methods = []
-    for row in per_seed:
-        if row["method"] not in methods:
-            methods.append(row["method"])
-    summary = []
-    metric_keys = [k for k in per_seed[0] if k not in ("seed", "class_id", "method")]
-    for method in methods:
-        rows = [r for r in per_seed if r["method"] == method]
-        agg = {"class_id": rows[0]["class_id"], "method": method}
-        for key in metric_keys:
-            agg[key] = float(np.mean([r[key] for r in rows]))
-        summary.append(agg)
+        arms = [_run_arm(cfg, dataset, test, localization, seed, normal)]
+        if cfg.calibrator != "none":
+            arms.append(_run_arm(cfg, dataset, test, localization, seed,
+                                 *split(normal, cfg.split_ratio, seed)))
+        for arm in arms:
+            per_seed.append({"seed": seed, **arm.row})
+            deltas[(seed, arm.row["method"])] = arm.deltas
+        first = first or arms  # the first seed's arms back the figures
+    histograms = {arm.row["method"]: arm.hist for arm in first}
+    calibrators = {arm.row["method"]: arm.calibrator for arm in first
+                   if arm.calibrator is not None}
+    summary = aggregate(per_seed)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_reports(cfg, summary, per_seed, histograms, calibrators,
-                 all_deltas, out_dir, localization)
-    _emit_artifacts(cfg, first_extras, out_dir, localization)
+                 deltas, out_dir, localization)
+    _emit_artifacts(cfg, first, out_dir, localization)
     return RunResult(summary_rows=summary, per_seed_rows=per_seed,
                      out_dir=out_dir, histograms=histograms,
                      calibrators=calibrators)
 
 
-def _emit_artifacts(cfg, extras, out_dir: Path, localization: bool) -> None:
+def _slug(method: str) -> str:
+    return method.replace(" ", "_").replace("β", "beta").lower()
+
+
+def _emit_artifacts(cfg, arms, out_dir: Path, localization: bool) -> None:
     """First-seed scorer checkpoints and, for localization runs, heatmaps."""
     from .scorer import save_scorer
     from .tensorio import save_tensor
 
-    for method, extra in extras.items():
-        slug = method.replace(" ", "_").replace("β", "beta").lower()
-        pipeline = extra["pipeline"]
+    for arm in arms:
+        slug = _slug(arm.row["method"])
         save_scorer(out_dir / f"scorer_{slug}_seed{cfg.seeds[0]}",
-                    pipeline.state,
+                    arm.pipeline.state,
                     {"seed": cfg.seeds[0], "epoch": cfg.epochs, "loss": cfg.loss})
         if localization:
-            maps = _tile_heatmaps(pipeline, extra["x_test"], extra["image_shape"])
+            maps = _tile_heatmaps(arm.pipeline, arm.x_test)
             save_tensor(out_dir / f"heatmaps_{slug}_seed{cfg.seeds[0]}.calt", maps)
 
 
@@ -708,15 +673,13 @@ def emit_reports(cfg, summary, per_seed, histograms, calibrators, deltas,
     conventions["library_version"] = __version__
     reports.write_manifest(out_dir / "manifest.json", cfg.to_dict(), conventions)
     for method, hist in histograms.items():
-        slug = method.replace(" ", "_").replace("β", "beta").lower()
         svg = reports.reliability_diagram_svg(hist, ece(hist), mce(hist), method)
-        (out_dir / f"reliability_{slug}.svg").write_text(svg)
+        (out_dir / f"reliability_{_slug(method)}.svg").write_text(svg)
     for method, (params, digest) in calibrators.items():
-        slug = method.replace(" ", "_").replace("β", "beta").lower()
+        slug = _slug(method)
         svg = reports.calibrator_curve_svg(params, method)
         (out_dir / f"calibrator_{slug}.svg").write_text(svg)
         save_calibrator(out_dir / f"calibrator_{slug}.txt", params,
                         cfg.seeds[0], digest)
     for (seed, method), dl in deltas.items():
-        slug = method.replace(" ", "_").replace("β", "beta").lower()
-        reports.write_deltas_csv(out_dir / f"deltas_{slug}_seed{seed}.csv", dl)
+        reports.write_deltas_csv(out_dir / f"deltas_{_slug(method)}_seed{seed}.csv", dl)

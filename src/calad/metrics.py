@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.stats import rankdata
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -27,6 +27,9 @@ def auroc(scores, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs at least one sample of each class")
+    n_bad = int(np.sum(~np.isfinite(s)))
+    if n_bad:
+        raise NumericalError(f"AUROC got {n_bad} non-finite scores of {len(s)}")
     ranks = rankdata(s, method="average")
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -12,6 +12,7 @@ Masks are binary PGM (P5, maxval 255) with 0 = normal pixel and 255 =
 anomalous; synthesized images emit as binary PPM (P6, 8-bit).
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -37,14 +38,19 @@ def load_tensor(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise DataError(f"{path}: not a raw-tensor container")
+    if len(data) < 14:
+        raise DataError(f"{path}: header truncated at {len(data)} bytes")
     version, dtype_tag, rank = struct.unpack_from("<HII", data, 4)
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
     if dtype_tag != DTYPE_F32:
         raise DataError(f"{path}: unsupported dtype tag {dtype_tag}")
+    if len(data) < 14 + 4 * rank:
+        raise DataError(f"{path}: header truncated at {len(data)} bytes, "
+                        f"rank {rank} needs {14 + 4 * rank}")
     dims = struct.unpack_from(f"<{rank}I", data, 14)
     payload = data[14 + 4 * rank:]
-    expected = int(np.prod(dims)) * 4
+    expected = math.prod(dims) * 4
     if len(payload) != expected:
         raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
@@ -79,10 +85,18 @@ def read_pgm(path) -> np.ndarray:
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        width, height, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise DataError(f"{path}: malformed or truncated PGM header") from None
+    if min(width, height) < 0:
+        raise DataError(f"{path}: negative PGM size {width}x{height}")
     if maxval > 255:
         raise DataError(f"{path}: 16-bit PGM is not supported")
     pos += 1  # single whitespace after maxval
+    if len(data) - pos < width * height:
+        raise DataError(f"{path}: PGM body is {max(len(data) - pos, 0)} bytes, "
+                        f"expected {width * height}")
     body = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return (body.reshape(height, width) > 0).astype(np.uint8)
 

@@ -127,6 +127,15 @@ class TestAnomalyPools:
         assert not seen[1] & seen[2]
         assert sum(len(s) for s in seen) == 180
 
+    def test_spectral_pools_wider_than_one_image(self, tmp_path):
+        # 300 features exceed the 16x16 pixels of a default spectral image
+        cfg = fast_cfg(tmp_path)
+        stats = (np.zeros(300), np.ones(300))
+        pools = _anomaly_pools(cfg, {"kind": "detection"}, 0, stats, n_each=5)
+        for key in ("train", "calib", "eval"):
+            assert pools[key].shape == (5, 300)
+            assert np.all(np.isfinite(pools[key]))
+
     def test_spectral_pools_disjoint_by_seed(self, tmp_path):
         cfg = fast_cfg(tmp_path)
         stats = (np.zeros(2), np.ones(2))
@@ -167,6 +176,17 @@ class TestRunExperiment:
         rb = run_experiment(fast_cfg(tmp_path / "b", calibrator="beta"))
         for seed_rows in zip(rp.per_seed_rows, rb.per_seed_rows):
             assert seed_rows[0]["auroc"] == seed_rows[1]["auroc"]
+        # the fully trained baseline does not depend on the calibrator
+        rn = run_experiment(fast_cfg(tmp_path / "n", calibrator="none"))
+        runs = (rn, rp, rb)
+        baseline = [[row for row in r.per_seed_rows if row["method"] == "Fully Trained"]
+                    for r in runs]
+        assert len(baseline[0]) == 2
+        assert baseline[0] == baseline[1] == baseline[2]
+        for name in ("deltas_fully_trained_seed0.csv", "deltas_fully_trained_seed1.csv",
+                     "scorer_fully_trained_seed0.calt"):
+            contents = {(r.out_dir / name).read_bytes() for r in runs}
+            assert len(contents) == 1, name
 
     def test_head_calibrator_runs(self, tmp_path):
         r = run_experiment(fast_cfg(tmp_path, calibrator="head", seeds=(0,)))
@@ -213,6 +233,15 @@ class TestRunExperiment:
         for row in r.per_seed_rows:
             assert 0.0 <= row["aupro"] <= 1.0
             assert 0.0 <= row["pixel_auroc"] <= 1.0
+
+    def test_wide_csv_runs(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        rows = np.random.default_rng(2).normal(size=(40, 300))
+        np.savetxt(path, rows, delimiter=",")
+        r = run_experiment(fast_cfg(tmp_path, normal=str(path), seeds=(0,),
+                                    epochs=1))
+        assert {row["method"] for row in r.per_seed_rows} == \
+            {"Fully Trained", "Platt Spectral"}
 
     def test_unreadable_data_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
@@ -308,14 +337,15 @@ class TestCli:
 
     def test_run_and_report_round_trip(self, tmp_path, capsys):
         rc = cli_main(["run", "--normal", "builtin:gauss2d", "--loss", "svdd",
-                       "--calibrator", "none", "--seeds", "0",
+                       "--calibrator", "platt", "--seeds", "0,1",
                        "--epochs", "2", "--learning-rate", "1e-3",
                        "--out", str(tmp_path / "r")])
         assert rc == 0
         rc = cli_main(["report", str(tmp_path / "r" / "per_seed.csv"),
                        "--out", str(tmp_path / "rerender")])
         assert rc == 0
-        assert (tmp_path / "rerender" / "summary.csv").exists()
+        assert (tmp_path / "rerender" / "summary.csv").read_bytes() == \
+            (tmp_path / "r" / "summary.csv").read_bytes()
 
     def test_config_conflict_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

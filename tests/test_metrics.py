@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calad.errors import DataError
+from calad.errors import DataError, NumericalError
 from calad.metrics import (aupro, auroc, kappa_improvement, mask_regions,
                            pixel_auroc, spearman)
 
@@ -60,6 +60,13 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             auroc([1, 2], [1, 1])
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(NumericalError, match="1 non-finite"):
+            auroc([np.nan, 1.0, 2.0, 3.0], [0, 1, 0, 1])
+        heatmap = np.array([[0.1, np.inf], [np.nan, 0.4]])
+        with pytest.raises(NumericalError, match="2 non-finite"):
+            pixel_auroc([heatmap], [np.array([[0, 1], [0, 1]])])
 
     @pytest.mark.parametrize("n", [10, 100, 500])
     def test_matches_pairwise_oracle(self, n):

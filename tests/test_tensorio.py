@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from calad.cli import main as cli_main
 from calad.errors import DataError
 from calad.tensorio import (load_tensor, read_pgm, save_tensor, write_pgm,
                             write_ppm)
@@ -42,6 +45,40 @@ class TestRawTensor:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataError):
             load_tensor(path)
+
+
+CALT = (b"CALT" + struct.pack("<HII", 1, 0, 2) + struct.pack("<2I", 2, 3)
+        + bytes(2 * 3 * 4))
+PGM = b"P5\n4 3\n255\n" + bytes(4 * 3)
+
+
+class TestTruncatedInputs:
+    @pytest.mark.parametrize("name", ["header_12_bytes.calt", "dims_cut.calt",
+                                      "dims_overflow.calt", "short_body.pgm",
+                                      "header_cut.pgm", "no_maxval.pgm",
+                                      "negative_size.pgm"])
+    def test_data_error(self, tmp_path, name):
+        raw = {"header_12_bytes.calt": CALT[:12], "dims_cut.calt": CALT[:18],
+               # 2**64 elements wrap to 0 in int64, matching an empty payload
+               "dims_overflow.calt": (b"CALT" + struct.pack("<HII", 1, 0, 4)
+                                      + struct.pack("<4I", *[2 ** 16] * 4)),
+               "short_body.pgm": PGM[:-5], "header_cut.pgm": PGM[:5],
+               "no_maxval.pgm": PGM[:7],
+               "negative_size.pgm": b"P5\n-3 -3\n255\n" + bytes(9)}[name]
+        path = tmp_path / name
+        path.write_bytes(raw)
+        reader = load_tensor if name.endswith(".calt") else read_pgm
+        with pytest.raises(DataError):
+            reader(path)
+
+    def test_run_on_truncated_tensor_exits_2(self, tmp_path, capsys):
+        normal = tmp_path / "normal"
+        normal.mkdir()
+        (normal / "tile_000.calt").write_bytes(CALT[:12])
+        rc = cli_main(["run", "--normal", str(normal), "--masks-dir", str(normal),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestPgm:
