@@ -1,88 +1,41 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels in numpy.
 
-The backend is chosen once at import time: numba is used when it imports
-cleanly and the environment variable ``CALAD_NUMBA`` is not set to ``"0"``.
-Both implementations of each kernel are kept importable so tests and
-``benchmarks/bench_kernels.py`` can compare them directly.
+Both kernels work over the last two axes, so they take one 2-D image or a
+``(..., H, W)`` stack; each slice of a stack gets exactly the arithmetic
+of the matching 2-D call, in the same order.
 
 Kernels:
   box_sum_valid(x, w)   windowed sums of a padded image, valid mode
   upsample_scatter(a, kern, stride)   transpose-convolution scatter
 """
 
-import os
-
 import numpy as np
 
+BACKEND = "numpy"
 
-def _box_sum_valid_np(x: np.ndarray, w: int) -> np.ndarray:
+
+def box_sum_valid(x: np.ndarray, w: int) -> np.ndarray:
     """Sum of every w-by-w window of x via an integral image.
 
-    Input (H+w-1, W+w-1) produces output (H, W).
+    Input (..., H+w-1, W+w-1) produces output (..., H, W).
     """
-    c = np.cumsum(np.cumsum(x, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+    hp, wp = x.shape[-2:]
+    # integral image with a zero first row and column
+    c = np.zeros(x.shape[:-2] + (hp + 1, wp + 1))
+    inner = c[..., 1:, 1:]
+    np.cumsum(x, axis=-2, out=inner)
+    np.cumsum(inner, axis=-1, out=inner)
+    return c[..., w:, w:] - c[..., :-w, w:] - c[..., w:, :-w] + c[..., :-w, :-w]
 
 
-def _upsample_scatter_np(a: np.ndarray, kern: np.ndarray, stride: int) -> np.ndarray:
+def upsample_scatter(a: np.ndarray, kern: np.ndarray, stride: int) -> np.ndarray:
     """Scatter each input cell through kern at spacing stride (full extent)."""
-    n, m = a.shape
+    n, m = a.shape[-2:]
     k = kern.shape[0]
-    out = np.zeros(((n - 1) * stride + k, (m - 1) * stride + k))
+    out = np.zeros(a.shape[:-2] + ((n - 1) * stride + k, (m - 1) * stride + k))
     hi = (n - 1) * stride + 1
     wi = (m - 1) * stride + 1
     for di in range(k):
         for dj in range(k):
-            out[di:di + hi:stride, dj:dj + wi:stride] += a * kern[di, dj]
+            out[..., di:di + hi:stride, dj:dj + wi:stride] += a * kern[di, dj]
     return out
-
-
-_HAVE_NUMBA = False
-if os.environ.get("CALAD_NUMBA", "1") != "0":
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _box_sum_valid_nb(x, w):
-        hp, wp = x.shape
-        h = hp - w + 1
-        wd = wp - w + 1
-        c = np.zeros((hp + 1, wp + 1))
-        for i in range(hp):
-            row = 0.0
-            for j in range(wp):
-                row += x[i, j]
-                c[i + 1, j + 1] = c[i, j + 1] + row
-        out = np.empty((h, wd))
-        for i in range(h):
-            for j in range(wd):
-                out[i, j] = c[i + w, j + w] - c[i, j + w] - c[i + w, j] + c[i, j]
-        return out
-
-    @numba.njit(cache=True)
-    def _upsample_scatter_nb(a, kern, stride):
-        n, m = a.shape
-        k = kern.shape[0]
-        out = np.zeros(((n - 1) * stride + k, (m - 1) * stride + k))
-        for i in range(n):
-            for j in range(m):
-                v = a[i, j]
-                for di in range(k):
-                    for dj in range(k):
-                        out[i * stride + di, j * stride + dj] += v * kern[di, dj]
-        return out
-
-    BACKEND = "numba"
-    box_sum_valid = _box_sum_valid_nb
-    upsample_scatter = _upsample_scatter_nb
-else:
-    BACKEND = "numpy"
-    box_sum_valid = _box_sum_valid_np
-    upsample_scatter = _upsample_scatter_np

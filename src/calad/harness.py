@@ -453,21 +453,15 @@ def _detection_row(cfg, method, class_id, pipeline, x_test, y_test,
 
 
 def _tile_heatmaps(pipeline: LossPipeline, x):
-    h, w = pipeline.image_shape
-    maps = []
     if pipeline.loss_name == "ssim":
-        for row in np.atleast_2d(x):
-            _, res = pipeline._ssim_estimate(row)
-            maps.append(res.estimates)
-        return np.stack(maps)
+        return pipeline._ssim_forward(x)[0].estimates
     # fcdd: feature map -> pseudo-Huber heatmap -> Gaussian upsample
+    h, w = pipeline.image_shape
     out = forward(pipeline.state, np.atleast_2d(x))
     side = int(np.sqrt(out.shape[1]))
     stride = h // side
-    for row in out:
-        amap = fcdd_heatmap(row.reshape(side, side))
-        maps.append(gaussian_upsample(amap, h, w, sigma=float(stride)))
-    return np.stack(maps)
+    amaps = fcdd_heatmap(out.reshape(len(out), side, side))
+    return gaussian_upsample(amaps, h, w, sigma=float(stride))
 
 
 def _pixel_estimates(pipeline: LossPipeline, heatmaps):
@@ -510,7 +504,7 @@ def _tiles_row(cfg, method, class_id, pipeline, x_test, y_test, masks,
         "pixel_auroc": pixel_auroc(list(maps_before), list(masks)),
         "pixel_auroc_perturbed": pixel_auroc(list(maps_after), list(masks)),
     }
-    return row, hist, pair.deltas
+    return row, hist, pair.deltas, maps_before
 
 
 # -- the runner -------------------------------------------------------------
@@ -532,7 +526,7 @@ class _Arm(NamedTuple):
     deltas: np.ndarray
     calibrator: Optional[tuple]   # (params, digest) when one was fitted
     pipeline: LossPipeline
-    x_test: np.ndarray            # test rows under the arm's statistics
+    heatmaps: Optional[np.ndarray]  # test-set heatmaps of localization runs
 
 
 def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
@@ -573,12 +567,14 @@ def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
     n_eval = min(len(x_normal), len(pools["eval"]))
     evals = (x_normal[:n_eval], pools["eval"][:n_eval])
     if localization:
-        row, hist, deltas = _tiles_row(cfg, method, dataset["class_id"], pipeline,
-                                       x_test, test.y, test.masks, *evals)
+        row, hist, deltas, heatmaps = _tiles_row(
+            cfg, method, dataset["class_id"], pipeline, x_test, test.y, test.masks,
+            *evals)
     else:
         row, hist, deltas = _detection_row(cfg, method, dataset["class_id"],
                                            pipeline, x_test, test.y, *evals)
-    return _Arm(row, hist, deltas, fitted, pipeline, x_test)
+        heatmaps = None
+    return _Arm(row, hist, deltas, fitted, pipeline, heatmaps)
 
 
 def aggregate(per_seed) -> list:
@@ -626,7 +622,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_reports(cfg, summary, per_seed, histograms, calibrators,
                  deltas, out_dir, localization)
-    _emit_artifacts(cfg, first, out_dir, localization)
+    _emit_artifacts(cfg, first, out_dir)
     return RunResult(summary_rows=summary, per_seed_rows=per_seed,
                      out_dir=out_dir, histograms=histograms,
                      calibrators=calibrators)
@@ -636,7 +632,7 @@ def _slug(method: str) -> str:
     return method.replace(" ", "_").replace("β", "beta").lower()
 
 
-def _emit_artifacts(cfg, arms, out_dir: Path, localization: bool) -> None:
+def _emit_artifacts(cfg, arms, out_dir: Path) -> None:
     """First-seed scorer checkpoints and, for localization runs, heatmaps."""
     from .scorer import save_scorer
     from .tensorio import save_tensor
@@ -646,9 +642,9 @@ def _emit_artifacts(cfg, arms, out_dir: Path, localization: bool) -> None:
         save_scorer(out_dir / f"scorer_{slug}_seed{cfg.seeds[0]}",
                     arm.pipeline.state,
                     {"seed": cfg.seeds[0], "epoch": cfg.epochs, "loss": cfg.loss})
-        if localization:
-            maps = _tile_heatmaps(arm.pipeline, arm.x_test)
-            save_tensor(out_dir / f"heatmaps_{slug}_seed{cfg.seeds[0]}.calt", maps)
+        if arm.heatmaps is not None:
+            save_tensor(out_dir / f"heatmaps_{slug}_seed{cfg.seeds[0]}.calt",
+                        arm.heatmaps)
 
 
 CONVENTIONS = {

@@ -49,11 +49,8 @@ def perturb(x, grad, cfg: PerturbConfig) -> np.ndarray:
 def perturb_batch(pipeline: LossPipeline, x, cfg: PerturbConfig) -> np.ndarray:
     """Perturb every row of x against the pipeline loss at the target label."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    for i, row in enumerate(x):
-        _, grad = pipeline.loss_and_input_grad(row, cfg.target_label)
-        out[i] = perturb(row, grad, cfg)
-    return out
+    _, grad = pipeline.loss_and_input_grad(x, cfg.target_label)
+    return perturb(x, grad, cfg)
 
 
 def evaluate_pair(pipeline: LossPipeline, x, labels,

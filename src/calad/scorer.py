@@ -31,6 +31,9 @@ logger = logging.getLogger(__name__)
 
 SUPERVISED_LOSSES = {"log", "logistic", "hsc", "fcdd"}
 UNSUPERVISED_LOSSES = {"svdd", "ssim"}
+# rows per block of per-row gradients: bounds the (rows, fan_in, fan_out)
+# per-row weight gradients and the SSIM backward stacks
+_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -154,10 +157,16 @@ def forward(state: ScorerState, x) -> np.ndarray:
 
 
 def _forward_cache(state, x):
+    """Forward pass keeping each layer's (input, pre-activation).
+
+    A batch is (n, d). Row-stacked (n, 1, d) input runs every row as its
+    own (1, d) product, which rounds exactly like a one-row call; a
+    plain (n, d) product may not.
+    """
     a = np.atleast_2d(np.asarray(x, dtype=float))
-    if a.shape[1] != state.spec.widths[0]:
+    if a.shape[-1] != state.spec.widths[0]:
         raise ValueError(
-            f"input width {a.shape[1]} does not match spec width {state.spec.widths[0]}")
+            f"input width {a.shape[-1]} does not match spec width {state.spec.widths[0]}")
     caches = []
     last = state.n_layers - 1
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
@@ -170,7 +179,11 @@ def _forward_cache(state, x):
 
 
 def _backprop(state, caches, d_out):
-    """Gradients of sum(d_out * output) wrt parameters and the input."""
+    """Gradients of sum(d_out * output) wrt parameters and the input.
+
+    For (n, d) caches the parameter gradients sum over the batch; for
+    row-stacked (n, 1, d) caches they are per row, with a leading n axis.
+    """
     g = np.asarray(d_out, dtype=float)
     w_grads = [None] * state.n_layers
     b_grads = [None] * state.n_layers
@@ -178,9 +191,9 @@ def _backprop(state, caches, d_out):
     for i in range(last, -1, -1):
         a_in, z = caches[i]
         dz = g if i == last else g * _act_deriv(state.spec.activation, z)
-        w_grads[i] = a_in.T @ dz
+        w_grads[i] = np.swapaxes(a_in, -1, -2) @ dz
         if state.biases[i] is not None:
-            b_grads[i] = dz.sum(axis=0)
+            b_grads[i] = dz.sum(axis=-2)
         g = dz @ state.weights[i].T
     for i, frozen in enumerate(state.frozen):
         if frozen:
@@ -262,30 +275,31 @@ class LossPipeline:
     # -- score heads ---------------------------------------------------
 
     def _head(self, out):
-        """Per-sample raw score v and dv/d(out)."""
+        """Per-sample raw score v and dv/d(out); v is (n,) for (n, k)
+        outputs and (n, 1) for row-stacked (n, 1, k) ones."""
         name = self.loss_name
         if self.head is not None:
             w = np.asarray(self.head.weights, dtype=float)
             v = out @ w + self.head.bias
             return v, np.broadcast_to(w, out.shape)
         if name in ("logistic", "log"):
-            return out[:, 0], np.ones_like(out)
+            return out[..., 0], np.ones_like(out)
         if name == "svdd":
             diff = out - self.center
-            return np.sum(diff * diff, axis=1), 2.0 * diff
+            return np.sum(diff * diff, axis=-1), 2.0 * diff
         if name == "hsc":
-            sq = np.sum(out * out, axis=1)
+            sq = np.sum(out * out, axis=-1)
             if self.hsc_pseudo_huber:
                 v = pseudo_huber(sq)
                 dv_dsq = 0.5 / np.sqrt(sq + 1.0)
             else:
                 v = sq
                 dv_dsq = np.ones_like(sq)
-            return v, 2.0 * out * dv_dsq[:, None]
+            return v, 2.0 * out * dv_dsq[..., None]
         if name == "fcdd":
             root = np.sqrt(out * out + 1.0)
-            v = np.mean(root - 1.0, axis=1)
-            return v, out / (root * out.shape[1])
+            v = np.mean(root - 1.0, axis=-1)
+            return v, out / (root * out.shape[-1])
         raise ValueError(f"head undefined for {self.loss_name!r}")
 
     def _natural_logit(self, v):
@@ -322,14 +336,15 @@ class LossPipeline:
     def scores(self, x) -> np.ndarray:
         """Anomaly scores: the raw head value v."""
         if self.loss_name == "ssim":
-            return np.array([2.0 * self._ssim_estimate(row)[0] for row in np.atleast_2d(x)])
+            res = self._ssim_forward(x)[0]
+            return 2.0 * np.mean(res.estimates, axis=(1, 2))
         out, _ = _forward_cache(self.state, x)
         v, _ = self._head(out)
         return v
 
     def logits(self, x) -> np.ndarray:
         if self.loss_name == "ssim":
-            est = np.array([self._ssim_estimate(row)[0] for row in np.atleast_2d(x)])
+            est = np.mean(self._ssim_forward(x)[0].estimates, axis=(1, 2))
             return logit(clamp_probability(est))
         out, _ = _forward_cache(self.state, x)
         v, _ = self._head(out)
@@ -344,12 +359,15 @@ class LossPipeline:
         zc, _ = self._calibrated_logit(self.logits(x))
         return zc, sigmoid(zc)
 
-    def _ssim_estimate(self, row):
-        h, w = self.image_shape
-        img = np.asarray(row, dtype=float).reshape(h, w)
-        recon = forward(self.state, row)[0].reshape(h, w)
-        res = ssim_loss(img, recon, self.ssim_cfg)
-        return float(np.mean(res.estimates)), res
+    def _ssim_forward(self, x):
+        """SSIM of every row's image against its reconstruction: the
+        stacked SsimLoss (per-row losses, (n, h, w) maps), the (n, h, w)
+        reconstructions and the caches of the row-stacked MLP pass."""
+        rows = np.atleast_2d(np.asarray(x, dtype=float))
+        shape = (len(rows),) + tuple(self.image_shape)
+        recon, caches = _forward_cache(self.state, rows[:, None, :])
+        recon = recon.reshape(shape)
+        return ssim_loss(rows.reshape(shape), recon, self.ssim_cfg), recon, caches
 
     # -- losses and gradients -------------------------------------------
 
@@ -358,7 +376,7 @@ class LossPipeline:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.broadcast_to(np.asarray(y, dtype=float), (len(x2),))
         if self.loss_name == "ssim" and not self._calibrated_path():
-            return np.array([self._ssim_estimate(row)[1].loss for row in x2])
+            return self._ssim_forward(x2)[0].loss
         if self._calibrated_path():
             zc, _ = self._calibrated_logit(self.logits(x2))
             return logistic_loss(y, zc)
@@ -392,23 +410,27 @@ class LossPipeline:
         return loss, dl
 
     def loss_and_input_grad(self, x, y):
-        """Scalar loss and its exact gradient with respect to one input."""
+        """Loss and its exact gradient with respect to the input: a float
+        and a (d,) gradient for one input, per-row (n,) losses and (n, d)
+        gradients for a batch."""
         x = np.asarray(x, dtype=float)
-        if self.loss_name == "ssim":
-            return self._ssim_input_grad(x, y)
-        out, caches = _forward_cache(self.state, x[None, :])
-        v, dv_dout = self._head(out)
-        loss, dl_dv = self._upstream(v, np.asarray([y], dtype=float))
-        d_out = dl_dv[:, None] * dv_dout
-        _, _, d_in = _backprop(self.state, caches, d_out)
-        return float(loss[0]), d_in[0]
+        rows = np.atleast_2d(x)
+        y = np.broadcast_to(np.asarray(y, dtype=float), (len(rows),))
+        loss, d_in, _ = self._per_row_grads(rows, y)
+        if x.ndim == 1:
+            return float(loss[0]), d_in[0]
+        return loss, d_in
 
     def loss_and_param_grad(self, x, y):
         """Mean loss over a batch and its flat parameter gradient."""
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.broadcast_to(np.asarray(y, dtype=float), (len(x2),))
         if self.loss_name == "ssim":
-            return self._ssim_param_grad(x2, y)
+            loss, _, flat = self._per_row_grads(x2, y)
+            total = 0.0
+            for value in loss.tolist():  # row order, as the per-row loop summed
+                total += value
+            return total / len(x2), flat / len(x2)
         out, caches = _forward_cache(self.state, x2)
         v, dv_dout = self._head(out)
         loss, dl_dv = self._upstream(v, y)
@@ -417,47 +439,61 @@ class LossPipeline:
         return float(np.mean(loss)), _flatten_grads(self.state, w_grads, b_grads)
 
     def _ssim_chain_factor(self, est, y):
-        """d(pipeline loss)/d(mean estimate) for the calibrated ssim path."""
+        """Per-row calibrated ssim loss and d(loss)/d(mean estimate)."""
         e = clamp_probability(est)
         z = np.log(e) - np.log1p(-e)
-        zc, dzc_dz = self._calibrated_logit(np.asarray([z]))
-        loss = float(logistic_loss(y, zc[0]))
-        dl_dz = (sigmoid(zc[0]) - y) * dzc_dz[0]
+        zc, dzc_dz = self._calibrated_logit(z)
+        dl_dz = (sigmoid(zc) - y) * dzc_dz
         dz_de = 1.0 / (e * (1.0 - e))
-        return loss, dl_dz * dz_de
+        return logistic_loss(y, zc), dl_dz * dz_de
 
-    def _ssim_grads(self, row, y):
-        h, w = self.image_shape
-        img = row.reshape(h, w)
-        out, caches = _forward_cache(self.state, row[None, :])
-        recon = out[0].reshape(h, w)
-        res = ssim_loss(img, recon, self.ssim_cfg)
-        if self._calibrated_path():
-            est = float(np.mean(res.estimates))
-            loss, factor = self._ssim_chain_factor(est, y)
-            # estimate = mean((1 - S) / 2), so dS carries -factor / (2 h w)
-            ds = np.full((h, w), -factor / (2.0 * h * w))
-        else:
-            loss = res.loss
-            ds = np.full((h, w), -1.0 / (h * w))
-        dx_direct, drecon = ssim_map_backward(img, recon, ds, self.ssim_cfg)
-        d_out = drecon.reshape(1, -1)
-        w_grads, b_grads, d_in = _backprop(self.state, caches, d_out)
-        return loss, dx_direct.ravel() + d_in[0], w_grads, b_grads
-
-    def _ssim_input_grad(self, x, y):
-        loss, dx, _, _ = self._ssim_grads(x, float(y))
-        return loss, dx
-
-    def _ssim_param_grad(self, x2, y):
-        total = 0.0
-        flat = np.zeros(self.state.n_params())
-        for row, yi in zip(x2, y):
-            loss, _, w_grads, b_grads = self._ssim_grads(row, float(yi))
-            total += loss
-            flat += _flatten_grads(self.state, w_grads, b_grads)
+    def _per_row_grads(self, x2, y):
+        """Per-row losses, per-row input gradients and the sum of the
+        per-row flat parameter gradients over a batch, in blocks of
+        _ROW_BLOCK rows."""
         n = len(x2)
-        return total / n, flat / n
+        loss, d_in = np.empty(n), np.empty_like(x2)
+        sums = ([np.zeros_like(w) for w in self.state.weights],
+                [None if b is None else np.zeros_like(b) for b in self.state.biases])
+        for start in range(0, n, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            loss[rows], d_in[rows], *per_row = self._block_grads(x2[rows], y[rows])
+            # the running sum goes first and axis-0 reduction adds whole rows
+            # in order, so each sum rounds exactly like a row-by-row loop
+            for running, grads in zip(sums, per_row):
+                for i, g in enumerate(grads):
+                    if g is not None:
+                        g[0] += running[i]
+                        running[i] = np.add.reduce(g, axis=0)
+        return loss, d_in, _flatten_grads(self.state, *sums)
+
+    def _block_grads(self, x2, y):
+        """Per-row losses, input gradients and (rows, ...) weight and bias
+        gradients of one block of rows."""
+        if self.loss_name == "ssim":
+            res, recon, caches = self._ssim_forward(x2)
+            n, h, w = recon.shape
+            if self._calibrated_path():
+                est = np.mean(res.estimates, axis=(1, 2))
+                loss, factor = self._ssim_chain_factor(est, y)
+                # estimate = mean((1 - S) / 2), so dS carries -factor / (2 h w)
+                scale = -factor / (2.0 * h * w)
+            else:
+                loss = res.loss
+                scale = -1.0 / (h * w)
+            ds = np.broadcast_to(np.reshape(scale, (-1, 1, 1)), (n, h, w))
+            direct, drecon = ssim_map_backward(x2.reshape(n, h, w), recon, ds,
+                                               self.ssim_cfg)
+            direct, d_out = direct.reshape(n, h * w), drecon.reshape(n, 1, h * w)
+        else:
+            out, caches = _forward_cache(self.state, x2[:, None, :])
+            v, dv_dout = self._head(out)
+            loss, dl_dv = self._upstream(v, y[:, None])
+            loss, d_out = loss[:, 0], dl_dv[..., None] * dv_dout
+            direct = None
+        w_grads, b_grads, d_in = _backprop(self.state, caches, d_out)
+        d_in = d_in[:, 0] if direct is None else direct + d_in[:, 0]
+        return loss, d_in, w_grads, b_grads
 
 
 def input_gradient(state: ScorerState, pipeline: LossPipeline, x, y):

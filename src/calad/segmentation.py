@@ -4,8 +4,9 @@ Gaussian upsampling, and pixel-wise aggregation of a reference loss.
 Images are (channels, height, width) float arrays; heatmaps and masks are
 2-D. SSIM statistics are plain (population) window means, so the sliding
 map reduces to box filters over constant-padded inputs, and its adjoint is
-the transposed box filter. Both directions run on the selected kernel
-backend.
+the transposed box filter. The SSIM functions and the Gaussian upsampling
+also take (n, height, width) stacks and treat each image exactly as a
+single 2-D call would.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ class SsimConfig:
 
 @dataclass(frozen=True)
 class SsimLoss:
-    loss: float
+    loss: float             # one per image (an array) for an (n, h, w) stack
     similarity: np.ndarray  # S map, same height/width as the inputs
     estimates: np.ndarray   # per-pixel (1 - S) / 2
 
@@ -70,8 +71,12 @@ def ssim_patch(p, q, c1: float, c2: float) -> float:
                  / ((mp * mp + mq * mq + c1) * (vp + vq + c2)))
 
 
-def _pad(img: np.ndarray, cfg: SsimConfig) -> np.ndarray:
-    return np.pad(img, cfg.pad, mode="constant", constant_values=cfg.pad_value)
+def _pad(img: np.ndarray, pad: int, value: float) -> np.ndarray:
+    """img with a constant border of pad cells on its last two axes."""
+    h, w = img.shape[-2:]
+    out = np.full(img.shape[:-2] + (h + 2 * pad, w + 2 * pad), value, dtype=float)
+    out[..., pad:pad + h, pad:pad + w] = img
+    return out
 
 
 def _window_stats(ppad, qpad, cfg):
@@ -85,16 +90,19 @@ def _window_stats(ppad, qpad, cfg):
 
 
 def ssim_map(p: np.ndarray, q: np.ndarray, cfg: SsimConfig = SsimConfig()) -> np.ndarray:
-    """Sliding-window SSIM of two single-channel images.
+    """Sliding-window SSIM of two single-channel images, or of two
+    (n, h, w) stacks image by image.
 
     Both images are constant-padded by cfg.pad with cfg.pad_value, so the
     map is conformal with the inputs.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.ndim != 2 or p.shape != q.shape:
-        raise ValueError(f"need equal 2-D images, got {p.shape} vs {q.shape}")
-    mup, muq, sp2, sq2, spq = _window_stats(_pad(p, cfg), _pad(q, cfg), cfg)
+    if p.ndim not in (2, 3) or p.shape != q.shape:
+        raise ValueError(
+            f"need equal 2-D images or (n, h, w) stacks, got {p.shape} vs {q.shape}")
+    mup, muq, sp2, sq2, spq = _window_stats(_pad(p, cfg.pad, cfg.pad_value),
+                                            _pad(q, cfg.pad, cfg.pad_value), cfg)
     a = 2 * mup * muq + cfg.c1
     b = 2 * spq + cfg.c2
     c = mup * mup + muq * muq + cfg.c1
@@ -104,12 +112,12 @@ def ssim_map(p: np.ndarray, q: np.ndarray, cfg: SsimConfig = SsimConfig()) -> np
 
 def _box_adjoint(grid: np.ndarray, window: int) -> np.ndarray:
     # transpose of the valid-mode box sum: full-mode box sum
-    padded = np.pad(grid, window - 1)
-    return box_sum_valid(padded, window)
+    return box_sum_valid(_pad(grid, window - 1, 0.0), window)
 
 
 def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
-    """Gradients of sum(ds * S(p, q)) with respect to p and q.
+    """Gradients of sum(ds * S(p, q)) with respect to p and q, image by
+    image for (n, h, w) stacks.
 
     The constant pad border carries no gradient, so the adjoint crops back
     to the input extent.
@@ -117,8 +125,8 @@ def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     ds = np.asarray(ds, dtype=float)
-    ppad = _pad(p, cfg)
-    qpad = _pad(q, cfg)
+    ppad = _pad(p, cfg.pad, cfg.pad_value)
+    qpad = _pad(q, cfg.pad, cfg.pad_value)
     mup, muq, sp2, sq2, spq = _window_stats(ppad, qpad, cfg)
     a = 2 * mup * muq + cfg.c1
     b = 2 * spq + cfg.c2
@@ -143,16 +151,18 @@ def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
     dqpad = (_box_adjoint(g_muq, w) / n
              + 2 * qpad * (_box_adjoint(g_d, w) / n)
              + ppad * (_box_adjoint(g_spq, w) / n))
-    h, wd = p.shape
-    dp = dppad[cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]
-    dq = dqpad[cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]
+    h, wd = p.shape[-2:]
+    dp = dppad[..., cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]
+    dq = dqpad[..., cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]
     return dp, dq
 
 
 def ssim_loss(x, recon, cfg: SsimConfig = SsimConfig()) -> SsimLoss:
-    """Mean (1 - S) reconstruction loss with its per-pixel estimates."""
+    """Mean (1 - S) reconstruction loss with its per-pixel estimates; for
+    (n, h, w) stacks the loss is one value per image."""
     s = ssim_map(x, recon, cfg)
-    return SsimLoss(loss=float(np.mean(1.0 - s)), similarity=s,
+    loss = np.mean(1.0 - s, axis=(-2, -1))
+    return SsimLoss(loss=float(loss) if s.ndim == 2 else loss, similarity=s,
                     estimates=(1.0 - s) / 2.0)
 
 
@@ -160,7 +170,7 @@ def ssim_loss_grad(x, recon, cfg: SsimConfig = SsimConfig()):
     """ssim_loss value plus its gradients with respect to both images."""
     x = np.asarray(x, dtype=float)
     res = ssim_loss(x, recon, cfg)
-    ds = np.full(x.shape, -1.0 / x.size)
+    ds = np.full(x.shape, -1.0 / (x.shape[-2] * x.shape[-1]))
     dx, drecon = ssim_map_backward(x, recon, ds, cfg)
     return res, dx, drecon
 
@@ -183,7 +193,8 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def gaussian_upsample(heatmap, out_h: int, out_w: int, sigma: float) -> np.ndarray:
-    """Upsample a heatmap by transposed convolution with a fixed Gaussian.
+    """Upsample a heatmap, or each map of an (n, h, w) stack, by transposed
+    convolution with a fixed Gaussian.
 
     The stride is the integer ratio of output to input extent (it must
     divide evenly and match on both axes), the kernel spans 4*stride + 1
@@ -191,9 +202,9 @@ def gaussian_upsample(heatmap, out_h: int, out_w: int, sigma: float) -> np.ndarr
     The operator is linear and preserves nonnegativity.
     """
     a = np.asarray(heatmap, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("heatmap must be 2-D")
-    in_h, in_w = a.shape
+    if a.ndim not in (2, 3):
+        raise ValueError("heatmap must be 2-D or an (n, h, w) stack")
+    in_h, in_w = a.shape[-2:]
     if out_h < in_h or out_w < in_w:
         raise ValueError("output dims must not be smaller than the input")
     if out_h % in_h or out_w % in_w or out_h // in_h != out_w // in_w:
@@ -205,10 +216,10 @@ def gaussian_upsample(heatmap, out_h: int, out_w: int, sigma: float) -> np.ndarr
         return a.copy()
     kern = gaussian_kernel(4 * stride + 1, sigma)
     full = upsample_scatter(a, kern, stride)
-    margin_h = full.shape[0] - out_h
-    margin_w = full.shape[1] - out_w
+    margin_h = full.shape[-2] - out_h
+    margin_w = full.shape[-1] - out_w
     top, left = margin_h // 2, margin_w // 2
-    return full[top:top + out_h, left:left + out_w]
+    return full[..., top:top + out_h, left:left + out_w]
 
 
 def pixelwise_loss(masks, estimates, reference: LossSpec) -> float:

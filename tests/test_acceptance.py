@@ -158,11 +158,7 @@ def test_criterion_6_gradient_contract():
                 yb = np.array([probe % 2, (probe + 1) % 2])
                 _, grad = pipeline.loss_and_param_grad(xb, yb)
                 assert rel_err(grad, fd_param_grad(pipeline, xb, yb)) < 1e-5
-        # the 5 s budget binds on the accelerated default backend; the pure
-        # numpy fallback pays per-call overhead in the SSIM probe loop
-        from calad._kernels import BACKEND
-
-        assert time.perf_counter() - start < (5.0 if BACKEND == "numba" else 30.0)
+        assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_7_perturbation_first_order_law():

@@ -9,6 +9,8 @@ from calad.perturbation import (PairReport, PerturbConfig, evaluate_pair,
                                 perturb, perturb_batch)
 from calad.scorer import LossPipeline, MlpSpec, init_scorer
 
+from test_scorer import ARCHITECTURES, make_pipeline
+
 
 def smooth_pipeline(seed, calibrator=None):
     state = init_scorer(MlpSpec((4, 12, 1)), seed)
@@ -91,6 +93,24 @@ class TestFirstOrder:
         a = perturb_batch(pipeline, x, cfg)
         b = perturb_batch(pipeline, x, cfg)
         assert np.array_equal(a, b)
+
+
+class TestBatchEqualsPerRow:
+    # 19 rows: not a multiple of the per-row gradient block
+    @pytest.mark.parametrize("kind", ARCHITECTURES)
+    def test_perturb_batch(self, kind):
+        pipeline, d, _ = make_pipeline(kind, seed=12)
+        x = np.random.default_rng(13).uniform(0.05, 0.95, (19, d))
+        cfg = PerturbConfig(epsilon=0.01)
+        losses, grads = pipeline.loss_and_input_grad(x, 0)
+        rows = [pipeline.loss_and_input_grad(row, 0) for row in x]
+        assert losses.shape == (19,) and grads.shape == (19, d)
+        for i, (loss, grad) in enumerate(rows):
+            assert isinstance(loss, float)
+            assert losses[i] == loss
+            assert np.array_equal(grads[i], grad)
+        expected = np.stack([perturb(row, grad, cfg) for row, (_, grad) in zip(x, rows)])
+        assert np.array_equal(perturb_batch(pipeline, x, cfg), expected)
 
 
 class TestEvaluatePair:

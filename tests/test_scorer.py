@@ -3,12 +3,13 @@ import pytest
 
 from calad.calibration import BetaParams, HeadParams, PlattParams
 from calad.errors import DataError, NumericalError
+from calad.losses import clamp_probability, logistic_loss, sigmoid
 from calad.metrics import auroc
 from calad.scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig,
-                          forward, init_scorer, init_svdd_center,
-                          input_gradient, load_scorer, param_gradient,
-                          save_scorer, train)
-from calad.segmentation import SsimConfig
+                          _backprop, _flatten_grads, _forward_cache, forward,
+                          init_scorer, init_svdd_center, input_gradient,
+                          load_scorer, param_gradient, save_scorer, train)
+from calad.segmentation import SsimConfig, ssim_loss, ssim_map_backward
 
 FD_STEP = 1e-6
 
@@ -180,6 +181,53 @@ class TestGradientContract:
         other = init_scorer(MlpSpec((d, 8, 1)), 99)
         with pytest.raises(ValueError):
             input_gradient(other, pipeline, x, 0)
+
+
+def ssim_per_row_reference(pipeline, x, y):
+    """One-row passes of the ssim pipeline: scores, loss values, mean loss
+    and flat parameter gradient, summed row by row."""
+    h, w = pipeline.image_shape
+    state, cfg = pipeline.state, pipeline.ssim_cfg
+    scores, losses = [], []
+    total, flat = 0.0, np.zeros(state.n_params())
+    for row, yi in zip(x, y):
+        out, caches = _forward_cache(state, row[None, :])
+        img, recon = row.reshape(h, w), out[0].reshape(h, w)
+        res = ssim_loss(img, recon, cfg)
+        est = float(np.mean(res.estimates))
+        scores.append(2.0 * est)
+        if pipeline.calibrator is None:
+            loss = res.loss
+            ds = np.full((h, w), -1.0 / (h * w))
+        else:
+            e = clamp_probability(est)
+            zc, dzc_dz = pipeline._calibrated_logit(np.asarray([np.log(e) - np.log1p(-e)]))
+            loss = float(logistic_loss(yi, zc[0]))
+            factor = (sigmoid(zc[0]) - yi) * dzc_dz[0] * (1.0 / (e * (1.0 - e)))
+            ds = np.full((h, w), -factor / (2.0 * h * w))
+        losses.append(loss)
+        _, drecon = ssim_map_backward(img, recon, ds, cfg)
+        w_grads, b_grads, _ = _backprop(state, caches, drecon.reshape(1, -1))
+        total += loss
+        flat += _flatten_grads(state, w_grads, b_grads)
+    return np.array(scores), np.array(losses), total / len(x), flat / len(x)
+
+
+class TestBatchedSsimEqualsPerRow:
+    # 19 rows: not a multiple of the per-row gradient block
+    @pytest.mark.parametrize("cal", [None, BetaParams(1.4, 0.7, 0.2)])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_scores_losses_and_param_gradient(self, cal, frozen):
+        pipeline, d, _ = make_pipeline("autoencoder-ssim", seed=7, calibrator=cal)
+        pipeline.state.frozen[0] = frozen
+        x = np.random.default_rng(70).uniform(0.05, 0.95, (19, d))
+        y = np.arange(19) % 2
+        scores, losses, mean_loss, flat = ssim_per_row_reference(pipeline, x, y)
+        assert np.array_equal(pipeline.scores(x), scores)
+        assert np.array_equal(pipeline.loss_values(x, y), losses)
+        got_loss, got_flat = pipeline.loss_and_param_grad(x, y)
+        assert got_loss == mean_loss
+        assert np.array_equal(got_flat, flat)
 
 
 class TestSvddCenter:

@@ -160,6 +160,42 @@ class TestSsimBackward:
         assert res.loss == pytest.approx(ssim_loss(x, r, CFG3).loss)
 
 
+class TestStacks:
+    """(n, h, w) stacks give exactly the per-image results."""
+
+    CFG = SsimConfig(pad_value=0.37)
+
+    def pair(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(size=(5, 16, 12)), rng.uniform(size=(5, 16, 12)), rng
+
+    def test_ssim_map_and_loss(self):
+        p, q, _ = self.pair(14)
+        s = ssim_map(p, q, self.CFG)
+        res = ssim_loss(p, q, self.CFG)
+        for i in range(len(p)):
+            single = ssim_loss(p[i], q[i], self.CFG)
+            assert isinstance(single.loss, float)
+            assert np.array_equal(s[i], ssim_map(p[i], q[i], self.CFG))
+            assert res.loss[i] == single.loss
+            assert np.array_equal(res.estimates[i], single.estimates)
+
+    def test_ssim_map_backward(self):
+        p, q, rng = self.pair(15)
+        ds = rng.normal(size=p.shape)
+        dp, dq = ssim_map_backward(p, q, ds, self.CFG)
+        for i in range(len(p)):
+            dpi, dqi = ssim_map_backward(p[i], q[i], ds[i], self.CFG)
+            assert np.array_equal(dp[i], dpi)
+            assert np.array_equal(dq[i], dqi)
+
+    def test_gaussian_upsample(self):
+        a = np.random.default_rng(16).uniform(size=(6, 8, 8))
+        out = gaussian_upsample(a, 16, 16, 2.0)
+        for i in range(len(a)):
+            assert np.array_equal(out[i], gaussian_upsample(a[i], 16, 16, 2.0))
+
+
 class TestFcddHeatmap:
     def test_zero_features(self):
         out = fcdd_heatmap(np.zeros((4, 4)))
