@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DataError
 from .losses import clamp_probability, logistic_loss, sigmoid
@@ -116,10 +115,14 @@ def _require_both_classes(labels):
     return labels.astype(float)
 
 
-def _lbfgs(objective, x0, opt: OptimizerConfig):
-    result = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                      options={"maxiter": opt.max_iter, "gtol": opt.gtol})
-    return result.x
+def minimize(objective, x0, opt: OptimizerConfig):
+    """L-BFGS-B over an objective returning (value, gradient); scipy's
+    full OptimizeResult. scipy.optimize is imported on the first fit, so
+    commands that fit nothing never load it."""
+    from scipy import optimize
+
+    return optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                             options={"maxiter": opt.max_iter, "gtol": opt.gtol})
 
 
 def fit_platt(logits, labels, opt: OptimizerConfig = OptimizerConfig()) -> PlattParams:
@@ -138,7 +141,7 @@ def fit_platt(logits, labels, opt: OptimizerConfig = OptimizerConfig()) -> Platt
         return (float(np.mean(logistic_loss(y, zp))),
                 np.array([np.mean(g * slope * z), np.mean(g)]))
 
-    x = _lbfgs(objective, np.zeros(2), opt)
+    x = minimize(objective, np.zeros(2), opt).x
     return PlattParams(temperature=float(np.exp(-x[0])), intercept=float(x[1]))
 
 
@@ -162,7 +165,7 @@ def fit_beta(estimates, labels, opt: OptimizerConfig = OptimizerConfig()) -> Bet
                           np.mean(-g * b * log_1me),
                           np.mean(g)]))
 
-    x = _lbfgs(objective, np.zeros(3), opt)
+    x = minimize(objective, np.zeros(3), opt).x
     return BetaParams(a=float(np.exp(x[0])), b=float(np.exp(x[1])), c=float(x[2]))
 
 
@@ -186,7 +189,7 @@ def fit_head(features, labels, opt: OptimizerConfig = OptimizerConfig()) -> Head
         grad = np.concatenate([f.T @ g / len(y), [np.mean(g)]])
         return float(np.mean(logistic_loss(y, z))), grad
 
-    x = _lbfgs(objective, x0, opt)
+    x = minimize(objective, x0, opt).x
     return HeadParams(weights=x[:d].copy(), bias=float(x[d]))
 
 

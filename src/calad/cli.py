@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,20 +82,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_score_csv(path):
+    """Float64 scores and int64 0/1 labels from the first two columns of a
+    CSV with a score,label header; blank lines are skipped."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [(float(r[0]), int(float(r[1]))) for r in reader if r]
-    except (OSError, ValueError, IndexError, StopIteration) as exc:
+            header = next(csv.reader([fh.readline()]))
+            if {h.strip() for h in header[:2]} != {"score", "label"}:
+                raise DataError(f"{path}: expected a score,label header")
+            with warnings.catch_warnings():
+                # an empty body warns and returns no rows, rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None,
+                                  quotechar='"', ndmin=2)
+    except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"cannot read score CSV {path}: {exc}") from exc
-    if {h.strip() for h in header[:2]} != {"score", "label"}:
-        raise DataError(f"{path}: expected a score,label header")
-    if not rows:
+    if not len(body):
         raise DataError(f"{path}: no score rows")
-    scores = np.array([r[0] for r in rows])
-    labels = np.array([r[1] for r in rows])
-    return scores, labels
+    bad = np.flatnonzero((body[:, 1] != 0) & (body[:, 1] != 1))
+    if len(bad):
+        raise DataError(f"{path}: score row {bad[0] + 1} has label "
+                        f"{float(body[bad[0], 1])!r}, expected 0 or 1")
+    return np.ascontiguousarray(body[:, 0]), body[:, 1].astype(np.int64)
 
 
 def _cmd_run(args) -> int:

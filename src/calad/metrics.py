@@ -9,12 +9,25 @@ positive rates up to a cap and normalized by that cap.
 """
 
 import numpy as np
-from scipy import ndimage
-from scipy.stats import rankdata
 
 from .errors import DataError, NumericalError
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+def _midranks(x, what):
+    """1-based ranks with ties given their mean rank; raises
+    NumericalError on non-finite values, which have no rank.
+
+    A midrank is a whole or half integer, so it is exact in float64 and
+    equals scipy.stats.rankdata(x, method="average") bit for bit.
+    """
+    n_bad = int(np.sum(~np.isfinite(x)))
+    if n_bad:
+        raise NumericalError(f"{what} got {n_bad} non-finite values of {len(x)}")
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def auroc(scores, labels) -> float:
@@ -27,10 +40,7 @@ def auroc(scores, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs at least one sample of each class")
-    n_bad = int(np.sum(~np.isfinite(s)))
-    if n_bad:
-        raise NumericalError(f"AUROC got {n_bad} non-finite scores of {len(s)}")
-    ranks = rankdata(s, method="average")
+    ranks = _midranks(s, "AUROC")
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -43,6 +53,8 @@ def pixel_auroc(heatmaps, masks) -> float:
 
 def mask_regions(mask) -> list:
     """Connected anomalous regions of a binary mask, 4-connectivity."""
+    from scipy import ndimage
+
     labeled, n = ndimage.label(np.asarray(mask) > 0, structure=FOUR_CONNECTED)
     return [labeled == r for r in range(1, n + 1)]
 
@@ -113,13 +125,13 @@ def kappa_improvement(auroc_0: float, auroc_p: float) -> float:
 
 def spearman(xs, ys) -> float:
     """Pearson correlation of midranks; NaN when either rank vector is
-    constant."""
+    constant, NumericalError on non-finite input."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise ValueError("need two equal-length vectors of size >= 2")
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
+    rx = _midranks(x, "Spearman correlation")
+    ry = _midranks(y, "Spearman correlation")
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         return float("nan")
     return float(np.corrcoef(rx, ry)[0, 1])

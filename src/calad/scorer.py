@@ -178,11 +178,13 @@ def _forward_cache(state, x):
     return a, caches
 
 
-def _backprop(state, caches, d_out):
+def _backprop(state, caches, d_out, params=True):
     """Gradients of sum(d_out * output) wrt parameters and the input.
 
     For (n, d) caches the parameter gradients sum over the batch; for
     row-stacked (n, 1, d) caches they are per row, with a leading n axis.
+    With ``params`` false only the input gradient is computed and the
+    parameter gradient lists hold None.
     """
     g = np.asarray(d_out, dtype=float)
     w_grads = [None] * state.n_layers
@@ -191,12 +193,13 @@ def _backprop(state, caches, d_out):
     for i in range(last, -1, -1):
         a_in, z = caches[i]
         dz = g if i == last else g * _act_deriv(state.spec.activation, z)
-        w_grads[i] = np.swapaxes(a_in, -1, -2) @ dz
-        if state.biases[i] is not None:
-            b_grads[i] = dz.sum(axis=-2)
+        if params:
+            w_grads[i] = np.swapaxes(a_in, -1, -2) @ dz
+            if state.biases[i] is not None:
+                b_grads[i] = dz.sum(axis=-2)
         g = dz @ state.weights[i].T
     for i, frozen in enumerate(state.frozen):
-        if frozen:
+        if frozen and params:
             w_grads[i] = np.zeros_like(w_grads[i])
             if b_grads[i] is not None:
                 b_grads[i] = np.zeros_like(b_grads[i])
@@ -416,7 +419,7 @@ class LossPipeline:
         x = np.asarray(x, dtype=float)
         rows = np.atleast_2d(x)
         y = np.broadcast_to(np.asarray(y, dtype=float), (len(rows),))
-        loss, d_in, _ = self._per_row_grads(rows, y)
+        loss, d_in, _ = self._per_row_grads(rows, y, params=False)
         if x.ndim == 1:
             return float(loss[0]), d_in[0]
         return loss, d_in
@@ -447,17 +450,17 @@ class LossPipeline:
         dz_de = 1.0 / (e * (1.0 - e))
         return logistic_loss(y, zc), dl_dz * dz_de
 
-    def _per_row_grads(self, x2, y):
+    def _per_row_grads(self, x2, y, params=True):
         """Per-row losses, per-row input gradients and the sum of the
-        per-row flat parameter gradients over a batch, in blocks of
-        _ROW_BLOCK rows."""
+        per-row flat parameter gradients over a batch (None without
+        ``params``), in blocks of _ROW_BLOCK rows."""
         n = len(x2)
         loss, d_in = np.empty(n), np.empty_like(x2)
         sums = ([np.zeros_like(w) for w in self.state.weights],
                 [None if b is None else np.zeros_like(b) for b in self.state.biases])
         for start in range(0, n, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            loss[rows], d_in[rows], *per_row = self._block_grads(x2[rows], y[rows])
+            loss[rows], d_in[rows], *per_row = self._block_grads(x2[rows], y[rows], params)
             # the running sum goes first and axis-0 reduction adds whole rows
             # in order, so each sum rounds exactly like a row-by-row loop
             for running, grads in zip(sums, per_row):
@@ -465,11 +468,11 @@ class LossPipeline:
                     if g is not None:
                         g[0] += running[i]
                         running[i] = np.add.reduce(g, axis=0)
-        return loss, d_in, _flatten_grads(self.state, *sums)
+        return loss, d_in, _flatten_grads(self.state, *sums) if params else None
 
-    def _block_grads(self, x2, y):
+    def _block_grads(self, x2, y, params):
         """Per-row losses, input gradients and (rows, ...) weight and bias
-        gradients of one block of rows."""
+        gradients of one block of rows (lists of None without ``params``)."""
         if self.loss_name == "ssim":
             res, recon, caches = self._ssim_forward(x2)
             n, h, w = recon.shape
@@ -491,7 +494,7 @@ class LossPipeline:
             loss, dl_dv = self._upstream(v, y[:, None])
             loss, d_out = loss[:, 0], dl_dv[..., None] * dv_dout
             direct = None
-        w_grads, b_grads, d_in = _backprop(self.state, caches, d_out)
+        w_grads, b_grads, d_in = _backprop(self.state, caches, d_out, params)
         d_in = d_in[:, 0] if direct is None else direct + d_in[:, 0]
         return loss, d_in, w_grads, b_grads
 

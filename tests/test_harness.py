@@ -1,13 +1,17 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from calad.cli import main as cli_main
+import calad
+from calad.cli import _read_score_csv, main as cli_main
 from calad.errors import ConfigError, DataError
 from calad.harness import (ExperimentConfig, METHOD_LABELS, _anomaly_pools,
                            fit_normalizer, load_config_file, merge_config,
@@ -369,3 +373,74 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "run" in proc.stdout and "synth" in proc.stdout
+
+    def test_scipy_loaded_only_by_fits(self, tmp_path):
+        """Start-up and the verbs that fit nothing load no scipy module;
+        the first fit loads scipy.optimize, and scipy.stats is never used."""
+        path = tmp_path / "scores.csv"
+        path.write_text("score,label\n0.3,0\n1.2,1\n-0.5,0\n0.9,1\n0.95,0\n")
+        child = textwrap.dedent(f"""
+            import json, sys
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            seen = {{}}
+            import calad.cli
+            seen["import"] = scipy_modules()
+            try:
+                calad.cli.main(["--help"])
+            except SystemExit:
+                pass
+            seen["help"] = scipy_modules()
+            assert calad.cli.main(["eval", {str(path)!r}]) == 0
+            assert calad.cli.main(["synth", "--count", "1", "--height", "8",
+                                   "--width", "8", "--out", {str(tmp_path)!r}]) == 0
+            seen["eval+synth"] = scipy_modules()
+            assert calad.cli.main(["calibrate", {str(path)!r},
+                                   "--out", {str(tmp_path)!r}]) == 0
+            seen["calibrate"] = scipy_modules()
+            print(json.dumps(seen))
+        """)
+        package_parent = Path(calad.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(package_parent)})
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["import"] == seen["help"] == seen["eval+synth"] == []
+        assert "scipy.optimize" in seen["calibrate"]
+        assert not [m for m in seen["calibrate"] if m.startswith("scipy.stats")]
+
+
+class TestScoreCsv:
+    def write(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        return path
+
+    @pytest.mark.parametrize("label", ["inf", "nan", "2", "-1", "0.5"])
+    @pytest.mark.parametrize("verb", ["eval", "calibrate"])
+    def test_label_not_0_or_1_exits_2(self, tmp_path, capsys, verb, label):
+        path = self.write(tmp_path, f"score,label\n0.1,0\n0.7,1\n0.4,{label}\n0.2,0\n")
+        rc = cli_main([verb, str(path), "--out", str(tmp_path)] if verb == "calibrate"
+                      else [verb, str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "score row 3" in err and "expected 0 or 1" in err
+        assert not (tmp_path / "calibrator_platt.txt").exists()
+
+    def test_layout_variants_parse_alike(self, tmp_path):
+        plain = _read_score_csv(self.write(tmp_path, "score,label\n1.5,0\n-2.25,1\n"))
+        for text in ['"score","label"\r\n"1.5","0"\r\n\r\n-2.25,1\r\n',
+                     " score , label ,extra\n 1.5 , 0 ,x\n\n-2.25,1.0,y,z",
+                     "score,label\r1.5,-0\r-2.25,1e0\r"]:
+            scores, labels = _read_score_csv(self.write(tmp_path, text))
+            assert scores.dtype == np.float64 and labels.dtype == np.int64
+            assert np.array_equal(scores, plain[0]) and np.array_equal(labels, plain[1])
+
+    @pytest.mark.parametrize("text", [
+        "", "score,label\n", "score,label\n\n\n", "a,b\n1,0\n",
+        "score,label\n1.5\n", "score,label\n1.5,\n", "score,label\n   \n",
+        "score,label\n1_0,1\n", "score,label\n#1,0\n", "score,label\n1.5,0\x00\n",
+        'score,label\n"1,5",0\n'])
+    def test_malformed_body_is_data_error(self, tmp_path, text):
+        with pytest.raises(DataError):
+            _read_score_csv(self.write(tmp_path, text))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from calad.errors import DataError, NumericalError
-from calad.metrics import (aupro, auroc, kappa_improvement, mask_regions,
+from calad.metrics import (_midranks, aupro, auroc, kappa_improvement, mask_regions,
                            pixel_auroc, spearman)
 
 
@@ -160,6 +161,50 @@ class TestKappa:
         assert np.isnan(kappa_improvement(1.0, 1.0))
 
 
+def rankdata_auroc(scores, labels):
+    """The midrank AUROC formula over scipy's rankdata."""
+    s, y = np.asarray(scores, dtype=float), np.asarray(labels)
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    ranks = rankdata(s, method="average")
+    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("x", [
+        np.array([3.0, 1.0, 3.0, 3.0, 2.0, 1.0, 3.0, 0.5, 3.0]),  # heavy ties
+        np.repeat(np.arange(5.0), 7)[::-1],
+        np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]),  # -0.0 ties with 0.0
+        np.array([4.2]),
+        np.round(np.random.default_rng(11).normal(size=200_000), 4),
+    ], ids=["ties", "blocks", "signed-zero", "one", "200k-4-decimals"])
+    def test_equal_to_scipy_rankdata(self, x):
+        expected = rankdata(x, method="average")
+        got = _midranks(x, "test")
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalError, match="1 non-finite"):
+            _midranks(np.array([1.0, bad, 2.0]), "test")
+
+    @pytest.mark.parametrize("n", [10, 100, 500])
+    def test_auroc_unchanged_from_rankdata(self, n):
+        rng = np.random.default_rng(n)
+        scores = np.round(rng.normal(size=n), 2)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        assert auroc(scores, labels) == rankdata_auroc(scores, labels)
+
+    def test_pixel_auroc_unchanged_from_rankdata(self):
+        rng = np.random.default_rng(12)
+        heatmaps = [np.round(rng.random((8, 8)), 2) for _ in range(3)]
+        masks = [rng.random((8, 8)) < 0.2 for _ in range(3)]
+        expected = rankdata_auroc(np.concatenate([h.ravel() for h in heatmaps]),
+                                  np.concatenate([m.ravel() for m in masks]).astype(int))
+        assert pixel_auroc(heatmaps, masks) == expected
+
+
 class TestSpearman:
     def test_identical_orderings(self):
         rng = np.random.default_rng(6)
@@ -182,3 +227,10 @@ class TestSpearman:
         x = rng.normal(size=30)
         y = rng.normal(size=30)
         assert spearman(x, y) == pytest.approx(-spearman(x, -y), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalError, match="1 non-finite"):
+            spearman([1.0, bad, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(NumericalError, match="2 non-finite"):
+            spearman([1.0, 2.0, 3.0, 4.0], [bad, 2.0, bad, 4.0])

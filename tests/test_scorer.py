@@ -171,6 +171,20 @@ class TestGradientContract:
         assert single[0] == batch[0]
         assert np.array_equal(single[1], batch[1])
 
+    @pytest.mark.parametrize("kind", ARCHITECTURES)
+    def test_input_gradient_skips_param_gradients_bit_identically(self, kind):
+        # loss_and_input_grad computes no parameter gradients; its losses
+        # and input gradients equal those of the full per-row pass
+        pipeline, d, _ = make_pipeline(kind, seed=8, calibrator=PlattParams(0.8, 0.1))
+        pipeline.state.frozen[0] = True
+        x = np.random.default_rng(80).uniform(0.05, 0.95, (19, d))
+        y = np.arange(19) % 2
+        loss, d_in, flat = pipeline._per_row_grads(x, y)
+        assert flat.shape == (pipeline.state.n_params(),)
+        got_loss, got_d_in = pipeline.loss_and_input_grad(x, y)
+        assert np.array_equal(got_loss, loss)
+        assert np.array_equal(got_d_in, d_in)
+
     def test_module_level_wrappers(self):
         pipeline, d, _ = make_pipeline("mlp-logistic", seed=7)
         x = np.full(d, 0.1)
