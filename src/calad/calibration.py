@@ -1,12 +1,30 @@
 """Post-hoc calibration maps, their fitting procedures, and reliability
 measurement.
 
-All three calibrators are fitted by minimizing mean logistic loss over the
-calibration set with a quasi-Newton (L-BFGS) optimizer using analytic
-gradients; convergence is declared when the projected gradient max-norm
-drops below ``gtol`` or after ``max_iter`` iterations. Positivity of the
-Platt temperature and of the Beta weights is enforced by optimizing the
-log of each constrained parameter.
+Platt and Beta calibration are logistic regressions over two and three
+features: ``[z, 1]`` for Platt and ``[ln e, -ln(1 - e), 1]`` for Beta
+(Platt 1999; Lin, Lin & Weng 2007; Kull, Silva Filho & Flach 2017).
+``minimize`` solves them exactly with damped Newton steps: an Armijo
+backtracking search while the Newton decrement g·H⁻¹g is large, and the
+full step once it falls below ``FULL_STEP_DECREMENT``, where loss
+differences are too small to resolve in float64. Steps come from a
+minimum-norm least-squares solve, so a singular Hessian (a constant
+feature) or an ill-conditioned one does not raise. A fit has converged
+when the gradient max-norm is at most ``gtol``; running out of
+``max_iter`` iterations first, or a non-finite iterate, raises
+``NumericalError``. Separable data is not an error: the gradient decays
+below ``gtol`` as the slope grows.
+
+The Platt slope 1/T and the Beta weights a, b must be nonnegative. They
+are handled with Kull et al.'s active set: a constrained coefficient that
+comes out negative is pinned at exactly 0 and the rest are refitted from
+the start point. A Platt slope pinned at 0 (scores anti-correlated with
+the labels) is the temperature ``inf``, a constant map to the base rate.
+
+The calibration head is still fitted with scipy's L-BFGS-B, imported in
+``fit_head``'s body. On its ill-conditioned frozen features L-BFGS stops
+on scipy's relative-reduction rule short of the exact optimum, and the
+head's stored reference outputs pin that stop.
 
 Fitted parameters serialize to a plain-text key-value document so a run
 can be reloaded and its determinism re-verified.
@@ -18,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .losses import clamp_probability, logistic_loss, sigmoid
 
 
@@ -115,66 +133,118 @@ def _require_both_classes(labels):
     return labels.astype(float)
 
 
-def minimize(objective, x0, opt: OptimizerConfig):
-    """L-BFGS-B over an objective returning (value, gradient); scipy's
-    full OptimizeResult. scipy.optimize is imported on the first fit, so
-    commands that fit nothing never load it."""
-    from scipy import optimize
+# below this Newton decrement the loss change is too small for an Armijo test
+FULL_STEP_DECREMENT = 1e-12
 
-    return optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
-                             options={"maxiter": opt.max_iter, "gtol": opt.gtol})
+
+@dataclass(frozen=True)
+class FitResult:
+    """What ``minimize`` returns: the minimizer, Newton iterations and
+    loss evaluations summed over active-set refits, and ``success``, always
+    True because a fit that misses the stopping rule raises instead."""
+
+    x: np.ndarray
+    nit: int
+    nfev: int
+    success: bool = True
+
+
+def _newton(features, y, x0, opt: OptimizerConfig):
+    """Damped Newton on mean logistic loss of features @ x;
+    (x, iterations, loss evaluations)."""
+    n = len(y)
+    x = x0.copy()
+    z = features @ x
+    loss = float(np.mean(logistic_loss(y, z)))
+    nfev = 1
+    for nit in range(opt.max_iter + 1):
+        p = sigmoid(z)
+        grad = features.T @ (p - y) / n
+        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+            raise NumericalError(f"calibrator fit reached a non-finite iterate {x}")
+        if np.max(np.abs(grad)) <= opt.gtol:
+            return x, nit, nfev
+        if nit == opt.max_iter:
+            break
+        hess = (features * (p * (1.0 - p))[:, None]).T @ features / n
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement = -float(grad @ step)
+        t = 1.0
+        while True:
+            x_new = x + t * step
+            z_new = features @ x_new
+            loss_new = float(np.mean(logistic_loss(y, z_new)))
+            nfev += 1
+            if decrement < FULL_STEP_DECREMENT or loss_new <= loss - 1e-4 * t * decrement:
+                break
+            t /= 2
+            if t < 1e-10:
+                raise NumericalError(
+                    f"calibrator fit stalled: no descent along the Newton step "
+                    f"at {x}, max|grad| {np.max(np.abs(grad)):.3g}")
+        x, z, loss = x_new, z_new, loss_new
+    raise NumericalError(
+        f"calibrator fit did not converge in {opt.max_iter} Newton iterations: "
+        f"max|grad| {np.max(np.abs(grad)):.3g} > gtol {opt.gtol:g}")
+
+
+def minimize(features, labels, x0, opt: OptimizerConfig, nonneg=()) -> FitResult:
+    """Minimize the mean logistic loss of ``features @ x`` against 0/1
+    labels by Newton's method, from ``x0``, keeping the coordinates in
+    ``nonneg`` nonnegative with Kull et al.'s active set."""
+    features = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    free = np.ones(len(x0), dtype=bool)
+    nit = nfev = 0
+    while True:
+        x_free, its, evals = _newton(features[:, free], y, x0[free], opt)
+        x = np.zeros_like(x0)
+        x[free] = x_free
+        nit, nfev = nit + its, nfev + evals
+        negative = [j for j in nonneg if x[j] < 0]
+        if not negative:
+            return FitResult(x=x, nit=nit, nfev=nfev)
+        free[negative[0]] = False
 
 
 def fit_platt(logits, labels, opt: OptimizerConfig = OptimizerConfig()) -> PlattParams:
     """Fit (T, c) by logistic-loss minimization over transformed logits.
 
     Starts from the identity (T = 1, c = 0), so the achieved loss never
-    exceeds the identity's.
+    exceeds the identity's. A slope pinned at 0 gives T = inf.
     """
     z = np.asarray(logits, dtype=float)
     y = _require_both_classes(labels)
-
-    def objective(p):
-        slope = np.exp(p[0])
-        zp = slope * z + p[1]
-        g = sigmoid(zp) - y
-        return (float(np.mean(logistic_loss(y, zp))),
-                np.array([np.mean(g * slope * z), np.mean(g)]))
-
-    x = minimize(objective, np.zeros(2), opt).x
-    return PlattParams(temperature=float(np.exp(-x[0])), intercept=float(x[1]))
+    slope, intercept = minimize(np.column_stack([z, np.ones_like(z)]), y,
+                                [1.0, 0.0], opt, nonneg=(0,)).x
+    return PlattParams(temperature=float(1.0 / slope) if slope > 0 else np.inf,
+                       intercept=float(intercept))
 
 
 def fit_beta(estimates, labels, opt: OptimizerConfig = OptimizerConfig()) -> BetaParams:
     """Fit (a, b, c) by logistic-loss minimization over transformed logits.
 
-    a and b stay nonnegative through an exponential reparameterization;
-    the start is the identity map (a = b = 1, c = 0).
+    a and b stay nonnegative through the active set; the start is the
+    identity map (a = b = 1, c = 0).
     """
     e = clamp_probability(np.asarray(estimates, dtype=float))
     y = _require_both_classes(labels)
-    log_e = np.log(e)
-    log_1me = np.log1p(-e)
-
-    def objective(p):
-        a, b = np.exp(p[0]), np.exp(p[1])
-        zb = a * log_e - b * log_1me + p[2]
-        g = sigmoid(zb) - y
-        return (float(np.mean(logistic_loss(y, zb))),
-                np.array([np.mean(g * a * log_e),
-                          np.mean(-g * b * log_1me),
-                          np.mean(g)]))
-
-    x = minimize(objective, np.zeros(3), opt).x
-    return BetaParams(a=float(np.exp(x[0])), b=float(np.exp(x[1])), c=float(x[2]))
+    features = np.column_stack([np.log(e), -np.log1p(-e), np.ones_like(e)])
+    a, b, c = minimize(features, y, [1.0, 1.0, 0.0], opt, nonneg=(0, 1)).x
+    return BetaParams(a=float(a), b=float(b), c=float(c))
 
 
 def fit_head(features, labels, opt: OptimizerConfig = OptimizerConfig()) -> HeadParams:
     """Refit the final affine layer over frozen features.
 
     Weights are re-initialized from the seed with uniform fan-in scaling,
-    then optimized to a stationary point of the mean logistic loss.
+    then optimized with L-BFGS-B to a stationary point of the mean
+    logistic loss. scipy.optimize is imported here, so only head fits load
+    it.
     """
+    from scipy import optimize
+
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
         raise ValueError("features must be a (n, d) matrix")
@@ -189,7 +259,8 @@ def fit_head(features, labels, opt: OptimizerConfig = OptimizerConfig()) -> Head
         grad = np.concatenate([f.T @ g / len(y), [np.mean(g)]])
         return float(np.mean(logistic_loss(y, z))), grad
 
-    x = minimize(objective, x0, opt).x
+    x = optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                          options={"maxiter": opt.max_iter, "gtol": opt.gtol}).x
     return HeadParams(weights=x[:d].copy(), bias=float(x[d]))
 
 

@@ -152,6 +152,11 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_eval(args) -> int:
     scores, labels = _read_score_csv(args.scores)
+    if args.probabilities:
+        bad = np.flatnonzero(~((scores >= 0) & (scores <= 1)))
+        if len(bad):
+            raise DataError(f"{args.scores}: score row {bad[0] + 1} is "
+                            f"{float(scores[bad[0]])!r}, expected a probability in [0, 1]")
     estimates = scores if args.probabilities else sigmoid(scores)
     hist = reliability(estimates, labels, args.bins)
     print(f"auroc {auroc(scores, labels)!r}")

@@ -5,10 +5,10 @@ from mpmath import mp
 from calad.calibration import (BetaParams, HeadParams, OptimizerConfig,
                                PlattParams, beta_transform, ece, fit_beta,
                                fit_head, fit_platt, fitting_digest,
-                               head_transform, load_calibrator, mce,
+                               head_transform, load_calibrator, mce, minimize,
                                platt_transform, reliability, save_calibrator)
-from calad.errors import DataError
-from calad.losses import logistic_loss, sigmoid
+from calad.errors import DataError, NumericalError
+from calad.losses import logistic_loss, logit, sigmoid
 from calad.metrics import auroc
 
 mp.dps = 40
@@ -231,6 +231,117 @@ class TestFitHead:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             fit_head(np.ones((3, 2)), np.zeros(3))
+
+
+def beta_features(e):
+    return np.column_stack([np.log(e), -np.log1p(-e), np.ones_like(e)])
+
+
+def lbfgs_reference(features, y, x0, bounds=None):
+    """Mean logistic loss of features @ x minimized by scipy's L-BFGS-B at
+    tolerances far below the solver's."""
+    from scipy import optimize
+
+    def objective(x):
+        z = features @ x
+        return float(np.mean(logistic_loss(y, z))), features.T @ (sigmoid(z) - y) / len(y)
+
+    result = optimize.minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                               options={"gtol": 1e-12, "ftol": 1e-300, "maxiter": 10000})
+    return result.x
+
+
+def beta_generator_data(a, b, c, n, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(0.02, 0.98, n)
+    y = (rng.random(n) < sigmoid(beta_features(e) @ [a, b, c])).astype(int)
+    return e, y
+
+
+class TestNewtonSolver:
+    def test_platt_matches_tight_lbfgs(self):
+        z, y = make_platt_data(2.0, 0.3, 5000, seed=60)
+        params = fit_platt(z, y)
+        slope, intercept = lbfgs_reference(np.column_stack([z, np.ones_like(z)]), y,
+                                           [1.0, 0.0])
+        assert abs(1 / params.temperature - slope) < 1e-7
+        assert abs(params.intercept - intercept) < 1e-7
+
+    def test_beta_matches_tight_lbfgs(self):
+        e, y = beta_generator_data(2.0, 0.5, 0.0, 5000, seed=61)
+        params = fit_beta(e, y)
+        want = lbfgs_reference(beta_features(e), y, [1.0, 1.0, 0.0])
+        assert np.max(np.abs([params.a, params.b, params.c] - want)) < 1e-7
+
+    # a generator on the boundary puts the unconstrained estimate on either
+    # side of it; these seeds put it outside, so the constraint binds
+    @pytest.mark.parametrize("pinned, generator, seed", [(1, (1.5, 0.0, 0.5), 0),
+                                                         (0, (0.0, 1.5, -0.5), 1)])
+    def test_active_set_pins_at_exactly_zero(self, pinned, generator, seed):
+        e, y = beta_generator_data(*generator, 4000, seed)
+        features = beta_features(e)
+        assert minimize(features, y, [1.0, 1.0, 0.0], OptimizerConfig()).x[pinned] < 0
+        params = fit_beta(e, y)
+        x = np.array([params.a, params.b, params.c])
+        assert x[pinned] == 0.0
+        grad = features.T @ (sigmoid(features @ x) - y) / len(y)
+        assert grad[pinned] >= 0
+        assert np.max(np.abs(np.delete(grad, pinned))) <= OptimizerConfig().gtol
+        want = lbfgs_reference(features, y, [1.0, 1.0, 0.0],
+                               bounds=[(0, None), (0, None), (None, None)])
+        # max|grad| <= gtol = 1e-8 leaves x within about gtol / (least
+        # Hessian eigenvalue, here about 0.04) of the optimum
+        assert np.max(np.abs(x - want)) < 1e-6
+
+    def test_anti_correlated_platt_is_infinite_temperature(self, tmp_path):
+        rng = np.random.default_rng(62)
+        z = rng.normal(0.0, 2.0, 2000)
+        y = (rng.random(2000) < sigmoid(-z)).astype(int)
+        params = fit_platt(z, y)
+        assert params.temperature == np.inf
+        assert abs(params.intercept - logit(y.mean())) < 1e-9
+        _, eta = platt_transform(z, params)
+        assert np.all(eta == sigmoid(params.intercept))
+        path = tmp_path / "cal.txt"
+        save_calibrator(path, params, seed=0, digest="d")
+        assert "temperature inf\n" in path.read_text()
+        assert load_calibrator(path)[0] == params
+
+    def test_constant_estimates_fit_without_linalg_error(self):
+        rng = np.random.default_rng(63)
+        y = (rng.random(500) < 0.3).astype(int)
+        platt = fit_platt(np.full(500, 0.7), y)
+        assert platt_transform(0.7, platt)[1] == pytest.approx(y.mean(), abs=1e-9)
+        beta = fit_beta(np.full(500, 0.3), y)
+        assert beta_transform(0.3, beta)[1] == pytest.approx(y.mean(), abs=1e-9)
+
+    def test_separable_platt_returns(self):
+        rng = np.random.default_rng(64)
+        z = np.concatenate([rng.uniform(-3, -0.5, 200), rng.uniform(0.5, 3, 200)])
+        y = (z > 0).astype(int)
+        params = fit_platt(z, y)
+        assert 0 < params.temperature < 0.1
+        assert np.mean(logistic_loss(y, platt_transform(z, params)[0])) < 1e-6
+
+    def test_iteration_budget_exhausted_raises(self):
+        z, y = make_platt_data(2.0, 0.3, 2000, seed=65)
+        with pytest.raises(NumericalError, match="did not converge"):
+            fit_platt(z, y, OptimizerConfig(max_iter=1))
+        e, y = beta_generator_data(2.0, 0.5, 0.0, 2000, seed=65)
+        with pytest.raises(NumericalError, match="did not converge"):
+            fit_beta(e, y, OptimizerConfig(max_iter=1))
+
+    def test_fits_are_bit_identical_and_few_iterations(self):
+        e, y = beta_generator_data(2.0, 0.5, 0.0, 5000, seed=66)
+        first = minimize(beta_features(e), y, [1.0, 1.0, 0.0], OptimizerConfig(),
+                         nonneg=(0, 1))
+        again = minimize(beta_features(e), y, [1.0, 1.0, 0.0], OptimizerConfig(),
+                         nonneg=(0, 1))
+        assert np.array_equal(first.x, again.x)
+        assert first.success and first.nit <= 15 and first.nfev >= first.nit
+        assert fit_beta(e, y) == fit_beta(e, y)
+        z, y = make_platt_data(2.0, 0.3, 5000, seed=66)
+        assert fit_platt(z, y) == fit_platt(z, y)
 
 
 class TestReliability:

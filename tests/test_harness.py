@@ -375,8 +375,9 @@ class TestCli:
         assert "run" in proc.stdout and "synth" in proc.stdout
 
     def test_scipy_loaded_only_by_fits(self, tmp_path):
-        """Start-up and the verbs that fit nothing load no scipy module;
-        the first fit loads scipy.optimize, and scipy.stats is never used."""
+        """Start-up, the verbs that fit nothing and the Platt and Beta fits
+        load no scipy module; a run with a Platt calibrator loads no
+        scipy.optimize."""
         path = tmp_path / "scores.csv"
         path.write_text("score,label\n0.3,0\n1.2,1\n-0.5,0\n0.9,1\n0.95,0\n")
         child = textwrap.dedent(f"""
@@ -395,9 +396,14 @@ class TestCli:
             assert calad.cli.main(["synth", "--count", "1", "--height", "8",
                                    "--width", "8", "--out", {str(tmp_path)!r}]) == 0
             seen["eval+synth"] = scipy_modules()
-            assert calad.cli.main(["calibrate", {str(path)!r},
-                                   "--out", {str(tmp_path)!r}]) == 0
+            for kind in ("platt", "beta"):
+                assert calad.cli.main(["calibrate", {str(path)!r}, "--kind", kind,
+                                       "--out", {str(tmp_path)!r}]) == 0
             seen["calibrate"] = scipy_modules()
+            assert calad.cli.main(["run", "--normal", "builtin:gauss2d", "--loss", "svdd",
+                                   "--calibrator", "platt", "--epochs", "1", "--seeds", "0",
+                                   "--out", {str(tmp_path / "run")!r}]) == 0
+            seen["run"] = scipy_modules()
             print(json.dumps(seen))
         """)
         package_parent = Path(calad.__file__).resolve().parents[1]
@@ -405,9 +411,8 @@ class TestCli:
                               text=True, env={**os.environ, "PYTHONPATH": str(package_parent)})
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen["import"] == seen["help"] == seen["eval+synth"] == []
-        assert "scipy.optimize" in seen["calibrate"]
-        assert not [m for m in seen["calibrate"] if m.startswith("scipy.stats")]
+        assert seen["import"] == seen["help"] == seen["eval+synth"] == seen["calibrate"] == []
+        assert not [m for m in seen["run"] if m.startswith("scipy.optimize")]
 
 
 class TestScoreCsv:
@@ -444,3 +449,20 @@ class TestScoreCsv:
     def test_malformed_body_is_data_error(self, tmp_path, text):
         with pytest.raises(DataError):
             _read_score_csv(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("bad", ["1.5", "-0.25", "nan", "inf"])
+    def test_eval_probabilities_outside_unit_interval_exits_2(self, tmp_path, capsys, bad):
+        path = self.write(tmp_path, f"score,label\n0.1,0\n1.0,1\n{bad},0\n0.0,1\n")
+        assert cli_main(["eval", str(path), "--probabilities"]) == 2
+        err = capsys.readouterr().err
+        assert "score row 3" in err and "[0, 1]" in err
+
+    def test_eval_probabilities_accepts_closed_unit_interval(self, tmp_path, capsys):
+        path = self.write(tmp_path, "score,label\n0.0,0\n1.0,1\n0.25,0\n0.75,1\n")
+        assert cli_main(["eval", str(path), "--probabilities", "--bins", "2"]) == 0
+        assert "ece 0.125" in capsys.readouterr().out
+
+    def test_eval_without_flag_takes_raw_scores(self, tmp_path, capsys):
+        path = self.write(tmp_path, "score,label\n-3.5,0\n6.0,1\n")
+        assert cli_main(["eval", str(path)]) == 0
+        assert "auroc 1.0" in capsys.readouterr().out
