@@ -427,8 +427,7 @@ def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
     if cfg.calibrator == "platt":
         return fit_platt(z, cal_y, opt), fitting_digest(z, cal_y)
     e = sigmoid(z)
-    # the per-pixel Beta fit digests its logits, the per-sample one its estimates
-    return fit_beta(e, cal_y, opt), fitting_digest(z if per_pixel else e, cal_y)
+    return fit_beta(e, cal_y, opt), fitting_digest(e, cal_y)
 
 
 # -- evaluation ------------------------------------------------------------

@@ -273,6 +273,25 @@ class TestRunExperiment:
         assert params == stored
         assert digest == stored_digest
 
+    @pytest.mark.parametrize("normal, loss", [("builtin:gauss2d", "svdd"),
+                                              ("builtin:tiles", "fcdd")])
+    def test_beta_digest_covers_the_fitted_estimates(self, tmp_path, monkeypatch,
+                                                     normal, loss):
+        import calad.harness
+        from calad.calibration import fitting_digest
+
+        fitted = []
+        fit_beta = calad.harness.fit_beta
+
+        def recording(estimates, labels, opt):
+            fitted.append(fitting_digest(estimates, labels))
+            return fit_beta(estimates, labels, opt)
+
+        monkeypatch.setattr(calad.harness, "fit_beta", recording)
+        r = run_experiment(fast_cfg(tmp_path, normal=normal, loss=loss, calibrator="beta",
+                                    seeds=(0,), batch_size=32))
+        assert r.calibrators["β Spectral"][1] == fitted[0]
+
     def test_directory_dataset_with_pgm_masks(self, tmp_path):
         from calad.datasets import textured_tiles
         from calad.tensorio import write_pgm
