@@ -10,8 +10,8 @@ full step once it falls below ``FULL_STEP_DECREMENT``, where loss
 differences are too small to resolve in float64. Steps come from a
 minimum-norm least-squares solve, so a singular Hessian (a constant
 feature) or an ill-conditioned one does not raise. A fit has converged
-when the gradient max-norm is at most ``gtol``; running out of
-``max_iter`` iterations first, or a non-finite iterate, raises
+when the gradient max-norm is at most ``gtol``; spending ``max_iter``
+iterations first, or reaching a non-finite iterate, raises
 ``NumericalError``. Separable data is not an error: the gradient decays
 below ``gtol`` as the slope grows.
 
@@ -153,7 +153,7 @@ def _newton(features, y, x0, opt: OptimizerConfig):
     """Damped Newton on mean logistic loss of features @ x;
     (x, iterations, loss evaluations)."""
     n = len(y)
-    x = x0.copy()
+    x = x0
     z = features @ x
     loss = float(np.mean(logistic_loss(y, z)))
     nfev = 1
@@ -162,30 +162,24 @@ def _newton(features, y, x0, opt: OptimizerConfig):
         grad = features.T @ (p - y) / n
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             raise NumericalError(f"calibrator fit reached a non-finite iterate {x}")
-        if np.max(np.abs(grad)) <= opt.gtol:
-            return x, nit, nfev
-        if nit == opt.max_iter:
+        if np.max(np.abs(grad)) <= opt.gtol or nit == opt.max_iter:
             break
         hess = (features * (p * (1.0 - p))[:, None]).T @ features / n
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         decrement = -float(grad @ step)
-        t = 1.0
-        while True:
+        for t in 0.5 ** np.arange(34):
             x_new = x + t * step
             z_new = features @ x_new
             loss_new = float(np.mean(logistic_loss(y, z_new)))
             nfev += 1
             if decrement < FULL_STEP_DECREMENT or loss_new <= loss - 1e-4 * t * decrement:
                 break
-            t /= 2
-            if t < 1e-10:
-                raise NumericalError(
-                    f"calibrator fit stalled: no descent along the Newton step "
-                    f"at {x}, max|grad| {np.max(np.abs(grad)):.3g}")
         x, z, loss = x_new, z_new, loss_new
-    raise NumericalError(
-        f"calibrator fit did not converge in {opt.max_iter} Newton iterations: "
-        f"max|grad| {np.max(np.abs(grad)):.3g} > gtol {opt.gtol:g}")
+    if np.max(np.abs(grad)) > opt.gtol:
+        raise NumericalError(
+            f"calibrator fit did not converge in {nit} Newton iterations: "
+            f"max|grad| {np.max(np.abs(grad)):.3g} > gtol {opt.gtol:g}")
+    return x, nit, nfev
 
 
 def minimize(features, labels, x0, opt: OptimizerConfig, nonneg=()) -> FitResult:

@@ -415,8 +415,7 @@ def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
     if cfg.calibrator == "head":
         feats = forward(_head_trunk(base.state, cfg.loss), cal_x)
         return fit_head(feats, cal_y, opt), fitting_digest(feats, cal_y)
-    per_pixel = base.image_shape is not None
-    if per_pixel:
+    if base.image_shape is not None:
         # per-pixel calibration pools the pixel logits of the tiles
         est = _pixel_estimates(base, _tile_heatmaps(base, cal_x))
         est = est.reshape(len(cal_x), -1)

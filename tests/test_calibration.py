@@ -340,8 +340,6 @@ class TestNewtonSolver:
         assert np.array_equal(first.x, again.x)
         assert first.success and first.nit <= 15 and first.nfev >= first.nit
         assert fit_beta(e, y) == fit_beta(e, y)
-        z, y = make_platt_data(2.0, 0.3, 5000, seed=66)
-        assert fit_platt(z, y) == fit_platt(z, y)
 
 
 class TestReliability:

@@ -480,8 +480,3 @@ class TestScoreCsv:
         path = self.write(tmp_path, "score,label\n0.0,0\n1.0,1\n0.25,0\n0.75,1\n")
         assert cli_main(["eval", str(path), "--probabilities", "--bins", "2"]) == 0
         assert "ece 0.125" in capsys.readouterr().out
-
-    def test_eval_without_flag_takes_raw_scores(self, tmp_path, capsys):
-        path = self.write(tmp_path, "score,label\n-3.5,0\n6.0,1\n")
-        assert cli_main(["eval", str(path)]) == 0
-        assert "auroc 1.0" in capsys.readouterr().out
