@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, reports
 from .calibration import (OptimizerConfig, ece, fit_beta, fit_platt,
                           fitting_digest, mce, reliability, save_calibrator)
-from .errors import CaladError, DataError
+from .errors import CaladError, ConfigError, DataError
 from .losses import sigmoid
 from .metrics import auroc
 from .spectral import SpectralConfig, synthesize_batch
@@ -151,6 +151,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"need at least one bin, got {args.bins}")
     scores, labels = _read_score_csv(args.scores)
     if args.probabilities:
         bad = np.flatnonzero(~((scores >= 0) & (scores <= 1)))

@@ -88,6 +88,14 @@ class ExperimentConfig:
             raise ConfigError("anomaly source 'oe' requires an OE data directory")
         if self.epsilon < 0:
             raise ConfigError("epsilon must be nonnegative")
+        if self.bins < 1:
+            raise ConfigError(f"need at least one bin, got {self.bins}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
+        if not self.learning_rate >= 0:
+            raise ConfigError(f"learning rate must be nonnegative, got {self.learning_rate}")
 
     @property
     def method_label(self) -> str:

@@ -31,9 +31,6 @@ logger = logging.getLogger(__name__)
 
 SUPERVISED_LOSSES = {"log", "logistic", "hsc", "fcdd"}
 UNSUPERVISED_LOSSES = {"svdd", "ssim"}
-# rows per block of per-row gradients: bounds the (rows, fan_in, fan_out)
-# per-row weight gradients and the SSIM backward stacks
-_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -157,16 +154,12 @@ def forward(state: ScorerState, x) -> np.ndarray:
 
 
 def _forward_cache(state, x):
-    """Forward pass keeping each layer's (input, pre-activation).
-
-    A batch is (n, d). Row-stacked (n, 1, d) input runs every row as its
-    own (1, d) product, which rounds exactly like a one-row call; a
-    plain (n, d) product may not.
-    """
+    """Forward pass over an (n, d) batch keeping each layer's (input,
+    pre-activation)."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
-    if a.shape[-1] != state.spec.widths[0]:
+    if a.shape[1] != state.spec.widths[0]:
         raise ValueError(
-            f"input width {a.shape[-1]} does not match spec width {state.spec.widths[0]}")
+            f"input width {a.shape[1]} does not match spec width {state.spec.widths[0]}")
     caches = []
     last = state.n_layers - 1
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
@@ -178,14 +171,9 @@ def _forward_cache(state, x):
     return a, caches
 
 
-def _backprop(state, caches, d_out, params=True):
-    """Gradients of sum(d_out * output) wrt parameters and the input.
-
-    For (n, d) caches the parameter gradients sum over the batch; for
-    row-stacked (n, 1, d) caches they are per row, with a leading n axis.
-    With ``params`` false only the input gradient is computed and the
-    parameter gradient lists hold None.
-    """
+def _backprop(state, caches, d_out):
+    """Gradients of sum(d_out * output) wrt the parameters, summed over
+    the batch, and wrt each input row."""
     g = np.asarray(d_out, dtype=float)
     w_grads = [None] * state.n_layers
     b_grads = [None] * state.n_layers
@@ -193,13 +181,12 @@ def _backprop(state, caches, d_out, params=True):
     for i in range(last, -1, -1):
         a_in, z = caches[i]
         dz = g if i == last else g * _act_deriv(state.spec.activation, z)
-        if params:
-            w_grads[i] = np.swapaxes(a_in, -1, -2) @ dz
-            if state.biases[i] is not None:
-                b_grads[i] = dz.sum(axis=-2)
+        w_grads[i] = a_in.T @ dz
+        if state.biases[i] is not None:
+            b_grads[i] = dz.sum(axis=0)
         g = dz @ state.weights[i].T
     for i, frozen in enumerate(state.frozen):
-        if frozen and params:
+        if frozen:
             w_grads[i] = np.zeros_like(w_grads[i])
             if b_grads[i] is not None:
                 b_grads[i] = np.zeros_like(b_grads[i])
@@ -278,15 +265,14 @@ class LossPipeline:
     # -- score heads ---------------------------------------------------
 
     def _head(self, out):
-        """Per-sample raw score v and dv/d(out); v is (n,) for (n, k)
-        outputs and (n, 1) for row-stacked (n, 1, k) ones."""
+        """Per-sample raw score v, (n,), and dv/d(out), (n, k)."""
         name = self.loss_name
         if self.head is not None:
             w = np.asarray(self.head.weights, dtype=float)
             v = out @ w + self.head.bias
             return v, np.broadcast_to(w, out.shape)
         if name in ("logistic", "log"):
-            return out[..., 0], np.ones_like(out)
+            return out[:, 0], np.ones_like(out)
         if name == "svdd":
             diff = out - self.center
             return np.sum(diff * diff, axis=-1), 2.0 * diff
@@ -298,7 +284,7 @@ class LossPipeline:
             else:
                 v = sq
                 dv_dsq = np.ones_like(sq)
-            return v, 2.0 * out * dv_dsq[..., None]
+            return v, 2.0 * out * dv_dsq[:, None]
         if name == "fcdd":
             root = np.sqrt(out * out + 1.0)
             v = np.mean(root - 1.0, axis=-1)
@@ -365,10 +351,10 @@ class LossPipeline:
     def _ssim_forward(self, x):
         """SSIM of every row's image against its reconstruction: the
         stacked SsimLoss (per-row losses, (n, h, w) maps), the (n, h, w)
-        reconstructions and the caches of the row-stacked MLP pass."""
+        reconstructions and the caches of the MLP pass."""
         rows = np.atleast_2d(np.asarray(x, dtype=float))
         shape = (len(rows),) + tuple(self.image_shape)
-        recon, caches = _forward_cache(self.state, rows[:, None, :])
+        recon, caches = _forward_cache(self.state, rows)
         recon = recon.reshape(shape)
         return ssim_loss(rows.reshape(shape), recon, self.ssim_cfg), recon, caches
 
@@ -412,6 +398,29 @@ class LossPipeline:
         dl = -y * em / np.maximum(-np.expm1(-v), EPS_CLAMP) + (1.0 - y)
         return loss, dl
 
+    def _loss_and_output_grad(self, x2, y):
+        """Per-row losses, the MLP caches, dloss/d(output) per row, and the
+        loss's direct input term (the ssim image side; None otherwise)."""
+        if self.loss_name != "ssim":
+            out, caches = _forward_cache(self.state, x2)
+            v, dv_dout = self._head(out)
+            loss, dl_dv = self._upstream(v, y)
+            return loss, caches, dl_dv[:, None] * dv_dout, None
+        res, recon, caches = self._ssim_forward(x2)
+        n, h, w = recon.shape
+        if self._calibrated_path():
+            est = np.mean(res.estimates, axis=(1, 2))
+            loss, factor = self._ssim_chain_factor(est, y)
+            # estimate = mean((1 - S) / 2), so dS carries -factor / (2 h w)
+            scale = -factor / (2.0 * h * w)
+        else:
+            loss = res.loss
+            scale = -1.0 / (h * w)
+        ds = np.broadcast_to(np.reshape(scale, (-1, 1, 1)), (n, h, w))
+        direct, drecon = ssim_map_backward(x2.reshape(n, h, w), recon, ds,
+                                           self.ssim_cfg)
+        return loss, caches, drecon.reshape(n, h * w), direct.reshape(n, h * w)
+
     def loss_and_input_grad(self, x, y):
         """Loss and its exact gradient with respect to the input: a float
         and a (d,) gradient for one input, per-row (n,) losses and (n, d)
@@ -419,7 +428,10 @@ class LossPipeline:
         x = np.asarray(x, dtype=float)
         rows = np.atleast_2d(x)
         y = np.broadcast_to(np.asarray(y, dtype=float), (len(rows),))
-        loss, d_in, _ = self._per_row_grads(rows, y, params=False)
+        loss, caches, d_out, direct = self._loss_and_output_grad(rows, y)
+        _, _, d_in = _backprop(self.state, caches, d_out)
+        if direct is not None:
+            d_in = direct + d_in
         if x.ndim == 1:
             return float(loss[0]), d_in[0]
         return loss, d_in
@@ -428,17 +440,8 @@ class LossPipeline:
         """Mean loss over a batch and its flat parameter gradient."""
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.broadcast_to(np.asarray(y, dtype=float), (len(x2),))
-        if self.loss_name == "ssim":
-            loss, _, flat = self._per_row_grads(x2, y)
-            total = 0.0
-            for value in loss.tolist():  # row order, as the per-row loop summed
-                total += value
-            return total / len(x2), flat / len(x2)
-        out, caches = _forward_cache(self.state, x2)
-        v, dv_dout = self._head(out)
-        loss, dl_dv = self._upstream(v, y)
-        d_out = dl_dv[:, None] * dv_dout / len(x2)
-        w_grads, b_grads, _ = _backprop(self.state, caches, d_out)
+        loss, caches, d_out, _ = self._loss_and_output_grad(x2, y)
+        w_grads, b_grads, _ = _backprop(self.state, caches, d_out / len(x2))
         return float(np.mean(loss)), _flatten_grads(self.state, w_grads, b_grads)
 
     def _ssim_chain_factor(self, est, y):
@@ -449,54 +452,6 @@ class LossPipeline:
         dl_dz = (sigmoid(zc) - y) * dzc_dz
         dz_de = 1.0 / (e * (1.0 - e))
         return logistic_loss(y, zc), dl_dz * dz_de
-
-    def _per_row_grads(self, x2, y, params=True):
-        """Per-row losses, per-row input gradients and the sum of the
-        per-row flat parameter gradients over a batch (None without
-        ``params``), in blocks of _ROW_BLOCK rows."""
-        n = len(x2)
-        loss, d_in = np.empty(n), np.empty_like(x2)
-        sums = ([np.zeros_like(w) for w in self.state.weights],
-                [None if b is None else np.zeros_like(b) for b in self.state.biases])
-        for start in range(0, n, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            loss[rows], d_in[rows], *per_row = self._block_grads(x2[rows], y[rows], params)
-            # the running sum goes first and axis-0 reduction adds whole rows
-            # in order, so each sum rounds exactly like a row-by-row loop
-            for running, grads in zip(sums, per_row):
-                for i, g in enumerate(grads):
-                    if g is not None:
-                        g[0] += running[i]
-                        running[i] = np.add.reduce(g, axis=0)
-        return loss, d_in, _flatten_grads(self.state, *sums) if params else None
-
-    def _block_grads(self, x2, y, params):
-        """Per-row losses, input gradients and (rows, ...) weight and bias
-        gradients of one block of rows (lists of None without ``params``)."""
-        if self.loss_name == "ssim":
-            res, recon, caches = self._ssim_forward(x2)
-            n, h, w = recon.shape
-            if self._calibrated_path():
-                est = np.mean(res.estimates, axis=(1, 2))
-                loss, factor = self._ssim_chain_factor(est, y)
-                # estimate = mean((1 - S) / 2), so dS carries -factor / (2 h w)
-                scale = -factor / (2.0 * h * w)
-            else:
-                loss = res.loss
-                scale = -1.0 / (h * w)
-            ds = np.broadcast_to(np.reshape(scale, (-1, 1, 1)), (n, h, w))
-            direct, drecon = ssim_map_backward(x2.reshape(n, h, w), recon, ds,
-                                               self.ssim_cfg)
-            direct, d_out = direct.reshape(n, h * w), drecon.reshape(n, 1, h * w)
-        else:
-            out, caches = _forward_cache(self.state, x2[:, None, :])
-            v, dv_dout = self._head(out)
-            loss, dl_dv = self._upstream(v, y[:, None])
-            loss, d_out = loss[:, 0], dl_dv[..., None] * dv_dout
-            direct = None
-        w_grads, b_grads, d_in = _backprop(self.state, caches, d_out, params)
-        d_in = d_in[:, 0] if direct is None else direct + d_in[:, 0]
-        return loss, d_in, w_grads, b_grads
 
 
 def input_gradient(state: ScorerState, pipeline: LossPipeline, x, y):

@@ -81,12 +81,9 @@ def _pad(img: np.ndarray, pad: int, value: float) -> np.ndarray:
 
 def _window_stats(ppad, qpad, cfg):
     n = cfg.window * cfg.window
-    mup = box_sum_valid(ppad, cfg.window) / n
-    muq = box_sum_valid(qpad, cfg.window) / n
-    sp2 = box_sum_valid(ppad * ppad, cfg.window) / n - mup * mup
-    sq2 = box_sum_valid(qpad * qpad, cfg.window) / n - muq * muq
-    spq = box_sum_valid(ppad * qpad, cfg.window) / n - mup * muq
-    return mup, muq, sp2, sq2, spq
+    mup, muq, mpp, mqq, mpq = box_sum_valid(
+        np.stack([ppad, qpad, ppad * ppad, qpad * qpad, ppad * qpad]), cfg.window) / n
+    return mup, muq, mpp - mup * mup, mqq - muq * muq, mpq - mup * muq
 
 
 def ssim_map(p: np.ndarray, q: np.ndarray, cfg: SsimConfig = SsimConfig()) -> np.ndarray:
@@ -144,13 +141,10 @@ def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
     g_muq = 2 * mup * g_a + 2 * muq * g_c - 2 * muq * g_d - mup * g_spq
 
     n = cfg.window * cfg.window
-    w = cfg.window
-    dppad = (_box_adjoint(g_mup, w) / n
-             + 2 * ppad * (_box_adjoint(g_d, w) / n)
-             + qpad * (_box_adjoint(g_spq, w) / n))
-    dqpad = (_box_adjoint(g_muq, w) / n
-             + 2 * qpad * (_box_adjoint(g_d, w) / n)
-             + ppad * (_box_adjoint(g_spq, w) / n))
+    adj_mup, adj_muq, adj_d, adj_spq = _box_adjoint(
+        np.stack([g_mup, g_muq, g_d, g_spq]), cfg.window) / n
+    dppad = adj_mup + 2 * ppad * adj_d + qpad * adj_spq
+    dqpad = adj_muq + 2 * qpad * adj_d + ppad * adj_spq
     h, wd = p.shape[-2:]
     dp = dppad[..., cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]
     dq = dqpad[..., cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]

@@ -377,6 +377,25 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bins", "0"], ["run", "--batch-size", "0"],
+        ["run", "--learning-rate", "-1"], ["run", "--learning-rate", "nan"],
+        ["run", "--epochs", "-1"],
+        ["eval", "--bins", "0"], ["eval", "--bins", "-1"]], ids=" ".join)
+    def test_bad_setting_is_config_error_before_work(self, tmp_path, capsys, argv):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score,label\n0.1,0\n0.7,1\n")
+        out = tmp_path / "out"
+        verb, *flags = argv
+        if verb == "run":
+            rc = cli_main(["run", "--normal", "builtin:gauss2d", "--seeds", "0",
+                           "--out", str(out)] + flags)
+        else:
+            rc = cli_main(["eval", str(scores)] + flags)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     def test_missing_data_exit_code(self, tmp_path, capsys):
         rc = cli_main(["eval", str(tmp_path / "nope.csv")])
         assert rc == 2

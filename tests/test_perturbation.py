@@ -9,7 +9,7 @@ from calad.perturbation import (PairReport, PerturbConfig, evaluate_pair,
                                 perturb, perturb_batch)
 from calad.scorer import LossPipeline, MlpSpec, init_scorer
 
-from test_scorer import ARCHITECTURES, make_pipeline
+from test_scorer import ARCHITECTURES, assert_matches_per_row, make_pipeline
 
 
 def smooth_pipeline(seed, calibrator=None):
@@ -96,21 +96,20 @@ class TestFirstOrder:
 
 
 class TestBatchEqualsPerRow:
-    # 19 rows: not a multiple of the per-row gradient block
     @pytest.mark.parametrize("kind", ARCHITECTURES)
     def test_perturb_batch(self, kind):
-        pipeline, d, _ = make_pipeline(kind, seed=12)
-        x = np.random.default_rng(13).uniform(0.05, 0.95, (19, d))
         cfg = PerturbConfig(epsilon=0.01)
-        losses, grads = pipeline.loss_and_input_grad(x, 0)
-        rows = [pipeline.loss_and_input_grad(row, 0) for row in x]
-        assert losses.shape == (19,) and grads.shape == (19, d)
-        for i, (loss, grad) in enumerate(rows):
-            assert isinstance(loss, float)
-            assert losses[i] == loss
-            assert np.array_equal(grads[i], grad)
-        expected = np.stack([perturb(row, grad, cfg) for row, (_, grad) in zip(x, rows)])
-        assert np.array_equal(perturb_batch(pipeline, x, cfg), expected)
+        for cal, frozen in [(None, False), (PlattParams(0.8, 0.1), True)]:
+            pipeline, d, _ = make_pipeline(kind, seed=12, calibrator=cal)
+            pipeline.state.frozen[0] = frozen
+            x = np.random.default_rng(13).uniform(0.05, 0.95, (19, d))
+            losses, grads = pipeline.loss_and_input_grad(x, 0)
+            rows = [pipeline.loss_and_input_grad(row, 0) for row in x]
+            assert losses.shape == (19,) and grads.shape == (19, d)
+            assert all(isinstance(loss, float) for loss, _ in rows)
+            assert_matches_per_row(losses, [loss for loss, _ in rows])
+            assert_matches_per_row(grads, [grad for _, grad in rows])
+            assert np.array_equal(perturb_batch(pipeline, x, cfg), perturb(x, grads, cfg))
 
 
 class TestEvaluatePair:
