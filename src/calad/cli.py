@@ -4,8 +4,11 @@ Verbs: ``run`` executes a full experiment, ``synth`` emits spectral images,
 ``calibrate`` fits a calibrator on a score CSV, ``eval`` computes metrics
 on a score CSV, and ``report`` re-renders figures from stored per-seed
 rows. Exit codes: 0 success, 1 configuration error, 2 data error,
-3 numerical failure. ``CALAD_OUT_DIR`` supplies the default output
-directory; no other environment variable is consulted.
+3 numerical failure; any other exception is a bug and propagates as a
+traceback. ``CALAD_OUT_DIR`` supplies the default output directory; no
+other environment variable is consulted. Before numpy loads, the CLI sets
+``OPENBLAS_NUM_THREADS`` to 1 unless the user has set it: calad's BLAS
+work is too small for a second thread to pay off.
 """
 
 import argparse
@@ -14,6 +17,10 @@ import os
 import sys
 import warnings
 from pathlib import Path
+
+# set before numpy loads; one thread suffices for the largest product,
+# 128x256 @ 256x64 (an SSIM autoencoder batch), and reduction, 200k x 3
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -82,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_score_csv(path):
-    """Float64 scores and int64 0/1 labels from the first two columns of a
-    CSV with a score,label header; blank lines are skipped."""
+    """Finite float64 scores and int64 0/1 labels from the first two
+    columns of a CSV with a score,label header; blank lines are skipped."""
     try:
         with open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]))
@@ -102,6 +109,10 @@ def _read_score_csv(path):
     if len(bad):
         raise DataError(f"{path}: score row {bad[0] + 1} has label "
                         f"{float(body[bad[0], 1])!r}, expected 0 or 1")
+    bad = np.flatnonzero(~np.isfinite(body[:, 0]))
+    if len(bad):
+        raise DataError(f"{path}: score row {bad[0] + 1} has score "
+                        f"{float(body[bad[0], 0])!r}, expected a finite number")
     return np.ascontiguousarray(body[:, 0]), body[:, 1].astype(np.int64)
 
 
@@ -155,7 +166,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"need at least one bin, got {args.bins}")
     scores, labels = _read_score_csv(args.scores)
     if args.probabilities:
-        bad = np.flatnonzero(~((scores >= 0) & (scores <= 1)))
+        bad = np.flatnonzero((scores < 0) | (scores > 1))
         if len(bad):
             raise DataError(f"{args.scores}: score row {bad[0] + 1} is "
                             f"{float(scores[bad[0]])!r}, expected a probability in [0, 1]")
@@ -167,15 +178,37 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _read_seed_rows(path):
+    """Rows of a per_seed.csv, every metric cell parsed as a float."""
     try:
-        with open(args.rows, newline="") as fh:
+        with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read rows from {args.rows}: {exc}") from exc
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError(f"cannot read rows from {path}: {exc}") from exc
     if not rows:
-        raise DataError(f"{args.rows}: no rows")
+        raise DataError(f"{path}: no rows")
+    columns = reader.fieldnames
+    required = reports.CSV_COLUMNS + (reports.CSV_LOCALIZATION if "aupro" in columns else [])
+    missing = [c for c in required if c not in columns]
+    if missing:
+        raise DataError(f"{path}: missing columns {', '.join(missing)}")
+    metrics = [c for c in columns if c not in ("seed", "class_id", "method")]
+    for i, row in enumerate(rows, start=1):
+        if None in row:
+            raise DataError(f"{path}: row {i} has more cells than the header")
+        for column in metrics:
+            cell = row[column]
+            try:
+                row[column] = float(cell)
+            except (TypeError, ValueError):
+                what = "missing" if cell is None else f"{cell!r}, not a number"
+                raise DataError(f"{path}: row {i} column {column} is {what}") from None
+    return rows
+
+
+def _cmd_report(args) -> int:
+    rows = _read_seed_rows(args.rows)
     out = Path(args.out_dir or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     localization = "aupro" in rows[0]
@@ -193,9 +226,6 @@ def main(argv=None) -> int:
     except CaladError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except Exception as exc:  # pragma: no cover - last-resort diagnostics
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

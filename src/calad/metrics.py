@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-
 
 def _midranks(x, what):
     """1-based ranks with ties given their mean rank; raises
@@ -52,11 +50,51 @@ def pixel_auroc(heatmaps, masks) -> float:
 
 
 def mask_regions(mask) -> list:
-    """Connected anomalous regions of a binary mask, 4-connectivity."""
-    from scipy import ndimage
+    """Connected anomalous regions of a 2-D binary mask, 4-connectivity,
+    in raster order of each region's first pixel. _pro_curve sums the
+    per-region curves in this order, so it fixes AUPRO's last bits.
 
-    labeled, n = ndimage.label(np.asarray(mask) > 0, structure=FOUR_CONNECTED)
-    return [labeled == r for r in range(1, n + 1)]
+    The horizontal runs of every row are found with numpy; runs in
+    adjacent rows whose column ranges overlap are joined by a union-find
+    over runs, so the cost grows with the number of runs, not with region
+    diameter.
+    """
+    m = np.asarray(mask) > 0
+    h, w = m.shape
+    # rows laid end to end after one zero, each followed by a zero column
+    # that keeps runs from wrapping onto the next row
+    flat = np.zeros(1 + h * (w + 1), dtype=np.int8)
+    flat[1:].reshape(h, w + 1)[:, :w] = m
+    step = flat[1:] - flat[:-1]
+    starts = np.flatnonzero(step == 1)
+    stops = np.flatnonzero(step == -1)  # one past each run's last pixel
+    if not len(starts):
+        return []
+    # runs sorted in raster order are disjoint, so the runs of the row
+    # above that overlap run b are the contiguous range lo[b]..hi[b]-1
+    lo = np.searchsorted(stops, starts - (w + 1), side="right").tolist()
+    hi = np.searchsorted(starts, stops - (w + 1), side="left").tolist()
+    parent = list(range(len(starts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for b in range(len(starts)):
+        for a in range(lo[b], hi[b]):
+            ra, rb = find(a), find(b)
+            # the smaller root wins, so a region's root is its first run
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = np.array([find(i) for i in range(len(starts))])
+    # regions numbered 1, 2, ... in the order of their roots
+    numbers = np.cumsum(roots == np.arange(len(roots)))
+    marks = np.zeros(h * (w + 1), dtype=np.int64)
+    marks[starts] = numbers[roots]
+    marks[stops] = -numbers[roots]
+    labeled = np.cumsum(marks).reshape(h, w + 1)[:, :w]
+    return [labeled == r for r in range(1, numbers[-1] + 1)]
 
 
 def _pro_curve(heatmaps, masks):

@@ -413,9 +413,9 @@ class TestCli:
         assert "run" in proc.stdout and "synth" in proc.stdout
 
     def test_scipy_loaded_only_by_fits(self, tmp_path):
-        """Start-up, the verbs that fit nothing and the Platt and Beta fits
-        load no scipy module; a run with a Platt calibrator loads no
-        scipy.optimize."""
+        """Start-up, the verbs that fit nothing, the Platt and Beta fits and
+        a tiles run with AUPRO load no scipy module; a run with a Platt
+        calibrator loads no scipy.optimize."""
         path = tmp_path / "scores.csv"
         path.write_text("score,label\n0.3,0\n1.2,1\n-0.5,0\n0.9,1\n0.95,0\n")
         child = textwrap.dedent(f"""
@@ -438,6 +438,10 @@ class TestCli:
                 assert calad.cli.main(["calibrate", {str(path)!r}, "--kind", kind,
                                        "--out", {str(tmp_path)!r}]) == 0
             seen["calibrate"] = scipy_modules()
+            assert calad.cli.main(["run", "--normal", "builtin:tiles", "--loss", "fcdd",
+                                   "--calibrator", "platt", "--epochs", "1", "--seeds", "0",
+                                   "--out", {str(tmp_path / "tiles")!r}]) == 0
+            seen["tiles run"] = scipy_modules()
             assert calad.cli.main(["run", "--normal", "builtin:gauss2d", "--loss", "svdd",
                                    "--calibrator", "platt", "--epochs", "1", "--seeds", "0",
                                    "--out", {str(tmp_path / "run")!r}]) == 0
@@ -450,7 +454,63 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen["import"] == seen["help"] == seen["eval+synth"] == seen["calibrate"] == []
+        assert seen["tiles run"] == []
         assert not [m for m in seen["run"] if m.startswith("scipy.optimize")]
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_cli_sets_one_blas_thread_unless_user_set(self, preset):
+        child = textwrap.dedent("""
+            import ctypes, json, os
+            import calad.cli
+            try:
+                from numpy._core import _multiarray_umath
+            except ImportError:  # numpy < 2
+                from numpy.core import _multiarray_umath
+            lib = ctypes.CDLL(_multiarray_umath.__file__)
+            getters = [name for name in ("scipy_openblas_get_num_threads64_",
+                                         "openblas_get_num_threads") if hasattr(lib, name)]
+            threads = getattr(lib, getters[0])() if getters else None
+            print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], threads]))
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(calad.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        variable, threads = json.loads(proc.stdout.splitlines()[-1])
+        assert variable == (preset or "1")
+        if threads is not None:
+            # OpenBLAS caps its threads at the CPUs it may run on
+            assert threads == min(int(variable), len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,Fully Trained,abc,0.8,0.1,0.05\n", "row 2 column auroc is 'abc', not a number"),
+        ("0,0,Fully Trained,0.9,0.8\n", "row 2 column mce is missing"),
+        ("0,0,Fully Trained,0.9,0.8,0.1,0.05,7\n", "row 2 has more cells than the header"),
+    ], ids=["not-a-number", "short-row", "long-row"])
+    def test_report_malformed_row_exits_2(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "per_seed.csv"
+        path.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
+                        "1,0,Fully Trained,0.9,0.8,0.1,0.05\n" + rows)
+        assert cli_main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_missing_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "per_seed.csv"
+        path.write_text("seed,class_id,method,auroc,mce,ece,aupro\n0,0,x,0.9,0.1,0.05,0.7\n")
+        assert cli_main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "missing columns auroc_perturbed, aupro_perturbed" in err
+
+    def test_bug_propagates_as_traceback(self, tmp_path, monkeypatch):
+        def broken(args):
+            raise RuntimeError("a bug, not a numerical failure")
+        monkeypatch.setattr("calad.cli._cmd_synth", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            cli_main(["synth", "--out", str(tmp_path)])
 
 
 class TestScoreCsv:
@@ -493,7 +553,20 @@ class TestScoreCsv:
         path = self.write(tmp_path, f"score,label\n0.1,0\n1.0,1\n{bad},0\n0.0,1\n")
         assert cli_main(["eval", str(path), "--probabilities"]) == 2
         err = capsys.readouterr().err
-        assert "score row 3" in err and "[0, 1]" in err
+        # the reader rejects a non-finite score before the range check
+        assert "score row 3" in err and ("finite" if bad in ("nan", "inf") else "[0, 1]") in err
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["eval"], ["calibrate", "--kind", "platt"],
+                                      ["calibrate", "--kind", "beta"]], ids=" ".join)
+    def test_non_finite_score_exits_2(self, tmp_path, capsys, argv, score):
+        path = self.write(tmp_path, f"score,label\n0.1,0\n0.7,1\n{score},1\n0.2,0\n")
+        verb, *flags = argv
+        out = ["--out", str(tmp_path)] if verb == "calibrate" else []
+        assert cli_main([verb, str(path), *flags, *out]) == 2
+        err = capsys.readouterr().err
+        assert f"score row 3 has score {float(score)!r}, expected a finite number" in err
+        assert not list(tmp_path.glob("calibrator_*"))
 
     def test_eval_probabilities_accepts_closed_unit_interval(self, tmp_path, capsys):
         path = self.write(tmp_path, "score,label\n0.0,0\n1.0,1\n0.25,0\n0.75,1\n")

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 from scipy.stats import rankdata
 
 from calad.errors import DataError, NumericalError
 from calad.metrics import (_midranks, aupro, auroc, kappa_improvement, mask_regions,
                            pixel_auroc, spearman)
+
+# one 4-connected path that turns at each end of every other row
+SERPENTINE = np.zeros((19, 20), dtype=bool)
+SERPENTINE[::2] = True
+SERPENTINE[1::4, -1] = True
+SERPENTINE[3::4, 0] = True
 
 
 def auroc_oracle(scores, labels):
@@ -143,6 +153,20 @@ class TestAupro:
         assert len(mask_regions(mask)) == 2
         mask[0, 1] = 1  # now they join
         assert len(mask_regions(mask)) == 1
+
+    @given(st.one_of(
+        arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, max_side=20)),
+        array_shapes(min_dims=2, max_dims=2, max_side=20).map(np.zeros),
+        array_shapes(min_dims=2, max_dims=2, max_side=20).map(np.ones)))
+    @example(np.ones((20, 20)))
+    @example(SERPENTINE)
+    @settings(max_examples=300, deadline=None)
+    def test_regions_equal_ndimage_label_in_order(self, mask):
+        labeled, n = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        regions = mask_regions(mask)
+        assert len(regions) == n
+        for r, region in enumerate(regions, start=1):
+            assert np.array_equal(region, labeled == r)
 
 
 class TestKappa:
