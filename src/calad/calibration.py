@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .losses import clamp_probability, logistic_loss, sigmoid
+from .losses import EPS_CLAMP, clamp_probability, logistic_loss, sigmoid
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,21 @@ def beta_transform(eta_hat, params: BetaParams):
     e = clamp_probability(np.asarray(eta_hat, dtype=float))
     zb = params.a * np.log(e) - params.b * np.log1p(-e) + params.c
     return zb, sigmoid(zb)
+
+
+def calibrated_logit(params, z):
+    """Calibrated logit of the logit z under a Platt or Beta map, and its
+    derivative in z. Beta reads sigmoid(z), so its derivative is 0 where
+    the clamp of that estimate binds."""
+    if isinstance(params, PlattParams):
+        zc, _ = platt_transform(z, params)
+        return zc, np.full_like(zc, 1.0 / params.temperature)
+    if isinstance(params, BetaParams):
+        e = sigmoid(z)
+        zc, _ = beta_transform(e, params)
+        inside = (e > EPS_CLAMP) & (e < 1.0 - EPS_CLAMP)
+        return zc, np.where(inside, params.a * (1.0 - e) + params.b * e, 0.0)
+    raise ValueError(f"no logit map for calibrator {type(params).__name__}")
 
 
 def head_transform(features, params: HeadParams):

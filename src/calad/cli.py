@@ -3,12 +3,12 @@
 Verbs: ``run`` executes a full experiment, ``synth`` emits spectral images,
 ``calibrate`` fits a calibrator on a score CSV, ``eval`` computes metrics
 on a score CSV, and ``report`` re-renders figures from stored per-seed
-rows. Exit codes: 0 success, 1 configuration error, 2 data error,
-3 numerical failure; any other exception is a bug and propagates as a
-traceback. ``CALAD_OUT_DIR`` supplies the default output directory; no
-other environment variable is consulted. Before numpy loads, the CLI sets
-``OPENBLAS_NUM_THREADS`` to 1 unless the user has set it: calad's BLAS
-work is too small for a second thread to pay off.
+rows. Exit codes: 0 success, 1 configuration error (a usage error
+included), 2 data error, 3 numerical failure; any other exception is a bug
+and propagates as a traceback. ``CALAD_OUT_DIR`` supplies the default
+output directory; no other environment variable is consulted. Before
+numpy loads, the CLI sets ``OPENBLAS_NUM_THREADS`` to 1 unless the user
+has set it: calad's BLAS work is too small for a second thread to pay off.
 """
 
 import argparse
@@ -38,10 +38,18 @@ def _default_out() -> str:
     return os.environ.get("CALAD_OUT_DIR", "runs")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigError (exit 1); argparse would exit
+    with 2, the data-error code. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="calad",
-                                     description="post-hoc calibrated anomaly "
-                                                 "detection experiments")
+    parser = _Parser(prog="calad",
+                     description="post-hoc calibrated anomaly detection experiments")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="run a full experiment")
@@ -133,9 +141,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"count must be nonnegative, got {args.count}")
+    try:
+        cfg = SpectralConfig(args.height, args.width, args.channels, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad synth size: {exc}") from None
     out = Path(args.out_dir or _default_out())
     out.mkdir(parents=True, exist_ok=True)
-    cfg = SpectralConfig(args.height, args.width, args.channels, seed=args.seed)
     images, metas = synthesize_batch(cfg, args.count)
     for i, (img, meta) in enumerate(zip(images, metas)):
         save_tensor(out / f"spectral_{i:04d}.calt", img)
@@ -218,10 +231,10 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "synth": _cmd_synth, "calibrate": _cmd_calibrate,
                 "eval": _cmd_eval, "report": _cmd_report}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.verb](args)
     except CaladError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,9 +23,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import reports
-from .calibration import (OptimizerConfig, ReliabilityHistogram, ece, fit_beta,
-                          fit_head, fit_platt, fitting_digest, mce, reliability,
-                          save_calibrator)
+from .calibration import (OptimizerConfig, ReliabilityHistogram, calibrated_logit,
+                          ece, fit_beta, fit_head, fit_platt, fitting_digest, mce,
+                          reliability, save_calibrator)
 from .datasets import gaussian_ring, textured_tiles
 from .errors import ConfigError, DataError
 from .losses import clamp_probability, logit, sigmoid
@@ -204,7 +204,13 @@ def _load_dataset(cfg: ExperimentConfig):
     if path.is_dir():
         return _dir_dataset(path, cfg.masks_dir)
     if path.suffix == ".csv" and path.exists():
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"cannot read normal data from {path}: {exc}") from exc
+        if len(rows) < 2:
+            raise DataError(f"{path}: need at least two rows of normal data, "
+                            f"got {len(rows)}")
         n_test = max(1, len(rows) // 5)
         return {"kind": "detection", "class_id": path.stem,
                 "data": _csv_detection(rows, n_test)}
@@ -221,7 +227,12 @@ def _dir_dataset(normal_dir: Path, masks_dir):
     train_files = sorted(normal_dir.glob("*.calt"))
     if not train_files:
         raise DataError(f"no raw-tensor files under {normal_dir}")
-    train = np.stack([load_tensor(f) for f in train_files])
+    train = [load_tensor(f) for f in train_files]
+    for f, img in zip(train_files, train):
+        if img.shape != train[0].shape:
+            raise DataError(f"{f}: shape {img.shape} differs from {train_files[0]}'s "
+                            f"{train[0].shape}")
+    train = np.stack(train)
     if train.ndim == 3:  # (n, h, w) -> single channel
         train = train[:, None]
     if masks_dir is None:
@@ -370,16 +381,15 @@ def _scorer_spec(loss: str, d: int) -> MlpSpec:
     if loss == "svdd":
         # enough embedding width and gain that squared distances spread the
         # induced probability estimates across reliability bins
-        return MlpSpec((d, 64, 64, 32), activation="tanh", use_bias=False,
-                       init_gain=2.0)
+        return MlpSpec((d, 64, 64, 32), use_bias=False, init_gain=2.0)
     if loss == "hsc":
-        return MlpSpec((d, 32, 16, 8), activation="tanh", use_bias=True)
+        return MlpSpec((d, 32, 16, 8))
     if loss == "logistic":
-        return MlpSpec((d, 32, 16, 1), activation="tanh", use_bias=True)
+        return MlpSpec((d, 32, 16, 1))
     if loss == "ssim":
-        return MlpSpec((d, 64, d), activation="tanh", use_bias=True)
+        return MlpSpec((d, 64, d))
     if loss == "fcdd":
-        return MlpSpec((d, 64, 64), activation="tanh", use_bias=True)
+        return MlpSpec((d, 64, 64))
     raise ConfigError(f"unknown loss {loss!r}")
 
 
@@ -409,8 +419,7 @@ def _head_trunk(state: ScorerState, loss: str) -> ScorerState:
         trunk = state.copy()
         trunk.frozen = [True] * trunk.n_layers
         return trunk
-    spec = MlpSpec(state.spec.widths[:-1], activation=state.spec.activation,
-                   use_bias=state.spec.use_bias)
+    spec = MlpSpec(state.spec.widths[:-1], use_bias=state.spec.use_bias)
     return ScorerState(spec, [w.copy() for w in state.weights[:-1]],
                        [None if b is None else b.copy() for b in state.biases[:-1]],
                        [True] * (state.n_layers - 1))
@@ -442,8 +451,7 @@ def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
 
 def _detection_row(cfg, method, class_id, pipeline, x_test, y_test,
                    x_eval_normal, x_eval_anom):
-    pair = evaluate_pair(pipeline, x_test, y_test,
-                         PerturbConfig(epsilon=cfg.epsilon, target_label=0))
+    pair = evaluate_pair(pipeline, x_test, y_test, PerturbConfig(epsilon=cfg.epsilon))
     xe = np.concatenate([x_eval_normal, x_eval_anom])
     ye = np.concatenate([np.zeros(len(x_eval_normal)), np.ones(len(x_eval_anom))])
     hist = reliability(pipeline.calibrated(xe)[1], ye, cfg.bins)
@@ -477,18 +485,16 @@ def _pixel_estimates(pipeline: LossPipeline, heatmaps):
         est = -np.expm1(-heatmaps)
     if pipeline.calibrator is None:
         return est
-    z = logit(clamp_probability(est))
-    zc, _ = pipeline._calibrated_logit(z)
+    zc, _ = calibrated_logit(pipeline.calibrator, logit(clamp_probability(est)))
     return sigmoid(zc)
 
 
 def _tiles_row(cfg, method, class_id, pipeline, x_test, y_test, masks,
                x_eval_normal, x_eval_anom):
-    pair = evaluate_pair(pipeline, x_test, y_test,
-                         PerturbConfig(epsilon=cfg.epsilon, target_label=0))
+    perturb_cfg = PerturbConfig(epsilon=cfg.epsilon)
+    pair = evaluate_pair(pipeline, x_test, y_test, perturb_cfg)
     maps_before = _tile_heatmaps(pipeline, x_test)
-    x_tilde = perturb_batch(pipeline, x_test,
-                            PerturbConfig(epsilon=cfg.epsilon, target_label=0))
+    x_tilde = perturb_batch(pipeline, x_test, perturb_cfg)
     maps_after = _tile_heatmaps(pipeline, x_tilde)
     # per-pixel calibration metrics on normal test tiles plus synthetic tiles
     n_eval = min(len(x_eval_normal), len(x_eval_anom))

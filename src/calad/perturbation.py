@@ -1,9 +1,10 @@
 """Gradient-based test-input perturbation and paired evaluation.
 
 Each test input is nudged one signed-gradient step against the pipeline
-loss, ``x - eps * sgn(grad)``, with sgn(0) = 0, so the infinity norm of the
-move never exceeds eps. Metric suites are computed before and after, and
-the per-sample loss and score deltas are kept for the run reports.
+loss at label 0 (normal), ``x - eps * sgn(grad)``, with sgn(0) = 0, so the
+infinity norm of the move never exceeds eps. Metric suites are computed
+before and after, and the per-sample loss and score deltas are kept for the
+run reports.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from .scorer import LossPipeline
 @dataclass(frozen=True)
 class PerturbConfig:
     epsilon: float = 1.4e-3
-    target_label: int = 0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -47,9 +47,9 @@ def perturb(x, grad, cfg: PerturbConfig) -> np.ndarray:
 
 
 def perturb_batch(pipeline: LossPipeline, x, cfg: PerturbConfig) -> np.ndarray:
-    """Perturb every row of x against the pipeline loss at the target label."""
+    """Perturb every row of x against the pipeline loss at label 0."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, grad = pipeline.loss_and_input_grad(x, cfg.target_label)
+    _, grad = pipeline.loss_and_input_grad(x, 0)
     return perturb(x, grad, cfg)
 
 
@@ -58,16 +58,16 @@ def evaluate_pair(pipeline: LossPipeline, x, labels,
     """AUROC over the test set before and after one perturbation step.
 
     Scores are the pipeline's anomaly scores; the perturbation loss uses
-    ``cfg.target_label`` for every sample. Per-sample loss and score
-    deltas are recorded alongside.
+    label 0 for every sample. Per-sample loss and score deltas are recorded
+    alongside.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     labels = np.asarray(labels)
     scores_before = pipeline.scores(x)
-    losses_before = pipeline.loss_values(x, cfg.target_label)
+    losses_before = pipeline.loss_values(x, 0)
     x_tilde = perturb_batch(pipeline, x, cfg)
     scores_after = pipeline.scores(x_tilde)
-    losses_after = pipeline.loss_values(x_tilde, cfg.target_label)
+    losses_after = pipeline.loss_values(x_tilde, 0)
     deltas = np.column_stack([np.arange(len(x)), losses_before, losses_after,
                               scores_before, scores_after])
     return PairReport(

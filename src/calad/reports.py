@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (BetaParams, PlattParams, ReliabilityHistogram,
-                          beta_transform, platt_transform)
+from .calibration import HeadParams, ReliabilityHistogram, calibrated_logit
 from .losses import sigmoid
 
 CSV_COLUMNS = ["class_id", "method", "auroc", "auroc_perturbed", "mce", "ece"]
@@ -94,16 +93,14 @@ def reliability_diagram_svg(hist: ReliabilityHistogram, ece_value: float,
 
 def calibrator_curve_svg(calibrator, title: str, z_lo: float = -8.0,
                          z_hi: float = 8.0, n: int = 161) -> str:
-    """Fitted estimate transform over a logit range, with the identity."""
+    """Fitted estimate transform over a logit range, with the identity; a
+    calibration head maps features, not logits, so its curve is the
+    identity."""
     w, h, margin = 420, 420, 45
     plot = w - 2 * margin
     zs = np.linspace(z_lo, z_hi, n)
-    if isinstance(calibrator, PlattParams):
-        _, eta = platt_transform(zs, calibrator)
-    elif isinstance(calibrator, BetaParams):
-        _, eta = beta_transform(sigmoid(zs), calibrator)
-    else:
-        eta = sigmoid(zs)
+    eta = sigmoid(zs if isinstance(calibrator, HeadParams)
+                  else calibrated_logit(calibrator, zs)[0])
 
     def pts(values):
         out = []

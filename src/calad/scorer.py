@@ -1,16 +1,16 @@
 """Small differentiable scoring models with explicit gradients.
 
-Models are bias-optional MLPs over flat inputs with a smooth activation, so
-input gradients are defined everywhere. A ``LossPipeline`` composes a model
-with a score head (squared distance to a hypersphere center, pseudo-Huber
-norm, raw logit, feature heatmap, or SSIM reconstruction), an optional
-post-hoc calibrator, and a core loss, and exposes the three gradient
-contracts: forward value, parameter gradient, and input gradient. All
-gradients are exact reverse-mode; finite differences are used only in
-tests.
+Models are bias-optional tanh MLPs over flat inputs, so input gradients
+are defined everywhere. A ``LossPipeline`` composes a model with a score
+head (squared distance to a hypersphere center, pseudo-Huber norm, raw
+logit, feature heatmap, or SSIM reconstruction), an optional post-hoc
+calibrator, and a core loss, and exposes the three gradient contracts:
+forward value, parameter gradient, and input gradient. All gradients are
+exact reverse-mode; finite differences are used only in tests.
 
-Training runs Adam with milestone learning-rate decay, class-balanced
-batches for supervised losses, and full determinism under the config seed.
+Training runs Adam with the learning rate scaled by ``MILESTONE_DECAY`` at
+each milestone, class-balanced batches for supervised losses, and full
+determinism under the config seed.
 """
 
 import json
@@ -21,30 +21,29 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import BetaParams, HeadParams, PlattParams
+from .calibration import HeadParams, calibrated_logit
 from .errors import DataError, NumericalError
 from .losses import (EPS_CLAMP, clamp_probability, hsc_loss, logistic_loss,
-                     logit, pseudo_huber, sigmoid)
+                     pseudo_huber, sigmoid)
 from .segmentation import SsimConfig, ssim_loss, ssim_map_backward
 
 logger = logging.getLogger(__name__)
 
-SUPERVISED_LOSSES = {"log", "logistic", "hsc", "fcdd"}
+SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}
 UNSUPERVISED_LOSSES = {"svdd", "ssim"}
+
+MILESTONE_DECAY = 0.1  # learning-rate factor per milestone passed
 
 
 @dataclass(frozen=True)
 class MlpSpec:
     widths: tuple
-    activation: str = "tanh"
     use_bias: bool = True
     init_gain: float = 1.0
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ValueError("widths must list at least input and output sizes >= 1")
-        if self.activation not in ("tanh", "softplus"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.init_gain <= 0:
             raise ValueError("init gain must be positive")
 
@@ -54,15 +53,13 @@ class TrainConfig:
     loss: str = "svdd"
     learning_rate: float = 1e-4
     milestones: tuple = ()
-    decay: float = 0.1
     epochs: int = 10
     batch_size: int = 128
     seed: int = 0
-    hsc_pseudo_huber: bool = True
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.decay <= 0:
-            raise ValueError("rates must be positive")
+        if self.learning_rate < 0:
+            raise ValueError("learning rate must be nonnegative")
         if list(self.milestones) != sorted(self.milestones):
             raise ValueError("milestones must be sorted")
 
@@ -134,19 +131,6 @@ def init_scorer(spec: MlpSpec, seed: int = 0) -> ScorerState:
     return ScorerState(spec, weights, biases)
 
 
-def _act(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    return np.logaddexp(0.0, z)  # softplus
-
-
-def _act_deriv(name, z):
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return sigmoid(z)
-
-
 def forward(state: ScorerState, x) -> np.ndarray:
     """Deterministic forward pass; accepts one sample or a batch."""
     out, _ = _forward_cache(state, x)
@@ -167,7 +151,7 @@ def _forward_cache(state, x):
         if b is not None:
             z = z + b
         caches.append((a, z))
-        a = _act(state.spec.activation, z) if i < last else z
+        a = np.tanh(z) if i < last else z
     return a, caches
 
 
@@ -180,7 +164,7 @@ def _backprop(state, caches, d_out):
     last = state.n_layers - 1
     for i in range(last, -1, -1):
         a_in, z = caches[i]
-        dz = g if i == last else g * _act_deriv(state.spec.activation, z)
+        dz = g if i == last else g * (1.0 - np.tanh(z) ** 2)
         w_grads[i] = a_in.T @ dz
         if state.biases[i] is not None:
             b_grads[i] = dz.sum(axis=0)
@@ -222,26 +206,24 @@ def init_svdd_center(state: ScorerState, inputs) -> np.ndarray:
 class LossPipeline:
     """Scorer plus score head, optional calibrator, and a core loss.
 
-    ``loss_name`` selects the head: "logistic"/"log" read a scalar logit,
-    "svdd" squares the distance to ``center``, "hsc" applies the
-    pseudo-Huber (or raw) squared norm, "fcdd" averages a pseudo-Huber
-    feature heatmap, and "ssim" compares the input image with its
-    reconstruction. With a calibrator attached (and ``through_calibrator``
-    left on) the pipeline loss is the logistic loss of the calibrated
-    logit, so gradients flow through the calibrator; otherwise it is the
-    base loss itself.
+    Every method reads one chain: rows -> raw score v -> logit z ->
+    calibrated logit -> loss. ``loss_name`` selects the head: "logistic"
+    reads a scalar logit, "svdd" squares the distance to ``center``, "hsc"
+    takes the pseudo-Huber of the squared norm, "fcdd" averages a
+    pseudo-Huber feature heatmap, and "ssim" is the mean of 1 - S between
+    the input image and its reconstruction. With a calibrator attached the
+    loss is the logistic loss of the calibrated logit, so gradients flow
+    through the calibrator; otherwise it is the base loss of v.
     """
 
     def __init__(self, state: ScorerState, loss_name: str, center=None,
-                 calibrator=None, through_calibrator: bool = True,
-                 ssim_cfg: Optional[SsimConfig] = None, image_shape=None,
-                 hsc_pseudo_huber: bool = True, head: Optional[HeadParams] = None):
+                 calibrator=None, ssim_cfg: Optional[SsimConfig] = None,
+                 image_shape=None, head: Optional[HeadParams] = None):
         if loss_name not in SUPERVISED_LOSSES | UNSUPERVISED_LOSSES:
             raise ValueError(f"unknown loss {loss_name!r}")
-        if head is not None and loss_name not in ("logistic", "log"):
+        if head is not None and loss_name != "logistic":
             raise ValueError("a calibration head implies a logistic pipeline")
-        if head is None and loss_name in ("logistic", "log") \
-                and state.spec.widths[-1] != 1:
+        if head is None and loss_name == "logistic" and state.spec.widths[-1] != 1:
             raise ValueError("a logistic pipeline needs a scalar-output scorer")
         if loss_name == "svdd":
             if center is None:
@@ -256,46 +238,53 @@ class LossPipeline:
         self.loss_name = loss_name
         self.center = None if center is None else np.asarray(center, dtype=float)
         self.calibrator = calibrator
-        self.through_calibrator = through_calibrator
         self.ssim_cfg = ssim_cfg
         self.image_shape = image_shape
-        self.hsc_pseudo_huber = hsc_pseudo_huber
         self.head = head
 
-    # -- score heads ---------------------------------------------------
+    # -- the chain -------------------------------------------------------
 
-    def _head(self, out):
-        """Per-sample raw score v, (n,), and dv/d(out), (n, k)."""
-        name = self.loss_name
+    def _scores(self, x):
+        """Per-row raw score v, (n,), the MLP caches, and what the backward
+        pass needs: dv/d(output), (n, k), or for ssim the (image,
+        reconstruction) stacks."""
+        if self.loss_name == "ssim":
+            res, images, recon, caches = self._ssim_forward(x)
+            return res.loss, caches, (images, recon)
+        out, caches = _forward_cache(self.state, x)
         if self.head is not None:
             w = np.asarray(self.head.weights, dtype=float)
-            v = out @ w + self.head.bias
-            return v, np.broadcast_to(w, out.shape)
-        if name in ("logistic", "log"):
-            return out[:, 0], np.ones_like(out)
-        if name == "svdd":
+            return out @ w + self.head.bias, caches, np.broadcast_to(w, out.shape)
+        if self.loss_name == "logistic":
+            return out[:, 0], caches, np.ones_like(out)
+        if self.loss_name == "svdd":
             diff = out - self.center
-            return np.sum(diff * diff, axis=-1), 2.0 * diff
-        if name == "hsc":
+            return np.sum(diff * diff, axis=-1), caches, 2.0 * diff
+        if self.loss_name == "hsc":
             sq = np.sum(out * out, axis=-1)
-            if self.hsc_pseudo_huber:
-                v = pseudo_huber(sq)
-                dv_dsq = 0.5 / np.sqrt(sq + 1.0)
-            else:
-                v = sq
-                dv_dsq = np.ones_like(sq)
-            return v, 2.0 * out * dv_dsq[:, None]
-        if name == "fcdd":
-            root = np.sqrt(out * out + 1.0)
-            v = np.mean(root - 1.0, axis=-1)
-            return v, out / (root * out.shape[-1])
-        raise ValueError(f"head undefined for {self.loss_name!r}")
+            return pseudo_huber(sq), caches, 2.0 * out * (0.5 / np.sqrt(sq + 1.0))[:, None]
+        root = np.sqrt(out * out + 1.0)  # fcdd
+        return np.mean(root - 1.0, axis=-1), caches, out / (root * out.shape[-1])
+
+    def _ssim_forward(self, x):
+        """SSIM of every row's image against its reconstruction: the
+        stacked SsimLoss (per-row losses, (n, h, w) maps), the (n, h, w)
+        images and reconstructions, and the caches of the MLP pass."""
+        rows = np.atleast_2d(np.asarray(x, dtype=float))
+        shape = (len(rows),) + tuple(self.image_shape)
+        recon, caches = _forward_cache(self.state, rows)
+        images, recon = rows.reshape(shape), recon.reshape(shape)
+        return ssim_loss(images, recon, self.ssim_cfg), images, recon, caches
 
     def _natural_logit(self, v):
-        """Logit of the head score and d(logit)/dv."""
+        """Logit of the raw score and d(logit)/dv."""
         name = self.loss_name
-        if name in ("logistic", "log", "svdd"):
+        if name in ("logistic", "svdd"):
             return v, np.ones_like(v)
+        if name == "ssim":
+            # v / 2 is the mean pixel estimate (1 - S) / 2
+            e = clamp_probability(v / 2.0)
+            return np.log(e) - np.log1p(-e), 0.5 / (e * (1.0 - e))
         # hsc / fcdd: estimate 1 - e^-v through the exponential link
         raw = -np.expm1(-v)
         u = clamp_probability(raw)
@@ -303,122 +292,55 @@ class LossPipeline:
         inside = (raw > EPS_CLAMP) & (raw < 1.0 - EPS_CLAMP)
         return z, np.where(inside, 1.0 / u, 0.0)
 
-    def _calibrated_logit(self, z):
-        """Calibrated logit and its derivative in z."""
-        cal = self.calibrator
-        if cal is None or not self.through_calibrator:
-            return z, np.ones_like(z)
-        if isinstance(cal, PlattParams):
-            return z / cal.temperature + cal.intercept, \
-                np.full_like(z, 1.0 / cal.temperature)
-        if isinstance(cal, BetaParams):
-            e = sigmoid(z)
-            ec = clamp_probability(e)
-            zc = cal.a * np.log(ec) - cal.b * np.log1p(-ec) + cal.c
-            inside = (e > EPS_CLAMP) & (e < 1.0 - EPS_CLAMP)
-            dz = np.where(inside, cal.a * (1.0 - e) + cal.b * e, 0.0)
-            return zc, dz
-        raise ValueError(f"unsupported calibrator {type(cal).__name__}")
+    def _loss(self, v, y):
+        """Per-row loss and dloss/dv."""
+        if self.calibrator is not None:
+            z, dz_dv = self._natural_logit(v)
+            zc, dzc_dz = calibrated_logit(self.calibrator, z)
+            return logistic_loss(y, zc), (sigmoid(zc) - y) * dzc_dz * dz_dv
+        if self.loss_name == "logistic":
+            return logistic_loss(y, v), sigmoid(v) - y
+        if self.loss_name in ("svdd", "ssim"):
+            return v, np.ones_like(v)
+        # hsc / fcdd base loss
+        dl = -y * np.exp(-v) / np.maximum(-np.expm1(-v), EPS_CLAMP) + (1.0 - y)
+        return hsc_loss(y, v), dl
 
-    # -- evaluation ----------------------------------------------------
+    # -- evaluation ------------------------------------------------------
 
     def scores(self, x) -> np.ndarray:
-        """Anomaly scores: the raw head value v."""
-        if self.loss_name == "ssim":
-            res = self._ssim_forward(x)[0]
-            return 2.0 * np.mean(res.estimates, axis=(1, 2))
-        out, _ = _forward_cache(self.state, x)
-        v, _ = self._head(out)
-        return v
+        """Anomaly scores: the raw score v."""
+        return self._scores(x)[0]
 
     def logits(self, x) -> np.ndarray:
-        if self.loss_name == "ssim":
-            est = np.mean(self._ssim_forward(x)[0].estimates, axis=(1, 2))
-            return logit(clamp_probability(est))
-        out, _ = _forward_cache(self.state, x)
-        v, _ = self._head(out)
-        z, _ = self._natural_logit(v)
-        return z
-
-    def estimates(self, x) -> np.ndarray:
-        return sigmoid(self.logits(x))
+        return self._natural_logit(self._scores(x)[0])[0]
 
     def calibrated(self, x):
         """(calibrated logit, calibrated estimate) for a batch."""
-        zc, _ = self._calibrated_logit(self.logits(x))
-        return zc, sigmoid(zc)
+        z = self.logits(x)
+        if self.calibrator is not None:
+            z, _ = calibrated_logit(self.calibrator, z)
+        return z, sigmoid(z)
 
-    def _ssim_forward(self, x):
-        """SSIM of every row's image against its reconstruction: the
-        stacked SsimLoss (per-row losses, (n, h, w) maps), the (n, h, w)
-        reconstructions and the caches of the MLP pass."""
-        rows = np.atleast_2d(np.asarray(x, dtype=float))
-        shape = (len(rows),) + tuple(self.image_shape)
-        recon, caches = _forward_cache(self.state, rows)
-        recon = recon.reshape(shape)
-        return ssim_loss(rows.reshape(shape), recon, self.ssim_cfg), recon, caches
-
-    # -- losses and gradients -------------------------------------------
+    # -- losses and gradients --------------------------------------------
 
     def loss_values(self, x, y) -> np.ndarray:
         """Per-sample pipeline loss for a batch."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.broadcast_to(np.asarray(y, dtype=float), (len(x2),))
-        if self.loss_name == "ssim" and not self._calibrated_path():
-            return self._ssim_forward(x2)[0].loss
-        if self._calibrated_path():
-            zc, _ = self._calibrated_logit(self.logits(x2))
-            return logistic_loss(y, zc)
-        out, _ = _forward_cache(self.state, x2)
-        v, _ = self._head(out)
-        if self.loss_name in ("logistic", "log"):
-            return logistic_loss(y, v)
-        if self.loss_name == "svdd":
-            return v.copy()
-        return hsc_loss(y, v)  # hsc and fcdd
+        v = self._scores(x)[0]
+        return self._loss(v, _labels(y, v))[0]
 
-    def _calibrated_path(self) -> bool:
-        return self.calibrator is not None and self.through_calibrator
-
-    def _upstream(self, v, y):
-        """Loss values and dloss/dv for the non-ssim heads."""
-        if self._calibrated_path():
-            z, dz_dv = self._natural_logit(v)
-            zc, dzc_dz = self._calibrated_logit(z)
-            loss = logistic_loss(y, zc)
-            dl = (sigmoid(zc) - y) * dzc_dz * dz_dv
-            return loss, dl
-        if self.loss_name in ("logistic", "log"):
-            return logistic_loss(y, v), sigmoid(v) - y
-        if self.loss_name == "svdd":
-            return v.copy(), np.ones_like(v)
-        # hsc / fcdd base loss
-        loss = hsc_loss(y, v)
-        em = np.exp(-v)
-        dl = -y * em / np.maximum(-np.expm1(-v), EPS_CLAMP) + (1.0 - y)
-        return loss, dl
-
-    def _loss_and_output_grad(self, x2, y):
+    def _loss_and_output_grad(self, x, y):
         """Per-row losses, the MLP caches, dloss/d(output) per row, and the
         loss's direct input term (the ssim image side; None otherwise)."""
+        v, caches, back = self._scores(x)
+        loss, dl_dv = self._loss(v, _labels(y, v))
         if self.loss_name != "ssim":
-            out, caches = _forward_cache(self.state, x2)
-            v, dv_dout = self._head(out)
-            loss, dl_dv = self._upstream(v, y)
-            return loss, caches, dl_dv[:, None] * dv_dout, None
-        res, recon, caches = self._ssim_forward(x2)
+            return loss, caches, dl_dv[:, None] * back, None
+        images, recon = back
         n, h, w = recon.shape
-        if self._calibrated_path():
-            est = np.mean(res.estimates, axis=(1, 2))
-            loss, factor = self._ssim_chain_factor(est, y)
-            # estimate = mean((1 - S) / 2), so dS carries -factor / (2 h w)
-            scale = -factor / (2.0 * h * w)
-        else:
-            loss = res.loss
-            scale = -1.0 / (h * w)
-        ds = np.broadcast_to(np.reshape(scale, (-1, 1, 1)), (n, h, w))
-        direct, drecon = ssim_map_backward(x2.reshape(n, h, w), recon, ds,
-                                           self.ssim_cfg)
+        # v is the mean of 1 - S over the h * w pixels
+        ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None], (n, h, w))
+        direct, drecon = ssim_map_backward(images, recon, ds, self.ssim_cfg)
         return loss, caches, drecon.reshape(n, h * w), direct.reshape(n, h * w)
 
     def loss_and_input_grad(self, x, y):
@@ -426,9 +348,7 @@ class LossPipeline:
         and a (d,) gradient for one input, per-row (n,) losses and (n, d)
         gradients for a batch."""
         x = np.asarray(x, dtype=float)
-        rows = np.atleast_2d(x)
-        y = np.broadcast_to(np.asarray(y, dtype=float), (len(rows),))
-        loss, caches, d_out, direct = self._loss_and_output_grad(rows, y)
+        loss, caches, d_out, direct = self._loss_and_output_grad(x, y)
         _, _, d_in = _backprop(self.state, caches, d_out)
         if direct is not None:
             d_in = direct + d_in
@@ -438,35 +358,14 @@ class LossPipeline:
 
     def loss_and_param_grad(self, x, y):
         """Mean loss over a batch and its flat parameter gradient."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.broadcast_to(np.asarray(y, dtype=float), (len(x2),))
-        loss, caches, d_out, _ = self._loss_and_output_grad(x2, y)
-        w_grads, b_grads, _ = _backprop(self.state, caches, d_out / len(x2))
+        loss, caches, d_out, _ = self._loss_and_output_grad(x, y)
+        w_grads, b_grads, _ = _backprop(self.state, caches, d_out / len(loss))
         return float(np.mean(loss)), _flatten_grads(self.state, w_grads, b_grads)
 
-    def _ssim_chain_factor(self, est, y):
-        """Per-row calibrated ssim loss and d(loss)/d(mean estimate)."""
-        e = clamp_probability(est)
-        z = np.log(e) - np.log1p(-e)
-        zc, dzc_dz = self._calibrated_logit(z)
-        dl_dz = (sigmoid(zc) - y) * dzc_dz
-        dz_de = 1.0 / (e * (1.0 - e))
-        return logistic_loss(y, zc), dl_dz * dz_de
 
-
-def input_gradient(state: ScorerState, pipeline: LossPipeline, x, y):
-    """Exact input gradient of the pipeline loss; mirrors the contract
-    that the pipeline was built over this state."""
-    if pipeline.state is not state:
-        raise ValueError("pipeline was built over a different scorer state")
-    return pipeline.loss_and_input_grad(x, y)[1]
-
-
-def param_gradient(state: ScorerState, pipeline: LossPipeline, x, y):
-    """Flat mean parameter gradient over a batch; frozen layers are zero."""
-    if pipeline.state is not state:
-        raise ValueError("pipeline was built over a different scorer state")
-    return pipeline.loss_and_param_grad(x, y)[1]
+def _labels(y, v):
+    """Labels as floats broadcast to one per row of v."""
+    return np.broadcast_to(np.asarray(y, dtype=float), v.shape)
 
 
 class _Adam:
@@ -510,14 +409,13 @@ def train(state: ScorerState, x, labels, cfg: TrainConfig,
     if cfg.loss == "svdd" and center is None:
         center = init_svdd_center(new, x)
     pipe = LossPipeline(new, cfg.loss, center=center, ssim_cfg=ssim_cfg,
-                        image_shape=image_shape,
-                        hsc_pseudo_huber=cfg.hsc_pseudo_huber)
+                        image_shape=image_shape)
     rng = np.random.default_rng(cfg.seed)
     adam = _Adam(new.n_params(), cfg.learning_rate)
     half = max(1, cfg.batch_size // 2)
 
     for epoch in range(cfg.epochs):
-        lr_scale = cfg.decay ** sum(1 for m in cfg.milestones if epoch >= m)
+        lr_scale = MILESTONE_DECAY ** sum(1 for m in cfg.milestones if epoch >= m)
         epoch_loss = 0.0
         n_batches = 0
         if supervised:
@@ -556,7 +454,7 @@ def save_scorer(path, state: ScorerState, manifest: dict) -> None:
     doc = dict(manifest)
     doc.update({
         "widths": list(state.spec.widths),
-        "activation": state.spec.activation,
+        "activation": "tanh",
         "use_bias": state.spec.use_bias,
         "frozen": list(state.frozen),
     })
@@ -569,8 +467,9 @@ def load_scorer(path):
 
     base = Path(path)
     doc = json.loads(base.with_suffix(".json").read_text())
-    spec = MlpSpec(widths=tuple(doc["widths"]), activation=doc["activation"],
-                   use_bias=doc["use_bias"])
+    if doc["activation"] != "tanh":
+        raise DataError(f"{base}: activation {doc['activation']!r}; only tanh scorers load")
+    spec = MlpSpec(widths=tuple(doc["widths"]), use_bias=doc["use_bias"])
     state = init_scorer(spec, seed=0)
     state.frozen = list(doc["frozen"])
     state.set_flat(load_tensor(base.with_suffix(".calt")))

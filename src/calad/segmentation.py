@@ -22,7 +22,6 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 @dataclass(frozen=True)
 class SsimConfig:
     window: int = 11
-    pad: int = 5
     pad_value: float = 0.0
     c1: float = 1e-4  # (0.01 * L)^2 at unit dynamic range
     c2: float = 9e-4  # (0.03 * L)^2
@@ -30,10 +29,13 @@ class SsimConfig:
     def __post_init__(self):
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be an odd positive integer")
-        if self.pad != (self.window - 1) // 2:
-            raise ValueError("pad must equal (window - 1) / 2 for conformal output")
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("stabilizers c1, c2 must be positive")
+
+    @property
+    def pad(self) -> int:
+        """Border width (window - 1) / 2, which keeps the map conformal."""
+        return (self.window - 1) // 2
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Random image synthesis following the 1/f^alpha spectra of natural images.
 
-Per channel, two exponents are drawn uniformly from the configured range,
+Per channel, two exponents are drawn uniformly from [0.5, 3.5],
 a magnitude grid 1/(|fx|^a + |fy|^b) is laid over integer frequencies with
 the singular DC bin zeroed, and the phase is taken from the spectrum of a
 fully random image. The combined spectrum is Hermitian-symmetrized so the
@@ -8,7 +8,7 @@ inverse transform is real by construction, which is asserted numerically
 on every synthesis; the result is min-max rescaled into [0, 1].
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,15 +22,11 @@ class SpectralConfig:
     height: int
     width: int
     channels: int = 1
-    exponent_lo: float = 0.5
-    exponent_hi: float = 3.5
     seed: int = 0
 
     def __post_init__(self):
         if self.height < 2 or self.width < 2 or self.channels < 1:
             raise ValueError("need at least a 2x2 image with one channel")
-        if self.exponent_lo > self.exponent_hi:
-            raise ValueError("exponent range is inverted")
 
 
 def dft2(grid: np.ndarray) -> np.ndarray:
@@ -81,7 +77,7 @@ def synthesize(cfg: SpectralConfig):
     image = np.empty((cfg.channels, cfg.height, cfg.width))
     exponents = []
     for ch in range(cfg.channels):
-        a, b = draw_exponent_pairs(rng, 1, cfg.exponent_lo, cfg.exponent_hi)[0]
+        a, b = draw_exponent_pairs(rng, 1)[0]
         exponents.append((float(a), float(b)))
         donor = rng.uniform(0.0, 255.0, size=(cfg.height, cfg.width))
         phase = np.angle(dft2(donor))
@@ -107,9 +103,7 @@ def synthesize_batch(cfg: SpectralConfig, n: int):
     images = np.empty((n, cfg.channels, cfg.height, cfg.width))
     metas = []
     for i in range(n):
-        img, meta = synthesize(
-            SpectralConfig(cfg.height, cfg.width, cfg.channels,
-                           cfg.exponent_lo, cfg.exponent_hi, int(seeds[i])))
+        img, meta = synthesize(replace(cfg, seed=int(seeds[i])))
         images[i] = img
         metas.append(meta)
     return images, metas

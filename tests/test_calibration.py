@@ -3,7 +3,8 @@ import pytest
 from mpmath import mp
 
 from calad.calibration import (BetaParams, HeadParams, OptimizerConfig,
-                               PlattParams, beta_transform, ece, fit_beta,
+                               PlattParams, beta_transform, calibrated_logit,
+                               ece, fit_beta,
                                fit_head, fit_platt, fitting_digest,
                                head_transform, load_calibrator, mce, minimize,
                                platt_transform, reliability, save_calibrator)
@@ -101,6 +102,27 @@ class TestBetaTransform:
     def test_saturated_inputs_finite(self):
         zb, eta = beta_transform(np.array([0.0, 1.0]), BetaParams(2.0, 0.5, 0.1))
         assert np.all(np.isfinite(zb)) and np.all(np.isfinite(eta))
+
+
+class TestCalibratedLogit:
+    @pytest.mark.parametrize("params", [PlattParams(2.5, -0.4),
+                                        BetaParams(1.4, 0.7, 0.2)])
+    def test_derivative_matches_finite_differences(self, params):
+        z = np.linspace(-6.0, 6.0, 25)
+        step = 1e-6
+        zc, dzc = calibrated_logit(params, z)
+        fd = (calibrated_logit(params, z + step)[0]
+              - calibrated_logit(params, z - step)[0]) / (2 * step)
+        assert np.allclose(dzc, fd, rtol=1e-6, atol=1e-8)
+        # the logit the estimate transforms put through the sigmoid
+        if isinstance(params, PlattParams):
+            assert np.array_equal(zc, platt_transform(z, params)[0])
+        else:
+            assert np.array_equal(zc, beta_transform(sigmoid(z), params)[0])
+
+    def test_head_has_no_logit_map(self):
+        with pytest.raises(ValueError):
+            calibrated_logit(HeadParams(np.ones(2), 0.0), np.zeros(3))
 
 
 class TestHeadTransform:

@@ -400,6 +400,49 @@ class TestCli:
         rc = cli_main(["eval", str(tmp_path / "nope.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [["--height", "1"], ["--channels", "0"],
+                                       ["--count", "-1"]], ids=" ".join)
+    def test_synth_bad_size_is_config_error_before_writing(self, tmp_path, capsys,
+                                                           flags):
+        out = tmp_path / "out"
+        assert cli_main(["synth", "--out", str(out)] + flags) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["x,y\n0.1,0.2\n0.3,0.4\n",
+                                      "0.1,0.2\n0.3,oops\n", "0.1,0.2\n"],
+                             ids=["header", "non-number", "single-row"])
+    def test_run_malformed_normal_csv_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "normal.csv"
+        path.write_text(text)
+        rc = cli_main(["run", "--normal", str(path), "--seeds", "0",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_run_normal_dir_of_mixed_shapes_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "train"
+        train.mkdir()
+        save_tensor(train / "a.calt", np.zeros((1, 8, 8)))
+        save_tensor(train / "b.calt", np.zeros((1, 6, 6)))
+        rc = cli_main(["run", "--normal", str(train), "--masks-dir", str(tmp_path),
+                       "--seeds", "0", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert str(train / "b.calt") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["run", "--seeds", "a"],
+                                      ["run", "--loss", "nope"]], ids=" ".join)
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: calad run") and "error: calad run:" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: calad" in capsys.readouterr().out
+
     def test_out_dir_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CALAD_OUT_DIR", str(tmp_path / "envout"))
         rc = cli_main(["synth", "--count", "1", "--height", "8", "--width", "8"])

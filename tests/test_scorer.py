@@ -1,14 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
-from calad.calibration import BetaParams, HeadParams, PlattParams
+from calad.calibration import BetaParams, HeadParams, PlattParams, calibrated_logit
 from calad.errors import DataError, NumericalError
 from calad.losses import clamp_probability, logistic_loss, sigmoid
 from calad.metrics import auroc
 from calad.scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig,
                           _backprop, _flatten_grads, _forward_cache, forward,
-                          init_scorer, init_svdd_center, input_gradient,
-                          load_scorer, param_gradient, save_scorer, train)
+                          init_scorer, init_svdd_center, load_scorer, save_scorer,
+                          train)
 from calad.segmentation import SsimConfig, ssim_loss, ssim_map_backward
 
 FD_STEP = 1e-6
@@ -81,7 +83,7 @@ def make_pipeline(kind, seed, calibrator=None):
         return LossPipeline(state, "fcdd", calibrator=calibrator), 4, None
     if kind == "autoencoder-ssim":
         state = init_scorer(MlpSpec((16, 10, 16)), seed)
-        cfg = SsimConfig(window=3, pad=1, pad_value=0.4)
+        cfg = SsimConfig(window=3, pad_value=0.4)
         return LossPipeline(state, "ssim", calibrator=calibrator,
                             ssim_cfg=cfg, image_shape=(4, 4)), 16, None
     if kind == "head":
@@ -149,17 +151,6 @@ class TestGradientContract:
             _, grad = pipeline.loss_and_input_grad(x, 0)
             assert rel_err(grad, fd_input_grad(pipeline, x, 0)) < 1e-5
 
-    def test_calibrator_can_be_bypassed(self):
-        cal = PlattParams(2.5, -0.4)
-        with_cal, d, _ = make_pipeline("mlp-svdd", seed=4, calibrator=cal)
-        without = LossPipeline(with_cal.state, "svdd", center=with_cal.center,
-                               calibrator=cal, through_calibrator=False)
-        x = np.full(d, 0.3)
-        assert without.loss_values(x, 0)[0] == pytest.approx(
-            float(without.scores(x[None, :])[0]))
-        assert with_cal.loss_values(x, 0)[0] != pytest.approx(
-            without.loss_values(x, 0)[0])
-
     def test_constant_network_zero_gradient(self):
         spec = MlpSpec((3, 2, 1))
         state = init_scorer(spec, 0)
@@ -183,16 +174,41 @@ class TestGradientContract:
         assert single[0] == batch[0]
         assert np.array_equal(single[1], batch[1])
 
-    def test_module_level_wrappers(self):
-        pipeline, d, _ = make_pipeline("mlp-logistic", seed=7)
-        x = np.full(d, 0.1)
-        g1 = input_gradient(pipeline.state, pipeline, x, 0)
-        assert g1.shape == (d,)
-        g2 = param_gradient(pipeline.state, pipeline, x[None, :], [0])
-        assert g2.shape == (pipeline.state.n_params(),)
-        other = init_scorer(MlpSpec((d, 8, 1)), 99)
-        with pytest.raises(ValueError):
-            input_gradient(other, pipeline, x, 0)
+
+CALIBRATORS = [None, PlattParams(2.5, -0.4), BetaParams(1.4, 0.7, 0.2)]
+
+
+def natural_logit(kind, v):
+    """The link from raw score to logit, written from its definition."""
+    if kind == "autoencoder-ssim":
+        e = clamp_probability(v / 2.0)
+    elif kind in ("mlp-hsc", "mlp-fcdd"):
+        e = clamp_probability(-np.expm1(-v))
+    else:
+        return v
+    return np.log(e) - np.log1p(-e)
+
+
+class TestOneChain:
+    """Every public method reads the same rows -> v -> z -> loss chain."""
+
+    @pytest.mark.parametrize("cal", CALIBRATORS)
+    @pytest.mark.parametrize("kind", ARCHITECTURES)
+    def test_scores_logits_and_losses_agree(self, kind, cal):
+        pipeline, d, _ = make_pipeline(kind, seed=8, calibrator=cal)
+        x = np.random.default_rng(80).uniform(0.05, 0.95, (7, d))
+        y = np.arange(7) % 2
+        v = pipeline.scores(x)
+        assert np.array_equal(pipeline.logits(x), natural_logit(kind, v))
+        assert np.array_equal(pipeline.loss_values(x, y),
+                              pipeline.loss_and_input_grad(x, y)[0])
+        assert pipeline.loss_and_param_grad(x, y)[0] == float(
+            np.mean(pipeline.loss_values(x, y)))
+        if kind == "autoencoder-ssim":
+            h, w = pipeline.image_shape
+            recon = forward(pipeline.state, x).reshape(-1, h, w)
+            res = ssim_loss(x.reshape(-1, h, w), recon, pipeline.ssim_cfg)
+            assert np.array_equal(v, 2.0 * np.mean(res.estimates, axis=(1, 2)))
 
 
 def ssim_per_row_reference(pipeline, x, y):
@@ -213,7 +229,8 @@ def ssim_per_row_reference(pipeline, x, y):
             ds = np.full((h, w), -1.0 / (h * w))
         else:
             e = clamp_probability(est)
-            zc, dzc_dz = pipeline._calibrated_logit(np.asarray([np.log(e) - np.log1p(-e)]))
+            zc, dzc_dz = calibrated_logit(pipeline.calibrator,
+                                          np.asarray([np.log(e) - np.log1p(-e)]))
             loss = float(logistic_loss(yi, zc[0]))
             factor = (sigmoid(zc[0]) - yi) * dzc_dz[0] * (1.0 / (e * (1.0 - e)))
             ds = np.full((h, w), -factor / (2.0 * h * w))
@@ -316,7 +333,7 @@ class TestTraining:
         # ssim training, and batched ssim gradients with and without a
         # calibrator, rerun bit for bit
         images = rng.uniform(0.05, 0.95, (40, 16))
-        ssim_cfg = SsimConfig(window=3, pad=1, pad_value=0.4)
+        ssim_cfg = SsimConfig(window=3, pad_value=0.4)
         cfg = TrainConfig(loss="ssim", learning_rate=1e-3, epochs=3,
                           batch_size=16, seed=7)
         a, b = (train(init_scorer(MlpSpec((16, 10, 16)), 7), images, None, cfg,
@@ -383,3 +400,12 @@ class TestCheckpoints:
         assert loaded.frozen == [True, False]
         # container stores float32, so compare at that precision
         assert np.allclose(loaded.get_flat(), state.get_flat(), atol=1e-7)
+
+    def test_non_tanh_checkpoint_rejected(self, tmp_path):
+        save_scorer(tmp_path / "ckpt", init_scorer(MlpSpec((3, 2)), 0), {})
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        assert doc["activation"] == "tanh"
+        doc["activation"] = "softplus"
+        (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="activation"):
+            load_scorer(tmp_path / "ckpt")

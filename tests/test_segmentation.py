@@ -7,7 +7,7 @@ from calad.segmentation import (SsimConfig, fcdd_heatmap, gaussian_kernel,
                                 ssim_loss, ssim_loss_grad, ssim_map,
                                 ssim_map_backward, ssim_patch)
 
-CFG3 = SsimConfig(window=3, pad=1)
+CFG3 = SsimConfig(window=3)
 
 
 def ssim_map_oracle(p, q, cfg):
@@ -61,11 +61,11 @@ class TestSsimPatch:
 class TestSsimConfig:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
-            SsimConfig(window=10, pad=5)
+            SsimConfig(window=10)
 
-    def test_pad_must_conform(self):
-        with pytest.raises(ValueError):
-            SsimConfig(window=11, pad=4)
+    def test_pad_is_half_window(self):
+        assert SsimConfig().pad == 5
+        assert CFG3.pad == 1
 
 
 class TestSsimMap:

@@ -140,5 +140,3 @@ class TestSynthesize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SpectralConfig(1, 8)
-        with pytest.raises(ValueError):
-            SpectralConfig(8, 8, exponent_lo=2.0, exponent_hi=1.0)
