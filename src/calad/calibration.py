@@ -130,17 +130,6 @@ def calibrated_logit(params, z):
     raise ValueError(f"no logit map for calibrator {type(params).__name__}")
 
 
-def head_transform(features, params: HeadParams):
-    """Affine map over a frozen feature vector, then the sigmoid."""
-    f = np.asarray(features, dtype=float)
-    w = np.asarray(params.weights, dtype=float)
-    if f.shape[-1] != w.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: features have {f.shape[-1]}, weights have {w.shape[0]}")
-    z = f @ w + params.bias
-    return z, sigmoid(z)
-
-
 def _require_both_classes(labels):
     labels = np.asarray(labels)
     if not (np.any(labels == 0) and np.any(labels == 1)):

@@ -143,6 +143,8 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     if args.count < 0:
         raise ConfigError(f"count must be nonnegative, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     try:
         cfg = SpectralConfig(args.height, args.width, args.channels, seed=args.seed)
     except ValueError as exc:

@@ -74,6 +74,7 @@ class ExperimentConfig:
     milestones: tuple = ()
 
     def __post_init__(self):
+        _check_types(self)
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split ratio must lie in (0, 1), got {self.split_ratio}")
         if not self.seeds:
@@ -86,16 +87,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.anomaly_source == "oe" and self.oe_dir is None:
             raise ConfigError("anomaly source 'oe' requires an OE data directory")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be nonnegative, got {list(self.seeds)}")
+        if list(self.milestones) != sorted(self.milestones):
+            raise ConfigError(f"milestones must be sorted, got {list(self.milestones)}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.bins < 1:
             raise ConfigError(f"need at least one bin, got {self.bins}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning rate must be nonnegative, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning rate must be finite and nonnegative, got {self.learning_rate}")
 
     @property
     def method_label(self) -> str:
@@ -109,6 +115,30 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(cfg: ExperimentConfig) -> None:
+    """ConfigError for a field of the wrong type, such as a JSON config
+    file's string or null where a number belongs."""
+    for name, types in (("normal", str), ("out_dir", str), ("oe_dir", (str, type(None))),
+                        ("masks_dir", (str, type(None)))):
+        if not isinstance(getattr(cfg, name), types):
+            raise ConfigError(f"{name} must be a path, got {getattr(cfg, name)!r}")
+    for name in ("epochs", "bins", "batch_size"):
+        if not _is_int(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
+    for name in ("split_ratio", "epsilon", "learning_rate"):
+        value = getattr(cfg, name)
+        if not (_is_int(value) or isinstance(value, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+    for name in ("seeds", "milestones"):
+        value = getattr(cfg, name)
+        if not (isinstance(value, tuple) and all(_is_int(v) for v in value)):
+            raise ConfigError(f"{name} must be a list of integers, got {value!r}")
 
 
 def load_config_file(path) -> dict:
@@ -142,7 +172,7 @@ def merge_config(cli_fields: dict, file_fields: dict) -> ExperimentConfig:
                     f"file says {file_value!r}")
         merged[key] = value
     for key in ("seeds", "milestones"):
-        if key in merged:
+        if isinstance(merged.get(key), list):
             merged[key] = tuple(merged[key])
     return ExperimentConfig(**merged)
 
@@ -173,19 +203,6 @@ def normalize(data, stats):
     return (np.asarray(data, dtype=float) - mu) / sd
 
 
-def prepare_resize(shape_in, shape_out):
-    """Resize-then-crop protocol stub.
-
-    Desk-scale tiles need no resizing, so only shape agreement is
-    validated here; an actual resize request is rejected.
-    """
-    if tuple(shape_in) == tuple(shape_out):
-        return tuple(shape_out)
-    raise DataError(
-        f"resizing {tuple(shape_in)} -> {tuple(shape_out)} is not supported at "
-        "desk scale; provide inputs at the target shape")
-
-
 # -- data loading -------------------------------------------------------
 
 
@@ -202,7 +219,13 @@ def _load_dataset(cfg: ExperimentConfig):
                 "data": textured_tiles(DATA_SEED)}
     path = Path(name)
     if path.is_dir():
-        return _dir_dataset(path, cfg.masks_dir)
+        dataset = _dir_dataset(path, cfg.masks_dir)
+        channels = dataset["data"].train_images.shape[1]
+        if channels > 1 and (cfg.loss == "ssim" or cfg.anomaly_source == "spectral"):
+            raise DataError(
+                f"{path}: tiles have {channels} channels, but SSIM and spectral "
+                "anomaly pools are single-channel")
+        return dataset
     if path.suffix == ".csv" and path.exists():
         try:
             rows = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -211,6 +234,9 @@ def _load_dataset(cfg: ExperimentConfig):
         if len(rows) < 2:
             raise DataError(f"{path}: need at least two rows of normal data, "
                             f"got {len(rows)}")
+        bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+        if len(bad):
+            raise DataError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
         n_test = max(1, len(rows) // 5)
         return {"kind": "detection", "class_id": path.stem,
                 "data": _csv_detection(rows, n_test)}
@@ -232,6 +258,9 @@ def _dir_dataset(normal_dir: Path, masks_dir):
         if img.shape != train[0].shape:
             raise DataError(f"{f}: shape {img.shape} differs from {train_files[0]}'s "
                             f"{train[0].shape}")
+    if train[0].ndim not in (2, 3):
+        raise DataError(f"{train_files[0]}: shape {train[0].shape} is not an (h, w) "
+                        "or (c, h, w) image")
     train = np.stack(train)
     if train.ndim == 3:  # (n, h, w) -> single channel
         train = train[:, None]
@@ -243,18 +272,25 @@ def _dir_dataset(normal_dir: Path, masks_dir):
     test_files = sorted(masks_path.glob("*.calt"))
     if not test_files:
         raise DataError(f"no test images under {masks_dir}")
+    # tiles are used at their stored size: test images must match the
+    # training images' (c, h, w) and masks their (h, w)
+    shape = train.shape[1:]
     test_imgs, masks = [], []
     for f in test_files:
         img = load_tensor(f)
-        test_imgs.append(img if img.ndim == 3 else img[None])
+        img = img if img.ndim == 3 else img[None]
+        if img.shape != shape:
+            raise DataError(f"{f}: shape {img.shape} differs from the training "
+                            f"images' {shape}")
         mask_file = f.with_suffix(".pgm")
         if not mask_file.exists():
             raise DataError(f"missing mask {mask_file}")
-        masks.append(read_pgm(mask_file))
-    shape = train.shape[-2:]
-    for img, mask in zip(test_imgs, masks):
-        prepare_resize(img.shape[-2:], shape)
-        prepare_resize(mask.shape, shape)
+        mask = read_pgm(mask_file)
+        if mask.shape != shape[1:]:
+            raise DataError(f"{mask_file}: mask shape {mask.shape} differs from the "
+                            f"images' {shape[1:]}")
+        test_imgs.append(img)
+        masks.append(mask)
     data = TileData(train_images=train, test_images=np.stack(test_imgs),
                     test_masks=np.stack(masks))
     return {"kind": "tiles", "class_id": normal_dir.name, "data": data}
@@ -449,23 +485,6 @@ def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
 # -- evaluation ------------------------------------------------------------
 
 
-def _detection_row(cfg, method, class_id, pipeline, x_test, y_test,
-                   x_eval_normal, x_eval_anom):
-    pair = evaluate_pair(pipeline, x_test, y_test, PerturbConfig(epsilon=cfg.epsilon))
-    xe = np.concatenate([x_eval_normal, x_eval_anom])
-    ye = np.concatenate([np.zeros(len(x_eval_normal)), np.ones(len(x_eval_anom))])
-    hist = reliability(pipeline.calibrated(xe)[1], ye, cfg.bins)
-    row = {
-        "class_id": class_id,
-        "method": method,
-        "auroc": pair.auroc_before,
-        "auroc_perturbed": pair.auroc_after,
-        "mce": mce(hist),
-        "ece": ece(hist),
-    }
-    return row, hist, pair.deltas
-
-
 def _tile_heatmaps(pipeline: LossPipeline, x):
     if pipeline.loss_name == "ssim":
         return pipeline._ssim_forward(x)[0].estimates
@@ -489,21 +508,21 @@ def _pixel_estimates(pipeline: LossPipeline, heatmaps):
     return sigmoid(zc)
 
 
-def _tiles_row(cfg, method, class_id, pipeline, x_test, y_test, masks,
-               x_eval_normal, x_eval_anom):
+def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
+              localization: bool, x_eval):
+    """The metrics row of one arm, its reliability histogram, the
+    perturbation deltas and, for localization, the test-set heatmaps.
+
+    `x_eval` holds normal test rows and synthetic anomalies in two equal
+    halves. Their reliability is per row for detection and per pixel for
+    localization."""
     perturb_cfg = PerturbConfig(epsilon=cfg.epsilon)
-    pair = evaluate_pair(pipeline, x_test, y_test, perturb_cfg)
-    maps_before = _tile_heatmaps(pipeline, x_test)
-    x_tilde = perturb_batch(pipeline, x_test, perturb_cfg)
-    maps_after = _tile_heatmaps(pipeline, x_tilde)
-    # per-pixel calibration metrics on normal test tiles plus synthetic tiles
-    n_eval = min(len(x_eval_normal), len(x_eval_anom))
-    eval_x = np.concatenate([x_eval_normal[:n_eval], x_eval_anom[:n_eval]])
-    eval_maps = _tile_heatmaps(pipeline, eval_x)
-    eval_eta = _pixel_estimates(pipeline, eval_maps).reshape(2 * n_eval, -1)
-    eval_y = np.concatenate([np.zeros((n_eval, eval_eta.shape[1])),
-                             np.ones((n_eval, eval_eta.shape[1]))])
-    hist = reliability(eval_eta.ravel(), eval_y.ravel(), cfg.bins)
+    pair = evaluate_pair(pipeline, x_test, test.y, perturb_cfg)
+    if localization:
+        eta = _pixel_estimates(pipeline, _tile_heatmaps(pipeline, x_eval)).ravel()
+    else:
+        eta = pipeline.calibrated(x_eval)[1]
+    hist = reliability(eta, np.repeat([0, 1], len(eta) // 2), cfg.bins)
     row = {
         "class_id": class_id,
         "method": method,
@@ -511,11 +530,16 @@ def _tiles_row(cfg, method, class_id, pipeline, x_test, y_test, masks,
         "auroc_perturbed": pair.auroc_after,
         "mce": mce(hist),
         "ece": ece(hist),
-        "aupro": aupro(list(maps_before), list(masks)),
-        "aupro_perturbed": aupro(list(maps_after), list(masks)),
-        "pixel_auroc": pixel_auroc(list(maps_before), list(masks)),
-        "pixel_auroc_perturbed": pixel_auroc(list(maps_after), list(masks)),
     }
+    if not localization:
+        return row, hist, pair.deltas, None
+    maps_before = _tile_heatmaps(pipeline, x_test)
+    maps_after = _tile_heatmaps(pipeline, perturb_batch(pipeline, x_test, perturb_cfg))
+    masks = list(test.masks)
+    row["aupro"] = aupro(list(maps_before), masks)
+    row["aupro_perturbed"] = aupro(list(maps_after), masks)
+    row["pixel_auroc"] = pixel_auroc(list(maps_before), masks)
+    row["pixel_auroc_perturbed"] = pixel_auroc(list(maps_after), masks)
     return row, hist, pair.deltas, maps_before
 
 
@@ -577,15 +601,9 @@ def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
                                     image_shape=image_shape)
     x_normal = x_test[test.y == 0]
     n_eval = min(len(x_normal), len(pools["eval"]))
-    evals = (x_normal[:n_eval], pools["eval"][:n_eval])
-    if localization:
-        row, hist, deltas, heatmaps = _tiles_row(
-            cfg, method, dataset["class_id"], pipeline, x_test, test.y, test.masks,
-            *evals)
-    else:
-        row, hist, deltas = _detection_row(cfg, method, dataset["class_id"],
-                                           pipeline, x_test, test.y, *evals)
-        heatmaps = None
+    x_eval = np.concatenate([x_normal[:n_eval], pools["eval"][:n_eval]])
+    row, hist, deltas, heatmaps = _evaluate(cfg, method, dataset["class_id"], pipeline,
+                                            x_test, test, localization, x_eval)
     return _Arm(row, hist, deltas, fitted, pipeline, heatmaps)
 
 

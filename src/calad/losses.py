@@ -1,10 +1,9 @@
-"""Binary class-probability-estimation losses, links, and propriety probes.
+"""Binary class-probability-estimation losses and propriety probes.
 
 A binary CPE loss is a pair of partial losses over the probability estimate:
 ``loss(y, eta_hat) = y * partial_1(eta_hat) + (1 - y) * partial_0(eta_hat)``.
-Composite losses additionally carry an invertible link mapping estimates to
-an unbounded prediction (score) space, so raw model outputs can feed the
-probability-space loss.
+The scorer-side losses (logistic, hsc, pseudo-Huber) act on unbounded
+scores; the registry reads them in estimate units for the propriety probes.
 
 Propriety of a loss is probed numerically: a proper loss has a vanishing
 stationarity residual ``(1 - eta) * partial_0'(eta) + eta * partial_1'(eta)``
@@ -14,7 +13,7 @@ positive second derivative of the conditional risk on its diagonal.
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -45,23 +44,6 @@ def logit(eta_hat):
         bad = e[(e <= 0.0) | (e >= 1.0)].ravel()[0]
         raise ValueError(f"logit is undefined at {bad!r}; need 0 < value < 1")
     out = np.log(e) - np.log1p(-e)
-    return out if out.ndim else float(out)
-
-
-def link_pair(value, direction: str):
-    """Evaluate the canonical sigmoid/logit link pair in either direction."""
-    if direction == "to_prob":
-        return sigmoid(value)
-    if direction == "to_logit":
-        return logit(value)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def log_loss(y, eta_hat, eps: float = EPS_CLAMP):
-    """-y ln(eta_hat) - (1 - y) ln(1 - eta_hat) with estimates clamped."""
-    y = np.asarray(y, dtype=float)
-    e = clamp_probability(np.asarray(eta_hat, dtype=float), eps)
-    out = -y * np.log(e) - (1.0 - y) * np.log1p(-e)
     return out if out.ndim else float(out)
 
 
@@ -101,74 +83,26 @@ def pseudo_huber(sq_norm):
     return out if out.ndim else float(out)
 
 
-def svdd_score(embedding, center):
-    """Squared Euclidean distance of an embedding to the hypersphere center.
-
-    Doubles as the logit of the induced probability estimate. Supports a
-    batch leading axis on ``embedding``.
-    """
-    e = np.asarray(embedding, dtype=float)
-    c = np.asarray(center, dtype=float)
-    if e.shape[-1] != c.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: embedding has {e.shape[-1]}, center has {c.shape[-1]}")
-    out = np.sum((e - c) ** 2, axis=-1)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class LossSpec:
-    """A binary CPE or composite loss.
-
-    ``partial_0`` and ``partial_1`` act on probability estimates; losses
-    used only for scorer training may omit them. ``link`` maps estimates
-    into the loss's score space and ``link_inv`` maps back.
-    """
+    """A binary CPE loss given by its partial losses, which act on
+    probability estimates."""
 
     name: str
-    partial_0: Optional[Callable] = None
-    partial_1: Optional[Callable] = None
-    link: Optional[Callable] = None
-    link_inv: Optional[Callable] = None
-    supervised: bool = True
+    partial_0: Callable
+    partial_1: Callable
 
     def __call__(self, y, eta_hat):
-        if self.partial_0 is None or self.partial_1 is None:
-            raise ValueError(f"loss {self.name!r} has no partial-loss decomposition")
         y = np.asarray(y, dtype=float)
         out = y * self.partial_1(eta_hat) + (1.0 - y) * self.partial_0(eta_hat)
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class RiskDecomposition:
-    entropy_term: float
-    calibration_term: float
-
-    @property
-    def total(self) -> float:
-        return self.entropy_term + self.calibration_term
-
-
 def conditional_risk(eta, eta_hat, loss: LossSpec):
     """eta * partial_1(eta_hat) + (1 - eta) * partial_0(eta_hat)."""
-    if loss.partial_0 is None or loss.partial_1 is None:
-        raise ValueError(f"loss {loss.name!r} has no partial-loss decomposition")
     eta = np.asarray(eta, dtype=float)
     out = eta * loss.partial_1(eta_hat) + (1.0 - eta) * loss.partial_0(eta_hat)
     return out if out.ndim else float(out)
-
-
-def risk_decomposition(eta, eta_hat, loss: LossSpec) -> RiskDecomposition:
-    """Split the conditional risk into its entropy and calibration terms.
-
-    The entropy term is the risk on the diagonal; the calibration term is
-    the excess over it, which is nonnegative exactly when the loss is
-    proper. Their sum reproduces the conditional risk by construction.
-    """
-    entropy = conditional_risk(eta, eta, loss)
-    excess = conditional_risk(eta, eta_hat, loss) - entropy
-    return RiskDecomposition(entropy_term=float(entropy), calibration_term=float(excess))
 
 
 def check_stationarity(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.ndarray:
@@ -179,8 +113,6 @@ def check_stationarity(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.ndarr
     the finite-difference noise floor; improper losses do not. Non-finite
     derivatives surface as NaN entries rather than raising.
     """
-    if loss.partial_0 is None or loss.partial_1 is None:
-        raise ValueError(f"loss {loss.name!r} has no partial-loss decomposition")
     grid = np.asarray(eta_grid, dtype=float)
     if np.any((grid <= 0.0) | (grid >= 1.0)):
         raise ValueError("stationarity grid must lie strictly inside (0, 1)")
@@ -229,14 +161,6 @@ def _logistic_partial_1(eta_hat):
     return logistic_loss(1, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))
 
 
-def _hsc_link(eta_hat):
-    return -np.log1p(-np.asarray(eta_hat, dtype=float))
-
-
-def _hsc_link_inv(v):
-    return -np.expm1(-np.asarray(v, dtype=float))
-
-
 def _hsc_probe_partial_0(eta_hat):
     # The normal-class penalty is the raw score, which keeps unit slope when
     # read in estimate units; pairing it with the log anomalous partial is
@@ -246,11 +170,6 @@ def _hsc_probe_partial_0(eta_hat):
 
 REGISTRY = {
     "log": LossSpec("log", _log_partial_0, _log_partial_1),
-    "logistic": LossSpec("logistic", _logistic_partial_0, _logistic_partial_1,
-                         link=logit, link_inv=sigmoid),
-    "hsc": LossSpec("hsc", _hsc_probe_partial_0, _log_partial_1,
-                    link=_hsc_link, link_inv=_hsc_link_inv),
-    "svdd": LossSpec("svdd", link=logit, link_inv=sigmoid, supervised=False),
-    "fcdd": LossSpec("fcdd", link=_hsc_link, link_inv=_hsc_link_inv),
-    "ssim": LossSpec("ssim", supervised=False),
+    "logistic": LossSpec("logistic", _logistic_partial_0, _logistic_partial_1),
+    "hsc": LossSpec("hsc", _hsc_probe_partial_0, _log_partial_1),
 }

@@ -154,13 +154,6 @@ def aupro(heatmaps, masks, fpr_cap: float = 0.3) -> float:
     return float(_integrate_to_cap(fpr, pro, fpr_cap))
 
 
-def kappa_improvement(auroc_0: float, auroc_p: float) -> float:
-    """(AUROC_p - AUROC_0) / (1 - AUROC_0); NaN when the base is perfect."""
-    if auroc_0 >= 1.0:
-        return float("nan")
-    return (auroc_p - auroc_0) / (1.0 - auroc_0)
-
-
 def spearman(xs, ys) -> float:
     """Pearson correlation of midranks; NaN when either rank vector is
     constant, NumericalError on non-finite input."""

@@ -30,10 +30,6 @@ class PairReport:
     auroc_after: float
     deltas: np.ndarray  # columns: id, loss_before, loss_after, score_before, score_after
 
-    @property
-    def kappa(self) -> float:
-        return metrics.kappa_improvement(self.auroc_before, self.auroc_after)
-
 
 def perturb(x, grad, cfg: PerturbConfig) -> np.ndarray:
     """x - eps * sgn(grad), elementwise."""

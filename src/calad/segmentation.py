@@ -1,5 +1,5 @@
-"""Pixel-wise localization machinery: SSIM maps, feature heatmaps,
-Gaussian upsampling, and pixel-wise aggregation of a reference loss.
+"""Pixel-wise localization machinery: SSIM maps, feature heatmaps and
+Gaussian upsampling.
 
 Images are (channels, height, width) float arrays; heatmaps and masks are
 2-D. SSIM statistics are plain (population) window means, so the sliding
@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import box_sum_valid, upsample_scatter
-from .losses import LossSpec
-
-LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 
 @dataclass(frozen=True)
@@ -43,34 +40,6 @@ class SsimLoss:
     loss: float             # one per image (an array) for an (n, h, w) stack
     similarity: np.ndarray  # S map, same height/width as the inputs
     estimates: np.ndarray   # per-pixel (1 - S) / 2
-
-
-def grayscale(image: np.ndarray) -> np.ndarray:
-    """Collapse a (c, h, w) image to 2-D luminance."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim == 2:
-        return img
-    if img.shape[0] == 1:
-        return img[0]
-    if img.shape[0] == 3:
-        return np.tensordot(np.asarray(LUMA_WEIGHTS), img, axes=1)
-    return img.mean(axis=0)
-
-
-def ssim_patch(p, q, c1: float, c2: float) -> float:
-    """SSIM of two equally shaped patches; 1 for identical patches."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"patch shapes differ: {p.shape} vs {q.shape}")
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("stabilizers c1, c2 must be positive")
-    mp, mq = p.mean(), q.mean()
-    vp = np.mean(p * p) - mp * mp
-    vq = np.mean(q * q) - mq * mq
-    cov = np.mean(p * q) - mp * mq
-    return float(((2 * mp * mq + c1) * (2 * cov + c2))
-                 / ((mp * mp + mq * mq + c1) * (vp + vq + c2)))
 
 
 def _pad(img: np.ndarray, pad: int, value: float) -> np.ndarray:
@@ -162,15 +131,6 @@ def ssim_loss(x, recon, cfg: SsimConfig = SsimConfig()) -> SsimLoss:
                     estimates=(1.0 - s) / 2.0)
 
 
-def ssim_loss_grad(x, recon, cfg: SsimConfig = SsimConfig()):
-    """ssim_loss value plus its gradients with respect to both images."""
-    x = np.asarray(x, dtype=float)
-    res = ssim_loss(x, recon, cfg)
-    ds = np.full(x.shape, -1.0 / (x.shape[-2] * x.shape[-1]))
-    dx, drecon = ssim_map_backward(x, recon, ds, cfg)
-    return res, dx, drecon
-
-
 def fcdd_heatmap(features: np.ndarray) -> np.ndarray:
     """Element-wise pseudo-Huber heatmap sqrt(f^2 + 1) - 1 of a feature map."""
     f = np.asarray(features, dtype=float)
@@ -216,16 +176,3 @@ def gaussian_upsample(heatmap, out_h: int, out_w: int, sigma: float) -> np.ndarr
     margin_w = full.shape[-1] - out_w
     top, left = margin_h // 2, margin_w // 2
     return full[..., top:top + out_h, left:left + out_w]
-
-
-def pixelwise_loss(masks, estimates, reference: LossSpec) -> float:
-    """Average of the reference CPE loss over pixels.
-
-    Inherits (strict) propriety from the reference loss, since the mean of
-    element-wise (strictly) proper losses is (strictly) proper.
-    """
-    y = np.asarray(masks, dtype=float)
-    e = np.asarray(estimates, dtype=float)
-    if y.shape != e.shape:
-        raise ValueError(f"shape mismatch: masks {y.shape} vs estimates {e.shape}")
-    return float(np.mean(reference(y.ravel(), e.ravel())))

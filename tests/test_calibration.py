@@ -6,11 +6,12 @@ from calad.calibration import (BetaParams, HeadParams, OptimizerConfig,
                                PlattParams, beta_transform, calibrated_logit,
                                ece, fit_beta,
                                fit_head, fit_platt, fitting_digest,
-                               head_transform, load_calibrator, mce, minimize,
+                               load_calibrator, mce, minimize,
                                platt_transform, reliability, save_calibrator)
 from calad.errors import DataError, NumericalError
 from calad.losses import logistic_loss, logit, sigmoid
 from calad.metrics import auroc
+from calad.scorer import LossPipeline, MlpSpec, ScorerState
 
 mp.dps = 40
 
@@ -125,26 +126,29 @@ class TestCalibratedLogit:
             calibrated_logit(HeadParams(np.ones(2), 0.0), np.zeros(3))
 
 
+def head_pipeline(head):
+    """The calibration head over an identity scorer, so rows are features."""
+    d = len(head.weights)
+    state = ScorerState(MlpSpec((d, d)), [np.eye(d)], [np.zeros(d)])
+    return LossPipeline(state, "logistic", head=head)
+
+
 class TestHeadTransform:
     def test_zero_head(self):
-        z, eta = head_transform(np.array([1.0, -2.0]), HeadParams(np.zeros(2), 0.0))
-        assert z == 0.0 and eta == 0.5
+        z, eta = head_pipeline(HeadParams(np.zeros(2), 0.0)).calibrated(
+            np.array([[1.0, -2.0]]))
+        assert z[0] == 0.0 and eta[0] == 0.5
 
     def test_linearity_in_feature(self):
-        w = HeadParams(np.array([2.0, 0.0]), 0.0)
-        z1, _ = head_transform(np.array([1.0, 5.0]), w)
-        z2, _ = head_transform(np.array([2.0, -3.0]), w)
+        pipeline = head_pipeline(HeadParams(np.array([2.0, 0.0]), 0.0))
+        z1, z2 = pipeline.logits(np.array([[1.0, 5.0], [2.0, -3.0]]))
         assert z2 == pytest.approx(2 * z1)
 
     def test_hand_case(self):
-        z, eta = head_transform(np.array([0.5, 0.5, 0.25]),
-                                HeadParams(np.array([1.0, -1.0, 2.0]), 0.5))
-        assert z == pytest.approx(1.0, abs=1e-14)
-        assert eta == pytest.approx(float(1 / (1 + mp.exp(-1))), abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            head_transform(np.ones(3), HeadParams(np.ones(2), 0.0))
+        z, eta = head_pipeline(HeadParams(np.array([1.0, -1.0, 2.0]), 0.5)).calibrated(
+            np.array([[0.5, 0.5, 0.25]]))
+        assert z[0] == pytest.approx(1.0, abs=1e-14)
+        assert eta[0] == pytest.approx(float(1 / (1 + mp.exp(-1))), abs=1e-14)
 
 
 class TestFitPlatt:
@@ -230,15 +234,14 @@ class TestFitHead:
         feats = np.vstack([f0, f1])
         y = np.concatenate([np.zeros(200), np.ones(200)])
         params = fit_head(feats, y)
-        z, _ = head_transform(feats, params)
-        assert auroc(z, y) == 1.0
+        assert auroc(feats @ params.weights + params.bias, y) == 1.0
 
     def test_constant_features_recover_prior(self):
         rng = np.random.default_rng(51)
         feats = np.ones((1000, 3)) * 0.4
         y = (rng.random(1000) < 0.3).astype(int)
         params = fit_head(feats, y)
-        _, eta = head_transform(feats, params)
+        eta = sigmoid(feats @ params.weights + params.bias)
         assert np.allclose(eta, y.mean(), atol=1e-6)
         assert ece(reliability(eta, y, 15)) < 0.05
 

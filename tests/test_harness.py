@@ -14,9 +14,9 @@ import calad
 from calad.cli import _read_score_csv, main as cli_main
 from calad.errors import ConfigError, DataError
 from calad.harness import (ExperimentConfig, METHOD_LABELS, _anomaly_pools,
-                           fit_normalizer, load_config_file, merge_config,
-                           normalize, prepare_resize, run_experiment, split)
-from calad.tensorio import save_tensor
+                           _dir_dataset, fit_normalizer, load_config_file,
+                           merge_config, normalize, run_experiment, split)
+from calad.tensorio import save_tensor, write_pgm
 
 FAST = dict(epochs=2, learning_rate=1e-3, batch_size=64)
 
@@ -315,13 +315,75 @@ class TestRunExperiment:
         assert heatmaps
 
 
-class TestResizeStub:
-    def test_matching_shapes_pass(self):
-        assert prepare_resize((16, 16), (16, 16)) == (16, 16)
+def write_tile_dirs(root, train_shape, test_shape, mask_shape, n_train=2):
+    """A training directory of random tiles and a test directory holding
+    one tile with an all-anomalous mask."""
+    rng = np.random.default_rng(0)
+    train, test = root / "train", root / "test"
+    train.mkdir()
+    test.mkdir()
+    for i in range(n_train):
+        save_tensor(train / f"t{i:03d}.calt", rng.uniform(size=train_shape))
+    save_tensor(test / "a.calt", rng.uniform(size=test_shape))
+    write_pgm(test / "a.pgm", np.ones(mask_shape))
+    return train, test
 
-    def test_resize_request_rejected(self):
-        with pytest.raises(DataError):
-            prepare_resize((32, 32), (16, 16))
+
+class TestResizeStub:
+    """Tiles are used at their stored size; nothing is resized."""
+
+    def test_matching_shapes_pass(self, tmp_path):
+        train, test = write_tile_dirs(tmp_path, (1, 8, 8), (8, 8), (8, 8))
+        data = _dir_dataset(train, test)["data"]
+        assert data.train_images.shape == (2, 1, 8, 8)
+        assert data.test_images.shape == (1, 1, 8, 8)
+        assert data.test_masks.shape == (1, 8, 8)
+
+    def test_resize_request_rejected(self, tmp_path):
+        train, test = write_tile_dirs(tmp_path, (1, 8, 8), (1, 16, 16), (16, 16))
+        with pytest.raises(DataError, match="a.calt"):
+            _dir_dataset(train, test)
+
+
+class TestTileShapes:
+    def run(self, tmp_path, train, test, *flags):
+        return cli_main(["run", "--normal", str(train), "--masks-dir", str(test),
+                         "--seeds", "0", "--epochs", "1", "--batch-size", "16",
+                         "--out", str(tmp_path / "out"), *flags])
+
+    @pytest.mark.parametrize("test_shape,mask_shape,bad", [
+        ((3, 8, 8), (8, 8), "a.calt"), ((1, 8, 8), (6, 6), "a.pgm")],
+        ids=["channels", "mask-size"])
+    def test_masks_dir_shape_mismatch_exits_2(self, tmp_path, capsys, test_shape,
+                                              mask_shape, bad):
+        train, test = write_tile_dirs(tmp_path, (1, 8, 8), test_shape, mask_shape)
+        assert self.run(tmp_path, train, test, "--loss", "fcdd") == 2
+        assert str(test / bad) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--loss", "ssim"], ["--loss", "fcdd", "--anomaly-source", "spectral"]],
+        ids=" ".join)
+    def test_multichannel_ssim_or_spectral_exits_2(self, tmp_path, capsys, flags):
+        train, test = write_tile_dirs(tmp_path, (3, 8, 8), (3, 8, 8), (8, 8))
+        assert self.run(tmp_path, train, test, *flags) == 2
+        err = capsys.readouterr().err
+        assert "3 channels" in err and "single-channel" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_multichannel_fcdd_with_oe_runs(self, tmp_path):
+        rng = np.random.default_rng(1)
+        train, test = write_tile_dirs(tmp_path, (3, 16, 16), (3, 16, 16), (16, 16),
+                                      n_train=8)
+        normal = test / "b.calt"
+        save_tensor(normal, rng.uniform(size=(3, 16, 16)))
+        write_pgm(normal.with_suffix(".pgm"), np.zeros((16, 16)))
+        oe = tmp_path / "oe"
+        oe.mkdir()
+        save_tensor(oe / "pool.calt", rng.uniform(size=(12, 3, 16, 16)))
+        assert self.run(tmp_path, train, test, "--loss", "fcdd",
+                        "--anomaly-source", "oe", "--oe-dir", str(oe)) == 0
+        assert (tmp_path / "out" / "summary.csv").exists()
 
 
 class TestCli:
@@ -380,7 +442,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["run", "--bins", "0"], ["run", "--batch-size", "0"],
         ["run", "--learning-rate", "-1"], ["run", "--learning-rate", "nan"],
-        ["run", "--epochs", "-1"],
+        ["run", "--epochs", "-1"], ["run", "--seeds", "-1"], ["run", "--seeds", "0,-1"],
+        ["run", "--epsilon", "nan"],
         ["eval", "--bins", "0"], ["eval", "--bins", "-1"]], ids=" ".join)
     def test_bad_setting_is_config_error_before_work(self, tmp_path, capsys, argv):
         scores = tmp_path / "scores.csv"
@@ -396,12 +459,24 @@ class TestCli:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("doc", [
+        {"seeds": 5}, {"seeds": [-1]}, {"seeds": [0.5]}, {"epochs": "a"},
+        {"split_ratio": None}, {"milestones": [3, 1]}, {"normal": 5}], ids=json.dumps)
+    def test_bad_config_file_value_is_config_error_before_work(self, tmp_path, capsys,
+                                                               doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_data_exit_code(self, tmp_path, capsys):
         rc = cli_main(["eval", str(tmp_path / "nope.csv")])
         assert rc == 2
 
     @pytest.mark.parametrize("flags", [["--height", "1"], ["--channels", "0"],
-                                       ["--count", "-1"]], ids=" ".join)
+                                       ["--count", "-1"], ["--seed", "-1"]], ids=" ".join)
     def test_synth_bad_size_is_config_error_before_writing(self, tmp_path, capsys,
                                                            flags):
         out = tmp_path / "out"
@@ -419,6 +494,16 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_run_non_finite_normal_csv_exits_2(self, tmp_path, capsys, cell):
+        path = tmp_path / "normal.csv"
+        path.write_text(f"0.1,0.2\n0.3,{cell}\n0.5,0.6\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--normal", str(path), "--seeds", "0",
+                         "--out", str(out)]) == 2
+        assert f"{path}: data row 2 holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_normal_dir_of_mixed_shapes_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train"

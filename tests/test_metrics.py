@@ -7,7 +7,7 @@ from scipy import ndimage
 from scipy.stats import rankdata
 
 from calad.errors import DataError, NumericalError
-from calad.metrics import (_midranks, aupro, auroc, kappa_improvement, mask_regions,
+from calad.metrics import (_midranks, aupro, auroc, mask_regions,
                            pixel_auroc, spearman)
 
 # one 4-connected path that turns at each end of every other row
@@ -167,22 +167,6 @@ class TestAupro:
         assert len(regions) == n
         for r, region in enumerate(regions, start=1):
             assert np.array_equal(region, labeled == r)
-
-
-class TestKappa:
-    def test_half_recovered(self):
-        assert kappa_improvement(0.8, 0.9) == pytest.approx(0.5)
-
-    def test_no_change(self):
-        assert kappa_improvement(0.6, 0.6) == 0.0
-
-    def test_reported_scale(self):
-        # arithmetic on a published-style AUROC pair
-        assert kappa_improvement(0.7265, 0.7792) == pytest.approx(
-            (0.7792 - 0.7265) / (1 - 0.7265), abs=1e-12)
-
-    def test_perfect_base_undefined(self):
-        assert np.isnan(kappa_improvement(1.0, 1.0))
 
 
 def rankdata_auroc(scores, labels):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from calad.calibration import PlattParams
-from calad.perturbation import (PairReport, PerturbConfig, evaluate_pair,
-                                perturb, perturb_batch)
+from calad.perturbation import PerturbConfig, evaluate_pair, perturb, perturb_batch
 from calad.scorer import LossPipeline, MlpSpec, init_scorer
 
 from test_scorer import ARCHITECTURES, assert_matches_per_row, make_pipeline
@@ -143,8 +142,3 @@ class TestEvaluatePair:
         # same direction but damped by the temperature
         assert np.allclose(np.sign(g_plain), np.sign(g_scaled))
         assert np.all(np.abs(g_scaled) < np.abs(g_plain))
-
-    def test_kappa_exposed(self):
-        report = PairReport(auroc_before=0.8, auroc_after=0.9,
-                            deltas=np.zeros((1, 5)))
-        assert report.kappa == pytest.approx(0.5)
