@@ -54,6 +54,8 @@ METHOD_LABELS = {
 
 BUILTIN_DATASETS = ("builtin:gauss2d", "builtin:gauss2d-basin", "builtin:tiles")
 
+LOCALIZING_LOSSES = ("ssim", "fcdd")  # the losses with a pixel heatmap
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -381,33 +383,38 @@ def _spectral_tabular(n: int, d: int, seed: int, box_lo, box_hi) -> np.ndarray:
     return (lo - pad) + flat * (hi - lo + 2 * pad)
 
 
+POOL_KEYS = ("train", "calib", "eval")
+
+
 def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
-                   n_each: int):
-    """Three disjoint normalized pools: training, calibration, evaluation."""
+                   n_each: int, keys=POOL_KEYS):
+    """Disjoint normalized pools of synthetic anomalies, one per key of
+    POOL_KEYS listed in `keys`: training, calibration, evaluation. A
+    pool's draw depends on its key alone, so skipping one moves no other."""
+    d = len(np.atleast_1d(stats[0]))
     if cfg.anomaly_source == "oe":
         pool = _load_oe_dir(cfg.oe_dir)
+        if pool.shape[1] != d:
+            raise DataError(f"{cfg.oe_dir}: OE samples are {pool.shape[1]} values wide, "
+                            f"but the data rows are {d} wide")
         if len(pool) < 3:
             raise DataError("OE pool must hold at least three samples")
         perm = np.random.default_rng(seed + 101).permutation(len(pool))
-        thirds = np.array_split(perm, 3)
-        parts = [normalize(pool[t], stats) for t in thirds]
-        return {"train": parts[0], "calib": parts[1], "eval": parts[2]}
-    # spectral
+        thirds = dict(zip(POOL_KEYS, np.array_split(perm, 3)))
+        return {key: normalize(pool[thirds[key]], stats) for key in keys}
+    seeds = {key: seed * 3 + 211 + i for i, key in enumerate(POOL_KEYS)}
     image_shape = _image_shape(dataset)
     if image_shape is not None:
         h, w = image_shape
         pools = {}
-        for i, key in enumerate(("train", "calib", "eval")):
-            images, _ = synthesize_batch(
-                SpectralConfig(h, w, seed=seed * 3 + 211 + i), n_each)
+        for key in keys:
+            images, _ = synthesize_batch(SpectralConfig(h, w, seed=seeds[key]), n_each)
             pools[key] = normalize(images.reshape(n_each, -1), stats)
         return pools
-    mu, sd = stats
-    d = len(np.atleast_1d(mu))
     box_lo = np.full(d, -2.5)
     box_hi = np.full(d, 2.5)
-    return {key: _spectral_tabular(n_each, d, seed * 3 + 211 + i, box_lo, box_hi)
-            for i, key in enumerate(("train", "calib", "eval"))}
+    return {key: _spectral_tabular(n_each, d, seeds[key], box_lo, box_hi)
+            for key in keys}
 
 
 # -- model construction ---------------------------------------------------
@@ -567,21 +574,24 @@ class _Arm(NamedTuple):
 
 def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
              seed: int, normal, calib=None) -> _Arm:
-    """Normalize with `normal`'s statistics, draw anomaly pools, train the
-    base scorer on `normal`, fit cfg.calibrator on `calib` if given, and
-    evaluate on the test set. Without `calib` this is the fully trained
-    baseline."""
+    """Normalize with `normal`'s statistics, draw the anomaly pools the
+    arm reads, train the base scorer on `normal`, fit cfg.calibrator on
+    `calib` if given, and evaluate on the test set. Without `calib` this
+    is the fully trained baseline."""
     method = BASELINE if calib is None else cfg.method_label
     image_shape = _image_shape(dataset)
     stats = fit_normalizer(normal)
     n_each = max(64, len(normal) // 2 if calib is None else len(calib))
-    pools = _anomaly_pools(cfg, dataset, seed, stats, n_each=n_each)
+    reads = {"train": cfg.loss in SUPERVISED_LOSSES, "calib": calib is not None,
+             "eval": True}
+    pools = _anomaly_pools(cfg, dataset, seed, stats, n_each=n_each,
+                           keys=[key for key in POOL_KEYS if reads[key]])
     x_train = normalize(normal, stats)
     x_test = normalize(test.x, stats)
     ssim_cfg = None
     if image_shape is not None:
         ssim_cfg = SsimConfig(pad_value=float(x_train.mean()))
-    state, center = _train_base(cfg, x_train, pools["train"], seed,
+    state, center = _train_base(cfg, x_train, pools.get("train"), seed,
                                 image_shape, ssim_cfg)
     pipeline = LossPipeline(state, cfg.loss, center=center, ssim_cfg=ssim_cfg,
                             image_shape=image_shape)
@@ -632,6 +642,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # the calibration head is a detection-only method, so its runs keep the
     # detection row schema even on mask-bearing data
     localization = dataset["kind"] == "tiles" and cfg.calibrator != "head"
+    if localization and cfg.loss not in LOCALIZING_LOSSES:
+        raise ConfigError(
+            f"loss {cfg.loss!r} gives no pixel heatmap; on tiles only "
+            f"{' and '.join(LOCALIZING_LOSSES)} localize, or use --calibrator head")
     normal, test = _normal_and_test(dataset)
     per_seed, deltas, first = [], {}, None
     for seed in cfg.seeds:

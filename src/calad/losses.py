@@ -92,14 +92,10 @@ class LossSpec:
     partial_0: Callable
     partial_1: Callable
 
-    def __call__(self, y, eta_hat):
-        y = np.asarray(y, dtype=float)
-        out = y * self.partial_1(eta_hat) + (1.0 - y) * self.partial_0(eta_hat)
-        return out if out.ndim else float(out)
-
 
 def conditional_risk(eta, eta_hat, loss: LossSpec):
-    """eta * partial_1(eta_hat) + (1 - eta) * partial_0(eta_hat)."""
+    """eta * partial_1(eta_hat) + (1 - eta) * partial_0(eta_hat); at a
+    label eta = y in {0, 1} this is the loss of one sample."""
     eta = np.asarray(eta, dtype=float)
     out = eta * loss.partial_1(eta_hat) + (1.0 - eta) * loss.partial_0(eta_hat)
     return out if out.ndim else float(out)

@@ -126,18 +126,21 @@ def _pro_curve(heatmaps, masks):
 
 
 def _integrate_to_cap(fpr, pro, cap: float) -> float:
-    area = 0.0
-    for i in range(1, len(fpr)):
-        x0, x1 = fpr[i - 1], fpr[i]
-        y0, y1 = pro[i - 1], pro[i]
-        if x1 <= cap:
-            area += (x1 - x0) * (y0 + y1) / 2.0
-        elif x0 < cap:
-            y_cap = y0 + (y1 - y0) * (cap - x0) / (x1 - x0)
-            area += (cap - x0) * (y0 + y_cap) / 2.0
-            break
-        else:
-            break
+    """Trapezoid area under the (fpr, pro) curve from 0 to cap, over cap.
+
+    fpr is nondecreasing. The whole segments up to the last point at or
+    below the cap are summed left to right by a running sum; then the
+    segment that crosses the cap adds its part below the cap.
+    """
+    k = int(np.searchsorted(fpr, cap, side="right"))  # points at or below cap
+    x0, x1 = fpr[:k - 1], fpr[1:k]
+    y0, y1 = pro[:k - 1], pro[1:k]
+    area = np.cumsum((x1 - x0) * (y0 + y1) / 2.0)[-1] if k > 1 else 0.0
+    if 0 < k < len(fpr) and fpr[k - 1] < cap:
+        x0, x1 = fpr[k - 1], fpr[k]
+        y0, y1 = pro[k - 1], pro[k]
+        y_cap = y0 + (y1 - y0) * (cap - x0) / (x1 - x0)
+        area += (cap - x0) * (y0 + y_cap) / 2.0
     return area / cap
 
 

@@ -155,9 +155,9 @@ def _forward_cache(state, x):
     return a, caches
 
 
-def _backprop(state, caches, d_out):
+def _backprop(state, caches, d_out, input_grad=True):
     """Gradients of sum(d_out * output) wrt the parameters, summed over
-    the batch, and wrt each input row."""
+    the batch, and wrt each input row (None unless input_grad)."""
     g = np.asarray(d_out, dtype=float)
     w_grads = [None] * state.n_layers
     b_grads = [None] * state.n_layers
@@ -168,7 +168,7 @@ def _backprop(state, caches, d_out):
         w_grads[i] = a_in.T @ dz
         if state.biases[i] is not None:
             b_grads[i] = dz.sum(axis=0)
-        g = dz @ state.weights[i].T
+        g = dz @ state.weights[i].T if i or input_grad else None
     for i, frozen in enumerate(state.frozen):
         if frozen:
             w_grads[i] = np.zeros_like(w_grads[i])
@@ -359,7 +359,8 @@ class LossPipeline:
     def loss_and_param_grad(self, x, y):
         """Mean loss over a batch and its flat parameter gradient."""
         loss, caches, d_out, _ = self._loss_and_output_grad(x, y)
-        w_grads, b_grads, _ = _backprop(self.state, caches, d_out / len(loss))
+        w_grads, b_grads, _ = _backprop(self.state, caches, d_out / len(loss),
+                                        input_grad=False)
         return float(np.mean(loss)), _flatten_grads(self.state, w_grads, b_grads)
 
 
@@ -375,14 +376,27 @@ class _Adam:
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
+        self._a = np.empty(n)
+        self._b = np.empty(n)
 
     def step(self, params, grad, lr_scale=1.0):
+        """Update params, m and v in place."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        mhat = self.m / (1 - self.beta1 ** self.t)
-        vhat = self.v / (1 - self.beta2 ** self.t)
-        return params - self.lr * lr_scale * mhat / (np.sqrt(vhat) + self.eps)
+        a, b = self._a, self._b
+        # m = beta1 * m + (1 - beta1) * grad
+        self.m *= self.beta1
+        self.m += np.multiply(1 - self.beta1, grad, out=a)
+        # v = beta2 * v + (1 - beta2) * grad * grad
+        self.v *= self.beta2
+        np.multiply(1 - self.beta2, grad, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        # params -= lr * lr_scale * mhat / (sqrt(vhat) + eps)
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=a)
+        a *= self.lr * lr_scale
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        params -= np.divide(a, b, out=a)
 
 
 def train(state: ScorerState, x, labels, cfg: TrainConfig,
@@ -412,6 +426,7 @@ def train(state: ScorerState, x, labels, cfg: TrainConfig,
                         image_shape=image_shape)
     rng = np.random.default_rng(cfg.seed)
     adam = _Adam(new.n_params(), cfg.learning_rate)
+    params = new.get_flat()
     half = max(1, cfg.batch_size // 2)
 
     for epoch in range(cfg.epochs):
@@ -429,7 +444,8 @@ def train(state: ScorerState, x, labels, cfg: TrainConfig,
                 yb = np.concatenate([np.zeros(len(order[take])),
                                      np.ones(len(resampled[take]))])
                 loss, grad = pipe.loss_and_param_grad(x[batch], yb)
-                new.set_flat(adam.step(new.get_flat(), grad, lr_scale))
+                adam.step(params, grad, lr_scale)
+                new.set_flat(params)
                 epoch_loss += loss
                 n_batches += 1
         else:
@@ -437,7 +453,8 @@ def train(state: ScorerState, x, labels, cfg: TrainConfig,
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 loss, grad = pipe.loss_and_param_grad(x[batch], np.zeros(len(batch)))
-                new.set_flat(adam.step(new.get_flat(), grad, lr_scale))
+                adam.step(params, grad, lr_scale)
+                new.set_flat(params)
                 epoch_loss += loss
                 n_batches += 1
         logger.info("epoch %d: mean training loss %.6f", epoch,

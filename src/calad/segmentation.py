@@ -4,16 +4,16 @@ Gaussian upsampling.
 Images are (channels, height, width) float arrays; heatmaps and masks are
 2-D. SSIM statistics are plain (population) window means, so the sliding
 map reduces to box filters over constant-padded inputs, and its adjoint is
-the transposed box filter. The SSIM functions and the Gaussian upsampling
-also take (n, height, width) stacks and treat each image exactly as a
-single 2-D call would.
+the transposed box filter on the unpadded pixels. The SSIM functions and
+the Gaussian upsampling also take (n, height, width) stacks and treat each
+image exactly as a single 2-D call would.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import box_sum_valid, upsample_scatter
+from ._kernels import box_sum_adjoint, box_sum_valid, upsample_scatter
 
 
 @dataclass(frozen=True)
@@ -78,24 +78,18 @@ def ssim_map(p: np.ndarray, q: np.ndarray, cfg: SsimConfig = SsimConfig()) -> np
     return (a * b) / (c * d)
 
 
-def _box_adjoint(grid: np.ndarray, window: int) -> np.ndarray:
-    # transpose of the valid-mode box sum: full-mode box sum
-    return box_sum_valid(_pad(grid, window - 1, 0.0), window)
-
-
 def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
     """Gradients of sum(ds * S(p, q)) with respect to p and q, image by
     image for (n, h, w) stacks.
 
-    The constant pad border carries no gradient, so the adjoint crops back
-    to the input extent.
+    The constant pad border carries no gradient, so the adjoint box sum
+    maps the window gradients onto the unpadded pixels alone.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     ds = np.asarray(ds, dtype=float)
-    ppad = _pad(p, cfg.pad, cfg.pad_value)
-    qpad = _pad(q, cfg.pad, cfg.pad_value)
-    mup, muq, sp2, sq2, spq = _window_stats(ppad, qpad, cfg)
+    mup, muq, sp2, sq2, spq = _window_stats(_pad(p, cfg.pad, cfg.pad_value),
+                                            _pad(q, cfg.pad, cfg.pad_value), cfg)
     a = 2 * mup * muq + cfg.c1
     b = 2 * spq + cfg.c2
     c = mup * mup + muq * muq + cfg.c1
@@ -112,13 +106,10 @@ def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
     g_muq = 2 * mup * g_a + 2 * muq * g_c - 2 * muq * g_d - mup * g_spq
 
     n = cfg.window * cfg.window
-    adj_mup, adj_muq, adj_d, adj_spq = _box_adjoint(
+    adj_mup, adj_muq, adj_d, adj_spq = box_sum_adjoint(
         np.stack([g_mup, g_muq, g_d, g_spq]), cfg.window) / n
-    dppad = adj_mup + 2 * ppad * adj_d + qpad * adj_spq
-    dqpad = adj_muq + 2 * qpad * adj_d + ppad * adj_spq
-    h, wd = p.shape[-2:]
-    dp = dppad[..., cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]
-    dq = dqpad[..., cfg.pad:cfg.pad + h, cfg.pad:cfg.pad + wd]
+    dp = adj_mup + 2 * p * adj_d + q * adj_spq
+    dq = adj_muq + 2 * q * adj_d + p * adj_spq
     return dp, dq
 
 

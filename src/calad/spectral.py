@@ -8,7 +8,7 @@ inverse transform is real by construction, which is asserted numerically
 on every synthesis; the result is min-max rescaled into [0, 1].
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,24 +40,30 @@ def idft2(grid: np.ndarray) -> np.ndarray:
 
 
 def hermitian_symmetrize(spectrum: np.ndarray) -> np.ndarray:
-    """Average the spectrum with its reflected conjugate.
+    """Average the spectrum, or each spectrum of a stack over the last two
+    axes, with its reflected conjugate.
 
     The result satisfies S[-k] = conj(S[k]) on the periodic index grid, so
     its inverse transform is real.
     """
     s = np.asarray(spectrum, dtype=complex)
-    reflected = np.conj(np.roll(np.flip(s, axis=(0, 1)), shift=(1, 1), axis=(0, 1)))
+    axes = (-2, -1)
+    reflected = np.conj(np.roll(np.flip(s, axis=axes), shift=(1, 1), axis=axes))
     return 0.5 * (s + reflected)
 
 
-def magnitude_grid(height: int, width: int, a: float, b: float) -> np.ndarray:
-    """1 / (|fx|^a + |fy|^b) over integer frequencies, DC bin zeroed."""
+def magnitude_grid(height: int, width: int, a, b) -> np.ndarray:
+    """1 / (|fx|^a + |fy|^b) over integer frequencies, DC bin zeroed.
+
+    Scalar exponents give one (height, width) grid; arrays of exponents
+    shaped (..., 1, 1) give one grid per exponent pair, (..., height, width).
+    """
     fy = np.fft.fftfreq(height, d=1.0 / height)
     fx = np.fft.fftfreq(width, d=1.0 / width)
     ay = np.abs(fy)[:, None] ** b
     ax = np.abs(fx)[None, :] ** a
     denom = ax + ay
-    denom[0, 0] = np.inf  # kills the singular DC bin
+    denom[..., 0, 0] = np.inf  # kills the singular DC bin
     return 1.0 / denom
 
 
@@ -67,43 +73,54 @@ def draw_exponent_pairs(rng: np.random.Generator, n: int,
     return rng.uniform(lo, hi, size=(n, 2))
 
 
+def _synthesize_seeds(cfg: SpectralConfig, seeds):
+    """One image per seed, shape (len(seeds), channels, height, width).
+
+    Each image draws, channel by channel, its exponent pair and then its
+    donor image from its own generator; the transforms then run once over
+    the whole stack.
+    """
+    n, c, h, w = len(seeds), cfg.channels, cfg.height, cfg.width
+    exponents = np.empty((n, c, 2))
+    donors = np.empty((n, c, h, w))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for ch in range(c):
+            exponents[i, ch] = draw_exponent_pairs(rng, 1)[0]
+            donors[i, ch] = rng.uniform(0.0, 255.0, size=(h, w))
+    phase = np.angle(dft2(donors))
+    a = exponents[..., 0, None, None]
+    b = exponents[..., 1, None, None]
+    spectrum = hermitian_symmetrize(magnitude_grid(h, w, a, b) * np.exp(1j * phase))
+    signal = idft2(spectrum)
+    residue = np.max(np.abs(signal.imag), axis=(-2, -1))
+    scale = np.max(np.abs(signal.real), axis=(-2, -1))
+    ratio = residue / np.where(scale > 0, scale, 1.0)
+    bad = np.argwhere((scale > 0) & (ratio > IMAG_RESIDUE_LIMIT))
+    if len(bad):
+        i, ch = bad[0]
+        raise NumericalError(
+            f"image {i} channel {ch}: imaginary residue {ratio[i, ch]:.3e} "
+            f"exceeds {IMAG_RESIDUE_LIMIT}")
+    real = signal.real
+    lo = real.min(axis=(-2, -1), keepdims=True)
+    span = real.max(axis=(-2, -1), keepdims=True) - lo
+    images = np.where(span > 0, (real - lo) / np.where(span > 0, span, 1.0), 0.0)
+    metas = [{"exponents": [(float(ea), float(eb)) for ea, eb in exponents[i]],
+              "seed": int(seed), "shape": [c, h, w]} for i, seed in enumerate(seeds)]
+    return images, metas
+
+
 def synthesize(cfg: SpectralConfig):
     """One random spectral image of shape (channels, height, width) in [0, 1].
 
     Returns (image, metadata); metadata records the per-channel exponent
     draws and the seed.
     """
-    rng = np.random.default_rng(cfg.seed)
-    image = np.empty((cfg.channels, cfg.height, cfg.width))
-    exponents = []
-    for ch in range(cfg.channels):
-        a, b = draw_exponent_pairs(rng, 1)[0]
-        exponents.append((float(a), float(b)))
-        donor = rng.uniform(0.0, 255.0, size=(cfg.height, cfg.width))
-        phase = np.angle(dft2(donor))
-        spectrum = magnitude_grid(cfg.height, cfg.width, a, b) * np.exp(1j * phase)
-        spectrum = hermitian_symmetrize(spectrum)
-        signal = idft2(spectrum)
-        residue = np.max(np.abs(signal.imag))
-        scale = np.max(np.abs(signal.real))
-        if scale > 0 and residue / scale > IMAG_RESIDUE_LIMIT:
-            raise NumericalError(
-                f"imaginary residue {residue / scale:.3e} exceeds {IMAG_RESIDUE_LIMIT}")
-        real = signal.real
-        lo, hi = real.min(), real.max()
-        image[ch] = (real - lo) / (hi - lo) if hi > lo else np.zeros_like(real)
-    meta = {"exponents": exponents, "seed": cfg.seed,
-            "shape": [cfg.channels, cfg.height, cfg.width]}
-    return image, meta
+    images, metas = _synthesize_seeds(cfg, [cfg.seed])
+    return images[0], metas[0]
 
 
 def synthesize_batch(cfg: SpectralConfig, n: int):
     """n independent draws with per-image seeds derived from cfg.seed."""
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(n)
-    images = np.empty((n, cfg.channels, cfg.height, cfg.width))
-    metas = []
-    for i in range(n):
-        img, meta = synthesize(replace(cfg, seed=int(seeds[i])))
-        images[i] = img
-        metas.append(meta)
-    return images, metas
+    return _synthesize_seeds(cfg, np.random.SeedSequence(cfg.seed).generate_state(n))

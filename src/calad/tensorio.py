@@ -53,7 +53,11 @@ def load_tensor(path) -> np.ndarray:
     expected = math.prod(dims) * 4
     if len(payload) != expected:
         raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(values))  # before the cast, which a NaN can trap
+    if len(bad):
+        raise DataError(f"{path}: payload value {bad[0]} is not finite")
+    return values.reshape(dims).astype(np.float64)
 
 
 def write_pgm(path, mask) -> None:

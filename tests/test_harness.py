@@ -149,6 +149,37 @@ class TestAnomalyPools:
         assert not a & b
 
 
+class TestPoolDraws:
+    """Each arm synthesizes only the pools it reads. Pool i of seed s
+    (train, calib, eval) is drawn with spectral seed 3 * s + 211 + i."""
+
+    def drawn(self, tmp_path, monkeypatch, **kw):
+        import calad.harness
+
+        seeds = []
+        real = calad.harness.synthesize_batch
+
+        def counting(cfg, n):
+            seeds.append(cfg.seed - 211)
+            return real(cfg, n)
+
+        monkeypatch.setattr(calad.harness, "synthesize_batch", counting)
+        run_experiment(fast_cfg(tmp_path, seeds=(0,), epochs=1, **kw))
+        return [("train", "calib", "eval")[i] for i in seeds]
+
+    def test_svdd_draws_no_training_pool(self, tmp_path, monkeypatch):
+        # baseline arm: eval; calibrated arm: calib, eval
+        assert self.drawn(tmp_path, monkeypatch) == ["eval", "calib", "eval"]
+
+    def test_baseline_arm_draws_no_calibration_pool(self, tmp_path, monkeypatch):
+        assert self.drawn(tmp_path, monkeypatch, loss="hsc",
+                          calibrator="none") == ["train", "eval"]
+
+    def test_supervised_calibrated_arm_draws_all_three(self, tmp_path, monkeypatch):
+        assert self.drawn(tmp_path, monkeypatch, normal="builtin:tiles", loss="fcdd",
+                          batch_size=32) == ["train", "eval", "train", "calib", "eval"]
+
+
 class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         cfg1 = fast_cfg(tmp_path / "a")
@@ -384,6 +415,46 @@ class TestTileShapes:
         assert self.run(tmp_path, train, test, "--loss", "fcdd",
                         "--anomaly-source", "oe", "--oe-dir", str(oe)) == 0
         assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("the error must come before training")
+
+
+class TestLocalizingLoss:
+    @pytest.mark.parametrize("loss", ["svdd", "hsc", "logistic"])
+    def test_loss_without_heatmap_on_tiles_exits_1(self, tmp_path, capsys,
+                                                   monkeypatch, loss):
+        monkeypatch.setattr("calad.harness.train", no_training)
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--normal", "builtin:tiles", "--loss", loss,
+                       "--calibrator", "platt", "--seeds", "0", "--epochs", "1",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"loss {loss!r} gives no pixel heatmap" in err and "ssim and fcdd" in err
+        assert not out.exists()
+
+    def test_head_calibrator_still_runs(self, tmp_path):
+        r = run_experiment(fast_cfg(tmp_path, normal="builtin:tiles", loss="svdd",
+                                    calibrator="head", seeds=(0,), epochs=1,
+                                    batch_size=32))
+        assert "aupro" not in r.per_seed_rows[0]
+
+
+class TestOeWidth:
+    def test_pool_of_another_width_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("calad.harness.train", no_training)
+        oe = tmp_path / "oe"
+        oe.mkdir()
+        save_tensor(oe / "pool.calt", np.zeros((10, 3)))
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--normal", "builtin:gauss2d", "--anomaly-source", "oe",
+                       "--oe-dir", str(oe), "--seeds", "0", "--out", str(out)])
+        assert rc == 2
+        assert f"{oe}: OE samples are 3 values wide, but the data rows are 2 wide" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCli:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from calad import _kernels
+from calad.segmentation import _pad
 
 
 def box_sum_oracle(x, w):
@@ -58,3 +61,32 @@ def test_scatter_stack_equals_per_slice():
     got = _kernels.upsample_scatter(a, kern, 2)
     for i in range(len(a)):
         assert np.array_equal(got[i], _kernels.upsample_scatter(a[i], kern, 2))
+
+
+def test_box_sum_matches_fsum_to_last_bits():
+    # nonnegative windows, as of SSIM intensities and their products: the
+    # band product sums each window directly, so no integral-image
+    # cancellation creeps in
+    x = np.random.default_rng(4).uniform(size=(64, 26, 26))
+    got = _kernels.box_sum_valid(x, 11)
+    want = np.array([[[math.fsum(x[k, i:i + 11, j:j + 11].ravel()) for j in range(16)]
+                      for i in range(16)] for k in range(64)])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+@pytest.mark.parametrize("shape,w", [((16, 16), 11), ((7, 12), 3), ((3, 9, 5), 5)])
+def test_box_sum_adjoint_dot_product(shape, w):
+    # <box(zero-padded x), g> == <x, adjoint(g)> for the cropped adjoint
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=shape)
+    g = rng.normal(size=shape)
+    lhs = np.sum(_kernels.box_sum_valid(_pad(x, (w - 1) // 2, 0.0), w) * g)
+    rhs = np.sum(x * _kernels.box_sum_adjoint(g, w))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_box_sum_adjoint_stack_equals_per_slice():
+    g = np.random.default_rng(6).normal(size=(4, 3, 16, 16))
+    got = _kernels.box_sum_adjoint(g, 11)
+    for idx in np.ndindex(g.shape[:2]):
+        assert np.array_equal(got[idx], _kernels.box_sum_adjoint(g[idx], 11))

@@ -7,8 +7,8 @@ from scipy import ndimage
 from scipy.stats import rankdata
 
 from calad.errors import DataError, NumericalError
-from calad.metrics import (_midranks, aupro, auroc, mask_regions,
-                           pixel_auroc, spearman)
+from calad.metrics import (_integrate_to_cap, _midranks, aupro, auroc,
+                           mask_regions, pixel_auroc, spearman)
 
 # one 4-connected path that turns at each end of every other row
 SERPENTINE = np.zeros((19, 20), dtype=bool)
@@ -167,6 +167,57 @@ class TestAupro:
         assert len(regions) == n
         for r, region in enumerate(regions, start=1):
             assert np.array_equal(region, labeled == r)
+
+
+def integrate_to_cap_loop(fpr, pro, cap):
+    """The segment-by-segment trapezoid loop the running sum replaced."""
+    area = 0.0
+    for i in range(1, len(fpr)):
+        x0, x1 = fpr[i - 1], fpr[i]
+        y0, y1 = pro[i - 1], pro[i]
+        if x1 <= cap:
+            area += (x1 - x0) * (y0 + y1) / 2.0
+        elif x0 < cap:
+            y_cap = y0 + (y1 - y0) * (cap - x0) / (x1 - x0)
+            area += (cap - x0) * (y0 + y_cap) / 2.0
+            break
+        else:
+            break
+    return area / cap
+
+
+@st.composite
+def pro_curves(draw):
+    """A PRO curve as _pro_curve builds it, and a cap: off the grid, on a
+    point (so the next segment starts at the cap), or past the last point."""
+    n_neg = draw(st.integers(1, 40))
+    counts = sorted(draw(st.lists(st.integers(0, n_neg), max_size=40)))
+    fpr = np.concatenate([[0.0], np.asarray(counts, dtype=float) / n_neg])
+    pro = np.concatenate([[0.0], sorted(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=len(counts), max_size=len(counts))))])
+    on_grid = [float(f) for f in fpr if f > 0]
+    caps = st.floats(1e-6, 1.0)
+    if on_grid:
+        caps = caps | st.sampled_from(on_grid)
+    if fpr[-1] < 1.0:
+        caps = caps | st.floats(float(fpr[-1]), 1.0, exclude_min=True)
+    return fpr, pro, draw(caps)
+
+
+class TestIntegrateToCap:
+    @given(pro_curves())
+    @example((np.array([0.0, 0.25, 0.25, 0.5]), np.array([0.0, 0.5, 0.6, 0.9]), 0.25))
+    # a segment that ends on the cap; interpolating it to the cap would
+    # give 0.059 + (0.876 - 0.059) != 0.876
+    @example((np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.0, 0.059, 0.876, 0.9]), 0.5))
+    @example((np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.4, 0.7]), 0.9))
+    @example((np.array([0.0]), np.array([0.0]), 0.3))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_segment_loop_bitwise(self, curve):
+        fpr, pro, cap = curve
+        got = float(_integrate_to_cap(fpr, pro, cap))
+        want = integrate_to_cap_loop(fpr, pro, cap)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def rankdata_auroc(scores, labels):

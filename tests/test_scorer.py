@@ -7,7 +7,7 @@ from calad.calibration import BetaParams, HeadParams, PlattParams, calibrated_lo
 from calad.errors import DataError, NumericalError
 from calad.losses import clamp_probability, logistic_loss, sigmoid
 from calad.metrics import auroc
-from calad.scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig,
+from calad.scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig, _Adam,
                           _backprop, _flatten_grads, _forward_cache, forward,
                           init_scorer, init_svdd_center, load_scorer, save_scorer,
                           train)
@@ -373,6 +373,25 @@ class TestTraining:
         a = train(init_scorer(spec, 3), x, None, base, center=center)
         b = train(init_scorer(spec, 3), x, None, with_decay, center=center)
         assert not np.array_equal(a.get_flat(), b.get_flat())
+
+
+class TestAdam:
+    def test_in_place_step_equals_textbook_update_bitwise(self):
+        rng = np.random.default_rng(9)
+        n, lr = 257, 1e-3
+        adam = _Adam(n, lr)
+        params = rng.normal(size=n)
+        want, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 51):
+            grad = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3)
+            lr_scale = 1.0 if t <= 25 else 0.1
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad * grad
+            mhat = m / (1 - 0.9 ** t)
+            vhat = v / (1 - 0.999 ** t)
+            want = want - lr * lr_scale * mhat / (np.sqrt(vhat) + 1e-8)
+            adam.step(params, grad, lr_scale)
+            assert np.array_equal(params, want)
 
 
 class TestFreezeIsAbsolute:

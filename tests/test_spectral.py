@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import calad.spectral
+from calad.errors import NumericalError
 from calad.spectral import (SpectralConfig, dft2, draw_exponent_pairs,
                             hermitian_symmetrize, idft2, magnitude_grid,
                             synthesize, synthesize_batch)
@@ -140,3 +142,71 @@ class TestSynthesize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SpectralConfig(1, 8)
+
+
+def synthesize_batch_oracle(cfg, n):
+    """The per-image, per-channel synthesis loop the stacked transform
+    replaced: one generator, FFT pair and min-max per channel image."""
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(n)
+    images = np.empty((n, cfg.channels, cfg.height, cfg.width))
+    for i in range(n):
+        rng = np.random.default_rng(int(seeds[i]))
+        for ch in range(cfg.channels):
+            a, b = draw_exponent_pairs(rng, 1)[0]
+            donor = rng.uniform(0.0, 255.0, size=(cfg.height, cfg.width))
+            phase = np.angle(np.fft.fft2(donor))
+            fy = np.fft.fftfreq(cfg.height, d=1.0 / cfg.height)
+            fx = np.fft.fftfreq(cfg.width, d=1.0 / cfg.width)
+            denom = np.abs(fx)[None, :] ** a + np.abs(fy)[:, None] ** b
+            denom[0, 0] = np.inf
+            spectrum = (1.0 / denom) * np.exp(1j * phase)
+            reflected = np.conj(np.roll(np.flip(spectrum, axis=(0, 1)), shift=(1, 1),
+                                        axis=(0, 1)))
+            real = np.fft.ifft2(0.5 * (spectrum + reflected)).real
+            lo, hi = real.min(), real.max()
+            images[i, ch] = (real - lo) / (hi - lo) if hi > lo else np.zeros_like(real)
+    return images
+
+
+class TestStackedSynthesis:
+    @pytest.mark.parametrize("shape", [(100, 1, 16, 16), (30, 1, 64, 64),
+                                       (30, 2, 17, 23), (164, 1, 16, 16)],
+                             ids=str)
+    def test_stack_equals_per_image_loop(self, shape):
+        n, c, h, w = shape
+        cfg = SpectralConfig(h, w, channels=c, seed=n + h)
+        images, _ = synthesize_batch(cfg, n)
+        assert np.array_equal(images, synthesize_batch_oracle(cfg, n))
+
+    def test_single_image_is_a_stack_of_one(self):
+        cfg = SpectralConfig(12, 10, channels=2, seed=4)
+        images, metas = synthesize_batch(cfg, 3)
+        seed = int(np.random.SeedSequence(4).generate_state(3)[1])
+        img, meta = synthesize(SpectralConfig(12, 10, channels=2, seed=seed))
+        assert np.array_equal(img, images[1])
+        assert meta == metas[1]
+
+    def test_stacked_grids_and_reflection_equal_per_slice(self):
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0.5, 3.5, size=(4, 1, 1))
+        b = rng.uniform(0.5, 3.5, size=(4, 1, 1))
+        grids = magnitude_grid(9, 6, a, b)
+        spec = rng.normal(size=(4, 9, 6)) + 1j * rng.normal(size=(4, 9, 6))
+        sym = hermitian_symmetrize(spec)
+        for i in range(4):
+            assert np.array_equal(grids[i], magnitude_grid(9, 6, a[i, 0, 0], b[i, 0, 0]))
+            assert np.array_equal(sym[i], hermitian_symmetrize(spec[i]))
+
+    def test_empty_batch(self):
+        images, metas = synthesize_batch(SpectralConfig(8, 8, seed=1), 0)
+        assert images.shape == (0, 1, 8, 8) and metas == []
+
+    def test_residue_on_one_image_raises(self, monkeypatch):
+        def leaky_idft2(grid):
+            out = np.fft.ifft2(grid)
+            out[2] += 1j  # only the third image keeps an imaginary part
+            return out
+
+        monkeypatch.setattr(calad.spectral, "idft2", leaky_idft2)
+        with pytest.raises(NumericalError, match="image 2 channel 0"):
+            synthesize_batch(SpectralConfig(16, 16, seed=0), 5)

@@ -46,6 +46,17 @@ class TestRawTensor:
         with pytest.raises(DataError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("word", ["010080ff", "0000c07f", "0000807f"],
+                             ids=["signalling-nan", "quiet-nan", "inf"])
+    def test_non_finite_payload_rejected(self, tmp_path, word):
+        # a signalling NaN would also raise numpy's invalid-cast warning
+        path = tmp_path / "t.calt"
+        save_tensor(path, np.zeros(3))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + bytes.fromhex(word) + raw[-4:])
+        with pytest.raises(DataError, match="payload value 1 is not finite"):
+            load_tensor(path)
+
 
 CALT = (b"CALT" + struct.pack("<HII", 1, 0, 2) + struct.pack("<2I", 2, 3)
         + bytes(2 * 3 * 4))
