@@ -328,19 +328,23 @@ def save_calibrator(path, params, seed: int, digest: str) -> None:
 
 
 def load_calibrator(path):
-    """Read back a calibrator document; returns (params, seed, digest)."""
-    fields = {}
-    for line in Path(path).read_text().splitlines():
-        key, _, value = line.partition(" ")
-        fields[key] = value
-    kind = fields["kind"]
-    if kind == "platt":
-        params = PlattParams(float(fields["temperature"]), float(fields["intercept"]))
-    elif kind == "beta":
-        params = BetaParams(float(fields["a"]), float(fields["b"]), float(fields["c"]))
-    elif kind == "head":
-        params = HeadParams(np.array([float(w) for w in fields["weights"].split()]),
-                            float(fields["bias"]))
-    else:
-        raise ValueError(f"unknown calibrator kind {kind!r}")
-    return params, int(fields["seed"]), fields["digest"]
+    """Read back a calibrator document; returns (params, seed, digest). A
+    malformed document is a DataError naming the file."""
+    try:
+        fields = {}
+        for line in Path(path).read_text().splitlines():
+            key, _, value = line.partition(" ")
+            fields[key] = value
+        kind = fields["kind"]
+        if kind == "platt":
+            params = PlattParams(float(fields["temperature"]), float(fields["intercept"]))
+        elif kind == "beta":
+            params = BetaParams(float(fields["a"]), float(fields["b"]), float(fields["c"]))
+        elif kind == "head":
+            params = HeadParams(np.array([float(w) for w in fields["weights"].split()]),
+                                float(fields["bias"]))
+        else:
+            raise DataError(f"{path}: unknown calibrator kind {kind!r}")
+        return params, int(fields["seed"]), fields["digest"]
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{path}: not a calibrator document: {exc!r}") from exc

@@ -437,43 +437,42 @@ def _scorer_spec(loss: str, d: int) -> MlpSpec:
 
 
 def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
-                image_shape=None, ssim_cfg=None):
+                image_shape=None, ssim_cfg=None) -> LossPipeline:
+    """The arm's base scorer, trained on cfg.loss, in its uncalibrated
+    pipeline."""
     state = init_scorer(_scorer_spec(cfg.loss, x_train.shape[1]), seed=seed)
+    center = init_svdd_center(state, x_train) if cfg.loss == "svdd" else None
+    pipeline = LossPipeline(state, cfg.loss, center=center, ssim_cfg=ssim_cfg,
+                            image_shape=image_shape)
     if cfg.loss in SUPERVISED_LOSSES:
         data = np.concatenate([x_train, anoms_train])
         labels = np.concatenate([np.zeros(len(x_train)), np.ones(len(anoms_train))])
     else:
         data, labels = x_train, None
-    tc = TrainConfig(loss=cfg.loss, learning_rate=cfg.learning_rate,
-                     milestones=cfg.milestones, epochs=cfg.epochs,
-                     batch_size=cfg.batch_size, seed=seed)
-    center = None
-    if cfg.loss == "svdd":
-        center = init_svdd_center(state, x_train)
-    trained = train(state, data, labels, tc, center=center,
-                    ssim_cfg=ssim_cfg, image_shape=image_shape)
-    return trained, center
+    train(pipeline, data, labels,
+          TrainConfig(learning_rate=cfg.learning_rate, milestones=cfg.milestones,
+                      epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed))
+    return pipeline
 
 
 def _head_trunk(state: ScorerState, loss: str) -> ScorerState:
-    """Frozen scorer under the calibration head; logistic and ssim scorers
-    drop their output layer."""
+    """Frozen copy of the scorer under the calibration head; logistic and
+    ssim scorers drop their output layer."""
     if loss not in ("logistic", "ssim"):
-        trunk = state.copy()
-        trunk.frozen = [True] * trunk.n_layers
-        return trunk
+        return ScorerState(state.spec, state.flat, [True] * state.n_layers)
     spec = MlpSpec(state.spec.widths[:-1], use_bias=state.spec.use_bias)
-    return ScorerState(spec, [w.copy() for w in state.weights[:-1]],
-                       [None if b is None else b.copy() for b in state.biases[:-1]],
-                       [True] * (state.n_layers - 1))
+    out = state.weights[-1]
+    n_out = out.size + (out.shape[1] if spec.use_bias else 0)
+    return ScorerState(spec, state.flat[:-n_out], [True] * (state.n_layers - 1))
 
 
 def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
-                    seed: int):
-    """Fit cfg.calibrator to the uncalibrated pipeline; (params, digest)."""
+                    seed: int, trunk: Optional[ScorerState] = None):
+    """Fit cfg.calibrator to the uncalibrated pipeline, a head to the
+    features of `trunk`; (params, digest)."""
     opt = OptimizerConfig(seed=seed)
     if cfg.calibrator == "head":
-        feats = forward(_head_trunk(base.state, cfg.loss), cal_x)
+        feats = forward(trunk, cal_x)
         return fit_head(feats, cal_y, opt), fitting_digest(feats, cal_y)
     if base.image_shape is not None:
         # per-pixel calibration pools the pixel logits of the tiles
@@ -591,24 +590,19 @@ def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
     ssim_cfg = None
     if image_shape is not None:
         ssim_cfg = SsimConfig(pad_value=float(x_train.mean()))
-    state, center = _train_base(cfg, x_train, pools.get("train"), seed,
-                                image_shape, ssim_cfg)
-    pipeline = LossPipeline(state, cfg.loss, center=center, ssim_cfg=ssim_cfg,
-                            image_shape=image_shape)
+    pipeline = _train_base(cfg, x_train, pools.get("train"), seed, image_shape, ssim_cfg)
     fitted = None
     if calib is not None:
         x_cal = normalize(calib, stats)
         n_cal = min(len(x_cal), len(pools["calib"]))
         cal_x = np.concatenate([x_cal[:n_cal], pools["calib"][:n_cal]])
         cal_y = np.concatenate([np.zeros(n_cal), np.ones(n_cal)])
-        fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed)
-        if cfg.calibrator == "head":
-            pipeline = LossPipeline(_head_trunk(state, cfg.loss), "logistic",
-                                    head=fitted[0])
+        trunk = _head_trunk(pipeline.state, cfg.loss) if cfg.calibrator == "head" else None
+        fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, trunk)
+        if trunk is not None:
+            pipeline = LossPipeline(trunk, "logistic", head=fitted[0])
         else:
-            pipeline = LossPipeline(state, cfg.loss, center=center,
-                                    calibrator=fitted[0], ssim_cfg=ssim_cfg,
-                                    image_shape=image_shape)
+            pipeline.calibrator = fitted[0]
     x_normal = x_test[test.y == 0]
     n_eval = min(len(x_normal), len(pools["eval"]))
     x_eval = np.concatenate([x_normal[:n_eval], pools["eval"][:n_eval]])

@@ -8,9 +8,10 @@ calibrator, and a core loss, and exposes the three gradient contracts:
 forward value, parameter gradient, and input gradient. All gradients are
 exact reverse-mode; finite differences are used only in tests.
 
-Training runs Adam with the learning rate scaled by ``MILESTONE_DECAY`` at
-each milestone, class-balanced batches for supervised losses, and full
-determinism under the config seed.
+Training steps a scorer's flat parameter vector in place with Adam, the
+learning rate scaled by ``MILESTONE_DECAY`` at each milestone,
+class-balanced batches for supervised losses, and full determinism under
+the config seed.
 """
 
 import json
@@ -50,7 +51,6 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: str = "svdd"
     learning_rate: float = 1e-4
     milestones: tuple = ()
     epochs: int = 10
@@ -64,71 +64,56 @@ class TrainConfig:
             raise ValueError("milestones must be sorted")
 
 
-class ScorerState:
-    """MLP parameters with per-layer freeze flags.
+def _layer_views(spec: MlpSpec, flat: np.ndarray):
+    """Per-layer weight and bias views into flat (None for a bias-free
+    spec), laid out layer by layer: the row-major weight, then the bias."""
+    shapes = [(fan_in, fan_out, fan_out if spec.use_bias else 0)
+              for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:])]
+    size = sum(fan_in * fan_out + n_bias for fan_in, fan_out, n_bias in shapes)
+    if flat.shape != (size,):
+        raise ValueError(f"flat vector of shape {flat.shape} does not hold the "
+                         f"{size} parameters of widths {spec.widths}")
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out, n_bias in shapes:
+        weights.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(flat[pos:pos + n_bias] if n_bias else None)
+        pos += n_bias
+    return weights, biases
 
-    Parameters live in per-layer weight/bias arrays; ``get_flat`` and
-    ``set_flat`` expose the single flat vector used by checkpoints and by
-    finite-difference probes.
+
+class ScorerState:
+    """MLP parameters in one flat float64 vector, with per-layer freeze
+    flags.
+
+    ``weights`` and ``biases`` are per-layer views into ``flat``, so an
+    update of ``flat`` in place moves the model, and ``flat`` is what
+    checkpoints store.
     """
 
-    def __init__(self, spec: MlpSpec, weights, biases, frozen=None):
+    def __init__(self, spec: MlpSpec, flat, frozen=None):
         self.spec = spec
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [None if b is None else np.asarray(b, dtype=float)
-                       for b in biases]
-        self.frozen = list(frozen) if frozen is not None else [False] * len(weights)
-        for i, w in enumerate(self.weights):
-            if w.shape != (spec.widths[i], spec.widths[i + 1]):
-                raise ValueError(f"layer {i} weight shape {w.shape} does not match spec")
-            if spec.use_bias and self.biases[i].shape != (spec.widths[i + 1],):
-                raise ValueError(f"layer {i} bias shape does not match spec")
-            if not spec.use_bias and self.biases[i] is not None:
-                raise ValueError("bias-free spec cannot carry bias parameters")
+        self.flat = np.array(flat, dtype=float)
+        self.weights, self.biases = _layer_views(spec, self.flat)
+        self.frozen = list(frozen) if frozen is not None else [False] * self.n_layers
+        if len(self.frozen) != self.n_layers:
+            raise ValueError(f"{len(self.frozen)} freeze flags for {self.n_layers} layers")
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
-
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(
-            b.size for b in self.biases if b is not None)
-
-    def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            if b is not None:
-                parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def set_flat(self, flat) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.n_params():
-            raise ValueError("flat vector length does not match parameter count")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos:pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            if b is not None:
-                self.biases[i] = flat[pos:pos + b.size].copy()
-                pos += b.size
-
-    def copy(self) -> "ScorerState":
-        return ScorerState(self.spec, [w.copy() for w in self.weights],
-                           [None if b is None else b.copy() for b in self.biases],
-                           list(self.frozen))
+        return len(self.spec.widths) - 1
 
 
 def init_scorer(spec: MlpSpec, seed: int = 0) -> ScorerState:
     """Seeded uniform fan-in initialization, scaled by the spec's gain."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    parts = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         bound = spec.init_gain / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, fan_out) if spec.use_bias else None)
-    return ScorerState(spec, weights, biases)
+        parts.append(rng.uniform(-bound, bound, fan_in * fan_out))
+        if spec.use_bias:
+            parts.append(rng.uniform(-bound, bound, fan_out))
+    return ScorerState(spec, np.concatenate(parts))
 
 
 def forward(state: ScorerState, x) -> np.ndarray:
@@ -156,34 +141,22 @@ def _forward_cache(state, x):
 
 
 def _backprop(state, caches, d_out, input_grad=True):
-    """Gradients of sum(d_out * output) wrt the parameters, summed over
-    the batch, and wrt each input row (None unless input_grad)."""
+    """Gradients of sum(d_out * output): wrt the parameters, summed over
+    the batch into a vector laid out like state.flat (zero on frozen
+    layers), and wrt each input row (None unless input_grad)."""
     g = np.asarray(d_out, dtype=float)
-    w_grads = [None] * state.n_layers
-    b_grads = [None] * state.n_layers
+    grad = np.zeros_like(state.flat)
+    w_grads, b_grads = _layer_views(state.spec, grad)
     last = state.n_layers - 1
     for i in range(last, -1, -1):
         a_in, z = caches[i]
         dz = g if i == last else g * (1.0 - np.tanh(z) ** 2)
-        w_grads[i] = a_in.T @ dz
-        if state.biases[i] is not None:
-            b_grads[i] = dz.sum(axis=0)
-        g = dz @ state.weights[i].T if i or input_grad else None
-    for i, frozen in enumerate(state.frozen):
-        if frozen:
-            w_grads[i] = np.zeros_like(w_grads[i])
+        if not state.frozen[i]:
+            w_grads[i][...] = a_in.T @ dz
             if b_grads[i] is not None:
-                b_grads[i] = np.zeros_like(b_grads[i])
-    return w_grads, b_grads, g
-
-
-def _flatten_grads(state, w_grads, b_grads):
-    parts = []
-    for i in range(state.n_layers):
-        parts.append(w_grads[i].ravel())
-        if b_grads[i] is not None:
-            parts.append(b_grads[i].ravel())
-    return np.concatenate(parts)
+                b_grads[i][...] = dz.sum(axis=0)
+        g = dz @ state.weights[i].T if i or input_grad else None
+    return grad, g
 
 
 def init_svdd_center(state: ScorerState, inputs) -> np.ndarray:
@@ -246,11 +219,10 @@ class LossPipeline:
 
     def _scores(self, x):
         """Per-row raw score v, (n,), the MLP caches, and what the backward
-        pass needs: dv/d(output), (n, k), or for ssim the (image,
-        reconstruction) stacks."""
+        pass needs: dv/d(output), (n, k), or for ssim the stacked SsimLoss."""
         if self.loss_name == "ssim":
-            res, images, recon, caches = self._ssim_forward(x)
-            return res.loss, caches, (images, recon)
+            res, caches = self._ssim_forward(x)
+            return res.loss, caches, res
         out, caches = _forward_cache(self.state, x)
         if self.head is not None:
             w = np.asarray(self.head.weights, dtype=float)
@@ -268,13 +240,12 @@ class LossPipeline:
 
     def _ssim_forward(self, x):
         """SSIM of every row's image against its reconstruction: the
-        stacked SsimLoss (per-row losses, (n, h, w) maps), the (n, h, w)
-        images and reconstructions, and the caches of the MLP pass."""
+        stacked SsimLoss (per-row losses, (n, h, w) maps and window terms)
+        and the caches of the MLP pass."""
         rows = np.atleast_2d(np.asarray(x, dtype=float))
         shape = (len(rows),) + tuple(self.image_shape)
         recon, caches = _forward_cache(self.state, rows)
-        images, recon = rows.reshape(shape), recon.reshape(shape)
-        return ssim_loss(images, recon, self.ssim_cfg), images, recon, caches
+        return ssim_loss(rows.reshape(shape), recon.reshape(shape), self.ssim_cfg), caches
 
     def _natural_logit(self, v):
         """Logit of the raw score and d(logit)/dv."""
@@ -336,11 +307,10 @@ class LossPipeline:
         loss, dl_dv = self._loss(v, _labels(y, v))
         if self.loss_name != "ssim":
             return loss, caches, dl_dv[:, None] * back, None
-        images, recon = back
-        n, h, w = recon.shape
+        n, h, w = back.q.shape
         # v is the mean of 1 - S over the h * w pixels
         ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None], (n, h, w))
-        direct, drecon = ssim_map_backward(images, recon, ds, self.ssim_cfg)
+        direct, drecon = ssim_map_backward(back, ds, self.ssim_cfg)
         return loss, caches, drecon.reshape(n, h * w), direct.reshape(n, h * w)
 
     def loss_and_input_grad(self, x, y):
@@ -349,7 +319,7 @@ class LossPipeline:
         gradients for a batch."""
         x = np.asarray(x, dtype=float)
         loss, caches, d_out, direct = self._loss_and_output_grad(x, y)
-        _, _, d_in = _backprop(self.state, caches, d_out)
+        _, d_in = _backprop(self.state, caches, d_out)
         if direct is not None:
             d_in = direct + d_in
         if x.ndim == 1:
@@ -359,9 +329,8 @@ class LossPipeline:
     def loss_and_param_grad(self, x, y):
         """Mean loss over a batch and its flat parameter gradient."""
         loss, caches, d_out, _ = self._loss_and_output_grad(x, y)
-        w_grads, b_grads, _ = _backprop(self.state, caches, d_out / len(loss),
-                                        input_grad=False)
-        return float(np.mean(loss)), _flatten_grads(self.state, w_grads, b_grads)
+        grad, _ = _backprop(self.state, caches, d_out / len(loss), input_grad=False)
+        return float(np.mean(loss)), grad
 
 
 def _labels(y, v):
@@ -399,67 +368,48 @@ class _Adam:
         params -= np.divide(a, b, out=a)
 
 
-def train(state: ScorerState, x, labels, cfg: TrainConfig,
-          center=None, ssim_cfg=None, image_shape=None) -> ScorerState:
-    """Train a copy of the state; the input state is left untouched.
+def train(pipeline: LossPipeline, x, labels, cfg: TrainConfig) -> None:
+    """Train pipeline.state in place on the pipeline's loss.
 
     Supervised losses require both classes and draw class-balanced batches,
     resampling the anomalous stream each epoch under the run seed.
-    Unsupervised losses iterate over the normal data alone. Returns the
-    trained state; per-epoch mean losses go to the module logger.
+    Unsupervised losses iterate over the normal data alone. Per-epoch mean
+    losses go to the module logger.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    supervised = cfg.loss in SUPERVISED_LOSSES
+    name = pipeline.loss_name
+    supervised = name in SUPERVISED_LOSSES
     if supervised:
         if labels is None:
-            raise DataError(f"loss {cfg.loss!r} requires labels")
+            raise DataError(f"loss {name!r} requires labels")
         labels = np.asarray(labels)
         if not (np.any(labels == 0) and np.any(labels == 1)):
-            raise DataError(f"loss {cfg.loss!r} requires both classes in training data")
-    if cfg.loss == "svdd" and state.spec.use_bias:
-        raise ValueError("svdd requires a bias-free scorer")
-
-    new = state.copy()
-    if cfg.loss == "svdd" and center is None:
-        center = init_svdd_center(new, x)
-    pipe = LossPipeline(new, cfg.loss, center=center, ssim_cfg=ssim_cfg,
-                        image_shape=image_shape)
+            raise DataError(f"loss {name!r} requires both classes in training data")
+        normal_idx, anom_idx = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+        step = max(1, cfg.batch_size // 2)
+    else:
+        normal_idx, anom_idx, step = np.arange(len(x)), None, cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
-    adam = _Adam(new.n_params(), cfg.learning_rate)
-    params = new.get_flat()
-    half = max(1, cfg.batch_size // 2)
+    adam = _Adam(pipeline.state.flat.size, cfg.learning_rate)
 
     for epoch in range(cfg.epochs):
         lr_scale = MILESTONE_DECAY ** sum(1 for m in cfg.milestones if epoch >= m)
         epoch_loss = 0.0
         n_batches = 0
-        if supervised:
-            normal_idx = np.flatnonzero(labels == 0)
-            anom_idx = np.flatnonzero(labels == 1)
-            order = rng.permutation(normal_idx)
-            resampled = rng.choice(anom_idx, size=len(order), replace=True)
-            for start in range(0, len(order), half):
-                take = slice(start, start + half)
-                batch = np.concatenate([order[take], resampled[take]])
-                yb = np.concatenate([np.zeros(len(order[take])),
-                                     np.ones(len(resampled[take]))])
-                loss, grad = pipe.loss_and_param_grad(x[batch], yb)
-                adam.step(params, grad, lr_scale)
-                new.set_flat(params)
-                epoch_loss += loss
-                n_batches += 1
-        else:
-            order = rng.permutation(len(x))
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                loss, grad = pipe.loss_and_param_grad(x[batch], np.zeros(len(batch)))
-                adam.step(params, grad, lr_scale)
-                new.set_flat(params)
-                epoch_loss += loss
-                n_batches += 1
+        order = rng.permutation(normal_idx)
+        # a supervised batch pairs each normal row with a resampled anomaly
+        resampled = (rng.choice(anom_idx, size=len(order), replace=True)
+                     if supervised else order[:0])
+        for start in range(0, len(order), step):
+            normal, anomalous = order[start:start + step], resampled[start:start + step]
+            yb = np.concatenate([np.zeros(len(normal)), np.ones(len(anomalous))])
+            loss, grad = pipeline.loss_and_param_grad(
+                x[np.concatenate([normal, anomalous])], yb)
+            adam.step(pipeline.state.flat, grad, lr_scale)
+            epoch_loss += loss
+            n_batches += 1
         logger.info("epoch %d: mean training loss %.6f", epoch,
                     epoch_loss / max(1, n_batches))
-    return new
 
 
 def save_scorer(path, state: ScorerState, manifest: dict) -> None:
@@ -467,7 +417,7 @@ def save_scorer(path, state: ScorerState, manifest: dict) -> None:
     from .tensorio import save_tensor
 
     base = Path(path)
-    save_tensor(base.with_suffix(".calt"), state.get_flat())
+    save_tensor(base.with_suffix(".calt"), state.flat)
     doc = dict(manifest)
     doc.update({
         "widths": list(state.spec.widths),
@@ -479,15 +429,24 @@ def save_scorer(path, state: ScorerState, manifest: dict) -> None:
 
 
 def load_scorer(path):
-    """Load a checkpoint; returns (state, manifest)."""
+    """Load a checkpoint; returns (state, manifest). A damaged manifest, or
+    a parameter vector that does not fit it, is a DataError naming the
+    file."""
     from .tensorio import load_tensor
 
     base = Path(path)
-    doc = json.loads(base.with_suffix(".json").read_text())
-    if doc["activation"] != "tanh":
-        raise DataError(f"{base}: activation {doc['activation']!r}; only tanh scorers load")
-    spec = MlpSpec(widths=tuple(doc["widths"]), use_bias=doc["use_bias"])
-    state = init_scorer(spec, seed=0)
-    state.frozen = list(doc["frozen"])
-    state.set_flat(load_tensor(base.with_suffix(".calt")))
-    return state, doc
+    manifest, params = base.with_suffix(".json"), base.with_suffix(".calt")
+    try:
+        doc = json.loads(manifest.read_text())
+        if doc["activation"] != "tanh":
+            raise DataError(
+                f"{manifest}: activation {doc['activation']!r}; only tanh scorers load")
+        spec = MlpSpec(widths=tuple(doc["widths"]), use_bias=doc["use_bias"])
+        frozen = doc["frozen"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{manifest}: not a scorer manifest: {exc!r}") from exc
+    flat = load_tensor(params)
+    try:
+        return ScorerState(spec, flat, frozen), doc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{params} does not fit {manifest}: {exc}") from exc

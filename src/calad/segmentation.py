@@ -40,6 +40,16 @@ class SsimLoss:
     loss: float             # one per image (an array) for an (n, h, w) stack
     similarity: np.ndarray  # S map, same height/width as the inputs
     estimates: np.ndarray   # per-pixel (1 - S) / 2
+    # window terms that ssim_map_backward reads: the unpadded images p and
+    # q, their window means, and the factors of S = a * b / (c * d)
+    p: np.ndarray
+    q: np.ndarray
+    mup: np.ndarray
+    muq: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
 
 
 def _pad(img: np.ndarray, pad: int, value: float) -> np.ndarray:
@@ -50,56 +60,49 @@ def _pad(img: np.ndarray, pad: int, value: float) -> np.ndarray:
     return out
 
 
-def _window_stats(ppad, qpad, cfg):
-    n = cfg.window * cfg.window
-    mup, muq, mpp, mqq, mpq = box_sum_valid(
-        np.stack([ppad, qpad, ppad * ppad, qpad * qpad, ppad * qpad]), cfg.window) / n
-    return mup, muq, mpp - mup * mup, mqq - muq * muq, mpq - mup * muq
-
-
-def ssim_map(p: np.ndarray, q: np.ndarray, cfg: SsimConfig = SsimConfig()) -> np.ndarray:
+def ssim_loss(x, recon, cfg: SsimConfig = SsimConfig()) -> SsimLoss:
     """Sliding-window SSIM of two single-channel images, or of two
-    (n, h, w) stacks image by image.
+    (n, h, w) stacks image by image, as the mean (1 - S) reconstruction
+    loss (one per image for stacks), its per-pixel estimates, and the
+    window terms of the map.
 
     Both images are constant-padded by cfg.pad with cfg.pad_value, so the
     map is conformal with the inputs.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = np.asarray(x, dtype=float)
+    q = np.asarray(recon, dtype=float)
     if p.ndim not in (2, 3) or p.shape != q.shape:
         raise ValueError(
             f"need equal 2-D images or (n, h, w) stacks, got {p.shape} vs {q.shape}")
-    mup, muq, sp2, sq2, spq = _window_stats(_pad(p, cfg.pad, cfg.pad_value),
-                                            _pad(q, cfg.pad, cfg.pad_value), cfg)
+    ppad, qpad = _pad(p, cfg.pad, cfg.pad_value), _pad(q, cfg.pad, cfg.pad_value)
+    mup, muq, mpp, mqq, mpq = box_sum_valid(
+        np.stack([ppad, qpad, ppad * ppad, qpad * qpad, ppad * qpad]),
+        cfg.window) / (cfg.window * cfg.window)
     a = 2 * mup * muq + cfg.c1
-    b = 2 * spq + cfg.c2
+    b = 2 * (mpq - mup * muq) + cfg.c2
     c = mup * mup + muq * muq + cfg.c1
-    d = sp2 + sq2 + cfg.c2
-    return (a * b) / (c * d)
+    d = (mpp - mup * mup) + (mqq - muq * muq) + cfg.c2
+    s = (a * b) / (c * d)
+    loss = np.mean(1.0 - s, axis=(-2, -1))
+    return SsimLoss(loss=float(loss) if s.ndim == 2 else loss, similarity=s,
+                    estimates=(1.0 - s) / 2.0, p=p, q=q, mup=mup, muq=muq,
+                    a=a, b=b, c=c, d=d)
 
 
-def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
+def ssim_map_backward(fwd: SsimLoss, ds, cfg: SsimConfig = SsimConfig()):
     """Gradients of sum(ds * S(p, q)) with respect to p and q, image by
-    image for (n, h, w) stacks.
+    image for (n, h, w) stacks, from the window terms of the forward pass
+    fwd = ssim_loss(p, q, cfg).
 
     The constant pad border carries no gradient, so the adjoint box sum
     maps the window gradients onto the unpadded pixels alone.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
     ds = np.asarray(ds, dtype=float)
-    mup, muq, sp2, sq2, spq = _window_stats(_pad(p, cfg.pad, cfg.pad_value),
-                                            _pad(q, cfg.pad, cfg.pad_value), cfg)
-    a = 2 * mup * muq + cfg.c1
-    b = 2 * spq + cfg.c2
-    c = mup * mup + muq * muq + cfg.c1
-    d = sp2 + sq2 + cfg.c2
-    s = (a * b) / (c * d)
-
-    g_a = ds * b / (c * d)
-    g_b = ds * a / (c * d)
-    g_c = -ds * s / c
-    g_d = -ds * s / d
+    mup, muq, s, cd = fwd.mup, fwd.muq, fwd.similarity, fwd.c * fwd.d
+    g_a = ds * fwd.b / cd
+    g_b = ds * fwd.a / cd
+    g_c = -ds * s / fwd.c
+    g_d = -ds * s / fwd.d
 
     g_spq = 2 * g_b
     g_mup = 2 * muq * g_a + 2 * mup * g_c - 2 * mup * g_d - muq * g_spq
@@ -108,18 +111,9 @@ def ssim_map_backward(p, q, ds, cfg: SsimConfig = SsimConfig()):
     n = cfg.window * cfg.window
     adj_mup, adj_muq, adj_d, adj_spq = box_sum_adjoint(
         np.stack([g_mup, g_muq, g_d, g_spq]), cfg.window) / n
-    dp = adj_mup + 2 * p * adj_d + q * adj_spq
-    dq = adj_muq + 2 * q * adj_d + p * adj_spq
+    dp = adj_mup + 2 * fwd.p * adj_d + fwd.q * adj_spq
+    dq = adj_muq + 2 * fwd.q * adj_d + fwd.p * adj_spq
     return dp, dq
-
-
-def ssim_loss(x, recon, cfg: SsimConfig = SsimConfig()) -> SsimLoss:
-    """Mean (1 - S) reconstruction loss with its per-pixel estimates; for
-    (n, h, w) stacks the loss is one value per image."""
-    s = ssim_map(x, recon, cfg)
-    loss = np.mean(1.0 - s, axis=(-2, -1))
-    return SsimLoss(loss=float(loss) if s.ndim == 2 else loss, similarity=s,
-                    estimates=(1.0 - s) / 2.0)
 
 
 def fcdd_heatmap(features: np.ndarray) -> np.ndarray:

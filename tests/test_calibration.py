@@ -129,7 +129,7 @@ class TestCalibratedLogit:
 def head_pipeline(head):
     """The calibration head over an identity scorer, so rows are features."""
     d = len(head.weights)
-    state = ScorerState(MlpSpec((d, d)), [np.eye(d)], [np.zeros(d)])
+    state = ScorerState(MlpSpec((d, d)), np.concatenate([np.eye(d).ravel(), np.zeros(d)]))
     return LossPipeline(state, "logistic", head=head)
 
 
@@ -472,6 +472,19 @@ class TestSerialization:
             assert loaded.bias == params.bias
         else:
             assert loaded == params
+
+    @pytest.mark.parametrize("text", [
+        "temperature 2.0\nintercept 0.1\nseed 0\ndigest d\n",           # no kind
+        "kind platt\ntemperature abc\nintercept 0.1\nseed 0\ndigest d\n",
+        "kind gamma\nseed 0\ndigest d\n",
+        "kind platt\ntemperature -1\nintercept 0.1\nseed 0\ndigest d\n",
+        "kind beta\na 1\nb 1\nc 0\nseed 0.5\ndigest d\n",
+    ])
+    def test_malformed_document_is_data_error(self, tmp_path, text):
+        path = tmp_path / "cal.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match="cal.txt"):
+            load_calibrator(path)
 
     def test_digest_tracks_data(self):
         a = fitting_digest(np.arange(5.0), np.array([0, 1, 0, 1, 1]))

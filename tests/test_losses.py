@@ -137,7 +137,7 @@ def svdd_score(embedding, center):
     """The svdd pipeline's score over an identity scorer, so the rows are
     the embeddings."""
     d = len(center)
-    state = ScorerState(MlpSpec((d, d), use_bias=False), [np.eye(d)], [None])
+    state = ScorerState(MlpSpec((d, d), use_bias=False), np.eye(d).ravel())
     return LossPipeline(state, "svdd", center=center).scores(np.atleast_2d(embedding))[0]
 
 

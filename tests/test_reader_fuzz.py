@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calad import reports
+from calad.calibration import HeadParams, load_calibrator, save_calibrator
 from calad.cli import _read_score_csv, _read_seed_rows
 from calad.errors import DataError
+from calad.scorer import MlpSpec, init_scorer, load_scorer, save_scorer
 from calad.tensorio import load_tensor, read_pgm, save_tensor, write_pgm
 
 
@@ -36,11 +38,25 @@ def _seed_rows(path):
     reports.write_rows_csv(path, rows, localization=True)
 
 
+def _scorer(path):
+    # the .json manifest and the .calt vector next to it; `path` names the
+    # one the test damages
+    save_scorer(path, init_scorer(MlpSpec((3, 4, 2)), 0),
+                {"seed": 0, "epoch": 1, "loss": "hsc"})
+
+
+def _calibrator(path):
+    save_calibrator(path, HeadParams(np.array([0.5, -1.25]), 0.125), 0, "d" * 16)
+
+
 READERS = {
     "calt": (_calt, load_tensor),
     "pgm": (_pgm, read_pgm),
     "score-csv": (_scores, _read_score_csv),
     "per-seed-csv": (_seed_rows, _read_seed_rows),
+    "scorer.json": (_scorer, load_scorer),
+    "scorer.calt": (_scorer, load_scorer),
+    "calibrator": (_calibrator, load_calibrator),
 }
 
 
@@ -69,7 +85,7 @@ def test_damaged_file_raises_only_data_error(tmp_path, kind):
     valid = path.read_bytes()
 
     @given(damage(valid))
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     def check(data):
         path.write_bytes(data)
         try:

@@ -8,9 +8,8 @@ from calad.errors import DataError, NumericalError
 from calad.losses import clamp_probability, logistic_loss, sigmoid
 from calad.metrics import auroc
 from calad.scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig, _Adam,
-                          _backprop, _flatten_grads, _forward_cache, forward,
-                          init_scorer, init_svdd_center, load_scorer, save_scorer,
-                          train)
+                          _backprop, _forward_cache, forward, init_scorer,
+                          init_svdd_center, load_scorer, save_scorer, train)
 from calad.segmentation import SsimConfig, ssim_loss, ssim_map_backward
 
 FD_STEP = 1e-6
@@ -29,19 +28,16 @@ def fd_input_grad(pipeline, x, y):
 
 
 def fd_param_grad(pipeline, x, y):
-    state = pipeline.state
-    flat = state.get_flat()
+    flat = pipeline.state.flat  # bumped in place, then restored
     grad = np.zeros_like(flat)
     for i in range(len(flat)):
-        bumped = flat.copy()
-        bumped[i] += FD_STEP
-        state.set_flat(bumped)
+        saved = flat[i]
+        flat[i] += FD_STEP
         hi = float(np.mean(pipeline.loss_values(x, y)))
-        bumped[i] -= 2 * FD_STEP
-        state.set_flat(bumped)
+        flat[i] -= 2 * FD_STEP
         lo = float(np.mean(pipeline.loss_values(x, y)))
+        flat[i] = saved
         grad[i] = (hi - lo) / (2 * FD_STEP)
-    state.set_flat(flat)
     return grad
 
 
@@ -101,7 +97,7 @@ ARCHITECTURES = ["affine-logistic", "mlp-logistic", "mlp-svdd", "mlp-hsc",
 class TestForward:
     def test_identity_layer(self):
         spec = MlpSpec((3, 3), use_bias=False)
-        state = ScorerState(spec, [np.eye(3)], [None])
+        state = ScorerState(spec, np.eye(3).ravel())
         x = np.array([0.3, -1.2, 2.0])
         assert np.array_equal(forward(state, x)[0], x)
 
@@ -118,6 +114,28 @@ class TestForward:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             forward(init_scorer(MlpSpec((3, 2)), 0), np.ones(4))
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_layers_are_views_of_one_vector(self, use_bias):
+        state = init_scorer(MlpSpec((3, 5, 4, 2), use_bias=use_bias), 3)
+        for w, b in zip(state.weights, state.biases):
+            assert np.shares_memory(w, state.flat)
+            assert (b is None) != use_bias
+            assert b is None or np.shares_memory(b, state.flat)
+        # layer by layer: the row-major weight, then the bias
+        parts = [part.ravel() for w, b in zip(state.weights, state.biases)
+                 for part in (w, b) if part is not None]
+        assert np.array_equal(np.concatenate(parts), state.flat)
+
+    def test_wrong_length_rejected(self):
+        spec = MlpSpec((3, 2))
+        for size in (7, 9):
+            with pytest.raises(ValueError, match="8 parameters"):
+                ScorerState(spec, np.zeros(size))
+        with pytest.raises(ValueError, match="freeze flags"):
+            ScorerState(spec, np.zeros(8), frozen=[True, False])
 
 
 class TestGradientContract:
@@ -154,8 +172,7 @@ class TestGradientContract:
     def test_constant_network_zero_gradient(self):
         spec = MlpSpec((3, 2, 1))
         state = init_scorer(spec, 0)
-        state.weights = [np.zeros_like(w) for w in state.weights]
-        state.biases = [np.zeros_like(b) for b in state.biases]
+        state.flat[:] = 0.0
         pipeline = LossPipeline(state, "logistic")
         _, grad = pipeline.loss_and_input_grad(np.ones(3), 0)
         assert np.all(grad == 0.0)
@@ -217,7 +234,7 @@ def ssim_per_row_reference(pipeline, x, y):
     h, w = pipeline.image_shape
     state, cfg = pipeline.state, pipeline.ssim_cfg
     scores, losses = [], []
-    total, flat = 0.0, np.zeros(state.n_params())
+    total, flat = 0.0, np.zeros_like(state.flat)
     for row, yi in zip(x, y):
         out, caches = _forward_cache(state, row[None, :])
         img, recon = row.reshape(h, w), out[0].reshape(h, w)
@@ -235,10 +252,10 @@ def ssim_per_row_reference(pipeline, x, y):
             factor = (sigmoid(zc[0]) - yi) * dzc_dz[0] * (1.0 / (e * (1.0 - e)))
             ds = np.full((h, w), -factor / (2.0 * h * w))
         losses.append(loss)
-        _, drecon = ssim_map_backward(img, recon, ds, cfg)
-        w_grads, b_grads, _ = _backprop(state, caches, drecon.reshape(1, -1))
+        _, drecon = ssim_map_backward(res, ds, cfg)
+        grad, _ = _backprop(state, caches, drecon.reshape(1, -1))
         total += loss
-        flat += _flatten_grads(state, w_grads, b_grads)
+        flat += grad
     return np.array(scores), np.array(losses), total / len(x), flat / len(x)
 
 
@@ -256,6 +273,25 @@ class TestBatchedSsimEqualsPerRow:
         got_loss, got_flat = pipeline.loss_and_param_grad(x, y)
         assert_matches_per_row(got_loss, mean_loss)
         assert_matches_per_row(got_flat, flat)
+
+
+def test_ssim_param_gradient_runs_one_window_sum(monkeypatch):
+    # the backward pass reads the forward's window terms, so one
+    # loss_and_param_grad makes exactly one box-sum call
+    import calad.segmentation
+
+    calls = []
+    box_sum_valid = calad.segmentation.box_sum_valid
+
+    def counted(x, w):
+        calls.append(x.shape)
+        return box_sum_valid(x, w)
+
+    monkeypatch.setattr(calad.segmentation, "box_sum_valid", counted)
+    pipeline, d, _ = make_pipeline("autoencoder-ssim", seed=9)
+    x = np.random.default_rng(90).uniform(0.05, 0.95, (5, d))
+    pipeline.loss_and_param_grad(x, np.zeros(5))
+    assert len(calls) == 1
 
 
 class TestSvddCenter:
@@ -283,6 +319,13 @@ class TestSvddCenter:
             init_svdd_center(state, np.empty((0, 2)))
 
 
+def trained(loss, state, x, labels, cfg, **pipeline_args):
+    """The pipeline of `state` after train."""
+    pipeline = LossPipeline(state, loss, **pipeline_args)
+    train(pipeline, x, labels, cfg)
+    return pipeline
+
+
 class TestTraining:
     def test_logistic_blobs_high_auroc(self):
         rng = np.random.default_rng(8)
@@ -290,10 +333,9 @@ class TestTraining:
         x1 = rng.normal([1.5, 1.5], 0.4, (120, 2))
         x = np.vstack([x0, x1])
         y = np.concatenate([np.zeros(120), np.ones(120)])
-        cfg = TrainConfig(loss="logistic", learning_rate=5e-2, epochs=200,
-                          batch_size=64, seed=0)
-        state = train(init_scorer(MlpSpec((2, 8, 1)), 0), x, y, cfg)
-        scores = forward(state, x)[:, 0]
+        cfg = TrainConfig(learning_rate=5e-2, epochs=200, batch_size=64, seed=0)
+        pipe = trained("logistic", init_scorer(MlpSpec((2, 8, 1)), 0), x, y, cfg)
+        scores = forward(pipe.state, x)[:, 0]
         assert auroc(scores, y) >= 0.99
 
     def test_svdd_contracts_cluster(self):
@@ -302,77 +344,85 @@ class TestTraining:
         spec = MlpSpec((2, 16, 4), use_bias=False)
         state0 = init_scorer(spec, 1)
         center = init_svdd_center(state0, x)
-        pipe0 = LossPipeline(state0, "svdd", center=center)
-        before = float(np.mean(pipe0.scores(x)))
-        cfg = TrainConfig(loss="svdd", learning_rate=1e-2, epochs=150,
-                          batch_size=64, seed=1)
-        trained = train(state0, x, None, cfg, center=center)
-        after = float(np.mean(LossPipeline(trained, "svdd", center=center).scores(x)))
+        pipe = LossPipeline(state0, "svdd", center=center)
+        before = float(np.mean(pipe.scores(x)))
+        cfg = TrainConfig(learning_rate=1e-2, epochs=150, batch_size=64, seed=1)
+        train(pipe, x, None, cfg)
+        after = float(np.mean(pipe.scores(x)))
         assert after <= 0.5 * before
 
     def test_zero_learning_rate_keeps_params(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(50, 2))
         state = init_scorer(MlpSpec((2, 4, 4), use_bias=False), 2)
-        center = init_svdd_center(state, x)
-        cfg = TrainConfig(loss="svdd", learning_rate=0.0, epochs=3, seed=2)
-        trained = train(state, x, None, cfg, center=center)
-        assert np.array_equal(trained.get_flat(), state.get_flat())
+        before = state.flat.copy()
+        cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=2)
+        trained("svdd", state, x, None, cfg, center=init_svdd_center(state, x))
+        assert np.array_equal(state.flat, before)
+
+    def test_forward_reads_the_stepped_vector(self):
+        # train steps state.flat in place, and the layer views follow it
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(40, 2))
+        state = init_scorer(MlpSpec((2, 5, 3), use_bias=False), 4)
+        before = forward(state, x)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=16, seed=4)
+        pipe = trained("svdd", state, x, None, cfg, center=init_svdd_center(state, x))
+        assert pipe.state is state
+        after = forward(state, x)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(ScorerState(state.spec, state.flat), x))
 
     def test_reproducible_bit_identical(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(80, 2))
         y = (rng.random(80) < 0.5).astype(int)
         y[:2] = [0, 1]
-        cfg = TrainConfig(loss="hsc", learning_rate=1e-3, epochs=5,
-                          batch_size=32, seed=7)
-        a = train(init_scorer(MlpSpec((2, 6, 3)), 7), x, y, cfg)
-        b = train(init_scorer(MlpSpec((2, 6, 3)), 7), x, y, cfg)
-        assert np.array_equal(a.get_flat(), b.get_flat())
+        cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=32, seed=7)
+        a, b = (trained("hsc", init_scorer(MlpSpec((2, 6, 3)), 7), x, y, cfg)
+                for _ in range(2))
+        assert np.array_equal(a.state.flat, b.state.flat)
 
         # ssim training, and batched ssim gradients with and without a
         # calibrator, rerun bit for bit
         images = rng.uniform(0.05, 0.95, (40, 16))
         ssim_cfg = SsimConfig(window=3, pad_value=0.4)
-        cfg = TrainConfig(loss="ssim", learning_rate=1e-3, epochs=3,
-                          batch_size=16, seed=7)
-        a, b = (train(init_scorer(MlpSpec((16, 10, 16)), 7), images, None, cfg,
-                      ssim_cfg=ssim_cfg, image_shape=(4, 4)) for _ in range(2))
-        assert np.array_equal(a.get_flat(), b.get_flat())
+        cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=16, seed=7)
+        a, b = (trained("ssim", init_scorer(MlpSpec((16, 10, 16)), 7), images, None, cfg,
+                        ssim_cfg=ssim_cfg, image_shape=(4, 4)) for _ in range(2))
+        assert np.array_equal(a.state.flat, b.state.flat)
         for cal in (None, BetaParams(1.4, 0.7, 0.2)):
-            pipe = LossPipeline(a, "ssim", calibrator=cal, ssim_cfg=ssim_cfg,
-                                image_shape=(4, 4))
-            for grads in (pipe.loss_and_input_grad, pipe.loss_and_param_grad):
+            a.calibrator = cal
+            for grads in (a.loss_and_input_grad, a.loss_and_param_grad):
                 first, second = (grads(images[:19], y[:19]) for _ in range(2))
                 assert np.array_equal(first[0], second[0])
                 assert np.array_equal(first[1], second[1])
 
     def test_supervised_single_class_rejected(self):
         with pytest.raises(DataError):
-            train(init_scorer(MlpSpec((2, 3, 1)), 0), np.ones((10, 2)),
-                  np.zeros(10), TrainConfig(loss="logistic", epochs=1))
+            trained("logistic", init_scorer(MlpSpec((2, 3, 1)), 0), np.ones((10, 2)),
+                    np.zeros(10), TrainConfig(epochs=1))
 
     def test_svdd_rejects_biased_network(self):
-        with pytest.raises(ValueError):
-            train(init_scorer(MlpSpec((2, 3, 2), use_bias=True), 0),
-                  np.ones((10, 2)), None, TrainConfig(loss="svdd", epochs=1))
+        with pytest.raises(ValueError, match="bias-free"):
+            LossPipeline(init_scorer(MlpSpec((2, 3, 2), use_bias=True), 0), "svdd",
+                         center=np.ones(2))
 
     def test_bias_free_structure(self):
         state = init_scorer(MlpSpec((2, 8, 4), use_bias=False), 0)
         assert all(b is None for b in state.biases)
-        assert state.n_params() == 2 * 8 + 8 * 4
+        assert state.flat.size == 2 * 8 + 8 * 4
 
     def test_milestone_decay_changes_trajectory(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(60, 2))
-        base = TrainConfig(loss="svdd", learning_rate=1e-2, epochs=6, seed=3)
-        with_decay = TrainConfig(loss="svdd", learning_rate=1e-2, epochs=6,
-                                 milestones=(2,), seed=3)
+        base = TrainConfig(learning_rate=1e-2, epochs=6, seed=3)
+        with_decay = TrainConfig(learning_rate=1e-2, epochs=6, milestones=(2,), seed=3)
         spec = MlpSpec((2, 4, 2), use_bias=False)
         center = init_svdd_center(init_scorer(spec, 3), x)
-        a = train(init_scorer(spec, 3), x, None, base, center=center)
-        b = train(init_scorer(spec, 3), x, None, with_decay, center=center)
-        assert not np.array_equal(a.get_flat(), b.get_flat())
+        a, b = (trained("svdd", init_scorer(spec, 3), x, None, cfg, center=center)
+                for cfg in (base, with_decay))
+        assert not np.array_equal(a.state.flat, b.state.flat)
 
 
 class TestAdam:
@@ -402,10 +452,10 @@ class TestFreezeIsAbsolute:
         rng = np.random.default_rng(13)
         state = init_scorer(MlpSpec((3, 6, 4)), 4)
         state.frozen = [True] * state.n_layers
-        before = state.get_flat().copy()
+        before = state.flat.copy()
         feats = forward(state, rng.normal(size=(100, 3)))
         fit_head(feats, rng.integers(0, 2, 100))
-        assert np.array_equal(state.get_flat(), before)
+        assert np.array_equal(state.flat, before)
 
 
 class TestCheckpoints:
@@ -418,7 +468,7 @@ class TestCheckpoints:
         assert doc["loss"] == "hsc" and doc["epoch"] == 7
         assert loaded.frozen == [True, False]
         # container stores float32, so compare at that precision
-        assert np.allclose(loaded.get_flat(), state.get_flat(), atol=1e-7)
+        assert np.allclose(loaded.flat, state.flat, atol=1e-7)
 
     def test_non_tanh_checkpoint_rejected(self, tmp_path):
         save_scorer(tmp_path / "ckpt", init_scorer(MlpSpec((3, 2)), 0), {})
@@ -427,4 +477,31 @@ class TestCheckpoints:
         doc["activation"] = "softplus"
         (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         with pytest.raises(DataError, match="activation"):
+            load_scorer(tmp_path / "ckpt")
+
+    def save(self, tmp_path):
+        save_scorer(tmp_path / "ckpt", init_scorer(MlpSpec((3, 4, 2)), 0), {"seed": 0})
+        return tmp_path / "ckpt.json", tmp_path / "ckpt.calt"
+
+    def test_wrong_length_vector_is_data_error(self, tmp_path):
+        from calad.tensorio import save_tensor
+
+        _, calt = self.save(tmp_path)
+        save_tensor(calt, np.zeros(5))
+        with pytest.raises(DataError, match="ckpt.calt"):
+            load_scorer(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("key", ["frozen", "widths", "use_bias", "activation"])
+    def test_missing_manifest_key_is_data_error(self, tmp_path, key):
+        manifest, _ = self.save(tmp_path)
+        doc = json.loads(manifest.read_text())
+        del doc[key]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="ckpt.json"):
+            load_scorer(tmp_path / "ckpt")
+
+    def test_malformed_manifest_is_data_error(self, tmp_path):
+        manifest, _ = self.save(tmp_path)
+        manifest.write_text(manifest.read_text()[:-5])
+        with pytest.raises(DataError, match="ckpt.json"):
             load_scorer(tmp_path / "ckpt")

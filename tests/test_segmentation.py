@@ -3,10 +3,13 @@ import pytest
 
 from calad.losses import REGISTRY, conditional_risk, pseudo_huber
 from calad.segmentation import (SsimConfig, fcdd_heatmap, gaussian_kernel,
-                                gaussian_upsample, ssim_loss, ssim_map,
-                                ssim_map_backward)
+                                gaussian_upsample, ssim_loss, ssim_map_backward)
 
 CFG3 = SsimConfig(window=3)
+
+
+def ssim_map(p, q, cfg=SsimConfig()):
+    return ssim_loss(p, q, cfg).similarity
 
 
 def ssim_map_oracle(p, q, cfg):
@@ -134,7 +137,7 @@ class TestSsimBackward:
         p = rng.uniform(size=(6, 6))
         q = rng.uniform(size=(6, 6))
         ds = rng.normal(size=(6, 6))
-        dp, dq = ssim_map_backward(p, q, ds, CFG3)
+        dp, dq = ssim_map_backward(ssim_loss(p, q, CFG3), ds, CFG3)
         step = 1e-6
         for arr, grad in ((p, dp), (q, dq)):
             for idx in [(0, 0), (2, 3), (5, 5), (1, 4)]:
@@ -153,7 +156,8 @@ class TestSsimBackward:
         rng = np.random.default_rng(10)
         x = rng.uniform(size=(6, 6))
         r = rng.uniform(size=(6, 6))
-        _, dr = ssim_map_backward(x, r, np.full((6, 6), -1.0 / 36), CFG3)
+        _, dr = ssim_map_backward(ssim_loss(x, r, CFG3), np.full((6, 6), -1.0 / 36),
+                                  CFG3)
         step = 1e-6
         bump = r.copy()
         bump[3, 3] += step
@@ -186,9 +190,9 @@ class TestStacks:
     def test_ssim_map_backward(self):
         p, q, rng = self.pair(15)
         ds = rng.normal(size=p.shape)
-        dp, dq = ssim_map_backward(p, q, ds, self.CFG)
+        dp, dq = ssim_map_backward(ssim_loss(p, q, self.CFG), ds, self.CFG)
         for i in range(len(p)):
-            dpi, dqi = ssim_map_backward(p[i], q[i], ds[i], self.CFG)
+            dpi, dqi = ssim_map_backward(ssim_loss(p[i], q[i], self.CFG), ds[i], self.CFG)
             assert np.array_equal(dp[i], dpi)
             assert np.array_equal(dq[i], dqi)
 
