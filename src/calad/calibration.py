@@ -329,7 +329,15 @@ def save_calibrator(path, params, seed: int, digest: str) -> None:
 
 def load_calibrator(path):
     """Read back a calibrator document; returns (params, seed, digest). A
-    malformed document is a DataError naming the file."""
+    malformed document, or a coefficient other than the temperature that
+    is not finite, is a DataError naming the file."""
+
+    def finite(key, text):
+        value = float(text)
+        if not np.isfinite(value):
+            raise DataError(f"{path}: calibrator {key} is {value!r}, not finite")
+        return value
+
     try:
         fields = {}
         for line in Path(path).read_text().splitlines():
@@ -337,12 +345,14 @@ def load_calibrator(path):
             fields[key] = value
         kind = fields["kind"]
         if kind == "platt":
-            params = PlattParams(float(fields["temperature"]), float(fields["intercept"]))
+            params = PlattParams(float(fields["temperature"]),
+                                 finite("intercept", fields["intercept"]))
         elif kind == "beta":
-            params = BetaParams(float(fields["a"]), float(fields["b"]), float(fields["c"]))
+            params = BetaParams(*(finite(key, fields[key]) for key in "abc"))
         elif kind == "head":
-            params = HeadParams(np.array([float(w) for w in fields["weights"].split()]),
-                                float(fields["bias"]))
+            params = HeadParams(np.array([finite("weights", w)
+                                          for w in fields["weights"].split()]),
+                                finite("bias", fields["bias"]))
         else:
             raise DataError(f"{path}: unknown calibrator kind {kind!r}")
         return params, int(fields["seed"]), fields["digest"]

@@ -2,8 +2,8 @@
 
 Verbs: ``run`` executes a full experiment, ``synth`` emits spectral images,
 ``calibrate`` fits a calibrator on a score CSV, ``eval`` computes metrics
-on a score CSV, and ``report`` re-renders figures from stored per-seed
-rows. Exit codes: 0 success, 1 configuration error (a usage error
+on a score CSV, and ``report`` recomputes ``summary.csv`` from stored
+per-seed rows. Exit codes: 0 success, 1 configuration error (a usage error
 included), 2 data error, 3 numerical failure; any other exception is a bug
 and propagates as a traceback. ``CALAD_OUT_DIR`` supplies the default
 output directory; no other environment variable is consulted. Before
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--probabilities", action="store_true",
                     help="scores are probability estimates already")
 
-    rep = sub.add_parser("report", help="re-render figures from per-seed rows")
+    rep = sub.add_parser("report", help="recompute summary.csv from per-seed rows")
     rep.add_argument("rows", help="per_seed.csv from an earlier run")
     rep.add_argument("--out", dest="out_dir", default=None)
     return parser
@@ -125,7 +125,7 @@ def _read_score_csv(path):
 
 
 def _cmd_run(args) -> int:
-    cli_fields = {key: getattr(args, key) for key in harness._CONFIG_FIELDS
+    cli_fields = {key: getattr(args, key) for key in harness.CONFIG_FIELDS
                   if hasattr(args, key)}
     file_fields = harness.load_config_file(args.config) if args.config else {}
     if cli_fields.get("out_dir") is None and "out_dir" not in file_fields:

@@ -23,17 +23,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import reports
-from .calibration import (OptimizerConfig, ReliabilityHistogram, calibrated_logit,
-                          ece, fit_beta, fit_head, fit_platt, fitting_digest, mce,
-                          reliability, save_calibrator)
+from .calibration import (OptimizerConfig, ReliabilityHistogram, ece, fit_beta,
+                          fit_head, fit_platt, fitting_digest, mce, reliability,
+                          save_calibrator)
 from .datasets import gaussian_ring, textured_tiles
 from .errors import ConfigError, DataError
-from .losses import clamp_probability, logit, sigmoid
 from .metrics import aupro, pixel_auroc
 from .perturbation import PerturbConfig, evaluate_pair, perturb_batch
 from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
                      TrainConfig, forward, init_scorer, init_svdd_center, train)
-from .segmentation import SsimConfig, fcdd_heatmap, gaussian_upsample
+from .segmentation import SsimConfig, gaussian_upsample
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
 
@@ -116,7 +115,7 @@ class ExperimentConfig:
         return doc
 
 
-_CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
+CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
 
 
 def _is_int(value) -> bool:
@@ -148,7 +147,7 @@ def load_config_file(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    unknown = set(doc) - _CONFIG_FIELDS
+    unknown = set(doc) - CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return doc
@@ -369,18 +368,16 @@ def _image_shape(dataset):
 # -- synthetic anomaly pools ---------------------------------------------
 
 
-def _spectral_tabular(n: int, d: int, seed: int, box_lo, box_hi) -> np.ndarray:
-    """Spectral pixels reshaped into d-wide rows, mapped onto an expanded
-    bounding box of the (normalized) training data."""
+def _spectral_tabular(n: int, d: int, seed: int) -> np.ndarray:
+    """Spectral pixels, which lie in [0, 1], reshaped into d-wide rows and
+    mapped onto [-5, 5] in every feature: a fixed box, twice the +-2.5
+    standard deviations of the normalized training data around its mean."""
     side = max(16, math.isqrt(d - 1) + 1)  # every image holds at least one row
     per_image = (side * side) // d
     n_images = int(np.ceil(n / per_image))
     images, _ = synthesize_batch(SpectralConfig(side, side, seed=seed), n_images)
     flat = images.reshape(n_images, -1)[:, : per_image * d].reshape(-1, d)[:n]
-    lo = np.asarray(box_lo, dtype=float)
-    hi = np.asarray(box_hi, dtype=float)
-    pad = 0.5 * (hi - lo)
-    return (lo - pad) + flat * (hi - lo + 2 * pad)
+    return flat * 10.0 - 5.0
 
 
 POOL_KEYS = ("train", "calib", "eval")
@@ -411,10 +408,7 @@ def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
             images, _ = synthesize_batch(SpectralConfig(h, w, seed=seeds[key]), n_each)
             pools[key] = normalize(images.reshape(n_each, -1), stats)
         return pools
-    box_lo = np.full(d, -2.5)
-    box_hi = np.full(d, 2.5)
-    return {key: _spectral_tabular(n_each, d, seeds[key], box_lo, box_hi)
-            for key in keys}
+    return {key: _spectral_tabular(n_each, d, seeds[key]) for key in keys}
 
 
 # -- model construction ---------------------------------------------------
@@ -467,24 +461,19 @@ def _head_trunk(state: ScorerState, loss: str) -> ScorerState:
 
 
 def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
-                    seed: int, trunk: Optional[ScorerState] = None):
-    """Fit cfg.calibrator to the uncalibrated pipeline, a head to the
-    features of `trunk`; (params, digest)."""
+                    seed: int, localization: bool, trunk: Optional[ScorerState] = None):
+    """Fit cfg.calibrator to the logits of the uncalibrated pipeline, a
+    head to the features of `trunk`; (params, digest)."""
     opt = OptimizerConfig(seed=seed)
     if cfg.calibrator == "head":
         feats = forward(trunk, cal_x)
         return fit_head(feats, cal_y, opt), fitting_digest(feats, cal_y)
-    if base.image_shape is not None:
-        # per-pixel calibration pools the pixel logits of the tiles
-        est = _pixel_estimates(base, _tile_heatmaps(base, cal_x))
-        est = est.reshape(len(cal_x), -1)
-        z = logit(clamp_probability(est)).ravel()
-        cal_y = np.repeat(cal_y, est.shape[1])
-    else:
-        z = base.logits(cal_x)
+    z = _logits(base, cal_x, localization)
+    cal_y = np.repeat(cal_y, z.size // len(cal_y))  # a tile's label on each pixel
+    z = z.ravel()
     if cfg.calibrator == "platt":
         return fit_platt(z, cal_y, opt), fitting_digest(z, cal_y)
-    e = sigmoid(z)
+    e = base.calibrate(z)[1]  # the uncalibrated pipeline's estimates
     return fit_beta(e, cal_y, opt), fitting_digest(e, cal_y)
 
 
@@ -492,26 +481,20 @@ def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
 
 
 def _tile_heatmaps(pipeline: LossPipeline, x):
+    """Per-pixel raw scores of tiles, (n, h, w): the pipeline's score map,
+    fcdd's feature cells Gaussian-upsampled to the tile size."""
+    maps = pipeline.score_map(x)
     if pipeline.loss_name == "ssim":
-        return pipeline._ssim_forward(x)[0].estimates
-    # fcdd: feature map -> pseudo-Huber heatmap -> Gaussian upsample
-    h, w = pipeline.image_shape
-    out = forward(pipeline.state, np.atleast_2d(x))
-    side = int(np.sqrt(out.shape[1]))
-    stride = h // side
-    amaps = fcdd_heatmap(out.reshape(len(out), side, side))
-    return gaussian_upsample(amaps, h, w, sigma=float(stride))
+        return maps
+    return gaussian_upsample(maps, *pipeline.image_shape)
 
 
-def _pixel_estimates(pipeline: LossPipeline, heatmaps):
-    if pipeline.loss_name == "ssim":
-        est = heatmaps
-    else:
-        est = -np.expm1(-heatmaps)
-    if pipeline.calibrator is None:
-        return est
-    zc, _ = calibrated_logit(pipeline.calibrator, logit(clamp_probability(est)))
-    return sigmoid(zc)
+def _logits(pipeline: LossPipeline, x, localization: bool):
+    """What calibrators fit and reliability bins: the pipeline's logit of
+    each row or, for localization, of each tile pixel's raw score."""
+    if localization:
+        return pipeline.link(_tile_heatmaps(pipeline, x))[0]
+    return pipeline.logits(x)
 
 
 def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
@@ -524,10 +507,7 @@ def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
     localization."""
     perturb_cfg = PerturbConfig(epsilon=cfg.epsilon)
     pair = evaluate_pair(pipeline, x_test, test.y, perturb_cfg)
-    if localization:
-        eta = _pixel_estimates(pipeline, _tile_heatmaps(pipeline, x_eval)).ravel()
-    else:
-        eta = pipeline.calibrated(x_eval)[1]
+    eta = pipeline.calibrate(_logits(pipeline, x_eval, localization))[1].ravel()
     hist = reliability(eta, np.repeat([0, 1], len(eta) // 2), cfg.bins)
     row = {
         "class_id": class_id,
@@ -598,7 +578,7 @@ def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
         cal_x = np.concatenate([x_cal[:n_cal], pools["calib"][:n_cal]])
         cal_y = np.concatenate([np.zeros(n_cal), np.ones(n_cal)])
         trunk = _head_trunk(pipeline.state, cfg.loss) if cfg.calibrator == "head" else None
-        fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, trunk)
+        fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, localization, trunk)
         if trunk is not None:
             pipeline = LossPipeline(trunk, "logistic", head=fitted[0])
         else:

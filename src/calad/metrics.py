@@ -13,6 +13,13 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 
+def _require_finite(x, what):
+    """NumericalError naming how many values of the 1-D x are not finite."""
+    n_bad = int(np.sum(~np.isfinite(x)))
+    if n_bad:
+        raise NumericalError(f"{what} got {n_bad} non-finite values of {len(x)}")
+
+
 def _midranks(x, what):
     """1-based ranks with ties given their mean rank; raises
     NumericalError on non-finite values, which have no rank.
@@ -20,9 +27,7 @@ def _midranks(x, what):
     A midrank is a whole or half integer, so it is exact in float64 and
     equals scipy.stats.rankdata(x, method="average") bit for bit.
     """
-    n_bad = int(np.sum(~np.isfinite(x)))
-    if n_bad:
-        raise NumericalError(f"{what} got {n_bad} non-finite values of {len(x)}")
+    _require_finite(x, what)
     _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     return (ends - (counts - 1) / 2.0)[inverse]
@@ -110,12 +115,14 @@ def _pro_curve(heatmaps, masks):
             region_scores.append(np.sort(hm[region]))
         neg_scores.append(hm[~m])
         all_scores.append(hm.ravel())
+    scores = np.concatenate(all_scores)
+    _require_finite(scores, "AUPRO")  # NaN would fall out of every threshold
     if not region_scores:
         raise DataError("AUPRO needs at least one anomalous region")
     negs = np.sort(np.concatenate(neg_scores))
     if len(negs) == 0:
         raise DataError("AUPRO needs at least one normal pixel")
-    thresholds = np.unique(np.concatenate(all_scores))[::-1]
+    thresholds = np.unique(scores)[::-1]
     fpr = (len(negs) - np.searchsorted(negs, thresholds, side="left")) / len(negs)
     pro = np.zeros(len(thresholds))
     for reg in region_scores:

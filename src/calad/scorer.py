@@ -186,7 +186,9 @@ class LossPipeline:
     pseudo-Huber feature heatmap, and "ssim" is the mean of 1 - S between
     the input image and its reconstruction. With a calibrator attached the
     loss is the logistic loss of the calibrated logit, so gradients flow
-    through the calibrator; otherwise it is the base loss of v.
+    through the calibrator; otherwise it is the base loss of v. Pixels
+    take the same chain from ``score_map``: ``link`` and ``calibrate``
+    accept raw scores and logits of any shape.
     """
 
     def __init__(self, state: ScorerState, loss_name: str, center=None,
@@ -247,13 +249,14 @@ class LossPipeline:
         recon, caches = _forward_cache(self.state, rows)
         return ssim_loss(rows.reshape(shape), recon.reshape(shape), self.ssim_cfg), caches
 
-    def _natural_logit(self, v):
-        """Logit of the raw score and d(logit)/dv."""
+    def link(self, v):
+        """Logit of raw scores v of any shape, row scores or a score map's
+        pixels, and d(logit)/dv."""
         name = self.loss_name
         if name in ("logistic", "svdd"):
             return v, np.ones_like(v)
         if name == "ssim":
-            # v / 2 is the mean pixel estimate (1 - S) / 2
+            # v / 2 = (1 - S) / 2 maps the similarity S in [-1, 1] into [0, 1]
             e = clamp_probability(v / 2.0)
             return np.log(e) - np.log1p(-e), 0.5 / (e * (1.0 - e))
         # hsc / fcdd: estimate 1 - e^-v through the exponential link
@@ -266,7 +269,7 @@ class LossPipeline:
     def _loss(self, v, y):
         """Per-row loss and dloss/dv."""
         if self.calibrator is not None:
-            z, dz_dv = self._natural_logit(v)
+            z, dz_dv = self.link(v)
             zc, dzc_dz = calibrated_logit(self.calibrator, z)
             return logistic_loss(y, zc), (sigmoid(zc) - y) * dzc_dz * dz_dv
         if self.loss_name == "logistic":
@@ -283,12 +286,23 @@ class LossPipeline:
         """Anomaly scores: the raw score v."""
         return self._scores(x)[0]
 
-    def logits(self, x) -> np.ndarray:
-        return self._natural_logit(self._scores(x)[0])[0]
+    def score_map(self, x) -> np.ndarray:
+        """Per-pixel raw scores whose per-row mean is scores(x): 1 - S
+        for ssim, (n, h, w); for fcdd the pseudo-Huber sqrt(f^2 + 1) - 1
+        of each feature cell f, (n, side, side)."""
+        if self.loss_name == "ssim":
+            return 1.0 - self._ssim_forward(x)[0].similarity
+        if self.loss_name != "fcdd":
+            raise ValueError(f"loss {self.loss_name!r} gives no score map")
+        out = forward(self.state, x)
+        side = int(np.sqrt(out.shape[1]))
+        return pseudo_huber(out * out).reshape(len(out), side, side)
 
-    def calibrated(self, x):
-        """(calibrated logit, calibrated estimate) for a batch."""
-        z = self.logits(x)
+    def logits(self, x) -> np.ndarray:
+        return self.link(self._scores(x)[0])[0]
+
+    def calibrate(self, z):
+        """(calibrated logit, calibrated estimate) of logits z of any shape."""
         if self.calibrator is not None:
             z, _ = calibrated_logit(self.calibrator, z)
         return z, sigmoid(z)

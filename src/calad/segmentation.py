@@ -1,5 +1,4 @@
-"""Pixel-wise localization machinery: SSIM maps, feature heatmaps and
-Gaussian upsampling.
+"""Pixel-wise localization machinery: SSIM maps and Gaussian upsampling.
 
 Images are (channels, height, width) float arrays; heatmaps and masks are
 2-D. SSIM statistics are plain (population) window means, so the sliding
@@ -39,7 +38,6 @@ class SsimConfig:
 class SsimLoss:
     loss: float             # one per image (an array) for an (n, h, w) stack
     similarity: np.ndarray  # S map, same height/width as the inputs
-    estimates: np.ndarray   # per-pixel (1 - S) / 2
     # window terms that ssim_map_backward reads: the unpadded images p and
     # q, their window means, and the factors of S = a * b / (c * d)
     p: np.ndarray
@@ -63,8 +61,7 @@ def _pad(img: np.ndarray, pad: int, value: float) -> np.ndarray:
 def ssim_loss(x, recon, cfg: SsimConfig = SsimConfig()) -> SsimLoss:
     """Sliding-window SSIM of two single-channel images, or of two
     (n, h, w) stacks image by image, as the mean (1 - S) reconstruction
-    loss (one per image for stacks), its per-pixel estimates, and the
-    window terms of the map.
+    loss (one per image for stacks), the map S, and its window terms.
 
     Both images are constant-padded by cfg.pad with cfg.pad_value, so the
     map is conformal with the inputs.
@@ -85,8 +82,7 @@ def ssim_loss(x, recon, cfg: SsimConfig = SsimConfig()) -> SsimLoss:
     s = (a * b) / (c * d)
     loss = np.mean(1.0 - s, axis=(-2, -1))
     return SsimLoss(loss=float(loss) if s.ndim == 2 else loss, similarity=s,
-                    estimates=(1.0 - s) / 2.0, p=p, q=q, mup=mup, muq=muq,
-                    a=a, b=b, c=c, d=d)
+                    p=p, q=q, mup=mup, muq=muq, a=a, b=b, c=c, d=d)
 
 
 def ssim_map_backward(fwd: SsimLoss, ds, cfg: SsimConfig = SsimConfig()):
@@ -116,14 +112,6 @@ def ssim_map_backward(fwd: SsimLoss, ds, cfg: SsimConfig = SsimConfig()):
     return dp, dq
 
 
-def fcdd_heatmap(features: np.ndarray) -> np.ndarray:
-    """Element-wise pseudo-Huber heatmap sqrt(f^2 + 1) - 1 of a feature map."""
-    f = np.asarray(features, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("features must be finite")
-    return np.sqrt(f * f + 1.0) - 1.0
-
-
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Truncated 2-D Gaussian, normalized to unit sum."""
     r = (size - 1) / 2
@@ -133,14 +121,15 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_upsample(heatmap, out_h: int, out_w: int, sigma: float) -> np.ndarray:
+def gaussian_upsample(heatmap, out_h: int, out_w: int) -> np.ndarray:
     """Upsample a heatmap, or each map of an (n, h, w) stack, by transposed
     convolution with a fixed Gaussian.
 
     The stride is the integer ratio of output to input extent (it must
     divide evenly and match on both axes), the kernel spans 4*stride + 1
-    cells, and the full scatter is center-cropped to the requested shape.
-    The operator is linear and preserves nonnegativity.
+    cells with sigma = stride, and the full scatter is center-cropped to
+    the requested shape. The operator is linear and preserves
+    nonnegativity.
     """
     a = np.asarray(heatmap, dtype=float)
     if a.ndim not in (2, 3):
@@ -153,9 +142,7 @@ def gaussian_upsample(heatmap, out_h: int, out_w: int, sigma: float) -> np.ndarr
             f"incompatible shapes: ({in_h}, {in_w}) -> ({out_h}, {out_w}) needs one "
             "integer stride on both axes")
     stride = out_h // in_h
-    if stride == 1 and sigma <= 0:
-        return a.copy()
-    kern = gaussian_kernel(4 * stride + 1, sigma)
+    kern = gaussian_kernel(4 * stride + 1, float(stride))
     full = upsample_scatter(a, kern, stride)
     margin_h = full.shape[-2] - out_h
     margin_w = full.shape[-1] - out_w

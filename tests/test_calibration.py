@@ -135,8 +135,8 @@ def head_pipeline(head):
 
 class TestHeadTransform:
     def test_zero_head(self):
-        z, eta = head_pipeline(HeadParams(np.zeros(2), 0.0)).calibrated(
-            np.array([[1.0, -2.0]]))
+        pipeline = head_pipeline(HeadParams(np.zeros(2), 0.0))
+        z, eta = pipeline.calibrate(pipeline.logits(np.array([[1.0, -2.0]])))
         assert z[0] == 0.0 and eta[0] == 0.5
 
     def test_linearity_in_feature(self):
@@ -145,8 +145,8 @@ class TestHeadTransform:
         assert z2 == pytest.approx(2 * z1)
 
     def test_hand_case(self):
-        z, eta = head_pipeline(HeadParams(np.array([1.0, -1.0, 2.0]), 0.5)).calibrated(
-            np.array([[0.5, 0.5, 0.25]]))
+        pipeline = head_pipeline(HeadParams(np.array([1.0, -1.0, 2.0]), 0.5))
+        z, eta = pipeline.calibrate(pipeline.logits(np.array([[0.5, 0.5, 0.25]])))
         assert z[0] == pytest.approx(1.0, abs=1e-14)
         assert eta[0] == pytest.approx(float(1 / (1 + mp.exp(-1))), abs=1e-14)
 
@@ -484,6 +484,21 @@ class TestSerialization:
         path = tmp_path / "cal.txt"
         path.write_text(text)
         with pytest.raises(DataError, match="cal.txt"):
+            load_calibrator(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind platt\ntemperature 2.0\nintercept nan\n", "intercept"),
+        ("kind beta\na nan\nb 1\nc 0\n", "a"),
+        ("kind beta\na 1\nb nan\nc 0\n", "b"),
+        ("kind beta\na 1\nb 1\nc nan\n", "c"),
+        ("kind beta\na 1\nb 1\nc -inf\n", "c"),
+        ("kind head\nweights 0.5 nan\nbias 0\n", "weights"),
+        ("kind head\nweights 0.5 1\nbias nan\n", "bias"),
+    ])
+    def test_non_finite_coefficient_is_data_error(self, tmp_path, text, key):
+        path = tmp_path / "cal.txt"
+        path.write_text(text + "seed 0\ndigest d\n")
+        with pytest.raises(DataError, match=f"cal.txt: calibrator {key} is"):
             load_calibrator(path)
 
     def test_digest_tracks_data(self):

@@ -442,6 +442,37 @@ class TestLocalizingLoss:
         assert "aupro" not in r.per_seed_rows[0]
 
 
+class TestPixelChain:
+    """A tiles calibrator fits the pipeline's link of the tile heatmaps,
+    which are its score map (for fcdd, Gaussian-upsampled)."""
+
+    @pytest.mark.parametrize("loss", ["ssim", "fcdd"])
+    def test_calibrator_fits_the_link_of_the_map(self, tmp_path, loss):
+        from calad.calibration import fitting_digest
+        from calad.harness import _fit_calibrator, _tile_heatmaps
+        from calad.scorer import LossPipeline, MlpSpec, forward, init_scorer
+        from calad.segmentation import SsimConfig, gaussian_upsample, ssim_loss
+
+        x = np.random.default_rng(31).uniform(size=(6, 64))
+        y = np.r_[np.zeros(3), np.ones(3)]
+        if loss == "ssim":
+            state = init_scorer(MlpSpec((64, 16, 64)), 3)
+            pipeline = LossPipeline(state, "ssim", ssim_cfg=SsimConfig(window=3),
+                                    image_shape=(8, 8))
+            recon = forward(state, x).reshape(6, 8, 8)
+            maps = 1.0 - ssim_loss(x.reshape(6, 8, 8), recon, pipeline.ssim_cfg).similarity
+        else:
+            state = init_scorer(MlpSpec((64, 16, 16)), 3)
+            pipeline = LossPipeline(state, "fcdd", image_shape=(8, 8))
+            f = forward(state, x).reshape(6, 4, 4)
+            maps = gaussian_upsample(np.sqrt(f * f + 1.0) - 1.0, 8, 8)
+        assert np.array_equal(_tile_heatmaps(pipeline, x), maps)
+        cfg = fast_cfg(tmp_path, normal="builtin:tiles", loss=loss)
+        _, digest = _fit_calibrator(cfg, pipeline, x, y, 0, localization=True)
+        z = pipeline.link(maps)[0]
+        assert digest == fitting_digest(z.ravel(), np.repeat(y, 64))
+
+
 class TestOeWidth:
     def test_pool_of_another_width_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("calad.harness.train", no_training)

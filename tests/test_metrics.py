@@ -111,6 +111,19 @@ class TestAupro:
         assert aupro([hm], [mask], 1.0) == pytest.approx(0.5, abs=1e-12)
         assert aupro([hm], [mask], 0.3) == pytest.approx(0.15, abs=1e-12)
 
+    def test_non_finite_heatmaps_rejected(self):
+        mask = np.zeros((8, 8))
+        mask[2:5, 2:5] = 1
+        hm = np.random.default_rng(4).uniform(size=(8, 8))
+        hm[0, 0] = np.nan
+        with pytest.raises(NumericalError, match="AUPRO got 1 non-finite values of 128"):
+            aupro([hm, np.zeros((8, 8))], [mask, mask])
+        with pytest.raises(NumericalError, match="64 non-finite"):
+            aupro([np.full((8, 8), np.nan)], [mask])
+        hm[0, 0] = -np.inf
+        with pytest.raises(NumericalError, match="1 non-finite"):
+            aupro([hm], [mask])
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_threshold_sweep_oracle(self, seed):
         rng = np.random.default_rng(seed)

@@ -225,7 +225,58 @@ class TestOneChain:
             h, w = pipeline.image_shape
             recon = forward(pipeline.state, x).reshape(-1, h, w)
             res = ssim_loss(x.reshape(-1, h, w), recon, pipeline.ssim_cfg)
-            assert np.array_equal(v, 2.0 * np.mean(res.estimates, axis=(1, 2)))
+            assert np.array_equal(v, np.mean(1.0 - res.similarity, axis=(1, 2)))
+
+
+def pixel_pipeline(kind, seed):
+    """An fcdd or ssim pipeline and a batch of its input rows."""
+    pipeline, d, _ = make_pipeline(kind, seed=seed)
+    return pipeline, np.random.default_rng(seed + 50).uniform(0.05, 0.95, (5, d))
+
+
+class TestScoreMap:
+    """Pixels read the row chain: score map -> link -> calibrate."""
+
+    @pytest.mark.parametrize("kind", ["mlp-fcdd", "autoencoder-ssim"])
+    def test_scores_are_row_means_of_the_map(self, kind):
+        pipeline, x = pixel_pipeline(kind, seed=21)
+        maps = pipeline.score_map(x)
+        assert maps.shape == ((5, 3, 3) if kind == "mlp-fcdd" else (5, 4, 4))
+        assert np.array_equal(pipeline.scores(x), np.mean(maps, axis=(1, 2)))
+
+    def test_ssim_map_is_one_minus_similarity(self):
+        pipeline, x = pixel_pipeline("autoencoder-ssim", seed=23)
+        recon = forward(pipeline.state, x).reshape(5, 4, 4)
+        s = ssim_loss(x.reshape(5, 4, 4), recon, pipeline.ssim_cfg).similarity
+        maps = pipeline.score_map(x)
+        assert np.array_equal(maps, 1.0 - s)
+        # the link reads each pixel as the estimate (1 - S) / 2
+        e = clamp_probability((1.0 - s) / 2.0)
+        assert np.array_equal(pipeline.link(maps)[0], np.log(e) - np.log1p(-e))
+
+    @pytest.mark.parametrize("cal", CALIBRATORS)
+    @pytest.mark.parametrize("kind", ["mlp-fcdd", "autoencoder-ssim"])
+    def test_pixels_take_the_row_link_and_calibrator(self, kind, cal):
+        pipeline, x = pixel_pipeline(kind, seed=24)
+        pipeline.calibrator = cal
+        maps = pipeline.score_map(x)
+        z = pipeline.link(maps)[0]
+        assert z.shape == maps.shape
+        assert np.array_equal(z, natural_logit(kind, maps))
+        # pixel by pixel, the chain is the one rows take
+        flat_z = pipeline.link(maps.ravel())[0]
+        assert np.array_equal(z.ravel(), flat_z)
+        zc, eta = pipeline.calibrate(z)
+        assert np.array_equal(zc.ravel(), pipeline.calibrate(flat_z)[0])
+        assert np.array_equal(eta, sigmoid(zc))
+        if cal is None:
+            assert np.array_equal(zc, z)
+
+    @pytest.mark.parametrize("kind", ["mlp-svdd", "mlp-hsc", "mlp-logistic", "head"])
+    def test_losses_without_pixels_have_no_map(self, kind):
+        pipeline, d, _ = make_pipeline(kind, seed=25)
+        with pytest.raises(ValueError, match="gives no score map"):
+            pipeline.score_map(np.zeros((2, d)))
 
 
 def ssim_per_row_reference(pipeline, x, y):
@@ -239,7 +290,7 @@ def ssim_per_row_reference(pipeline, x, y):
         out, caches = _forward_cache(state, row[None, :])
         img, recon = row.reshape(h, w), out[0].reshape(h, w)
         res = ssim_loss(img, recon, cfg)
-        est = float(np.mean(res.estimates))
+        est = float(np.mean((1.0 - res.similarity) / 2.0))
         scores.append(2.0 * est)
         if pipeline.calibrator is None:
             loss = res.loss

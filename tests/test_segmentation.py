@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from calad.errors import NumericalError
 from calad.losses import REGISTRY, conditional_risk, pseudo_huber
-from calad.segmentation import (SsimConfig, fcdd_heatmap, gaussian_kernel,
-                                gaussian_upsample, ssim_loss, ssim_map_backward)
+from calad.metrics import aupro
+from calad.scorer import LossPipeline, MlpSpec, ScorerState
+from calad.segmentation import (SsimConfig, gaussian_kernel, gaussian_upsample,
+                                ssim_loss, ssim_map_backward)
 
 CFG3 = SsimConfig(window=3)
 
@@ -123,13 +126,6 @@ class TestSsimLoss:
         expected = np.mean(1.0 - ssim_map_oracle(x, r, cfg))
         assert ssim_loss(x, r, cfg).loss == pytest.approx(expected, abs=1e-10)
 
-    def test_estimates_exposed(self):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(size=(12, 12))
-        r = rng.uniform(size=(12, 12))
-        res = ssim_loss(x, r)
-        assert np.allclose(res.estimates, (1.0 - res.similarity) / 2.0)
-
 
 class TestSsimBackward:
     def test_gradients_match_finite_differences(self):
@@ -185,7 +181,6 @@ class TestStacks:
             assert isinstance(single.loss, float)
             assert np.array_equal(s[i], ssim_map(p[i], q[i], self.CFG))
             assert res.loss[i] == single.loss
-            assert np.array_equal(res.estimates[i], single.estimates)
 
     def test_ssim_map_backward(self):
         p, q, rng = self.pair(15)
@@ -198,29 +193,44 @@ class TestStacks:
 
     def test_gaussian_upsample(self):
         a = np.random.default_rng(16).uniform(size=(6, 8, 8))
-        out = gaussian_upsample(a, 16, 16, 2.0)
+        out = gaussian_upsample(a, 16, 16)
         for i in range(len(a)):
-            assert np.array_equal(out[i], gaussian_upsample(a[i], 16, 16, 2.0))
+            assert np.array_equal(out[i], gaussian_upsample(a[i], 16, 16))
+
+
+def fcdd_map(features):
+    """The fcdd score map of one image whose feature cells are `features`:
+    an identity scorer passes the input row through as the feature map."""
+    f = np.asarray(features, dtype=float).ravel()
+    state = ScorerState(MlpSpec((f.size, f.size)),
+                        np.concatenate([np.eye(f.size).ravel(), np.zeros(f.size)]))
+    return LossPipeline(state, "fcdd").score_map(f)[0]
 
 
 class TestFcddHeatmap:
+    """The fcdd heatmap before upsampling: an fcdd pipeline's score map."""
+
     def test_zero_features(self):
-        out = fcdd_heatmap(np.zeros((4, 4)))
-        assert np.all(out == 0.0)
+        assert np.all(fcdd_map(np.zeros((4, 4))) == 0.0)
 
     def test_sqrt_three_entry(self):
-        out = fcdd_heatmap(np.array([[np.sqrt(3.0)]]))
+        out = fcdd_map(np.array([[np.sqrt(3.0)]]))
+        assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
         f = rng.normal(size=(4, 4))
         expected = np.mean([pseudo_huber(v * v) for v in f.ravel()])
-        assert np.mean(fcdd_heatmap(f)) == pytest.approx(expected, abs=1e-12)
+        assert np.mean(fcdd_map(f)) == pytest.approx(expected, abs=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            fcdd_heatmap(np.array([[np.inf]]))
+        # a non-finite feature cell reaches the heatmap, and AUPRO names it
+        heatmap = gaussian_upsample(fcdd_map(np.array([[0.5, np.nan], [1.0, 2.0]])), 4, 4)
+        mask = np.zeros((4, 4))
+        mask[:2, :2] = 1
+        with pytest.raises(NumericalError, match="non-finite"):
+            aupro([heatmap], [mask])
 
 
 class TestGaussianUpsample:
@@ -228,19 +238,18 @@ class TestGaussianUpsample:
         rng = np.random.default_rng(12)
         a = rng.uniform(size=(4, 4))
         b = rng.uniform(size=(4, 4))
-        lhs = gaussian_upsample(2.0 * a + 3.0 * b, 16, 16, 1.5)
-        rhs = 2.0 * gaussian_upsample(a, 16, 16, 1.5) + \
-            3.0 * gaussian_upsample(b, 16, 16, 1.5)
+        lhs = gaussian_upsample(2.0 * a + 3.0 * b, 16, 16)
+        rhs = 2.0 * gaussian_upsample(a, 16, 16) + 3.0 * gaussian_upsample(b, 16, 16)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_zero_input(self):
-        assert np.all(gaussian_upsample(np.zeros((4, 4)), 8, 8, 1.0) == 0.0)
+        assert np.all(gaussian_upsample(np.zeros((4, 4)), 8, 8) == 0.0)
 
     def test_one_hot_bump_mass(self):
         a = np.zeros((8, 8))
         a[4, 4] = 1.0
-        out = gaussian_upsample(a, 32, 32, 2.0)
-        kern = gaussian_kernel(17, 2.0)
+        out = gaussian_upsample(a, 32, 32)
+        kern = gaussian_kernel(17, 4.0)  # stride 4: 4 * 4 + 1 cells, sigma 4
         # the bump lands fully inside, so the scattered mass is the kernel sum
         assert out.sum() == pytest.approx(kern.sum(), abs=1e-12)
         assert np.all(out >= 0.0)
@@ -248,8 +257,9 @@ class TestGaussianUpsample:
     def test_convolution_oracle(self):
         rng = np.random.default_rng(13)
         a = rng.uniform(size=(3, 3))
-        s = 2
-        kern = gaussian_kernel(4 * s + 1, 1.0)
+        s = 2  # 3 -> 6 is stride 2: a 9-cell kernel with sigma = stride
+        g = np.exp(-(np.arange(9) - 4.0) ** 2 / (2.0 * s * s))
+        kern = np.outer(g, g) / np.outer(g, g).sum()
         full = np.zeros((2 * s + 4 * s + 1, 2 * s + 4 * s + 1))
         for i in range(3):
             for j in range(3):
@@ -257,15 +267,15 @@ class TestGaussianUpsample:
         margin = full.shape[0] - 6
         top = margin // 2
         expected = full[top:top + 6, top:top + 6]
-        assert np.allclose(gaussian_upsample(a, 6, 6, 1.0), expected, atol=1e-12)
+        assert np.allclose(gaussian_upsample(a, 6, 6), expected, atol=1e-12)
 
     def test_incompatible_geometry(self):
         with pytest.raises(ValueError):
-            gaussian_upsample(np.zeros((4, 4)), 10, 10, 1.0)
+            gaussian_upsample(np.zeros((4, 4)), 10, 10)
         with pytest.raises(ValueError):
-            gaussian_upsample(np.zeros((4, 4)), 8, 12, 1.0)
+            gaussian_upsample(np.zeros((4, 4)), 8, 12)
         with pytest.raises(ValueError):
-            gaussian_upsample(np.zeros((4, 4)), 2, 2, 1.0)
+            gaussian_upsample(np.zeros((4, 4)), 2, 2)
 
 
 class TestPixelwiseLoss:
