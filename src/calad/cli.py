@@ -162,6 +162,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     scores, labels = _read_score_csv(args.scores)
     opt = OptimizerConfig(seed=args.seed)
     if args.kind == "platt":
@@ -226,8 +228,7 @@ def _cmd_report(args) -> int:
     rows = _read_seed_rows(args.rows)
     out = Path(args.out_dir or _default_out())
     out.mkdir(parents=True, exist_ok=True)
-    localization = "aupro" in rows[0]
-    reports.write_rows_csv(out / "summary.csv", harness.aggregate(rows), localization)
+    reports.write_rows_csv(out / "summary.csv", harness.aggregate(rows))
     print(f"wrote {out / 'summary.csv'}")
     return 0
 

@@ -16,7 +16,7 @@ and its seed list.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -31,7 +31,8 @@ from .errors import ConfigError, DataError
 from .metrics import aupro, pixel_auroc
 from .perturbation import PerturbConfig, evaluate_pair, perturb_batch
 from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
-                     TrainConfig, forward, init_scorer, init_svdd_center, train)
+                     TrainConfig, forward, init_scorer, init_svdd_center,
+                     save_scorer, train)
 from .segmentation import SsimConfig, gaussian_upsample
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
@@ -90,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("anomaly source 'oe' requires an OE data directory")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be nonnegative, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         if list(self.milestones) != sorted(self.milestones):
             raise ConfigError(f"milestones must be sorted, got {list(self.milestones)}")
         if not 0 <= self.epsilon < math.inf:
@@ -208,25 +211,22 @@ def normalize(data, stats):
 
 
 def _load_dataset(cfg: ExperimentConfig):
+    """The run's dataset record: its class id, the raw normal training
+    rows, the test set, and the (h, w) tile shape (None for rows)."""
     name = cfg.normal
-    if name == "builtin:gauss2d":
-        return {"kind": "detection", "class_id": "gauss2d",
-                "data": gaussian_ring(DATA_SEED)}
-    if name == "builtin:gauss2d-basin":
-        return {"kind": "detection", "class_id": "gauss2d-basin",
-                "data": gaussian_ring(DATA_SEED, basin=True)}
+    if name in ("builtin:gauss2d", "builtin:gauss2d-basin"):
+        data = gaussian_ring(DATA_SEED, basin=name.endswith("-basin"))
+        return _rows_dataset(name[len("builtin:"):], data.train_normal,
+                             data.test_normal, data.test_anomalous)
     if name == "builtin:tiles":
-        return {"kind": "tiles", "class_id": "tiles",
-                "data": textured_tiles(DATA_SEED)}
+        data = textured_tiles(DATA_SEED)
+        return _tiles_dataset("tiles", data.train_images, data.test_images,
+                              data.test_masks)
     path = Path(name)
     if path.is_dir():
-        dataset = _dir_dataset(path, cfg.masks_dir)
-        channels = dataset["data"].train_images.shape[1]
-        if channels > 1 and (cfg.loss == "ssim" or cfg.anomaly_source == "spectral"):
-            raise DataError(
-                f"{path}: tiles have {channels} channels, but SSIM and spectral "
-                "anomaly pools are single-channel")
-        return dataset
+        # SSIM and spectral anomaly pools handle one channel only
+        return _dir_dataset(path, cfg.masks_dir, single_channel=(
+            cfg.loss == "ssim" or cfg.anomaly_source == "spectral"))
     if path.suffix == ".csv" and path.exists():
         try:
             rows = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -238,17 +238,50 @@ def _load_dataset(cfg: ExperimentConfig):
         bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
         if len(bad):
             raise DataError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
+        # the last fifth is held out as test normals; ring anomalies are synthesized
         n_test = max(1, len(rows) // 5)
-        return {"kind": "detection", "class_id": path.stem,
-                "data": _csv_detection(rows, n_test)}
+        rng = np.random.default_rng(DATA_SEED)
+        train, test = rows[:-n_test], rows[-n_test:]
+        scale = np.abs(train).max() * 2.0 + 1.0
+        angles = rng.uniform(0, 2 * np.pi, n_test)
+        anoms = scale * np.column_stack([np.cos(angles), np.sin(angles)])[:, :rows.shape[1]]
+        if anoms.shape[1] < rows.shape[1]:
+            anoms = np.pad(anoms, ((0, 0), (0, rows.shape[1] - anoms.shape[1])))
+        return _rows_dataset(path.stem, train, test, anoms)
     raise DataError(f"cannot read normal data from {name!r}; expected a CSV file, "
                     f"a directory of raw tensors, or one of {BUILTIN_DATASETS}")
 
 
-def _dir_dataset(normal_dir: Path, masks_dir):
-    """Training images from a raw-tensor directory; with a masks directory,
-    the test set is its <name>.calt images paired with <name>.pgm masks."""
-    from .datasets import TileData
+class _TestSet(NamedTuple):
+    """Seed-independent test inputs: raw rows with normals first."""
+    x: np.ndarray
+    y: np.ndarray                 # 0 normal, 1 anomalous
+    masks: Optional[np.ndarray]   # tiles only, aligned with the rows
+
+
+def _rows_dataset(class_id, train, test_normal, test_anomalous):
+    """Dataset record of tabular rows."""
+    test = _TestSet(np.concatenate([test_normal, test_anomalous]),
+                    np.concatenate([np.zeros(len(test_normal)),
+                                    np.ones(len(test_anomalous))]), None)
+    return {"class_id": class_id, "normal": train, "test": test, "image_shape": None}
+
+
+def _tiles_dataset(class_id, train_images, test_images, test_masks):
+    """Dataset record of (n, c, h, w) tiles, flattened into rows; a test
+    tile is anomalous when its mask marks any pixel."""
+    anomalous = test_masks.sum(axis=(1, 2)) > 0
+    order = np.argsort(anomalous, kind="stable")  # normal tiles first
+    test = _TestSet(test_images[order].reshape(len(order), -1),
+                    anomalous[order].astype(float), test_masks[order])
+    return {"class_id": class_id, "normal": train_images.reshape(len(train_images), -1),
+            "test": test, "image_shape": train_images.shape[-2:]}
+
+
+def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
+    """Training images from a raw-tensor directory; the test set is the
+    masks directory's <name>.calt images paired with <name>.pgm masks.
+    With `single_channel`, multi-channel tiles are a DataError."""
     from .tensorio import read_pgm
 
     train_files = sorted(normal_dir.glob("*.calt"))
@@ -265,6 +298,10 @@ def _dir_dataset(normal_dir: Path, masks_dir):
     train = np.stack(train)
     if train.ndim == 3:  # (n, h, w) -> single channel
         train = train[:, None]
+    if single_channel and train.shape[1] > 1:
+        raise DataError(
+            f"{normal_dir}: tiles have {train.shape[1]} channels, but SSIM and "
+            "spectral anomaly pools are single-channel")
     if masks_dir is None:
         raise DataError(
             f"{normal_dir} holds image tensors; provide a masks directory with "
@@ -292,24 +329,7 @@ def _dir_dataset(normal_dir: Path, masks_dir):
                             f"images' {shape[1:]}")
         test_imgs.append(img)
         masks.append(mask)
-    data = TileData(train_images=train, test_images=np.stack(test_imgs),
-                    test_masks=np.stack(masks))
-    return {"kind": "tiles", "class_id": normal_dir.name, "data": data}
-
-
-def _csv_detection(rows, n_test):
-    from .datasets import DetectionData
-
-    # the last fifth is held out as test normals; ring anomalies are synthesized
-    rng = np.random.default_rng(DATA_SEED)
-    train, test = rows[:-n_test], rows[-n_test:]
-    scale = np.abs(train).max() * 2.0 + 1.0
-    angles = rng.uniform(0, 2 * np.pi, n_test)
-    anoms = scale * np.column_stack([np.cos(angles), np.sin(angles)])[:, :rows.shape[1]]
-    if anoms.shape[1] < rows.shape[1]:
-        anoms = np.pad(anoms, ((0, 0), (0, rows.shape[1] - anoms.shape[1])))
-    return DetectionData(train_normal=train, test_normal=test,
-                         test_anomalous=anoms)
+    return _tiles_dataset(normal_dir.name, train, np.stack(test_imgs), np.stack(masks))
 
 
 def _load_oe_dir(oe_dir) -> np.ndarray:
@@ -334,35 +354,6 @@ def _load_oe_dir(oe_dir) -> np.ndarray:
     if len(widths) != 1:
         raise DataError(f"OE pool mixes sample widths {sorted(widths)}")
     return np.concatenate(parts)
-
-
-class _TestSet(NamedTuple):
-    """Seed-independent test inputs: raw rows with normals first."""
-    x: np.ndarray
-    y: np.ndarray                 # 0 normal, 1 anomalous
-    masks: Optional[np.ndarray]   # tiles only, aligned with the rows
-
-
-def _normal_and_test(dataset):
-    """Raw normal training rows and the test set of a loaded dataset."""
-    data = dataset["data"]
-    if dataset["kind"] == "detection":
-        x = np.concatenate([data.test_normal, data.test_anomalous])
-        y = np.concatenate([np.zeros(len(data.test_normal)),
-                            np.ones(len(data.test_anomalous))])
-        return data.train_normal, _TestSet(x, y, None)
-    anomalous = data.test_masks.sum(axis=(1, 2)) > 0
-    order = np.argsort(anomalous, kind="stable")  # normal tiles first
-    test = _TestSet(data.test_images[order].reshape(len(order), -1),
-                   anomalous[order].astype(float), data.test_masks[order])
-    return data.train_images.reshape(len(data.train_images), -1), test
-
-
-def _image_shape(dataset):
-    """(h, w) of a tile dataset; None for tabular rows."""
-    if dataset["kind"] == "tiles":
-        return dataset["data"].train_images.shape[-2:]
-    return None
 
 
 # -- synthetic anomaly pools ---------------------------------------------
@@ -400,9 +391,8 @@ def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
         thirds = dict(zip(POOL_KEYS, np.array_split(perm, 3)))
         return {key: normalize(pool[thirds[key]], stats) for key in keys}
     seeds = {key: seed * 3 + 211 + i for i, key in enumerate(POOL_KEYS)}
-    image_shape = _image_shape(dataset)
-    if image_shape is not None:
-        h, w = image_shape
+    if dataset.get("image_shape") is not None:
+        h, w = dataset["image_shape"]
         pools = {}
         for key in keys:
             images, _ = synthesize_batch(SpectralConfig(h, w, seed=seeds[key]), n_each)
@@ -450,14 +440,15 @@ def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
 
 
 def _head_trunk(state: ScorerState, loss: str) -> ScorerState:
-    """Frozen copy of the scorer under the calibration head; logistic and
-    ssim scorers drop their output layer."""
+    """The scorer under the calibration head, which is never trained
+    again: the base scorer itself, but logistic and ssim scorers drop
+    their output layer."""
     if loss not in ("logistic", "ssim"):
-        return ScorerState(state.spec, state.flat, [True] * state.n_layers)
+        return state
     spec = MlpSpec(state.spec.widths[:-1], use_bias=state.spec.use_bias)
     out = state.weights[-1]
     n_out = out.size + (out.shape[1] if spec.use_bias else 0)
-    return ScorerState(spec, state.flat[:-n_out], [True] * (state.n_layers - 1))
+    return ScorerState(spec, state.flat[:-n_out])
 
 
 def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
@@ -537,8 +528,7 @@ class RunResult:
     summary_rows: list
     per_seed_rows: list
     out_dir: Path
-    histograms: dict = field(default_factory=dict)
-    calibrators: dict = field(default_factory=dict)
+    calibrators: dict  # the first seed's method -> (params, digest)
 
 
 class _Arm(NamedTuple):
@@ -551,14 +541,14 @@ class _Arm(NamedTuple):
     heatmaps: Optional[np.ndarray]  # test-set heatmaps of localization runs
 
 
-def _run_arm(cfg: ExperimentConfig, dataset, test: _TestSet, localization: bool,
-             seed: int, normal, calib=None) -> _Arm:
+def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
+             normal, calib=None) -> _Arm:
     """Normalize with `normal`'s statistics, draw the anomaly pools the
     arm reads, train the base scorer on `normal`, fit cfg.calibrator on
-    `calib` if given, and evaluate on the test set. Without `calib` this
-    is the fully trained baseline."""
+    `calib` if given, and evaluate on the dataset's test set. Without
+    `calib` this is the fully trained baseline."""
     method = BASELINE if calib is None else cfg.method_label
-    image_shape = _image_shape(dataset)
+    test, image_shape = dataset["test"], dataset["image_shape"]
     stats = fit_normalizer(normal)
     n_each = max(64, len(normal) // 2 if calib is None else len(calib))
     reads = {"train": cfg.loss in SUPERVISED_LOSSES, "calib": calib is not None,
@@ -615,54 +605,34 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     dataset = _load_dataset(cfg)
     # the calibration head is a detection-only method, so its runs keep the
     # detection row schema even on mask-bearing data
-    localization = dataset["kind"] == "tiles" and cfg.calibrator != "head"
+    localization = dataset["image_shape"] is not None and cfg.calibrator != "head"
     if localization and cfg.loss not in LOCALIZING_LOSSES:
         raise ConfigError(
             f"loss {cfg.loss!r} gives no pixel heatmap; on tiles only "
             f"{' and '.join(LOCALIZING_LOSSES)} localize, or use --calibrator head")
-    normal, test = _normal_and_test(dataset)
+    normal = dataset["normal"]
     per_seed, deltas, first = [], {}, None
     for seed in cfg.seeds:
-        arms = [_run_arm(cfg, dataset, test, localization, seed, normal)]
+        arms = [_run_arm(cfg, dataset, localization, seed, normal)]
         if cfg.calibrator != "none":
-            arms.append(_run_arm(cfg, dataset, test, localization, seed,
+            arms.append(_run_arm(cfg, dataset, localization, seed,
                                  *split(normal, cfg.split_ratio, seed)))
         for arm in arms:
             per_seed.append({"seed": seed, **arm.row})
             deltas[(seed, arm.row["method"])] = arm.deltas
         first = first or arms  # the first seed's arms back the figures
-    histograms = {arm.row["method"]: arm.hist for arm in first}
-    calibrators = {arm.row["method"]: arm.calibrator for arm in first
-                   if arm.calibrator is not None}
     summary = aggregate(per_seed)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emit_reports(cfg, summary, per_seed, histograms, calibrators,
-                 deltas, out_dir, localization)
-    _emit_artifacts(cfg, first, out_dir)
-    return RunResult(summary_rows=summary, per_seed_rows=per_seed,
-                     out_dir=out_dir, histograms=histograms,
-                     calibrators=calibrators)
+    emit_reports(cfg, summary, per_seed, deltas, first, out_dir)
+    return RunResult(summary_rows=summary, per_seed_rows=per_seed, out_dir=out_dir,
+                     calibrators={arm.row["method"]: arm.calibrator for arm in first
+                                  if arm.calibrator is not None})
 
 
 def _slug(method: str) -> str:
     return method.replace(" ", "_").replace("β", "beta").lower()
-
-
-def _emit_artifacts(cfg, arms, out_dir: Path) -> None:
-    """First-seed scorer checkpoints and, for localization runs, heatmaps."""
-    from .scorer import save_scorer
-    from .tensorio import save_tensor
-
-    for arm in arms:
-        slug = _slug(arm.row["method"])
-        save_scorer(out_dir / f"scorer_{slug}_seed{cfg.seeds[0]}",
-                    arm.pipeline.state,
-                    {"seed": cfg.seeds[0], "epoch": cfg.epochs, "loss": cfg.loss})
-        if arm.heatmaps is not None:
-            save_tensor(out_dir / f"heatmaps_{slug}_seed{cfg.seeds[0]}.calt",
-                        arm.heatmaps)
 
 
 CONVENTIONS = {
@@ -676,24 +646,34 @@ CONVENTIONS = {
 }
 
 
-def emit_reports(cfg, summary, per_seed, histograms, calibrators, deltas,
-                 out_dir: Path, localization: bool) -> None:
+def emit_reports(cfg, summary, per_seed, deltas, arms, out_dir: Path) -> None:
+    """Summary and per-seed CSVs, the manifest and every seed's deltas;
+    for each of the first seed's `arms`, its reliability diagram, its
+    calibrator (curve and document), its scorer checkpoint and, for
+    localization runs, its test-set heatmaps."""
     from . import __version__
+    from .tensorio import save_tensor
 
-    reports.write_rows_csv(out_dir / "summary.csv", summary, localization)
-    reports.write_rows_csv(out_dir / "per_seed.csv", per_seed, localization)
+    reports.write_rows_csv(out_dir / "summary.csv", summary)
+    reports.write_rows_csv(out_dir / "per_seed.csv", per_seed)
     conventions = dict(CONVENTIONS)
     conventions["bins"] = cfg.bins
     conventions["library_version"] = __version__
     reports.write_manifest(out_dir / "manifest.json", cfg.to_dict(), conventions)
-    for method, hist in histograms.items():
-        svg = reports.reliability_diagram_svg(hist, ece(hist), mce(hist), method)
-        (out_dir / f"reliability_{_slug(method)}.svg").write_text(svg)
-    for method, (params, digest) in calibrators.items():
+    seed0 = cfg.seeds[0]
+    for arm in arms:
+        method = arm.row["method"]
         slug = _slug(method)
-        svg = reports.calibrator_curve_svg(params, method)
-        (out_dir / f"calibrator_{slug}.svg").write_text(svg)
-        save_calibrator(out_dir / f"calibrator_{slug}.txt", params,
-                        cfg.seeds[0], digest)
+        svg = reports.reliability_diagram_svg(arm.hist, ece(arm.hist), mce(arm.hist), method)
+        (out_dir / f"reliability_{slug}.svg").write_text(svg)
+        if arm.calibrator is not None:
+            params, digest = arm.calibrator
+            svg = reports.calibrator_curve_svg(params, method)
+            (out_dir / f"calibrator_{slug}.svg").write_text(svg)
+            save_calibrator(out_dir / f"calibrator_{slug}.txt", params, seed0, digest)
+        save_scorer(out_dir / f"scorer_{slug}_seed{seed0}", arm.pipeline.state,
+                    {"seed": seed0, "epoch": cfg.epochs, "loss": cfg.loss})
+        if arm.heatmaps is not None:
+            save_tensor(out_dir / f"heatmaps_{slug}_seed{seed0}.calt", arm.heatmaps)
     for (seed, method), dl in deltas.items():
         reports.write_deltas_csv(out_dir / f"deltas_{_slug(method)}_seed{seed}.csv", dl)

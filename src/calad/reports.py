@@ -27,14 +27,17 @@ def _fmt(value):
     return str(value)
 
 
-def write_rows_csv(path, rows, localization: bool) -> None:
-    columns = CSV_COLUMNS + (CSV_LOCALIZATION if localization else [])
-    extra = [c for c in ("seed",) if rows and c in rows[0]]
+def write_rows_csv(path, rows) -> None:
+    """Metric rows under CSV_COLUMNS, led by a seed column when the rows
+    carry one and followed by CSV_LOCALIZATION when they carry aupro."""
+    first = rows[0] if rows else {}
+    columns = (["seed"] if "seed" in first else []) + CSV_COLUMNS + (
+        CSV_LOCALIZATION if "aupro" in first else [])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(extra + columns)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in extra + columns])
+            writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def write_deltas_csv(path, deltas) -> None:

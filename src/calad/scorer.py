@@ -16,6 +16,7 @@ the config seed.
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -83,21 +84,17 @@ def _layer_views(spec: MlpSpec, flat: np.ndarray):
 
 
 class ScorerState:
-    """MLP parameters in one flat float64 vector, with per-layer freeze
-    flags.
+    """MLP parameters in one flat float64 vector.
 
     ``weights`` and ``biases`` are per-layer views into ``flat``, so an
     update of ``flat`` in place moves the model, and ``flat`` is what
     checkpoints store.
     """
 
-    def __init__(self, spec: MlpSpec, flat, frozen=None):
+    def __init__(self, spec: MlpSpec, flat):
         self.spec = spec
         self.flat = np.array(flat, dtype=float)
         self.weights, self.biases = _layer_views(spec, self.flat)
-        self.frozen = list(frozen) if frozen is not None else [False] * self.n_layers
-        if len(self.frozen) != self.n_layers:
-            raise ValueError(f"{len(self.frozen)} freeze flags for {self.n_layers} layers")
 
     @property
     def n_layers(self) -> int:
@@ -140,23 +137,25 @@ def _forward_cache(state, x):
     return a, caches
 
 
-def _backprop(state, caches, d_out, input_grad=True):
-    """Gradients of sum(d_out * output): wrt the parameters, summed over
-    the batch into a vector laid out like state.flat (zero on frozen
-    layers), and wrt each input row (None unless input_grad)."""
+def _backprop(state, caches, d_out, params: bool):
+    """Gradient of sum(d_out * output): with `params`, wrt the parameters,
+    summed over the batch into a vector laid out like state.flat;
+    otherwise wrt each input row, and no parameter gradient is formed."""
     g = np.asarray(d_out, dtype=float)
-    grad = np.zeros_like(state.flat)
-    w_grads, b_grads = _layer_views(state.spec, grad)
+    if params:
+        grad = np.zeros_like(state.flat)
+        w_grads, b_grads = _layer_views(state.spec, grad)
     last = state.n_layers - 1
     for i in range(last, -1, -1):
         a_in, z = caches[i]
         dz = g if i == last else g * (1.0 - np.tanh(z) ** 2)
-        if not state.frozen[i]:
+        if params:
             w_grads[i][...] = a_in.T @ dz
             if b_grads[i] is not None:
                 b_grads[i][...] = dz.sum(axis=0)
-        g = dz @ state.weights[i].T if i or input_grad else None
-    return grad, g
+        if i or not params:  # below layer 0 is the input gradient, unused in training
+            g = dz @ state.weights[i].T
+    return grad if params else g
 
 
 def init_svdd_center(state: ScorerState, inputs) -> np.ndarray:
@@ -333,7 +332,7 @@ class LossPipeline:
         gradients for a batch."""
         x = np.asarray(x, dtype=float)
         loss, caches, d_out, direct = self._loss_and_output_grad(x, y)
-        _, d_in = _backprop(self.state, caches, d_out)
+        d_in = _backprop(self.state, caches, d_out, params=False)
         if direct is not None:
             d_in = direct + d_in
         if x.ndim == 1:
@@ -343,7 +342,7 @@ class LossPipeline:
     def loss_and_param_grad(self, x, y):
         """Mean loss over a batch and its flat parameter gradient."""
         loss, caches, d_out, _ = self._loss_and_output_grad(x, y)
-        grad, _ = _backprop(self.state, caches, d_out / len(loss), input_grad=False)
+        grad = _backprop(self.state, caches, d_out / len(loss), params=True)
         return float(np.mean(loss)), grad
 
 
@@ -388,7 +387,8 @@ def train(pipeline: LossPipeline, x, labels, cfg: TrainConfig) -> None:
     Supervised losses require both classes and draw class-balanced batches,
     resampling the anomalous stream each epoch under the run seed.
     Unsupervised losses iterate over the normal data alone. Per-epoch mean
-    losses go to the module logger.
+    losses go to the module logger. A non-finite batch loss, or parameters
+    that end non-finite, mean training diverged: a NumericalError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     name = pipeline.loss_name
@@ -419,11 +419,18 @@ def train(pipeline: LossPipeline, x, labels, cfg: TrainConfig) -> None:
             yb = np.concatenate([np.zeros(len(normal)), np.ones(len(anomalous))])
             loss, grad = pipeline.loss_and_param_grad(
                 x[np.concatenate([normal, anomalous])], yb)
+            if not math.isfinite(loss):
+                raise NumericalError(
+                    f"training diverged: a batch loss of epoch {epoch} is {loss}; "
+                    "lower the learning rate")
             adam.step(pipeline.state.flat, grad, lr_scale)
             epoch_loss += loss
             n_batches += 1
         logger.info("epoch %d: mean training loss %.6f", epoch,
                     epoch_loss / max(1, n_batches))
+    if not np.all(np.isfinite(pipeline.state.flat)):
+        raise NumericalError("training diverged: the trained parameters are not "
+                             "all finite; lower the learning rate")
 
 
 def save_scorer(path, state: ScorerState, manifest: dict) -> None:
@@ -437,7 +444,6 @@ def save_scorer(path, state: ScorerState, manifest: dict) -> None:
         "widths": list(state.spec.widths),
         "activation": "tanh",
         "use_bias": state.spec.use_bias,
-        "frozen": list(state.frozen),
     })
     base.with_suffix(".json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -445,7 +451,7 @@ def save_scorer(path, state: ScorerState, manifest: dict) -> None:
 def load_scorer(path):
     """Load a checkpoint; returns (state, manifest). A damaged manifest, or
     a parameter vector that does not fit it, is a DataError naming the
-    file."""
+    file. The per-layer "frozen" flags of older manifests are ignored."""
     from .tensorio import load_tensor
 
     base = Path(path)
@@ -456,11 +462,10 @@ def load_scorer(path):
             raise DataError(
                 f"{manifest}: activation {doc['activation']!r}; only tanh scorers load")
         spec = MlpSpec(widths=tuple(doc["widths"]), use_bias=doc["use_bias"])
-        frozen = doc["frozen"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest}: not a scorer manifest: {exc!r}") from exc
     flat = load_tensor(params)
     try:
-        return ScorerState(spec, flat, frozen), doc
+        return ScorerState(spec, flat), doc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{params} does not fit {manifest}: {exc}") from exc

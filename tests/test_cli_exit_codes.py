@@ -29,6 +29,9 @@ bad_real = st.floats(max_value=0, exclude_max=True) | st.sampled_from(
     [math.nan, math.inf, -math.inf])
 outside_unit = (st.floats(max_value=0.0) | st.floats(min_value=1.0)
                 | st.just(math.nan))
+# seed lists that repeat a seed
+repeating = st.lists(st.integers(0, 50), min_size=1, max_size=3).flatmap(
+    lambda s: st.permutations(s + s[:1]))
 # text that argparse cannot read as an integer (",".join of ints excluded)
 not_an_int = st.text(alphabet="abcxyz.+-e ", min_size=1, max_size=6).filter(
     lambda t: not t.strip().lstrip("+-").isdigit())
@@ -49,6 +52,7 @@ bad_run_flags = st.one_of(
     st.tuples(st.just("--split-ratio"), outside_unit),
     st.tuples(st.just("--seeds"), st.lists(st.integers(-50, 50), min_size=1, max_size=4)
               .filter(lambda s: min(s) < 0).map(lambda s: ",".join(map(str, s)))),
+    st.tuples(st.just("--seeds"), repeating.map(lambda s: ",".join(map(str, s)))),
     st.tuples(st.just("--seeds"), not_an_int),
     st.tuples(st.just("--epochs"), not_an_int),
     st.tuples(st.sampled_from(["--loss", "--calibrator", "--anomaly-source"]),
@@ -83,6 +87,13 @@ def bad_eval_bins(draw):
             "files": {"scores.csv": "score,label\n0.1,0\n0.7,1\n"}}, CONFIG
 
 
+@st.composite
+def bad_calibrate_seed(draw):
+    return {"argv": ["calibrate", "{scores}", "--seed", str(draw(negative)),
+                     "--out", "{out}"],
+            "files": {"scores.csv": "score,label\n0.1,0\n0.7,1\n"}}, CONFIG
+
+
 # -- bad config-file values --------------------------------------------------
 
 wrong_type = st.one_of(st.none(), st.text(max_size=4), st.booleans(),
@@ -98,7 +109,7 @@ def bad_config_cases(draw):
                   wrong_type),
         st.tuples(st.just("seeds"), st.integers(0, 9) | st.lists(
             st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3)
-            | st.lists(negative, min_size=1, max_size=3)),
+            | st.lists(negative, min_size=1, max_size=3) | repeating),
         st.tuples(st.just("milestones"), st.lists(st.integers(0, 20), min_size=2,
                                                   max_size=4, unique=True)
                   .filter(lambda m: m != sorted(m))),
@@ -203,7 +214,7 @@ def constant_normal_csv(draw):
 
 
 cases = st.one_of(bad_flag_cases(), bad_synth_cases(), bad_eval_bins(),
-                  bad_config_cases(), bad_score_csv(), bad_normal_csv(),
+                  bad_calibrate_seed(), bad_config_cases(), bad_score_csv(), bad_normal_csv(),
                   bad_seed_rows(), truncated_oe_pool(), constant_normal_csv())
 
 

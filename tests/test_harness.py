@@ -14,8 +14,9 @@ import calad
 from calad.cli import _read_score_csv, main as cli_main
 from calad.errors import ConfigError, DataError
 from calad.harness import (ExperimentConfig, METHOD_LABELS, _anomaly_pools,
-                           _dir_dataset, fit_normalizer, load_config_file,
-                           merge_config, normalize, run_experiment, split)
+                           _dir_dataset, _load_dataset, fit_normalizer,
+                           load_config_file, merge_config, normalize,
+                           run_experiment, split)
 from calad.tensorio import save_tensor, write_pgm
 
 FAST = dict(epochs=2, learning_rate=1e-3, batch_size=64)
@@ -114,6 +115,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(seeds=())
 
+    @pytest.mark.parametrize("seeds", [(0, 0), (1, 0, 1)])
+    def test_repeated_seeds_rejected(self, seeds):
+        # a repeated seed would train twice, count twice in summary.csv and
+        # overwrite its own deltas files
+        with pytest.raises(ConfigError, match="repeat"):
+            ExperimentConfig(seeds=seeds)
+
 
 class TestAnomalyPools:
     def test_oe_pools_disjoint(self, tmp_path):
@@ -124,7 +132,7 @@ class TestAnomalyPools:
             save_tensor(oe_dir / f"pool_{i}.calt", rng.normal(size=(30, 2)))
         cfg = fast_cfg(tmp_path, anomaly_source="oe", oe_dir=str(oe_dir))
         stats = (np.zeros(2), np.ones(2))
-        pools = _anomaly_pools(cfg, {"kind": "detection"}, 0, stats, n_each=40)
+        pools = _anomaly_pools(cfg, {"image_shape": None}, 0, stats, n_each=40)
         seen = [set(map(tuple, pools[k])) for k in ("train", "calib", "eval")]
         assert not seen[0] & seen[1]
         assert not seen[0] & seen[2]
@@ -135,7 +143,7 @@ class TestAnomalyPools:
         # 300 features exceed the 16x16 pixels of a default spectral image
         cfg = fast_cfg(tmp_path)
         stats = (np.zeros(300), np.ones(300))
-        pools = _anomaly_pools(cfg, {"kind": "detection"}, 0, stats, n_each=5)
+        pools = _anomaly_pools(cfg, {"image_shape": None}, 0, stats, n_each=5)
         for key in ("train", "calib", "eval"):
             assert pools[key].shape == (5, 300)
             assert np.all(np.isfinite(pools[key]))
@@ -143,7 +151,7 @@ class TestAnomalyPools:
     def test_spectral_pools_disjoint_by_seed(self, tmp_path):
         cfg = fast_cfg(tmp_path)
         stats = (np.zeros(2), np.ones(2))
-        pools = _anomaly_pools(cfg, {"kind": "detection"}, 0, stats, n_each=20)
+        pools = _anomaly_pools(cfg, {"image_shape": None}, 0, stats, n_each=20)
         a = set(map(tuple, pools["calib"]))
         b = set(map(tuple, pools["eval"]))
         assert not a & b
@@ -365,15 +373,81 @@ class TestResizeStub:
 
     def test_matching_shapes_pass(self, tmp_path):
         train, test = write_tile_dirs(tmp_path, (1, 8, 8), (8, 8), (8, 8))
-        data = _dir_dataset(train, test)["data"]
-        assert data.train_images.shape == (2, 1, 8, 8)
-        assert data.test_images.shape == (1, 1, 8, 8)
-        assert data.test_masks.shape == (1, 8, 8)
+        dataset = _dir_dataset(train, test, single_channel=True)
+        assert dataset["class_id"] == "train"
+        assert dataset["normal"].shape == (2, 64)
+        assert dataset["image_shape"] == (8, 8)
+        assert dataset["test"].x.shape == (1, 64)
+        assert dataset["test"].masks.shape == (1, 8, 8)
+        assert dataset["test"].y.tolist() == [1.0]
 
     def test_resize_request_rejected(self, tmp_path):
         train, test = write_tile_dirs(tmp_path, (1, 8, 8), (1, 16, 16), (16, 16))
         with pytest.raises(DataError, match="a.calt"):
-            _dir_dataset(train, test)
+            _dir_dataset(train, test, single_channel=False)
+
+
+class TestRowsCsv:
+    """write_rows_csv takes its columns from the rows: a seed column for
+    per-seed rows, the localization columns for rows that carry aupro."""
+
+    @pytest.mark.parametrize("seed", [False, True])
+    @pytest.mark.parametrize("localization", [False, True])
+    def test_columns_follow_the_rows(self, tmp_path, seed, localization):
+        from calad import reports
+
+        metrics = reports.CSV_COLUMNS[2:] + (reports.CSV_LOCALIZATION if localization
+                                             else [])
+        row = {"class_id": "c", "method": "m", **dict.fromkeys(metrics, 0.5)}
+        if seed:
+            row["seed"] = 3
+        reports.write_rows_csv(tmp_path / "rows.csv", [row])
+        header, values = (tmp_path / "rows.csv").read_text().splitlines()
+        want = ["seed"] * seed + reports.CSV_COLUMNS + reports.CSV_LOCALIZATION * localization
+        assert header.split(",") == want
+        assert values.split(",") == [str(row[c]) for c in want]
+
+
+class TestDatasetRecord:
+    """A loaded dataset carries its raw normal rows, its test set with
+    normals first, and its tile shape (None for tabular rows)."""
+
+    def test_rows(self):
+        from calad.datasets import gaussian_ring
+
+        dataset = _load_dataset(ExperimentConfig(normal="builtin:gauss2d-basin"))
+        data = gaussian_ring(54172, basin=True)
+        assert dataset["class_id"] == "gauss2d-basin"
+        assert dataset["image_shape"] is None
+        assert np.array_equal(dataset["normal"], data.train_normal)
+        test = dataset["test"]
+        assert np.array_equal(test.x, np.concatenate([data.test_normal,
+                                                      data.test_anomalous]))
+        assert test.y.tolist() == [0.0] * 150 + [1.0] * 150
+        assert test.masks is None
+
+    def test_tiles(self):
+        dataset = _load_dataset(ExperimentConfig(normal="builtin:tiles", loss="fcdd"))
+        assert dataset["image_shape"] == (16, 16)
+        assert dataset["normal"].shape == (200, 256)
+        test = dataset["test"]
+        assert test.x.shape == (60, 256) and test.masks.shape == (60, 16, 16)
+        # normal tiles first, and a tile is anomalous exactly when its mask is
+        assert test.y.tolist() == sorted(test.y.tolist())
+        assert np.array_equal(test.y, test.masks.sum(axis=(1, 2)) > 0)
+
+    def test_csv_rows(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        rows = np.arange(20.0).reshape(10, 2)
+        np.savetxt(path, rows, delimiter=",")
+        dataset = _load_dataset(ExperimentConfig(normal=str(path)))
+        assert dataset["class_id"] == "rows" and dataset["image_shape"] is None
+        assert np.array_equal(dataset["normal"], rows[:8])
+        test = dataset["test"]
+        assert np.array_equal(test.x[:2], rows[8:])
+        assert test.y.tolist() == [0.0, 0.0, 1.0, 1.0]
+        # the synthesized anomalies lie outside every training row
+        assert np.all(np.abs(test.x[2:]).max(axis=1) > np.abs(rows[:8]).max())
 
 
 class TestTileShapes:
@@ -545,6 +619,7 @@ class TestCli:
         ["run", "--bins", "0"], ["run", "--batch-size", "0"],
         ["run", "--learning-rate", "-1"], ["run", "--learning-rate", "nan"],
         ["run", "--epochs", "-1"], ["run", "--seeds", "-1"], ["run", "--seeds", "0,-1"],
+        ["run", "--seeds", "0,0"], ["run", "--seeds", "1,0,1"],
         ["run", "--epsilon", "nan"],
         ["eval", "--bins", "0"], ["eval", "--bins", "-1"]], ids=" ".join)
     def test_bad_setting_is_config_error_before_work(self, tmp_path, capsys, argv):
@@ -563,7 +638,8 @@ class TestCli:
 
     @pytest.mark.parametrize("doc", [
         {"seeds": 5}, {"seeds": [-1]}, {"seeds": [0.5]}, {"epochs": "a"},
-        {"split_ratio": None}, {"milestones": [3, 1]}, {"normal": 5}], ids=json.dumps)
+        {"split_ratio": None}, {"milestones": [3, 1]}, {"normal": 5},
+        {"seeds": [2, 2]}], ids=json.dumps)
     def test_bad_config_file_value_is_config_error_before_work(self, tmp_path, capsys,
                                                                doc):
         cfg = tmp_path / "cfg.json"
@@ -572,6 +648,30 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_calibrate_negative_seed_is_config_error_before_work(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score,label\n0.1,0\n0.7,1\n")
+        out = tmp_path / "out"
+        assert cli_main(["calibrate", str(scores), "--seed", "-1",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+
+    @pytest.mark.parametrize("loss", ["ssim", "fcdd"])
+    def test_diverged_training_exits_3(self, tmp_path, loss):
+        # in a child process: in this one, the overflow would raise as a
+        # RuntimeWarning before training could see the non-finite loss
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "calad.cli", "run", "--normal", "builtin:tiles",
+             "--loss", loss, "--calibrator", "platt", "--seeds", "0", "--epochs", "1",
+             "--learning-rate", "1e300", "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        assert "error: training diverged: a batch loss of epoch 0 is" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_missing_data_exit_code(self, tmp_path, capsys):
         rc = cli_main(["eval", str(tmp_path / "nope.csv")])

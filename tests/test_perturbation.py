@@ -98,9 +98,8 @@ class TestBatchEqualsPerRow:
     @pytest.mark.parametrize("kind", ARCHITECTURES)
     def test_perturb_batch(self, kind):
         cfg = PerturbConfig(epsilon=0.01)
-        for cal, frozen in [(None, False), (PlattParams(0.8, 0.1), True)]:
+        for cal in [None, PlattParams(0.8, 0.1)]:
             pipeline, d, _ = make_pipeline(kind, seed=12, calibrator=cal)
-            pipeline.state.frozen[0] = frozen
             x = np.random.default_rng(13).uniform(0.05, 0.95, (19, d))
             losses, grads = pipeline.loss_and_input_grad(x, 0)
             rows = [pipeline.loss_and_input_grad(row, 0) for row in x]

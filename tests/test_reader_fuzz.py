@@ -35,7 +35,7 @@ def _seed_rows(path):
              **{column: 0.5 + 0.01 * seed for column in
                 reports.CSV_COLUMNS[2:] + reports.CSV_LOCALIZATION}}
             for seed in (0, 1) for method in ("Fully Trained", "Platt OE")]
-    reports.write_rows_csv(path, rows, localization=True)
+    reports.write_rows_csv(path, rows)
 
 
 def _scorer(path):
