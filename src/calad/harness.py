@@ -428,12 +428,7 @@ def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
     center = init_svdd_center(state, x_train) if cfg.loss == "svdd" else None
     pipeline = LossPipeline(state, cfg.loss, center=center, ssim_cfg=ssim_cfg,
                             image_shape=image_shape)
-    if cfg.loss in SUPERVISED_LOSSES:
-        data = np.concatenate([x_train, anoms_train])
-        labels = np.concatenate([np.zeros(len(x_train)), np.ones(len(anoms_train))])
-    else:
-        data, labels = x_train, None
-    train(pipeline, data, labels,
+    train(pipeline, x_train, anoms_train,
           TrainConfig(learning_rate=cfg.learning_rate, milestones=cfg.milestones,
                       epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed))
     return pipeline
@@ -512,11 +507,10 @@ def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
         return row, hist, pair.deltas, None
     maps_before = _tile_heatmaps(pipeline, x_test)
     maps_after = _tile_heatmaps(pipeline, perturb_batch(pipeline, x_test, perturb_cfg))
-    masks = list(test.masks)
-    row["aupro"] = aupro(list(maps_before), masks)
-    row["aupro_perturbed"] = aupro(list(maps_after), masks)
-    row["pixel_auroc"] = pixel_auroc(list(maps_before), masks)
-    row["pixel_auroc_perturbed"] = pixel_auroc(list(maps_after), masks)
+    row["aupro"] = aupro(maps_before, test.masks)
+    row["aupro_perturbed"] = aupro(maps_after, test.masks)
+    row["pixel_auroc"] = pixel_auroc(maps_before, test.masks)
+    row["pixel_auroc_perturbed"] = pixel_auroc(maps_after, test.masks)
     return row, hist, pair.deltas, maps_before
 
 
@@ -528,7 +522,6 @@ class RunResult:
     summary_rows: list
     per_seed_rows: list
     out_dir: Path
-    calibrators: dict  # the first seed's method -> (params, digest)
 
 
 class _Arm(NamedTuple):
@@ -626,9 +619,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_reports(cfg, summary, per_seed, deltas, first, out_dir)
-    return RunResult(summary_rows=summary, per_seed_rows=per_seed, out_dir=out_dir,
-                     calibrators={arm.row["method"]: arm.calibrator for arm in first
-                                  if arm.calibrator is not None})
+    return RunResult(summary_rows=summary, per_seed_rows=per_seed, out_dir=out_dir)
 
 
 def _slug(method: str) -> str:

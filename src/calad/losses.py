@@ -112,14 +112,11 @@ def check_stationarity(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.ndarr
     grid = np.asarray(eta_grid, dtype=float)
     if np.any((grid <= 0.0) | (grid >= 1.0)):
         raise ValueError("stationarity grid must lie strictly inside (0, 1)")
-    residuals = np.empty_like(grid)
     with np.errstate(all="ignore"):
-        for i, eta in enumerate(grid):
-            d0 = (loss.partial_0(eta + step) - loss.partial_0(eta - step)) / (2 * step)
-            d1 = (loss.partial_1(eta + step) - loss.partial_1(eta - step)) / (2 * step)
-            r = (1.0 - eta) * d0 + eta * d1
-            residuals[i] = r if np.isfinite(r) else np.nan
-    return residuals
+        d0 = (loss.partial_0(grid + step) - loss.partial_0(grid - step)) / (2 * step)
+        d1 = (loss.partial_1(grid + step) - loss.partial_1(grid - step)) / (2 * step)
+        r = (1.0 - grid) * d0 + grid * d1
+    return np.where(np.isfinite(r), r, np.nan)
 
 
 def check_strict_propriety(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.ndarray:
@@ -129,15 +126,12 @@ def check_strict_propriety(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.n
     the grid certify a unique risk minimizer at eta_hat = eta.
     """
     grid = np.asarray(eta_grid, dtype=float)
-    out = np.empty_like(grid)
     with np.errstate(all="ignore"):
-        for i, eta in enumerate(grid):
-            lo = conditional_risk(eta, eta - step, loss)
-            mid = conditional_risk(eta, eta, loss)
-            hi = conditional_risk(eta, eta + step, loss)
-            d2 = (hi - 2.0 * mid + lo) / step ** 2
-            out[i] = d2 if np.isfinite(d2) else np.nan
-    return out
+        lo = conditional_risk(grid, grid - step, loss)
+        mid = conditional_risk(grid, grid, loss)
+        hi = conditional_risk(grid, grid + step, loss)
+        d2 = (hi - 2.0 * mid + lo) / step ** 2
+    return np.where(np.isfinite(d2), d2, np.nan)
 
 
 def _log_partial_0(eta_hat):

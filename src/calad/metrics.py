@@ -48,33 +48,35 @@ def auroc(scores, labels) -> float:
 
 
 def pixel_auroc(heatmaps, masks) -> float:
-    """AUROC over all pixels of a batch of heatmaps against binary masks."""
-    s = np.concatenate([np.asarray(h, dtype=float).ravel() for h in heatmaps])
-    y = np.concatenate([(np.asarray(m) > 0).astype(int).ravel() for m in masks])
-    return auroc(s, y)
+    """AUROC over all pixels of a stack of heatmaps against binary masks."""
+    return auroc(np.asarray(heatmaps, dtype=float).ravel(),
+                 (np.asarray(masks) > 0).astype(int).ravel())
 
 
-def mask_regions(mask) -> list:
-    """Connected anomalous regions of a 2-D binary mask, 4-connectivity,
-    in raster order of each region's first pixel. _pro_curve sums the
-    per-region curves in this order, so it fixes AUPRO's last bits.
+def mask_regions(masks) -> np.ndarray:
+    """Connected anomalous regions of a 2-D binary mask or an (n, h, w)
+    stack of them, 4-connectivity: an int array of masks' shape, 0 off
+    the mask and 1, 2, ... on the regions, numbered mask by mask in
+    raster order of each region's first pixel.
 
-    The horizontal runs of every row are found with numpy; runs in
-    adjacent rows whose column ranges overlap are joined by a union-find
-    over runs, so the cost grows with the number of runs, not with region
-    diameter.
+    The masks are laid one under the other with a zero row between them,
+    so no region joins across masks. The horizontal runs of every row are
+    found with numpy; runs in adjacent rows whose column ranges overlap
+    are joined by a union-find over runs, so the cost grows with the
+    number of runs, not with region diameter.
     """
-    m = np.asarray(mask) > 0
-    h, w = m.shape
-    # rows laid end to end after one zero, each followed by a zero column
-    # that keeps runs from wrapping onto the next row
-    flat = np.zeros(1 + h * (w + 1), dtype=np.int8)
-    flat[1:].reshape(h, w + 1)[:, :w] = m
+    m = np.asarray(masks) > 0
+    h, w = m.shape[-2:]
+    # each row followed by a zero column that keeps runs from wrapping onto
+    # the next row, each mask by a zero row; all laid end to end after one zero
+    grid = np.zeros(m.shape[:-2] + (h + 1, w + 1), dtype=np.int8)
+    grid[..., :h, :w] = m
+    flat = np.concatenate([[0], grid.ravel()])
     step = flat[1:] - flat[:-1]
     starts = np.flatnonzero(step == 1)
     stops = np.flatnonzero(step == -1)  # one past each run's last pixel
     if not len(starts):
-        return []
+        return np.zeros(m.shape, dtype=np.int64)
     # runs sorted in raster order are disjoint, so the runs of the row
     # above that overlap run b are the contiguous range lo[b]..hi[b]-1
     lo = np.searchsorted(stops, starts - (w + 1), side="right").tolist()
@@ -95,41 +97,10 @@ def mask_regions(mask) -> list:
     roots = np.array([find(i) for i in range(len(starts))])
     # regions numbered 1, 2, ... in the order of their roots
     numbers = np.cumsum(roots == np.arange(len(roots)))
-    marks = np.zeros(h * (w + 1), dtype=np.int64)
+    marks = np.zeros(grid.size, dtype=np.int64)
     marks[starts] = numbers[roots]
     marks[stops] = -numbers[roots]
-    labeled = np.cumsum(marks).reshape(h, w + 1)[:, :w]
-    return [labeled == r for r in range(1, numbers[-1] + 1)]
-
-
-def _pro_curve(heatmaps, masks):
-    region_scores = []
-    neg_scores = []
-    all_scores = []
-    for hm, mask in zip(heatmaps, masks):
-        hm = np.asarray(hm, dtype=float)
-        m = np.asarray(mask) > 0
-        if hm.shape != m.shape:
-            raise ValueError(f"shape mismatch: heatmap {hm.shape} vs mask {m.shape}")
-        for region in mask_regions(m):
-            region_scores.append(np.sort(hm[region]))
-        neg_scores.append(hm[~m])
-        all_scores.append(hm.ravel())
-    scores = np.concatenate(all_scores)
-    _require_finite(scores, "AUPRO")  # NaN would fall out of every threshold
-    if not region_scores:
-        raise DataError("AUPRO needs at least one anomalous region")
-    negs = np.sort(np.concatenate(neg_scores))
-    if len(negs) == 0:
-        raise DataError("AUPRO needs at least one normal pixel")
-    thresholds = np.unique(scores)[::-1]
-    fpr = (len(negs) - np.searchsorted(negs, thresholds, side="left")) / len(negs)
-    pro = np.zeros(len(thresholds))
-    for reg in region_scores:
-        pro += (len(reg) - np.searchsorted(reg, thresholds, side="left")) / len(reg)
-    pro /= len(region_scores)
-    # threshold above the max: nothing predicted positive
-    return np.concatenate([[0.0], fpr]), np.concatenate([[0.0], pro])
+    return np.cumsum(marks).reshape(grid.shape)[..., :h, :w]
 
 
 def _integrate_to_cap(fpr, pro, cap: float) -> float:
@@ -154,13 +125,38 @@ def _integrate_to_cap(fpr, pro, cap: float) -> float:
 def aupro(heatmaps, masks, fpr_cap: float = 0.3) -> float:
     """Mean per-region overlap integrated over FPR in [0, fpr_cap].
 
-    ``heatmaps`` and ``masks`` are parallel sequences of 2-D arrays. The
-    result is normalized by the cap, so a perfect detector scores 1 and a
-    constant heatmap scores fpr_cap / 2 / fpr_cap = 0.5 at cap 1.
+    ``heatmaps`` and ``masks`` are (n, h, w) stacks, or sequences of
+    equal-shaped 2-D arrays. The result is normalized by the cap, so a
+    perfect detector scores 1 and a constant heatmap scores
+    fpr_cap / 2 / fpr_cap = 0.5 at cap 1.
+
+    Each anomalous pixel weighs 1 / (regions * its region's size), so the
+    weight at or above a threshold is the mean region overlap there. One
+    descending sort then gives the FPR and the PRO at every threshold as
+    cumulative sums, read at the last pixel of each run of tied scores.
     """
     if not 0 < fpr_cap <= 1:
         raise ValueError("fpr_cap must lie in (0, 1]")
-    fpr, pro = _pro_curve(heatmaps, masks)
+    scores = np.asarray(heatmaps, dtype=float)
+    labels = mask_regions(masks)
+    if scores.shape != labels.shape:
+        raise ValueError(f"shape mismatch: heatmaps {scores.shape} vs masks {labels.shape}")
+    scores, labels = scores.ravel(), labels.ravel()
+    _require_finite(scores, "AUPRO")  # NaN would fall out of every threshold
+    sizes = np.bincount(labels)
+    if len(sizes) < 2:
+        raise DataError("AUPRO needs at least one anomalous region")
+    if not sizes[0]:
+        raise DataError("AUPRO needs at least one normal pixel")
+    region_weights = 1.0 / ((len(sizes) - 1) * sizes)
+    region_weights[0] = 0.0
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    fpr = np.cumsum(labels[order] == 0)[last] / sizes[0]
+    pro = np.cumsum(region_weights[labels[order]])[last]
+    # threshold above the max: nothing predicted positive
+    fpr, pro = np.concatenate([[0.0], fpr]), np.concatenate([[0.0], pro])
     return float(_integrate_to_cap(fpr, pro, fpr_cap))
 
 

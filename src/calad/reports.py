@@ -94,14 +94,14 @@ def reliability_diagram_svg(hist: ReliabilityHistogram, ece_value: float,
     return _svg(w, h, body)
 
 
-def calibrator_curve_svg(calibrator, title: str, z_lo: float = -8.0,
-                         z_hi: float = 8.0, n: int = 161) -> str:
-    """Fitted estimate transform over a logit range, with the identity; a
-    calibration head maps features, not logits, so its curve is the
+def calibrator_curve_svg(calibrator, title: str) -> str:
+    """Fitted estimate transform over the logits -8..8, with the identity;
+    a calibration head maps features, not logits, so its curve is the
     identity."""
     w, h, margin = 420, 420, 45
     plot = w - 2 * margin
-    zs = np.linspace(z_lo, z_hi, n)
+    z_lo, z_hi = -8.0, 8.0
+    zs = np.linspace(z_lo, z_hi, 161)
     eta = sigmoid(zs if isinstance(calibrator, HeadParams)
                   else calibrated_logit(calibrator, zs)[0])
 

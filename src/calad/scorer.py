@@ -352,9 +352,10 @@ def _labels(y, v):
 
 
 class _Adam:
-    def __init__(self, n, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, n, lr):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
@@ -381,53 +382,54 @@ class _Adam:
         params -= np.divide(a, b, out=a)
 
 
-def train(pipeline: LossPipeline, x, labels, cfg: TrainConfig) -> None:
+def train(pipeline: LossPipeline, normal, anomalies, cfg: TrainConfig) -> None:
     """Train pipeline.state in place on the pipeline's loss.
 
-    Supervised losses require both classes and draw class-balanced batches,
-    resampling the anomalous stream each epoch under the run seed.
-    Unsupervised losses iterate over the normal data alone. Per-epoch mean
-    losses go to the module logger. A non-finite batch loss, or parameters
-    that end non-finite, mean training diverged: a NumericalError.
+    Supervised losses need `anomalies` and draw class-balanced batches:
+    each normal row is paired with an anomaly resampled each epoch under
+    the run seed. Unsupervised losses iterate over `normal` alone and take
+    anomalies=None. Per-epoch mean losses go to the module logger. A
+    non-finite batch loss, or parameters that end non-finite, mean
+    training diverged: a NumericalError, and the overflow on the way there
+    raises no numpy warning.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    normal = np.atleast_2d(np.asarray(normal, dtype=float))
     name = pipeline.loss_name
     supervised = name in SUPERVISED_LOSSES
     if supervised:
-        if labels is None:
-            raise DataError(f"loss {name!r} requires labels")
-        labels = np.asarray(labels)
-        if not (np.any(labels == 0) and np.any(labels == 1)):
-            raise DataError(f"loss {name!r} requires both classes in training data")
-        normal_idx, anom_idx = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
-        step = max(1, cfg.batch_size // 2)
-    else:
-        normal_idx, anom_idx, step = np.arange(len(x)), None, cfg.batch_size
+        if anomalies is None or not len(anomalies):
+            raise DataError(f"loss {name!r} trains on normal rows and anomalies, "
+                            "but got no anomalies")
+        anomalies = np.atleast_2d(np.asarray(anomalies, dtype=float))
+    step = max(1, cfg.batch_size // 2) if supervised else cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     adam = _Adam(pipeline.state.flat.size, cfg.learning_rate)
 
-    for epoch in range(cfg.epochs):
-        lr_scale = MILESTONE_DECAY ** sum(1 for m in cfg.milestones if epoch >= m)
-        epoch_loss = 0.0
-        n_batches = 0
-        order = rng.permutation(normal_idx)
-        # a supervised batch pairs each normal row with a resampled anomaly
-        resampled = (rng.choice(anom_idx, size=len(order), replace=True)
-                     if supervised else order[:0])
-        for start in range(0, len(order), step):
-            normal, anomalous = order[start:start + step], resampled[start:start + step]
-            yb = np.concatenate([np.zeros(len(normal)), np.ones(len(anomalous))])
-            loss, grad = pipeline.loss_and_param_grad(
-                x[np.concatenate([normal, anomalous])], yb)
-            if not math.isfinite(loss):
-                raise NumericalError(
-                    f"training diverged: a batch loss of epoch {epoch} is {loss}; "
-                    "lower the learning rate")
-            adam.step(pipeline.state.flat, grad, lr_scale)
-            epoch_loss += loss
-            n_batches += 1
-        logger.info("epoch %d: mean training loss %.6f", epoch,
-                    epoch_loss / max(1, n_batches))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            lr_scale = MILESTONE_DECAY ** sum(1 for m in cfg.milestones if epoch >= m)
+            epoch_loss = 0.0
+            n_batches = 0
+            order = rng.permutation(len(normal))
+            if supervised:
+                resampled = rng.choice(len(anomalies), size=len(order), replace=True)
+            for start in range(0, len(order), step):
+                xb = normal[order[start:start + step]]
+                yb = np.zeros(len(xb))
+                if supervised:
+                    # each normal row of the batch pairs with a resampled anomaly
+                    xb = np.concatenate([xb, anomalies[resampled[start:start + step]]])
+                    yb = np.concatenate([yb, np.ones(len(yb))])
+                loss, grad = pipeline.loss_and_param_grad(xb, yb)
+                if not math.isfinite(loss):
+                    raise NumericalError(
+                        f"training diverged: a batch loss of epoch {epoch} is {loss}; "
+                        "lower the learning rate")
+                adam.step(pipeline.state.flat, grad, lr_scale)
+                epoch_loss += loss
+                n_batches += 1
+            logger.info("epoch %d: mean training loss %.6f", epoch,
+                        epoch_loss / max(1, n_batches))
     if not np.all(np.isfinite(pipeline.state.flat)):
         raise NumericalError("training diverged: the trained parameters are not "
                              "all finite; lower the learning rate")

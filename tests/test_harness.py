@@ -302,22 +302,30 @@ class TestRunExperiment:
         assert (r.out_dir / "scorer_fully_trained_seed0.calt").exists()
         assert (r.out_dir / "scorer_platt_spectral_seed0.json").exists()
 
-    def test_saved_calibrator_reloads(self, tmp_path):
-        from calad.calibration import load_calibrator
+    def test_saved_calibrator_reloads(self, tmp_path, monkeypatch):
+        import calad.harness
+        from calad.calibration import fitting_digest, load_calibrator
 
+        fitted = []
+        fit_platt = calad.harness.fit_platt
+
+        def recording(logits, labels, opt):
+            fitted.append((fit_platt(logits, labels, opt), fitting_digest(logits, labels)))
+            return fitted[-1][0]
+
+        monkeypatch.setattr(calad.harness, "fit_platt", recording)
         r = run_experiment(fast_cfg(tmp_path, seeds=(0,)))
         params, seed, digest = load_calibrator(
             r.out_dir / "calibrator_platt_spectral.txt")
-        stored, stored_digest = r.calibrators["Platt Spectral"]
-        assert params == stored
-        assert digest == stored_digest
+        assert (params, digest) == fitted[0]
+        assert seed == 0
 
     @pytest.mark.parametrize("normal, loss", [("builtin:gauss2d", "svdd"),
                                               ("builtin:tiles", "fcdd")])
     def test_beta_digest_covers_the_fitted_estimates(self, tmp_path, monkeypatch,
                                                      normal, loss):
         import calad.harness
-        from calad.calibration import fitting_digest
+        from calad.calibration import fitting_digest, load_calibrator
 
         fitted = []
         fit_beta = calad.harness.fit_beta
@@ -329,7 +337,8 @@ class TestRunExperiment:
         monkeypatch.setattr(calad.harness, "fit_beta", recording)
         r = run_experiment(fast_cfg(tmp_path, normal=normal, loss=loss, calibrator="beta",
                                     seeds=(0,), batch_size=32))
-        assert r.calibrators["β Spectral"][1] == fitted[0]
+        digest = load_calibrator(r.out_dir / "calibrator_beta_spectral.txt")[2]
+        assert digest == fitted[0]
 
     def test_directory_dataset_with_pgm_masks(self, tmp_path):
         from calad.datasets import textured_tiles
@@ -658,18 +667,20 @@ class TestCli:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
 
-    @pytest.mark.parametrize("loss", ["ssim", "fcdd"])
+    @pytest.mark.parametrize("loss", ["ssim", "fcdd", "hsc"])
     def test_diverged_training_exits_3(self, tmp_path, loss):
-        # in a child process: in this one, the overflow would raise as a
-        # RuntimeWarning before training could see the non-finite loss
+        # in a child process, which runs with numpy's default warning
+        # state: the overflow must print no RuntimeWarning there either
+        normal = "builtin:gauss2d" if loss == "hsc" else "builtin:tiles"
         out = tmp_path / "out"
         proc = subprocess.run(
-            [sys.executable, "-m", "calad.cli", "run", "--normal", "builtin:tiles",
+            [sys.executable, "-m", "calad.cli", "run", "--normal", normal,
              "--loss", loss, "--calibrator", "platt", "--seeds", "0", "--epochs", "1",
              "--learning-rate", "1e300", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 3, proc.stderr
-        assert "error: training diverged: a batch loss of epoch 0 is" in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: training diverged: a batch loss of epoch 0 is")
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 

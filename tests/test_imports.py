@@ -1,6 +1,8 @@
 """Every name a calad module imports is used in that module or re-exported
 through its ``__all__``, so deleting a function cannot leave a stray import
-behind. No module reads another object's private attributes, so a module's
+behind. Every top-level function, class and constant a calad module defines
+is used somewhere, so deleting its last caller cannot leave it behind. No
+module reads another object's private attributes, so a module's
 underscored names can change without breaking its callers."""
 
 import ast
@@ -11,6 +13,9 @@ import pytest
 import calad
 
 MODULES = sorted(Path(calad.__file__).parent.glob("*.py"))
+# where a calad definition may be used: the package, its tests, its benchmark
+READERS = MODULES + sorted(Path(__file__).parent.glob("*.py")) + sorted(
+    (Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def imported_names(tree):
@@ -61,3 +66,36 @@ def test_no_private_attribute_reads(path):
     tree = ast.parse(path.read_text())
     reads = [f"{expr} (line {line})" for expr, line in private_reads(tree)]
     assert not reads, f"{path.name} reads private attributes: {', '.join(reads)}"
+
+
+def defined_names(stmt):
+    """Names a top-level statement defines: a function, a class, or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def referenced_names(stmt):
+    """Names a statement reads, bare or as an attribute."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_definition_is_used():
+    # by name: a use in a function's own body, such as recursion, does not count
+    defined, used = {}, set()
+    for path in READERS:
+        for stmt in ast.parse(path.read_text()).body:
+            own = defined_names(stmt) if path in MODULES else set()
+            for name in own - {n for n in own if n.startswith("__")}:
+                defined[name] = f"{path.name}:{stmt.lineno}"
+            used.update(set(referenced_names(stmt)) - own)
+    orphans = [f"{name} ({where})" for name, where in defined.items() if name not in used]
+    assert not orphans, f"defined but never used: {', '.join(orphans)}"

@@ -31,12 +31,16 @@ def auroc_oracle(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+FOUR = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]  # 4-connectivity for ndimage.label
+
+
 def aupro_oracle(heatmaps, masks, cap):
-    """Dense sweep: recompute region overlaps and FPR per threshold."""
+    """Dense sweep: recompute region overlaps and FPR per threshold, with
+    each mask's regions labeled by scipy.ndimage."""
     regions = []
     for hm, mask in zip(heatmaps, masks):
-        for reg in mask_regions(mask):
-            regions.append(np.asarray(hm)[reg])
+        labeled, n = ndimage.label(np.asarray(mask) > 0, structure=FOUR)
+        regions += [np.asarray(hm)[labeled == r] for r in range(1, n + 1)]
     negs = np.concatenate([np.asarray(hm)[np.asarray(mask) == 0]
                            for hm, mask in zip(heatmaps, masks)])
     thresholds = np.unique(np.concatenate([np.asarray(h).ravel() for h in heatmaps]))
@@ -147,6 +151,18 @@ class TestAupro:
         assert abs(aupro(maps, masks, 0.3)
                    - aupro_oracle(maps, masks, 0.3)) < 1e-9
 
+    def test_one_labeling_per_call(self, monkeypatch):
+        import calad.metrics
+
+        calls = []
+        label = calad.metrics.mask_regions
+        monkeypatch.setattr(calad.metrics, "mask_regions",
+                            lambda masks: calls.append(1) or label(masks))
+        masks = np.zeros((5, 6, 6), dtype=int)
+        masks[:, 1:4, 2:5] = 1
+        aupro(np.random.default_rng(2).uniform(size=masks.shape), masks)
+        assert len(calls) == 1
+
     def test_degenerates_to_pixel_auroc(self):
         # single region covering all anomalous pixels, cap 1
         rng = np.random.default_rng(5)
@@ -163,9 +179,21 @@ class TestAupro:
         mask = np.zeros((4, 4), dtype=int)
         mask[0, 0] = 1
         mask[1, 1] = 1  # diagonal neighbors are distinct regions
-        assert len(mask_regions(mask)) == 2
+        assert mask_regions(mask).max() == 2
         mask[0, 1] = 1  # now they join
-        assert len(mask_regions(mask)) == 1
+        assert mask_regions(mask).max() == 1
+
+    def test_regions_do_not_join_across_stacked_masks(self):
+        # two squares that touch across the boundary of two stacked masks
+        masks = np.zeros((2, 4, 4), dtype=int)
+        masks[0, 2:, 1:3] = 1
+        masks[1, :2, 1:3] = 1
+        labels = mask_regions(masks)
+        assert labels.shape == masks.shape
+        assert np.array_equal(labels, masks * [[[1]], [[2]]])
+        hm = np.random.default_rng(8).uniform(size=masks.shape)
+        assert aupro(hm, masks, 0.3) == aupro(list(hm), list(masks), 0.3)
+        assert abs(aupro(hm, masks, 0.3) - aupro_oracle(hm, masks, 0.3)) < 1e-9
 
     @given(st.one_of(
         arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, max_side=20)),
@@ -175,11 +203,20 @@ class TestAupro:
     @example(SERPENTINE)
     @settings(max_examples=300, deadline=None)
     def test_regions_equal_ndimage_label_in_order(self, mask):
-        labeled, n = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        regions = mask_regions(mask)
-        assert len(regions) == n
-        for r, region in enumerate(regions, start=1):
-            assert np.array_equal(region, labeled == r)
+        labeled, _ = ndimage.label(mask, structure=FOUR)
+        assert np.array_equal(mask_regions(mask), labeled)
+
+    @given(arrays(np.bool_, array_shapes(min_dims=3, max_dims=3, max_side=12)))
+    @example(np.stack([SERPENTINE, SERPENTINE[::-1]]))
+    @example(np.ones((3, 5, 5), dtype=bool))
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_labels_equal_ndimage_labels_offset_mask_by_mask(self, masks):
+        expected, offset = [], 0
+        for mask in masks:
+            labeled, n = ndimage.label(mask, structure=FOUR)
+            expected.append(np.where(labeled > 0, labeled + offset, 0))
+            offset += n
+        assert np.array_equal(mask_regions(masks), np.stack(expected))
 
 
 def integrate_to_cap_loop(fpr, pro, cap):
@@ -201,7 +238,7 @@ def integrate_to_cap_loop(fpr, pro, cap):
 
 @st.composite
 def pro_curves(draw):
-    """A PRO curve as _pro_curve builds it, and a cap: off the grid, on a
+    """A PRO curve as aupro builds it, and a cap: off the grid, on a
     point (so the next segment starts at the cap), or past the last point."""
     n_neg = draw(st.integers(1, 40))
     counts = sorted(draw(st.lists(st.integers(0, n_neg), max_size=40)))

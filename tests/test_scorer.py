@@ -380,10 +380,10 @@ class TestSvddCenter:
             init_svdd_center(state, np.empty((0, 2)))
 
 
-def trained(loss, state, x, labels, cfg, **pipeline_args):
+def trained(loss, state, normal, anomalies, cfg, **pipeline_args):
     """The pipeline of `state` after train."""
     pipeline = LossPipeline(state, loss, **pipeline_args)
-    train(pipeline, x, labels, cfg)
+    train(pipeline, normal, anomalies, cfg)
     return pipeline
 
 
@@ -395,7 +395,7 @@ class TestTraining:
         x = np.vstack([x0, x1])
         y = np.concatenate([np.zeros(120), np.ones(120)])
         cfg = TrainConfig(learning_rate=5e-2, epochs=200, batch_size=64, seed=0)
-        pipe = trained("logistic", init_scorer(MlpSpec((2, 8, 1)), 0), x, y, cfg)
+        pipe = trained("logistic", init_scorer(MlpSpec((2, 8, 1)), 0), x0, x1, cfg)
         scores = forward(pipe.state, x)[:, 0]
         assert auroc(scores, y) >= 0.99
 
@@ -440,7 +440,8 @@ class TestTraining:
         y = (rng.random(80) < 0.5).astype(int)
         y[:2] = [0, 1]
         cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=32, seed=7)
-        a, b = (trained("hsc", init_scorer(MlpSpec((2, 6, 3)), 7), x, y, cfg)
+        a, b = (trained("hsc", init_scorer(MlpSpec((2, 6, 3)), 7), x[y == 0], x[y == 1],
+                        cfg)
                 for _ in range(2))
         assert np.array_equal(a.state.flat, b.state.flat)
 
@@ -464,11 +465,11 @@ class TestTraining:
         x = np.ones((8, 2))
         cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4)
         pipeline = LossPipeline(state, "logistic")
-        train(pipeline, x, np.arange(8) % 2, cfg)  # finite: trains
+        train(pipeline, x[::2], x[1::2], cfg)  # finite: trains
         state.flat[0] = np.nan
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NumericalError, match="a batch loss of epoch 0 is nan"):
-            train(pipeline, x, np.arange(8) % 2, cfg)
+        # no local errstate: train itself keeps the NaN from raising a warning
+        with pytest.raises(NumericalError, match="a batch loss of epoch 0 is nan"):
+            train(pipeline, x[::2], x[1::2], cfg)
 
     def test_non_finite_parameters_after_the_last_step_rejected(self):
         # the one batch's loss is finite, but Adam's step at this rate
@@ -476,14 +477,16 @@ class TestTraining:
         x = np.array([[1e6, 0.0], [-1e6, 0.0]])
         pipeline = LossPipeline(init_scorer(MlpSpec((2, 1)), 0), "logistic")
         cfg = TrainConfig(learning_rate=1e305, epochs=1, batch_size=2)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match="parameters are not all finite"):
-            train(pipeline, x, np.array([0, 1]), cfg)
+        with pytest.raises(NumericalError, match="parameters are not all finite"):
+            train(pipeline, x[:1], x[1:], cfg)
 
     def test_supervised_single_class_rejected(self):
-        with pytest.raises(DataError):
-            trained("logistic", init_scorer(MlpSpec((2, 3, 1)), 0), np.ones((10, 2)),
-                    np.zeros(10), TrainConfig(epochs=1))
+        # normal rows alone: no anomalies, or an empty anomaly pool
+        for loss in ("logistic", "hsc"):
+            for anomalies in (None, np.empty((0, 2))):
+                with pytest.raises(DataError, match="got no anomalies"):
+                    trained(loss, init_scorer(MlpSpec((2, 3, 1)), 0), np.ones((10, 2)),
+                            anomalies, TrainConfig(epochs=1))
 
     def test_svdd_rejects_biased_network(self):
         with pytest.raises(ValueError, match="bias-free"):
