@@ -16,7 +16,6 @@ import csv
 import os
 import sys
 import warnings
-from pathlib import Path
 
 # set before numpy loads; one thread suffices for the largest product,
 # 128x256 @ 256x64 (an SSIM autoencoder batch), and reduction, 200k x 3
@@ -149,8 +148,7 @@ def _cmd_synth(args) -> int:
         cfg = SpectralConfig(args.height, args.width, args.channels, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(f"bad synth size: {exc}") from None
-    out = Path(args.out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    out = reports.make_out_dir(args.out_dir or _default_out())
     images, metas = synthesize_batch(cfg, args.count)
     for i, (img, meta) in enumerate(zip(images, metas)):
         save_tensor(out / f"spectral_{i:04d}.calt", img)
@@ -164,15 +162,15 @@ def _cmd_synth(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+    out = args.out_dir or _default_out()
+    reports.check_out_dir(out)  # fail before the fit
     scores, labels = _read_score_csv(args.scores)
     opt = OptimizerConfig(seed=args.seed)
     if args.kind == "platt":
         params = fit_platt(scores, labels, opt)
     else:
         params = fit_beta(sigmoid(scores), labels, opt)
-    out = Path(args.out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"calibrator_{args.kind}.txt"
+    path = reports.make_out_dir(out) / f"calibrator_{args.kind}.txt"
     save_calibrator(path, params, args.seed, fitting_digest(scores, labels))
     print(f"wrote {path}")
     return 0
@@ -196,7 +194,7 @@ def _cmd_eval(args) -> int:
 
 
 def _read_seed_rows(path):
-    """Rows of a per_seed.csv, every metric cell parsed as a float."""
+    """Rows of a per_seed.csv, every metric cell parsed as a finite float."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -221,13 +219,15 @@ def _read_seed_rows(path):
             except (TypeError, ValueError):
                 what = "missing" if cell is None else f"{cell!r}, not a number"
                 raise DataError(f"{path}: row {i} column {column} is {what}") from None
+            if not np.isfinite(row[column]):
+                raise DataError(f"{path}: row {i} column {column} is {cell!r}, "
+                                "not a finite number")
     return rows
 
 
 def _cmd_report(args) -> int:
     rows = _read_seed_rows(args.rows)
-    out = Path(args.out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    out = reports.make_out_dir(args.out_dir or _default_out())
     reports.write_rows_csv(out / "summary.csv", harness.aggregate(rows))
     print(f"wrote {out / 'summary.csv'}")
     return 0

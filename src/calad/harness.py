@@ -28,12 +28,12 @@ from .calibration import (OptimizerConfig, ReliabilityHistogram, ece, fit_beta,
                           save_calibrator)
 from .datasets import gaussian_ring, textured_tiles
 from .errors import ConfigError, DataError
-from .metrics import aupro, pixel_auroc
+from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
 from .perturbation import PerturbConfig, evaluate_pair, perturb_batch
 from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
                      TrainConfig, forward, init_scorer, init_svdd_center,
                      save_scorer, train)
-from .segmentation import SsimConfig, gaussian_upsample
+from .segmentation import SSIM_C1, SSIM_C2, SSIM_WINDOW, gaussian_upsample
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
 
@@ -421,13 +421,12 @@ def _scorer_spec(loss: str, d: int) -> MlpSpec:
 
 
 def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
-                image_shape=None, ssim_cfg=None) -> LossPipeline:
+                image_shape=None) -> LossPipeline:
     """The arm's base scorer, trained on cfg.loss, in its uncalibrated
     pipeline."""
     state = init_scorer(_scorer_spec(cfg.loss, x_train.shape[1]), seed=seed)
     center = init_svdd_center(state, x_train) if cfg.loss == "svdd" else None
-    pipeline = LossPipeline(state, cfg.loss, center=center, ssim_cfg=ssim_cfg,
-                            image_shape=image_shape)
+    pipeline = LossPipeline(state, cfg.loss, center=center, image_shape=image_shape)
     train(pipeline, x_train, anoms_train,
           TrainConfig(learning_rate=cfg.learning_rate, milestones=cfg.milestones,
                       epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed))
@@ -484,17 +483,18 @@ def _logits(pipeline: LossPipeline, x, localization: bool):
 
 
 def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
-              localization: bool, x_eval):
+              localization: bool, x_eval, y_eval):
     """The metrics row of one arm, its reliability histogram, the
     perturbation deltas and, for localization, the test-set heatmaps.
 
-    `x_eval` holds normal test rows and synthetic anomalies in two equal
-    halves. Their reliability is per row for detection and per pixel for
+    `x_eval` holds normal test rows and synthetic anomalies, labelled by
+    `y_eval`. Their reliability is per row for detection and per pixel for
     localization."""
     perturb_cfg = PerturbConfig(epsilon=cfg.epsilon)
     pair = evaluate_pair(pipeline, x_test, test.y, perturb_cfg)
     eta = pipeline.calibrate(_logits(pipeline, x_eval, localization))[1].ravel()
-    hist = reliability(eta, np.repeat([0, 1], len(eta) // 2), cfg.bins)
+    # a tile's label on each of its pixels
+    hist = reliability(eta, np.repeat(y_eval, eta.size // len(y_eval)), cfg.bins)
     row = {
         "class_id": class_id,
         "method": method,
@@ -534,6 +534,14 @@ class _Arm(NamedTuple):
     heatmaps: Optional[np.ndarray]  # test-set heatmaps of localization runs
 
 
+def _balanced(normal, anomalies):
+    """(x, y): n normal rows labelled 0, then n anomalies labelled 1, for
+    n the smaller of the two counts."""
+    n = min(len(normal), len(anomalies))
+    return (np.concatenate([normal[:n], anomalies[:n]]),
+            np.concatenate([np.zeros(n), np.ones(n)]))
+
+
 def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
              normal, calib=None) -> _Arm:
     """Normalize with `normal`'s statistics, draw the anomaly pools the
@@ -550,27 +558,19 @@ def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
                            keys=[key for key in POOL_KEYS if reads[key]])
     x_train = normalize(normal, stats)
     x_test = normalize(test.x, stats)
-    ssim_cfg = None
-    if image_shape is not None:
-        ssim_cfg = SsimConfig(pad_value=float(x_train.mean()))
-    pipeline = _train_base(cfg, x_train, pools.get("train"), seed, image_shape, ssim_cfg)
+    pipeline = _train_base(cfg, x_train, pools.get("train"), seed, image_shape)
     fitted = None
     if calib is not None:
-        x_cal = normalize(calib, stats)
-        n_cal = min(len(x_cal), len(pools["calib"]))
-        cal_x = np.concatenate([x_cal[:n_cal], pools["calib"][:n_cal]])
-        cal_y = np.concatenate([np.zeros(n_cal), np.ones(n_cal)])
+        cal_x, cal_y = _balanced(normalize(calib, stats), pools["calib"])
         trunk = _head_trunk(pipeline.state, cfg.loss) if cfg.calibrator == "head" else None
         fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, localization, trunk)
         if trunk is not None:
             pipeline = LossPipeline(trunk, "logistic", head=fitted[0])
         else:
             pipeline.calibrator = fitted[0]
-    x_normal = x_test[test.y == 0]
-    n_eval = min(len(x_normal), len(pools["eval"]))
-    x_eval = np.concatenate([x_normal[:n_eval], pools["eval"][:n_eval]])
+    x_eval, y_eval = _balanced(x_test[test.y == 0], pools["eval"])
     row, hist, deltas, heatmaps = _evaluate(cfg, method, dataset["class_id"], pipeline,
-                                            x_test, test, localization, x_eval)
+                                            x_test, test, localization, x_eval, y_eval)
     return _Arm(row, hist, deltas, fitted, pipeline, heatmaps)
 
 
@@ -595,6 +595,7 @@ def aggregate(per_seed) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run every seed, aggregate, and write all artifacts to cfg.out_dir."""
+    reports.check_out_dir(cfg.out_dir)  # fail before the data loads, not after training
     dataset = _load_dataset(cfg)
     # the calibration head is a detection-only method, so its runs keep the
     # detection row schema even on mask-bearing data
@@ -616,8 +617,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         first = first or arms  # the first seed's arms back the figures
     summary = aggregate(per_seed)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = reports.make_out_dir(cfg.out_dir)
     emit_reports(cfg, summary, per_seed, deltas, first, out_dir)
     return RunResult(summary_rows=summary, per_seed_rows=per_seed, out_dir=out_dir)
 
@@ -629,11 +629,12 @@ def _slug(method: str) -> str:
 CONVENTIONS = {
     "aupro": "per-region overlap vs FPR, all thresholds, trapezoid to the cap, "
              "normalized by the cap",
-    "aupro_fpr_cap": 0.3,
+    "aupro_fpr_cap": AUPRO_FPR_CAP,
     "region_connectivity": 4,
     "tie_handling": "midranks",
     "perturbation_label": 0,
     "upsample_geometry": "stride = out/in, kernel 4*stride+1, sigma = stride",
+    "ssim": {"window": SSIM_WINDOW, "c1": SSIM_C1, "c2": SSIM_C2, "border_value": 0.0},
 }
 
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 
+AUPRO_FPR_CAP = 0.3  # AUPRO integrates FPR over [0, this cap]
+
 
 def _require_finite(x, what):
     """NumericalError naming how many values of the 1-D x are not finite."""
@@ -122,7 +124,7 @@ def _integrate_to_cap(fpr, pro, cap: float) -> float:
     return area / cap
 
 
-def aupro(heatmaps, masks, fpr_cap: float = 0.3) -> float:
+def aupro(heatmaps, masks, fpr_cap: float = AUPRO_FPR_CAP) -> float:
     """Mean per-region overlap integrated over FPR in [0, fpr_cap].
 
     ``heatmaps`` and ``masks`` are (n, h, w) stacks, or sequences of

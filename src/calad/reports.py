@@ -1,5 +1,5 @@
-"""Run artifacts: summary CSVs, reliability-diagram and calibrator-curve
-SVGs, and the run manifest.
+"""Run artifacts: the output directory, summary CSVs, reliability-diagram
+and calibrator-curve SVGs, and the run manifest.
 
 Everything here is rendered byte-deterministically: floats are written
 with repr (shortest round-trip form) and the SVGs are assembled from
@@ -15,10 +15,31 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import HeadParams, ReliabilityHistogram, calibrated_logit
+from .errors import ConfigError
 from .losses import sigmoid
 
 CSV_COLUMNS = ["class_id", "method", "auroc", "auroc_perturbed", "mce", "ece"]
 CSV_LOCALIZATION = ["aupro", "aupro_perturbed", "pixel_auroc", "pixel_auroc_perturbed"]
+
+
+def check_out_dir(path) -> None:
+    """ConfigError if `path`, or else its nearest existing ancestor, is not
+    a directory, so that make_out_dir(path) would fail. Creates nothing."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot create output directory {out}: {existing} is a file")
+
+
+def make_out_dir(path) -> Path:
+    """The output directory `path`, created with its parents; ConfigError
+    if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def _fmt(value):

@@ -27,7 +27,7 @@ from .calibration import HeadParams, calibrated_logit
 from .errors import DataError, NumericalError
 from .losses import (EPS_CLAMP, clamp_probability, hsc_loss, logistic_loss,
                      pseudo_huber, sigmoid)
-from .segmentation import SsimConfig, ssim_loss, ssim_map_backward
+from .segmentation import ssim_loss, ssim_map_backward
 
 logger = logging.getLogger(__name__)
 
@@ -191,8 +191,7 @@ class LossPipeline:
     """
 
     def __init__(self, state: ScorerState, loss_name: str, center=None,
-                 calibrator=None, ssim_cfg: Optional[SsimConfig] = None,
-                 image_shape=None, head: Optional[HeadParams] = None):
+                 calibrator=None, image_shape=None, head: Optional[HeadParams] = None):
         if loss_name not in SUPERVISED_LOSSES | UNSUPERVISED_LOSSES:
             raise ValueError(f"unknown loss {loss_name!r}")
         if head is not None and loss_name != "logistic":
@@ -204,15 +203,12 @@ class LossPipeline:
                 raise ValueError("svdd pipeline needs a hypersphere center")
             if state.spec.use_bias:
                 raise ValueError("svdd requires a bias-free scorer")
-        if loss_name == "ssim":
-            if image_shape is None:
-                raise ValueError("ssim pipeline needs the image shape")
-            ssim_cfg = ssim_cfg or SsimConfig()
+        if loss_name == "ssim" and image_shape is None:
+            raise ValueError("ssim pipeline needs the image shape")
         self.state = state
         self.loss_name = loss_name
         self.center = None if center is None else np.asarray(center, dtype=float)
         self.calibrator = calibrator
-        self.ssim_cfg = ssim_cfg
         self.image_shape = image_shape
         self.head = head
 
@@ -246,7 +242,7 @@ class LossPipeline:
         rows = np.atleast_2d(np.asarray(x, dtype=float))
         shape = (len(rows),) + tuple(self.image_shape)
         recon, caches = _forward_cache(self.state, rows)
-        return ssim_loss(rows.reshape(shape), recon.reshape(shape), self.ssim_cfg), caches
+        return ssim_loss(rows.reshape(shape), recon.reshape(shape)), caches
 
     def link(self, v):
         """Logit of raw scores v of any shape, row scores or a score map's
@@ -323,7 +319,7 @@ class LossPipeline:
         n, h, w = back.q.shape
         # v is the mean of 1 - S over the h * w pixels
         ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None], (n, h, w))
-        direct, drecon = ssim_map_backward(back, ds, self.ssim_cfg)
+        direct, drecon = ssim_map_backward(back, ds)
         return loss, caches, drecon.reshape(n, h * w), direct.reshape(n, h * w)
 
     def loss_and_input_grad(self, x, y):

@@ -2,7 +2,7 @@
 
 Images are (channels, height, width) float arrays; heatmaps and masks are
 2-D. SSIM statistics are plain (population) window means, so the sliding
-map reduces to box filters over constant-padded inputs, and its adjoint is
+map reduces to box filters over zero-padded inputs, and its adjoint is
 the transposed box filter on the unpadded pixels. The SSIM functions and
 the Gaussian upsampling also take (n, height, width) stacks and treat each
 image exactly as a single 2-D call would.
@@ -14,24 +14,10 @@ import numpy as np
 
 from ._kernels import box_sum_adjoint, box_sum_valid, upsample_scatter
 
-
-@dataclass(frozen=True)
-class SsimConfig:
-    window: int = 11
-    pad_value: float = 0.0
-    c1: float = 1e-4  # (0.01 * L)^2 at unit dynamic range
-    c2: float = 9e-4  # (0.03 * L)^2
-
-    def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError("window must be an odd positive integer")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("stabilizers c1, c2 must be positive")
-
-    @property
-    def pad(self) -> int:
-        """Border width (window - 1) / 2, which keeps the map conformal."""
-        return (self.window - 1) // 2
+SSIM_WINDOW = 11  # side of the square SSIM window
+SSIM_BORDER = (SSIM_WINDOW - 1) // 2  # zero cells around each image: a conformal map
+SSIM_C1 = 1e-4  # (0.01 * L)^2 at unit dynamic range
+SSIM_C2 = 9e-4  # (0.03 * L)^2
 
 
 @dataclass(frozen=True)
@@ -50,48 +36,41 @@ class SsimLoss:
     d: np.ndarray
 
 
-def _pad(img: np.ndarray, pad: int, value: float) -> np.ndarray:
-    """img with a constant border of pad cells on its last two axes."""
-    h, w = img.shape[-2:]
-    out = np.full(img.shape[:-2] + (h + 2 * pad, w + 2 * pad), value, dtype=float)
-    out[..., pad:pad + h, pad:pad + w] = img
-    return out
-
-
-def ssim_loss(x, recon, cfg: SsimConfig = SsimConfig()) -> SsimLoss:
+def ssim_loss(x, recon) -> SsimLoss:
     """Sliding-window SSIM of two single-channel images, or of two
     (n, h, w) stacks image by image, as the mean (1 - S) reconstruction
     loss (one per image for stacks), the map S, and its window terms.
 
-    Both images are constant-padded by cfg.pad with cfg.pad_value, so the
-    map is conformal with the inputs.
+    Both images get a zero border of SSIM_BORDER cells, so the map is
+    conformal with the inputs.
     """
     p = np.asarray(x, dtype=float)
     q = np.asarray(recon, dtype=float)
     if p.ndim not in (2, 3) or p.shape != q.shape:
         raise ValueError(
             f"need equal 2-D images or (n, h, w) stacks, got {p.shape} vs {q.shape}")
-    ppad, qpad = _pad(p, cfg.pad, cfg.pad_value), _pad(q, cfg.pad, cfg.pad_value)
-    mup, muq, mpp, mqq, mpq = box_sum_valid(
-        np.stack([ppad, qpad, ppad * ppad, qpad * qpad, ppad * qpad]),
-        cfg.window) / (cfg.window * cfg.window)
-    a = 2 * mup * muq + cfg.c1
-    b = 2 * (mpq - mup * muq) + cfg.c2
-    c = mup * mup + muq * muq + cfg.c1
-    d = (mpp - mup * mup) + (mqq - muq * muq) + cfg.c2
+    h, w = p.shape[-2:]
+    padded = np.zeros((5,) + p.shape[:-2] + (h + 2 * SSIM_BORDER, w + 2 * SSIM_BORDER))
+    inner = padded[..., SSIM_BORDER:SSIM_BORDER + h, SSIM_BORDER:SSIM_BORDER + w]
+    inner[0], inner[1], inner[2], inner[3], inner[4] = p, q, p * p, q * q, p * q
+    mup, muq, mpp, mqq, mpq = box_sum_valid(padded, SSIM_WINDOW) / SSIM_WINDOW ** 2
+    a = 2 * mup * muq + SSIM_C1
+    b = 2 * (mpq - mup * muq) + SSIM_C2
+    c = mup * mup + muq * muq + SSIM_C1
+    d = (mpp - mup * mup) + (mqq - muq * muq) + SSIM_C2
     s = (a * b) / (c * d)
     loss = np.mean(1.0 - s, axis=(-2, -1))
     return SsimLoss(loss=float(loss) if s.ndim == 2 else loss, similarity=s,
                     p=p, q=q, mup=mup, muq=muq, a=a, b=b, c=c, d=d)
 
 
-def ssim_map_backward(fwd: SsimLoss, ds, cfg: SsimConfig = SsimConfig()):
+def ssim_map_backward(fwd: SsimLoss, ds):
     """Gradients of sum(ds * S(p, q)) with respect to p and q, image by
     image for (n, h, w) stacks, from the window terms of the forward pass
-    fwd = ssim_loss(p, q, cfg).
+    fwd = ssim_loss(p, q).
 
-    The constant pad border carries no gradient, so the adjoint box sum
-    maps the window gradients onto the unpadded pixels alone.
+    The zero border carries no gradient, so the adjoint box sum maps the
+    window gradients onto the unpadded pixels alone.
     """
     ds = np.asarray(ds, dtype=float)
     mup, muq, s, cd = fwd.mup, fwd.muq, fwd.similarity, fwd.c * fwd.d
@@ -104,9 +83,8 @@ def ssim_map_backward(fwd: SsimLoss, ds, cfg: SsimConfig = SsimConfig()):
     g_mup = 2 * muq * g_a + 2 * mup * g_c - 2 * mup * g_d - muq * g_spq
     g_muq = 2 * mup * g_a + 2 * muq * g_c - 2 * muq * g_d - mup * g_spq
 
-    n = cfg.window * cfg.window
     adj_mup, adj_muq, adj_d, adj_spq = box_sum_adjoint(
-        np.stack([g_mup, g_muq, g_d, g_spq]), cfg.window) / n
+        np.stack([g_mup, g_muq, g_d, g_spq]), SSIM_WINDOW) / SSIM_WINDOW ** 2
     dp = adj_mup + 2 * fwd.p * adj_d + fwd.q * adj_spq
     dq = adj_muq + 2 * fwd.q * adj_d + fwd.p * adj_spq
     return dp, dq

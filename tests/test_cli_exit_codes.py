@@ -173,7 +173,8 @@ def bad_normal_csv(draw):
 
 @st.composite
 def bad_seed_rows(draw):
-    """per_seed.csv for `report` with a missing column or a non-number cell."""
+    """per_seed.csv for `report` with a missing column, or a non-number or
+    non-finite cell."""
     columns = ["seed", "class_id", "method", "auroc", "auroc_perturbed", "mce", "ece"]
     values = ["0", "gauss2d", "Fully Trained", "0.9", "0.8", "0.1", "0.05"]
     if draw(st.booleans()):
@@ -182,7 +183,8 @@ def bad_seed_rows(draw):
         columns = [columns[i] for i in keep]
         values = [values[i] for i in keep]
     else:
-        values[draw(st.integers(3, 6))] = draw(st.sampled_from(["", "n/a", "x1"]))
+        values[draw(st.integers(3, 6))] = draw(st.sampled_from(
+            ["", "n/a", "x1", "nan", "inf", "-inf", "NaN"]))
     text = ",".join(columns) + "\n" + ",".join(values) + "\n"
     return {"argv": ["report", "{rows}", "--out", "{out}"],
             "files": {"rows.csv": text}}, DATA

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from calad.harness import (ExperimentConfig, METHOD_LABELS, _anomaly_pools,
                            _dir_dataset, _load_dataset, fit_normalizer,
                            load_config_file, merge_config, normalize,
                            run_experiment, split)
+from calad.metrics import AUPRO_FPR_CAP, aupro
 from calad.tensorio import save_tensor, write_pgm
 
 FAST = dict(epochs=2, learning_rate=1e-3, batch_size=64)
@@ -255,6 +257,11 @@ class TestRunExperiment:
         assert doc["config"]["loss"] == "svdd"
         assert doc["conventions"]["tie_handling"] == "midranks"
         assert "aupro" in doc["conventions"]
+        # read from the code that applies them
+        assert doc["conventions"]["aupro_fpr_cap"] == AUPRO_FPR_CAP == 0.3
+        assert doc["conventions"]["ssim"] == {"window": 11, "c1": 1e-4, "c2": 9e-4,
+                                              "border_value": 0.0}
+        assert inspect.signature(aupro).parameters["fpr_cap"].default == AUPRO_FPR_CAP
 
     def test_deltas_streamed(self, tmp_path):
         r = run_experiment(fast_cfg(tmp_path, seeds=(0,)))
@@ -534,16 +541,15 @@ class TestPixelChain:
         from calad.calibration import fitting_digest
         from calad.harness import _fit_calibrator, _tile_heatmaps
         from calad.scorer import LossPipeline, MlpSpec, forward, init_scorer
-        from calad.segmentation import SsimConfig, gaussian_upsample, ssim_loss
+        from calad.segmentation import gaussian_upsample, ssim_loss
 
         x = np.random.default_rng(31).uniform(size=(6, 64))
         y = np.r_[np.zeros(3), np.ones(3)]
         if loss == "ssim":
             state = init_scorer(MlpSpec((64, 16, 64)), 3)
-            pipeline = LossPipeline(state, "ssim", ssim_cfg=SsimConfig(window=3),
-                                    image_shape=(8, 8))
+            pipeline = LossPipeline(state, "ssim", image_shape=(8, 8))
             recon = forward(state, x).reshape(6, 8, 8)
-            maps = 1.0 - ssim_loss(x.reshape(6, 8, 8), recon, pipeline.ssim_cfg).similarity
+            maps = 1.0 - ssim_loss(x.reshape(6, 8, 8), recon).similarity
         else:
             state = init_scorer(MlpSpec((64, 16, 16)), 3)
             pipeline = LossPipeline(state, "fcdd", image_shape=(8, 8))
@@ -830,7 +836,11 @@ class TestCli:
         ("0,0,Fully Trained,abc,0.8,0.1,0.05\n", "row 2 column auroc is 'abc', not a number"),
         ("0,0,Fully Trained,0.9,0.8\n", "row 2 column mce is missing"),
         ("0,0,Fully Trained,0.9,0.8,0.1,0.05,7\n", "row 2 has more cells than the header"),
-    ], ids=["not-a-number", "short-row", "long-row"])
+        ("0,0,Fully Trained,nan,0.8,0.1,0.05\n",
+         "row 2 column auroc is 'nan', not a finite number"),
+        ("0,0,Fully Trained,0.9,0.8,0.1,-inf\n",
+         "row 2 column ece is '-inf', not a finite number"),
+    ], ids=["not-a-number", "short-row", "long-row", "nan", "inf"])
     def test_report_malformed_row_exits_2(self, tmp_path, capsys, rows, message):
         path = tmp_path / "per_seed.csv"
         path.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
@@ -838,6 +848,30 @@ class TestCli:
         assert cli_main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("verb", ["run", "synth", "calibrate", "report"])
+    def test_out_path_through_a_file_exits_1(self, tmp_path, capsys, monkeypatch, verb,
+                                              under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "sub" if under else taken
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score,label\n0.1,0\n0.7,1\n0.3,0\n0.9,1\n")
+        rows = tmp_path / "per_seed.csv"
+        rows.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
+                        "0,0,Fully Trained,0.9,0.8,0.1,0.05\n")
+        argv = {"run": ["run", "--normal", "builtin:gauss2d", "--seeds", "0"],
+                "synth": ["synth", "--count", "1", "--height", "8", "--width", "8"],
+                "calibrate": ["calibrate", str(scores)],
+                "report": ["report", str(rows)]}[verb]
+        # run checks its output path before it loads data, calibrate before it fits
+        monkeypatch.setattr("calad.harness._load_dataset", no_training)
+        monkeypatch.setattr("calad.cli.fit_platt", no_training)
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot create output directory {out}: ")
+        assert taken.read_text() == "not a directory\n"
 
     def test_report_missing_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "per_seed.csv"

@@ -10,7 +10,7 @@ from calad.metrics import auroc
 from calad.scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig, _Adam,
                           _backprop, _forward_cache, forward, init_scorer,
                           init_svdd_center, load_scorer, save_scorer, train)
-from calad.segmentation import SsimConfig, ssim_loss, ssim_map_backward
+from calad.segmentation import ssim_loss, ssim_map_backward
 
 FD_STEP = 1e-6
 
@@ -79,9 +79,8 @@ def make_pipeline(kind, seed, calibrator=None):
         return LossPipeline(state, "fcdd", calibrator=calibrator), 4, None
     if kind == "autoencoder-ssim":
         state = init_scorer(MlpSpec((16, 10, 16)), seed)
-        cfg = SsimConfig(window=3, pad_value=0.4)
         return LossPipeline(state, "ssim", calibrator=calibrator,
-                            ssim_cfg=cfg, image_shape=(4, 4)), 16, None
+                            image_shape=(4, 4)), 16, None
     if kind == "head":
         state = init_scorer(MlpSpec((4, 8, 3)), seed)
         head = HeadParams(rng.normal(0, 0.5, 3), 0.2)
@@ -233,7 +232,7 @@ class TestOneChain:
         if kind == "autoencoder-ssim":
             h, w = pipeline.image_shape
             recon = forward(pipeline.state, x).reshape(-1, h, w)
-            res = ssim_loss(x.reshape(-1, h, w), recon, pipeline.ssim_cfg)
+            res = ssim_loss(x.reshape(-1, h, w), recon)
             assert np.array_equal(v, np.mean(1.0 - res.similarity, axis=(1, 2)))
 
 
@@ -256,7 +255,7 @@ class TestScoreMap:
     def test_ssim_map_is_one_minus_similarity(self):
         pipeline, x = pixel_pipeline("autoencoder-ssim", seed=23)
         recon = forward(pipeline.state, x).reshape(5, 4, 4)
-        s = ssim_loss(x.reshape(5, 4, 4), recon, pipeline.ssim_cfg).similarity
+        s = ssim_loss(x.reshape(5, 4, 4), recon).similarity
         maps = pipeline.score_map(x)
         assert np.array_equal(maps, 1.0 - s)
         # the link reads each pixel as the estimate (1 - S) / 2
@@ -292,13 +291,13 @@ def ssim_per_row_reference(pipeline, x, y):
     """One-row passes of the ssim pipeline: scores, loss values, mean loss
     and flat parameter gradient, summed row by row."""
     h, w = pipeline.image_shape
-    state, cfg = pipeline.state, pipeline.ssim_cfg
+    state = pipeline.state
     scores, losses = [], []
     total, flat = 0.0, np.zeros_like(state.flat)
     for row, yi in zip(x, y):
         out, caches = _forward_cache(state, row[None, :])
         img, recon = row.reshape(h, w), out[0].reshape(h, w)
-        res = ssim_loss(img, recon, cfg)
+        res = ssim_loss(img, recon)
         est = float(np.mean((1.0 - res.similarity) / 2.0))
         scores.append(2.0 * est)
         if pipeline.calibrator is None:
@@ -312,7 +311,7 @@ def ssim_per_row_reference(pipeline, x, y):
             factor = (sigmoid(zc[0]) - yi) * dzc_dz[0] * (1.0 / (e * (1.0 - e)))
             ds = np.full((h, w), -factor / (2.0 * h * w))
         losses.append(loss)
-        _, drecon = ssim_map_backward(res, ds, cfg)
+        _, drecon = ssim_map_backward(res, ds)
         grad = _backprop(state, caches, drecon.reshape(1, -1), params=True)
         total += loss
         flat += grad
@@ -448,10 +447,9 @@ class TestTraining:
         # ssim training, and batched ssim gradients with and without a
         # calibrator, rerun bit for bit
         images = rng.uniform(0.05, 0.95, (40, 16))
-        ssim_cfg = SsimConfig(window=3, pad_value=0.4)
         cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=16, seed=7)
         a, b = (trained("ssim", init_scorer(MlpSpec((16, 10, 16)), 7), images, None, cfg,
-                        ssim_cfg=ssim_cfg, image_shape=(4, 4)) for _ in range(2))
+                        image_shape=(4, 4)) for _ in range(2))
         assert np.array_equal(a.state.flat, b.state.flat)
         for cal in (None, BetaParams(1.4, 0.7, 0.2)):
             a.calibrator = cal

@@ -5,38 +5,38 @@ from calad.errors import NumericalError
 from calad.losses import REGISTRY, conditional_risk, pseudo_huber
 from calad.metrics import aupro
 from calad.scorer import LossPipeline, MlpSpec, ScorerState
-from calad.segmentation import (SsimConfig, gaussian_kernel, gaussian_upsample,
-                                ssim_loss, ssim_map_backward)
-
-CFG3 = SsimConfig(window=3)
+from calad.segmentation import (gaussian_kernel, gaussian_upsample, ssim_loss,
+                                ssim_map_backward)
 
 
-def ssim_map(p, q, cfg=SsimConfig()):
-    return ssim_loss(p, q, cfg).similarity
+def ssim_map(p, q):
+    return ssim_loss(p, q).similarity
 
 
-def ssim_map_oracle(p, q, cfg):
-    """Naive per-window sliding loop over constant-padded inputs."""
-    pp = np.pad(p, cfg.pad, constant_values=cfg.pad_value)
-    qp = np.pad(q, cfg.pad, constant_values=cfg.pad_value)
+def ssim_map_oracle(p, q):
+    """Naive per-window sliding loop over zero-padded inputs: an 11-cell
+    window, c1 = (0.01)^2 and c2 = (0.03)^2 at unit dynamic range."""
+    window, c1, c2 = 11, 1e-4, 9e-4
+    pp = np.pad(p, window // 2)
+    qp = np.pad(q, window // 2)
     h, w = p.shape
     out = np.zeros((h, w))
     for i in range(h):
         for j in range(w):
-            wp = pp[i:i + cfg.window, j:j + cfg.window]
-            wq = qp[i:i + cfg.window, j:j + cfg.window]
+            wp = pp[i:i + window, j:j + window]
+            wq = qp[i:i + window, j:j + window]
             mp_, mq = wp.mean(), wq.mean()
             vp = (wp * wp).mean() - mp_ * mp_
             vq = (wq * wq).mean() - mq * mq
             cov = (wp * wq).mean() - mp_ * mq
-            out[i, j] = ((2 * mp_ * mq + cfg.c1) * (2 * cov + cfg.c2)) / \
-                ((mp_ ** 2 + mq ** 2 + cfg.c1) * (vp + vq + cfg.c2))
+            out[i, j] = ((2 * mp_ * mq + c1) * (2 * cov + c2)) / \
+                ((mp_ ** 2 + mq ** 2 + c1) * (vp + vq + c2))
     return out
 
 
 class TestSsimPatch:
-    """SSIM of two whole patches: the centre cell of the map of one
-    patch-sized window, or a window-1 map of constant images."""
+    """SSIM of two whole patches: the centre cell of a map whose window
+    there sees no border."""
 
     def test_identical_patches(self):
         rng = np.random.default_rng(0)
@@ -44,37 +44,25 @@ class TestSsimPatch:
         assert ssim_map(p, p)[5, 5] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_patches_formula(self):
-        a, b = 0.3, 0.8
-        cfg = SsimConfig(window=1, c1=1e-4)
-        p = np.full((5, 5), a)
-        q = np.full((5, 5), b)
-        expected = (2 * a * b + cfg.c1) / (a * a + b * b + cfg.c1)
-        assert np.allclose(ssim_map(p, q, cfg), expected, rtol=0, atol=1e-12)
+        # no variance inside the window, so S is the luminance term alone
+        a, b, c1 = 0.3, 0.8, 1e-4
+        p = np.full((21, 21), a)
+        q = np.full((21, 21), b)
+        expected = (2 * a * b + c1) / (a * a + b * b + c1)
+        assert ssim_map(p, q)[10, 10] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         p, q = rng.uniform(size=(2, 7, 7))
-        cfg = SsimConfig(window=7)
-        assert ssim_map(p, q, cfg)[3, 3] == pytest.approx(ssim_map(q, p, cfg)[3, 3],
-                                                          abs=1e-14)
+        assert np.allclose(ssim_map(p, q), ssim_map(q, p), rtol=0, atol=1e-14)
 
     def test_opposed_constants_approach_minus_one(self):
-        p = np.full((5, 5), 50.0)
-        assert np.all(ssim_map(p, -p, SsimConfig(window=1)) < -0.9999)
+        p = np.full((21, 21), 50.0)
+        assert ssim_map(p, -p)[10, 10] < -0.9999
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ssim_map(np.zeros((3, 3)), np.zeros((4, 4)))
-
-
-class TestSsimConfig:
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            SsimConfig(window=10)
-
-    def test_pad_is_half_window(self):
-        assert SsimConfig().pad == 5
-        assert CFG3.pad == 1
 
 
 class TestSsimMap:
@@ -93,8 +81,7 @@ class TestSsimMap:
         rng = np.random.default_rng(3)
         p = rng.uniform(size=shape)
         q = rng.uniform(size=shape)
-        cfg = SsimConfig(pad_value=0.37)
-        assert np.max(np.abs(ssim_map(p, q, cfg) - ssim_map_oracle(p, q, cfg))) < 1e-10
+        assert np.max(np.abs(ssim_map(p, q) - ssim_map_oracle(p, q))) < 1e-10
 
     def test_bounded(self):
         rng = np.random.default_rng(4)
@@ -122,9 +109,8 @@ class TestSsimLoss:
         rng = np.random.default_rng(7)
         x = rng.uniform(size=(16, 16))
         r = rng.uniform(size=(16, 16))
-        cfg = SsimConfig(pad_value=0.5)
-        expected = np.mean(1.0 - ssim_map_oracle(x, r, cfg))
-        assert ssim_loss(x, r, cfg).loss == pytest.approx(expected, abs=1e-10)
+        expected = np.mean(1.0 - ssim_map_oracle(x, r))
+        assert ssim_loss(x, r).loss == pytest.approx(expected, abs=1e-10)
 
 
 class TestSsimBackward:
@@ -133,17 +119,17 @@ class TestSsimBackward:
         p = rng.uniform(size=(6, 6))
         q = rng.uniform(size=(6, 6))
         ds = rng.normal(size=(6, 6))
-        dp, dq = ssim_map_backward(ssim_loss(p, q, CFG3), ds, CFG3)
+        dp, dq = ssim_map_backward(ssim_loss(p, q), ds)
         step = 1e-6
         for arr, grad in ((p, dp), (q, dq)):
             for idx in [(0, 0), (2, 3), (5, 5), (1, 4)]:
                 bump = arr.copy()
                 bump[idx] += step
-                hi = np.sum(ds * (ssim_map(bump, q, CFG3) if arr is p
-                                  else ssim_map(p, bump, CFG3)))
+                hi = np.sum(ds * (ssim_map(bump, q) if arr is p
+                                  else ssim_map(p, bump)))
                 bump[idx] -= 2 * step
-                lo = np.sum(ds * (ssim_map(bump, q, CFG3) if arr is p
-                                  else ssim_map(p, bump, CFG3)))
+                lo = np.sum(ds * (ssim_map(bump, q) if arr is p
+                                  else ssim_map(p, bump)))
                 fd = (hi - lo) / (2 * step)
                 assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
@@ -152,21 +138,18 @@ class TestSsimBackward:
         rng = np.random.default_rng(10)
         x = rng.uniform(size=(6, 6))
         r = rng.uniform(size=(6, 6))
-        _, dr = ssim_map_backward(ssim_loss(x, r, CFG3), np.full((6, 6), -1.0 / 36),
-                                  CFG3)
+        _, dr = ssim_map_backward(ssim_loss(x, r), np.full((6, 6), -1.0 / 36))
         step = 1e-6
         bump = r.copy()
         bump[3, 3] += step
-        hi = ssim_loss(x, bump, CFG3).loss
+        hi = ssim_loss(x, bump).loss
         bump[3, 3] -= 2 * step
-        lo = ssim_loss(x, bump, CFG3).loss
+        lo = ssim_loss(x, bump).loss
         assert dr[3, 3] == pytest.approx((hi - lo) / (2 * step), rel=1e-5, abs=1e-9)
 
 
 class TestStacks:
     """(n, h, w) stacks give exactly the per-image results."""
-
-    CFG = SsimConfig(pad_value=0.37)
 
     def pair(self, seed):
         rng = np.random.default_rng(seed)
@@ -174,20 +157,20 @@ class TestStacks:
 
     def test_ssim_map_and_loss(self):
         p, q, _ = self.pair(14)
-        s = ssim_map(p, q, self.CFG)
-        res = ssim_loss(p, q, self.CFG)
+        s = ssim_map(p, q)
+        res = ssim_loss(p, q)
         for i in range(len(p)):
-            single = ssim_loss(p[i], q[i], self.CFG)
+            single = ssim_loss(p[i], q[i])
             assert isinstance(single.loss, float)
-            assert np.array_equal(s[i], ssim_map(p[i], q[i], self.CFG))
+            assert np.array_equal(s[i], ssim_map(p[i], q[i]))
             assert res.loss[i] == single.loss
 
     def test_ssim_map_backward(self):
         p, q, rng = self.pair(15)
         ds = rng.normal(size=p.shape)
-        dp, dq = ssim_map_backward(ssim_loss(p, q, self.CFG), ds, self.CFG)
+        dp, dq = ssim_map_backward(ssim_loss(p, q), ds)
         for i in range(len(p)):
-            dpi, dqi = ssim_map_backward(ssim_loss(p[i], q[i], self.CFG), ds[i], self.CFG)
+            dpi, dqi = ssim_map_backward(ssim_loss(p[i], q[i]), ds[i])
             assert np.array_equal(dp[i], dpi)
             assert np.array_equal(dq[i], dqi)
 
