@@ -10,10 +10,10 @@ full step once it falls below ``FULL_STEP_DECREMENT``, where loss
 differences are too small to resolve in float64. Steps come from a
 minimum-norm least-squares solve, so a singular Hessian (a constant
 feature) or an ill-conditioned one does not raise. A fit has converged
-when the gradient max-norm is at most ``gtol``; spending ``max_iter``
+when the gradient max-norm is at most ``GTOL``; spending ``MAX_ITER``
 iterations first, or reaching a non-finite iterate, raises
 ``NumericalError``. Separable data is not an error: the gradient decays
-below ``gtol`` as the slope grows.
+below ``GTOL`` as the slope grows.
 
 The Platt slope 1/T and the Beta weights a, b must be nonnegative. They
 are handled with Kull et al.'s active set: a constrained coefficient that
@@ -22,9 +22,10 @@ the start point. A Platt slope pinned at 0 (scores anti-correlated with
 the labels) is the temperature ``inf``, a constant map to the base rate.
 
 The calibration head is still fitted with scipy's L-BFGS-B, imported in
-``fit_head``'s body. On its ill-conditioned frozen features L-BFGS stops
-on scipy's relative-reduction rule short of the exact optimum, and the
-head's stored reference outputs pin that stop.
+``fit_head``'s body, under the same ``GTOL`` and ``MAX_ITER``. On its
+ill-conditioned frozen features L-BFGS stops on scipy's relative-reduction
+rule short of the exact optimum, and the head's stored reference outputs
+pin that stop.
 
 Fitted parameters serialize to a plain-text key-value document so a run
 can be reloaded and its determinism re-verified.
@@ -65,13 +66,6 @@ class BetaParams:
 class HeadParams:
     weights: np.ndarray
     bias: float
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    gtol: float = 1e-8
-    max_iter: int = 500
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -139,6 +133,8 @@ def _require_both_classes(labels):
 
 # below this Newton decrement the loss change is too small for an Armijo test
 FULL_STEP_DECREMENT = 1e-12
+GTOL = 1e-8  # a fit has converged once max|grad| is at most this
+MAX_ITER = 500  # iterations per fit, Newton and L-BFGS-B alike
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,7 @@ class FitResult:
     success: bool = True
 
 
-def _newton(features, y, x0, opt: OptimizerConfig):
+def _newton(features, y, x0):
     """Damped Newton on mean logistic loss of features @ x;
     (x, iterations, loss evaluations)."""
     n = len(y)
@@ -161,12 +157,12 @@ def _newton(features, y, x0, opt: OptimizerConfig):
     z = features @ x
     loss = float(np.mean(logistic_loss(y, z)))
     nfev = 1
-    for nit in range(opt.max_iter + 1):
+    for nit in range(MAX_ITER + 1):
         p = sigmoid(z)
         grad = features.T @ (p - y) / n
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             raise NumericalError(f"calibrator fit reached a non-finite iterate {x}")
-        if np.max(np.abs(grad)) <= opt.gtol or nit == opt.max_iter:
+        if np.max(np.abs(grad)) <= GTOL or nit == MAX_ITER:
             break
         hess = (features * (p * (1.0 - p))[:, None]).T @ features / n
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
@@ -179,14 +175,14 @@ def _newton(features, y, x0, opt: OptimizerConfig):
             if decrement < FULL_STEP_DECREMENT or loss_new <= loss - 1e-4 * t * decrement:
                 break
         x, z, loss = x_new, z_new, loss_new
-    if np.max(np.abs(grad)) > opt.gtol:
+    if np.max(np.abs(grad)) > GTOL:
         raise NumericalError(
             f"calibrator fit did not converge in {nit} Newton iterations: "
-            f"max|grad| {np.max(np.abs(grad)):.3g} > gtol {opt.gtol:g}")
+            f"max|grad| {np.max(np.abs(grad)):.3g} > gtol {GTOL:g}")
     return x, nit, nfev
 
 
-def minimize(features, labels, x0, opt: OptimizerConfig, nonneg=()) -> FitResult:
+def minimize(features, labels, x0, nonneg=()) -> FitResult:
     """Minimize the mean logistic loss of ``features @ x`` against 0/1
     labels by Newton's method, from ``x0``, keeping the coordinates in
     ``nonneg`` nonnegative with Kull et al.'s active set."""
@@ -196,7 +192,7 @@ def minimize(features, labels, x0, opt: OptimizerConfig, nonneg=()) -> FitResult
     free = np.ones(len(x0), dtype=bool)
     nit = nfev = 0
     while True:
-        x_free, its, evals = _newton(features[:, free], y, x0[free], opt)
+        x_free, its, evals = _newton(features[:, free], y, x0[free])
         x = np.zeros_like(x0)
         x[free] = x_free
         nit, nfev = nit + its, nfev + evals
@@ -206,7 +202,7 @@ def minimize(features, labels, x0, opt: OptimizerConfig, nonneg=()) -> FitResult
         free[negative[0]] = False
 
 
-def fit_platt(logits, labels, opt: OptimizerConfig = OptimizerConfig()) -> PlattParams:
+def fit_platt(logits, labels) -> PlattParams:
     """Fit (T, c) by logistic-loss minimization over transformed logits.
 
     Starts from the identity (T = 1, c = 0), so the achieved loss never
@@ -215,12 +211,12 @@ def fit_platt(logits, labels, opt: OptimizerConfig = OptimizerConfig()) -> Platt
     z = np.asarray(logits, dtype=float)
     y = _require_both_classes(labels)
     slope, intercept = minimize(np.column_stack([z, np.ones_like(z)]), y,
-                                [1.0, 0.0], opt, nonneg=(0,)).x
+                                [1.0, 0.0], nonneg=(0,)).x
     return PlattParams(temperature=float(1.0 / slope) if slope > 0 else np.inf,
                        intercept=float(intercept))
 
 
-def fit_beta(estimates, labels, opt: OptimizerConfig = OptimizerConfig()) -> BetaParams:
+def fit_beta(estimates, labels) -> BetaParams:
     """Fit (a, b, c) by logistic-loss minimization over transformed logits.
 
     a and b stay nonnegative through the active set; the start is the
@@ -229,11 +225,11 @@ def fit_beta(estimates, labels, opt: OptimizerConfig = OptimizerConfig()) -> Bet
     e = clamp_probability(np.asarray(estimates, dtype=float))
     y = _require_both_classes(labels)
     features = np.column_stack([np.log(e), -np.log1p(-e), np.ones_like(e)])
-    a, b, c = minimize(features, y, [1.0, 1.0, 0.0], opt, nonneg=(0, 1)).x
+    a, b, c = minimize(features, y, [1.0, 1.0, 0.0], nonneg=(0, 1)).x
     return BetaParams(a=float(a), b=float(b), c=float(c))
 
 
-def fit_head(features, labels, opt: OptimizerConfig = OptimizerConfig()) -> HeadParams:
+def fit_head(features, labels, seed: int = 0) -> HeadParams:
     """Refit the final affine layer over frozen features.
 
     Weights are re-initialized from the seed with uniform fan-in scaling,
@@ -248,7 +244,7 @@ def fit_head(features, labels, opt: OptimizerConfig = OptimizerConfig()) -> Head
         raise ValueError("features must be a (n, d) matrix")
     y = _require_both_classes(labels)
     d = f.shape[1]
-    rng = np.random.default_rng(opt.seed)
+    rng = np.random.default_rng(seed)
     x0 = np.concatenate([rng.uniform(-1, 1, d) / np.sqrt(d), [0.0]])
 
     def objective(p):
@@ -258,11 +254,11 @@ def fit_head(features, labels, opt: OptimizerConfig = OptimizerConfig()) -> Head
         return float(np.mean(logistic_loss(y, z))), grad
 
     x = optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
-                          options={"maxiter": opt.max_iter, "gtol": opt.gtol}).x
+                          options={"maxiter": MAX_ITER, "gtol": GTOL}).x
     return HeadParams(weights=x[:d].copy(), bias=float(x[d]))
 
 
-def reliability(estimates, labels, k: int = 15) -> ReliabilityHistogram:
+def reliability(estimates, labels, k: int) -> ReliabilityHistogram:
     """Bin estimates into k equal-width half-open bins (eta_k, eta_{k+1}]."""
     if k < 1:
         raise ValueError("need at least one bin")

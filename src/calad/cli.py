@@ -24,11 +24,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import harness, reports
-from .calibration import (OptimizerConfig, ece, fit_beta, fit_platt,
-                          fitting_digest, mce, reliability, save_calibrator)
+from .calibration import (ece, fit_beta, fit_platt, fitting_digest, mce, reliability,
+                          save_calibrator)
 from .errors import CaladError, ConfigError, DataError
 from .losses import sigmoid
 from .metrics import auroc
+from .scorer import LOSSES
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import save_tensor, write_ppm
 
@@ -56,10 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--normal", help="normal data: CSV path or builtin:<name>")
     run.add_argument("--oe-dir", dest="oe_dir", help="outlier-exposure directory")
     run.add_argument("--masks-dir", dest="masks_dir", help="mask directory")
-    run.add_argument("--loss", choices=["svdd", "hsc", "logistic", "ssim", "fcdd"])
-    run.add_argument("--calibrator", choices=["none", "platt", "beta", "head"])
+    run.add_argument("--loss", choices=LOSSES)
+    run.add_argument("--calibrator", choices=harness.CALIBRATORS)
     run.add_argument("--anomaly-source", dest="anomaly_source",
-                     choices=["oe", "spectral"])
+                     choices=harness.ANOMALY_SOURCES)
     run.add_argument("--split-ratio", dest="split_ratio", type=float)
     run.add_argument("--seeds", type=lambda s: tuple(int(v) for v in s.split(",")))
     run.add_argument("--epsilon", type=float)
@@ -165,11 +166,10 @@ def _cmd_calibrate(args) -> int:
     out = args.out_dir or _default_out()
     reports.check_out_dir(out)  # fail before the fit
     scores, labels = _read_score_csv(args.scores)
-    opt = OptimizerConfig(seed=args.seed)
     if args.kind == "platt":
-        params = fit_platt(scores, labels, opt)
+        params = fit_platt(scores, labels)
     else:
-        params = fit_beta(sigmoid(scores), labels, opt)
+        params = fit_beta(sigmoid(scores), labels)
     path = reports.make_out_dir(out) / f"calibrator_{args.kind}.txt"
     save_calibrator(path, params, args.seed, fitting_digest(scores, labels))
     print(f"wrote {path}")
@@ -194,7 +194,8 @@ def _cmd_eval(args) -> int:
 
 
 def _read_seed_rows(path):
-    """Rows of a per_seed.csv, every metric cell parsed as a finite float."""
+    """Rows of a per_seed.csv: seeds parsed as nonnegative integers, one
+    row per (seed, method), and metric cells as finite floats."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -204,14 +205,21 @@ def _read_seed_rows(path):
     if not rows:
         raise DataError(f"{path}: no rows")
     columns = reader.fieldnames
-    required = reports.CSV_COLUMNS + (reports.CSV_LOCALIZATION if "aupro" in columns else [])
+    required = ["seed"] + reports.CSV_COLUMNS + (
+        reports.CSV_LOCALIZATION if "aupro" in columns else [])
     missing = [c for c in required if c not in columns]
     if missing:
         raise DataError(f"{path}: missing columns {', '.join(missing)}")
     metrics = [c for c in columns if c not in ("seed", "class_id", "method")]
+    first_row = {}
     for i, row in enumerate(rows, start=1):
         if None in row:
             raise DataError(f"{path}: row {i} has more cells than the header")
+        cell = row["seed"]
+        if not (cell and cell.isascii() and cell.isdigit()):
+            what = "missing" if cell is None else f"{cell!r}, not a nonnegative integer"
+            raise DataError(f"{path}: row {i} column seed is {what}")
+        row["seed"] = int(cell)
         for column in metrics:
             cell = row[column]
             try:
@@ -222,6 +230,9 @@ def _read_seed_rows(path):
             if not np.isfinite(row[column]):
                 raise DataError(f"{path}: row {i} column {column} is {cell!r}, "
                                 "not a finite number")
+        first = first_row.setdefault((row["seed"], row["method"]), i)
+        if first != i:
+            raise DataError(f"{path}: row {i} repeats the seed and method of row {first}")
     return rows
 
 

@@ -16,6 +16,7 @@ and its seed list.
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -23,14 +24,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import reports
-from .calibration import (OptimizerConfig, ReliabilityHistogram, ece, fit_beta,
-                          fit_head, fit_platt, fitting_digest, mce, reliability,
-                          save_calibrator)
+from .calibration import (ReliabilityHistogram, ece, fit_beta, fit_head, fit_platt,
+                          fitting_digest, mce, reliability, save_calibrator)
 from .datasets import gaussian_ring, textured_tiles
 from .errors import ConfigError, DataError
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
-from .perturbation import PerturbConfig, evaluate_pair, perturb_batch
-from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
+from .perturbation import evaluate_pair, perturb_batch
+from .scorer import (LOSSES, SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
                      TrainConfig, forward, init_scorer, init_svdd_center,
                      save_scorer, train)
 from .segmentation import SSIM_C1, SSIM_C2, SSIM_WINDOW, gaussian_upsample
@@ -51,6 +51,9 @@ METHOD_LABELS = {
     ("beta", "oe"): "β OE",
     ("beta", "spectral"): "β Spectral",
 }
+
+CALIBRATORS = ("none", "platt", "beta", "head")
+ANOMALY_SOURCES = ("oe", "spectral")
 
 BUILTIN_DATASETS = ("builtin:gauss2d", "builtin:gauss2d-basin", "builtin:tiles")
 
@@ -81,11 +84,11 @@ class ExperimentConfig:
             raise ConfigError(f"split ratio must lie in (0, 1), got {self.split_ratio}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if self.calibrator not in ("none", "platt", "beta", "head"):
+        if self.calibrator not in CALIBRATORS:
             raise ConfigError(f"unknown calibrator {self.calibrator!r}")
-        if self.anomaly_source not in ("oe", "spectral"):
+        if self.anomaly_source not in ANOMALY_SOURCES:
             raise ConfigError(f"unknown anomaly source {self.anomaly_source!r}")
-        if self.loss not in ("svdd", "hsc", "logistic", "ssim", "fcdd"):
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.anomaly_source == "oe" and self.oe_dir is None:
             raise ConfigError("anomaly source 'oe' requires an OE data directory")
@@ -150,6 +153,9 @@ def load_config_file(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, "
+                          f"got {json.dumps(doc)[:40]}")
     unknown = set(doc) - CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -229,7 +235,10 @@ def _load_dataset(cfg: ExperimentConfig):
             cfg.loss == "ssim" or cfg.anomaly_source == "spectral"))
     if path.suffix == ".csv" and path.exists():
         try:
-            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file warns and returns no rows, rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataError(f"cannot read normal data from {path}: {exc}") from exc
         if len(rows) < 2:
@@ -449,17 +458,16 @@ def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
                     seed: int, localization: bool, trunk: Optional[ScorerState] = None):
     """Fit cfg.calibrator to the logits of the uncalibrated pipeline, a
     head to the features of `trunk`; (params, digest)."""
-    opt = OptimizerConfig(seed=seed)
     if cfg.calibrator == "head":
         feats = forward(trunk, cal_x)
-        return fit_head(feats, cal_y, opt), fitting_digest(feats, cal_y)
+        return fit_head(feats, cal_y, seed), fitting_digest(feats, cal_y)
     z = _logits(base, cal_x, localization)
     cal_y = np.repeat(cal_y, z.size // len(cal_y))  # a tile's label on each pixel
     z = z.ravel()
     if cfg.calibrator == "platt":
-        return fit_platt(z, cal_y, opt), fitting_digest(z, cal_y)
+        return fit_platt(z, cal_y), fitting_digest(z, cal_y)
     e = base.calibrate(z)[1]  # the uncalibrated pipeline's estimates
-    return fit_beta(e, cal_y, opt), fitting_digest(e, cal_y)
+    return fit_beta(e, cal_y), fitting_digest(e, cal_y)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -490,8 +498,7 @@ def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
     `x_eval` holds normal test rows and synthetic anomalies, labelled by
     `y_eval`. Their reliability is per row for detection and per pixel for
     localization."""
-    perturb_cfg = PerturbConfig(epsilon=cfg.epsilon)
-    pair = evaluate_pair(pipeline, x_test, test.y, perturb_cfg)
+    pair = evaluate_pair(pipeline, x_test, test.y, cfg.epsilon)
     eta = pipeline.calibrate(_logits(pipeline, x_eval, localization))[1].ravel()
     # a tile's label on each of its pixels
     hist = reliability(eta, np.repeat(y_eval, eta.size // len(y_eval)), cfg.bins)
@@ -506,7 +513,7 @@ def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
     if not localization:
         return row, hist, pair.deltas, None
     maps_before = _tile_heatmaps(pipeline, x_test)
-    maps_after = _tile_heatmaps(pipeline, perturb_batch(pipeline, x_test, perturb_cfg))
+    maps_after = _tile_heatmaps(pipeline, perturb_batch(pipeline, x_test, cfg.epsilon))
     row["aupro"] = aupro(maps_before, test.masks)
     row["aupro_perturbed"] = aupro(maps_after, test.masks)
     row["pixel_auroc"] = pixel_auroc(maps_before, test.masks)

@@ -19,11 +19,12 @@ import numpy as np
 
 # Global floor keeping probability estimates away from {0, 1} before any log.
 EPS_CLAMP = 1e-7
+FD_STEP = 1e-5  # central finite-difference step of the propriety probes
 
 
-def clamp_probability(eta_hat, eps: float = EPS_CLAMP):
-    """Clamp estimates into [eps, 1 - eps]."""
-    return np.clip(eta_hat, eps, 1.0 - eps)
+def clamp_probability(eta_hat):
+    """Clamp estimates into [EPS_CLAMP, 1 - EPS_CLAMP]."""
+    return np.clip(eta_hat, EPS_CLAMP, 1.0 - EPS_CLAMP)
 
 
 def sigmoid(v):
@@ -55,7 +56,7 @@ def logistic_loss(y, v):
     return out if out.ndim else float(out)
 
 
-def hsc_loss(y, v, eps: float = EPS_CLAMP):
+def hsc_loss(y, v):
     """-y ln(1 - e^-v) + (1 - y) v for nonnegative scores v.
 
     At v = 0 the anomalous branch is clamped to a finite value and a
@@ -66,10 +67,10 @@ def hsc_loss(y, v, eps: float = EPS_CLAMP):
     if np.any(v < 0):
         raise ValueError("hsc_loss requires v >= 0")
     inner = -np.expm1(-v)
-    if np.any((y == 1) & (inner < eps)):
+    if np.any((y == 1) & (inner < EPS_CLAMP)):
         warnings.warn("hsc_loss clamped 1 - e^-v to eps for an anomalous sample",
                       stacklevel=2)
-    inner = np.maximum(inner, eps)
+    inner = np.maximum(inner, EPS_CLAMP)
     out = -y * np.log(inner) + (1.0 - y) * v
     return out if out.ndim else float(out)
 
@@ -101,11 +102,11 @@ def conditional_risk(eta, eta_hat, loss: LossSpec):
     return out if out.ndim else float(out)
 
 
-def check_stationarity(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.ndarray:
+def check_stationarity(loss: LossSpec, eta_grid) -> np.ndarray:
     """Per-eta stationarity residuals (1-eta) p0'(eta) + eta p1'(eta).
 
-    Partial derivatives are taken by central finite differences with the
-    given step. Proper losses balance the two terms and leave residuals at
+    Partial derivatives are taken by central finite differences with step
+    FD_STEP. Proper losses balance the two terms and leave residuals at
     the finite-difference noise floor; improper losses do not. Non-finite
     derivatives surface as NaN entries rather than raising.
     """
@@ -113,24 +114,24 @@ def check_stationarity(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.ndarr
     if np.any((grid <= 0.0) | (grid >= 1.0)):
         raise ValueError("stationarity grid must lie strictly inside (0, 1)")
     with np.errstate(all="ignore"):
-        d0 = (loss.partial_0(grid + step) - loss.partial_0(grid - step)) / (2 * step)
-        d1 = (loss.partial_1(grid + step) - loss.partial_1(grid - step)) / (2 * step)
+        d0 = (loss.partial_0(grid + FD_STEP) - loss.partial_0(grid - FD_STEP)) / (2 * FD_STEP)
+        d1 = (loss.partial_1(grid + FD_STEP) - loss.partial_1(grid - FD_STEP)) / (2 * FD_STEP)
         r = (1.0 - grid) * d0 + grid * d1
     return np.where(np.isfinite(r), r, np.nan)
 
 
-def check_strict_propriety(loss: LossSpec, eta_grid, step: float = 1e-5) -> np.ndarray:
+def check_strict_propriety(loss: LossSpec, eta_grid) -> np.ndarray:
     """Second derivative of the conditional risk in eta_hat, on the diagonal.
 
-    Estimated by a central second difference. Strictly positive values on
+    Estimated by a central second difference with step FD_STEP. Strictly positive values on
     the grid certify a unique risk minimizer at eta_hat = eta.
     """
     grid = np.asarray(eta_grid, dtype=float)
     with np.errstate(all="ignore"):
-        lo = conditional_risk(grid, grid - step, loss)
+        lo = conditional_risk(grid, grid - FD_STEP, loss)
         mid = conditional_risk(grid, grid, loss)
-        hi = conditional_risk(grid, grid + step, loss)
-        d2 = (hi - 2.0 * mid + lo) / step ** 2
+        hi = conditional_risk(grid, grid + FD_STEP, loss)
+        d2 = (hi - 2.0 * mid + lo) / FD_STEP ** 2
     return np.where(np.isfinite(d2), d2, np.nan)
 
 

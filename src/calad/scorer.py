@@ -31,8 +31,8 @@ from .segmentation import ssim_loss, ssim_map_backward
 
 logger = logging.getLogger(__name__)
 
-SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}
-UNSUPERVISED_LOSSES = {"svdd", "ssim"}
+LOSSES = ("svdd", "hsc", "logistic", "ssim", "fcdd")
+SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}  # the losses that train on anomalies
 
 MILESTONE_DECAY = 0.1  # learning-rate factor per milestone passed
 
@@ -192,7 +192,7 @@ class LossPipeline:
 
     def __init__(self, state: ScorerState, loss_name: str, center=None,
                  calibrator=None, image_shape=None, head: Optional[HeadParams] = None):
-        if loss_name not in SUPERVISED_LOSSES | UNSUPERVISED_LOSSES:
+        if loss_name not in LOSSES:
             raise ValueError(f"unknown loss {loss_name!r}")
         if head is not None and loss_name != "logistic":
             raise ValueError("a calibration head implies a logistic pipeline")

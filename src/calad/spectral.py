@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NumericalError
 
 IMAG_RESIDUE_LIMIT = 1e-9
+EXPONENT_RANGE = (0.5, 3.5)  # each spectral exponent is uniform on this interval
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,9 @@ def magnitude_grid(height: int, width: int, a, b) -> np.ndarray:
     return 1.0 / denom
 
 
-def draw_exponent_pairs(rng: np.random.Generator, n: int,
-                        lo: float = 0.5, hi: float = 3.5) -> np.ndarray:
-    """n rows of (a, b), each uniform on [lo, hi]."""
-    return rng.uniform(lo, hi, size=(n, 2))
+def draw_exponent_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n rows of (a, b), each uniform on EXPONENT_RANGE."""
+    return rng.uniform(*EXPONENT_RANGE, size=(n, 2))
 
 
 def _synthesize_seeds(cfg: SpectralConfig, seeds):

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from calad.calibration import (BetaParams, OptimizerConfig, PlattParams,
-                               beta_transform, ece, fit_platt, mce,
-                               platt_transform, reliability)
+from calad.calibration import (BetaParams, PlattParams, beta_transform, ece,
+                               fit_platt, mce, platt_transform, reliability)
 from calad.harness import ExperimentConfig, run_experiment, split
 from calad.losses import REGISTRY, check_stationarity, check_strict_propriety, sigmoid
 from calad.metrics import auroc, aupro, spearman
-from calad.perturbation import PerturbConfig, evaluate_pair, perturb
+from calad.perturbation import evaluate_pair, perturb
 from calad.scorer import LossPipeline, MlpSpec, init_scorer
 from calad.spectral import (SpectralConfig, dft2, draw_exponent_pairs, idft2,
                             synthesize)
@@ -104,7 +103,7 @@ def test_criterion_4_calibration_recovery():
         n = 20000
         z = rng.normal(0.0, 4.0, n)
         y = (rng.random(n) < sigmoid(z / 3.0 + 0.5)).astype(int)
-        params = fit_platt(z, y, OptimizerConfig(seed=0))
+        params = fit_platt(z, y)
         assert abs(params.temperature - 3.0) < 0.1
         assert abs(params.intercept - 0.5) < 0.1
         pre = ece(reliability(sigmoid(z), y, 15))
@@ -163,7 +162,7 @@ def test_criterion_6_gradient_contract():
 
 def test_criterion_7_perturbation_first_order_law():
     with criterion(7, "loss drop per epsilon approaches the gradient l1 norm"):
-        assert PerturbConfig().epsilon == 1.4e-3
+        assert ExperimentConfig().epsilon == 1.4e-3
         state = init_scorer(MlpSpec((4, 12, 1)), seed=70)
         pipeline = LossPipeline(state, "logistic")
         rng = np.random.default_rng(71)
@@ -174,13 +173,13 @@ def test_criterion_7_perturbation_first_order_law():
             if l1 < 1e-8:
                 continue
             for eps in (1e-4, 1e-5, 1e-6):
-                moved = perturb(x, grad, PerturbConfig(epsilon=eps))
+                moved = perturb(x, grad, eps)
                 drop = (loss - pipeline.loss_values(moved, 0)[0]) / eps
                 assert drop == pytest.approx(l1, rel=0.10)
         x = rng.normal(size=(30, 4))
         labels = rng.integers(0, 2, 30)
         labels[:2] = [0, 1]
-        report = evaluate_pair(pipeline, x, labels, PerturbConfig(epsilon=0.0))
+        report = evaluate_pair(pipeline, x, labels, 0.0)
         assert report.auroc_before == report.auroc_after
         assert np.array_equal(report.deltas[:, 3], report.deltas[:, 4])
 

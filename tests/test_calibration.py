@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from calad.calibration import (BetaParams, HeadParams, OptimizerConfig,
+from calad import calibration
+from calad.calibration import (GTOL, BetaParams, HeadParams,
                                PlattParams, beta_transform, calibrated_logit,
                                ece, fit_beta,
                                fit_head, fit_platt, fitting_digest,
@@ -305,13 +306,13 @@ class TestNewtonSolver:
     def test_active_set_pins_at_exactly_zero(self, pinned, generator, seed):
         e, y = beta_generator_data(*generator, 4000, seed)
         features = beta_features(e)
-        assert minimize(features, y, [1.0, 1.0, 0.0], OptimizerConfig()).x[pinned] < 0
+        assert minimize(features, y, [1.0, 1.0, 0.0]).x[pinned] < 0
         params = fit_beta(e, y)
         x = np.array([params.a, params.b, params.c])
         assert x[pinned] == 0.0
         grad = features.T @ (sigmoid(features @ x) - y) / len(y)
         assert grad[pinned] >= 0
-        assert np.max(np.abs(np.delete(grad, pinned))) <= OptimizerConfig().gtol
+        assert np.max(np.abs(np.delete(grad, pinned))) <= GTOL
         want = lbfgs_reference(features, y, [1.0, 1.0, 0.0],
                                bounds=[(0, None), (0, None), (None, None)])
         # max|grad| <= gtol = 1e-8 leaves x within about gtol / (least
@@ -348,20 +349,19 @@ class TestNewtonSolver:
         assert 0 < params.temperature < 0.1
         assert np.mean(logistic_loss(y, platt_transform(z, params)[0])) < 1e-6
 
-    def test_iteration_budget_exhausted_raises(self):
+    def test_iteration_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(calibration, "MAX_ITER", 1)
         z, y = make_platt_data(2.0, 0.3, 2000, seed=65)
         with pytest.raises(NumericalError, match="did not converge"):
-            fit_platt(z, y, OptimizerConfig(max_iter=1))
+            fit_platt(z, y)
         e, y = beta_generator_data(2.0, 0.5, 0.0, 2000, seed=65)
         with pytest.raises(NumericalError, match="did not converge"):
-            fit_beta(e, y, OptimizerConfig(max_iter=1))
+            fit_beta(e, y)
 
     def test_fits_are_bit_identical_and_few_iterations(self):
         e, y = beta_generator_data(2.0, 0.5, 0.0, 5000, seed=66)
-        first = minimize(beta_features(e), y, [1.0, 1.0, 0.0], OptimizerConfig(),
-                         nonneg=(0, 1))
-        again = minimize(beta_features(e), y, [1.0, 1.0, 0.0], OptimizerConfig(),
-                         nonneg=(0, 1))
+        first = minimize(beta_features(e), y, [1.0, 1.0, 0.0], nonneg=(0, 1))
+        again = minimize(beta_features(e), y, [1.0, 1.0, 0.0], nonneg=(0, 1))
         assert np.array_equal(first.x, again.x)
         assert first.success and first.nit <= 15 and first.nfev >= first.nit
         assert fit_beta(e, y) == fit_beta(e, y)
@@ -508,6 +508,6 @@ class TestSerialization:
 
     def test_refit_determinism(self):
         z, y = make_platt_data(2.0, 0.3, 2000, seed=57)
-        p1 = fit_platt(z, y, OptimizerConfig(seed=3))
-        p2 = fit_platt(z, y, OptimizerConfig(seed=3))
+        p1 = fit_platt(z, y)
+        p2 = fit_platt(z, y)
         assert p1 == p2

@@ -99,10 +99,17 @@ def bad_calibrate_seed(draw):
 wrong_type = st.one_of(st.none(), st.text(max_size=4), st.booleans(),
                        st.lists(st.integers(0, 3), max_size=2))
 
+# JSON documents whose top level is not an object
+not_an_object = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.text(max_size=4),
+                          st.lists(st.dictionaries(st.text(max_size=2), st.integers(),
+                                                   max_size=2), max_size=2))
+
 
 @st.composite
 def bad_config_cases(draw):
-    key, value = draw(st.one_of(
+    bad_value = st.one_of(
         st.tuples(st.sampled_from(["epochs", "bins", "batch_size"]),
                   wrong_type | st.floats(allow_nan=False, allow_infinity=False)),
         st.tuples(st.sampled_from(["split_ratio", "epsilon", "learning_rate"]),
@@ -117,9 +124,10 @@ def bad_config_cases(draw):
                   st.integers() | st.none() | st.lists(st.text(max_size=2), max_size=2)),
         # no config key is spelled with these letters alone
         st.tuples(st.text(alphabet="abcdefgh_", min_size=1, max_size=8), st.integers()),
-    ))
+    )
+    doc = draw(bad_value.map(lambda kv: {kv[0]: kv[1]}) | not_an_object)
     return {"argv": ["run", "--config", "{config}"],
-            "files": {"config.json": json.dumps({key: value})}}, CONFIG
+            "files": {"config.json": json.dumps(doc)}}, CONFIG
 
 
 # -- malformed data files ----------------------------------------------------
@@ -173,19 +181,24 @@ def bad_normal_csv(draw):
 
 @st.composite
 def bad_seed_rows(draw):
-    """per_seed.csv for `report` with a missing column, or a non-number or
-    non-finite cell."""
+    """per_seed.csv for `report` with a missing column, a non-number or
+    non-finite metric cell, a seed cell that is not a nonnegative integer,
+    or a repeated (seed, method) row."""
     columns = ["seed", "class_id", "method", "auroc", "auroc_perturbed", "mce", "ece"]
     values = ["0", "gauss2d", "Fully Trained", "0.9", "0.8", "0.1", "0.05"]
-    if draw(st.booleans()):
-        drop = draw(st.sampled_from(columns[3:]))
+    defect = draw(st.sampled_from(["column", "metric", "seed", "repeat"]))
+    if defect == "column":
+        drop = draw(st.sampled_from([columns[0], *columns[3:]]))
         keep = [i for i, c in enumerate(columns) if c != drop]
         columns = [columns[i] for i in keep]
         values = [values[i] for i in keep]
-    else:
+    elif defect == "metric":
         values[draw(st.integers(3, 6))] = draw(st.sampled_from(
             ["", "n/a", "x1", "nan", "inf", "-inf", "NaN"]))
-    text = ",".join(columns) + "\n" + ",".join(values) + "\n"
+    elif defect == "seed":
+        values[0] = draw(st.sampled_from(["", "abc", "-1", "1.5"]))
+    rows = [values, values] if defect == "repeat" else [values]
+    text = "".join(",".join(row) + "\n" for row in [columns, *rows])
     return {"argv": ["report", "{rows}", "--out", "{out}"],
             "files": {"rows.csv": text}}, DATA
 

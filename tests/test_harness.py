@@ -316,8 +316,8 @@ class TestRunExperiment:
         fitted = []
         fit_platt = calad.harness.fit_platt
 
-        def recording(logits, labels, opt):
-            fitted.append((fit_platt(logits, labels, opt), fitting_digest(logits, labels)))
+        def recording(logits, labels):
+            fitted.append((fit_platt(logits, labels), fitting_digest(logits, labels)))
             return fitted[-1][0]
 
         monkeypatch.setattr(calad.harness, "fit_platt", recording)
@@ -337,9 +337,9 @@ class TestRunExperiment:
         fitted = []
         fit_beta = calad.harness.fit_beta
 
-        def recording(estimates, labels, opt):
+        def recording(estimates, labels):
             fitted.append(fitting_digest(estimates, labels))
-            return fit_beta(estimates, labels, opt)
+            return fit_beta(estimates, labels)
 
         monkeypatch.setattr(calad.harness, "fit_beta", recording)
         r = run_experiment(fast_cfg(tmp_path, normal=normal, loss=loss, calibrator="beta",
@@ -654,7 +654,7 @@ class TestCli:
     @pytest.mark.parametrize("doc", [
         {"seeds": 5}, {"seeds": [-1]}, {"seeds": [0.5]}, {"epochs": "a"},
         {"split_ratio": None}, {"milestones": [3, 1]}, {"normal": 5},
-        {"seeds": [2, 2]}], ids=json.dumps)
+        {"seeds": [2, 2]}, 5, None, [{"a": 1}]], ids=json.dumps)
     def test_bad_config_file_value_is_config_error_before_work(self, tmp_path, capsys,
                                                                doc):
         cfg = tmp_path / "cfg.json"
@@ -662,7 +662,10 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if not isinstance(doc, dict):
+            assert f"config file {cfg} must hold a JSON object" in err
 
     def test_calibrate_negative_seed_is_config_error_before_work(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -723,6 +726,18 @@ class TestCli:
                          "--out", str(out)]) == 2
         assert f"{path}: data row 2 holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_empty_normal_csv_prints_only_its_error(self, tmp_path):
+        # in a child process, where numpy's empty-input UserWarning would print
+        path = tmp_path / "normal.csv"
+        path.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "calad.cli", "run", "--normal", str(path),
+             "--seeds", "0", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line == f"error: {path}: need at least two rows of normal data, got 0"
 
     def test_run_normal_dir_of_mixed_shapes_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train"
@@ -840,7 +855,16 @@ class TestCli:
          "row 2 column auroc is 'nan', not a finite number"),
         ("0,0,Fully Trained,0.9,0.8,0.1,-inf\n",
          "row 2 column ece is '-inf', not a finite number"),
-    ], ids=["not-a-number", "short-row", "long-row", "nan", "inf"])
+        ("abc,0,Fully Trained,0.9,0.8,0.1,0.05\n",
+         "row 2 column seed is 'abc', not a nonnegative integer"),
+        (",0,Fully Trained,0.9,0.8,0.1,0.05\n",
+         "row 2 column seed is '', not a nonnegative integer"),
+        ("-1,0,Fully Trained,0.9,0.8,0.1,0.05\n",
+         "row 2 column seed is '-1', not a nonnegative integer"),
+        ("1,0,Fully Trained,0.7,0.6,0.2,0.1\n",
+         "row 2 repeats the seed and method of row 1"),
+    ], ids=["not-a-number", "short-row", "long-row", "nan", "inf", "seed-text",
+            "seed-empty", "seed-negative", "repeated-seed-method"])
     def test_report_malformed_row_exits_2(self, tmp_path, capsys, rows, message):
         path = tmp_path / "per_seed.csv"
         path.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"

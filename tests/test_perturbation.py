@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from calad.calibration import PlattParams
-from calad.perturbation import PerturbConfig, evaluate_pair, perturb, perturb_batch
+from calad.perturbation import evaluate_pair, perturb, perturb_batch
 from calad.scorer import LossPipeline, MlpSpec, init_scorer
 
 from test_scorer import ARCHITECTURES, assert_matches_per_row, make_pipeline
@@ -19,15 +19,16 @@ def smooth_pipeline(seed, calibrator=None):
 class TestPerturb:
     def test_zero_gradient_is_identity(self):
         x = np.array([0.1, -0.5, 2.0])
-        assert np.array_equal(perturb(x, np.zeros(3), PerturbConfig()), x)
+        assert np.array_equal(perturb(x, np.zeros(3), 1.4e-3), x)
 
     def test_sign_arithmetic(self):
-        out = perturb(np.array([0.5]), np.array([-2.0]),
-                      PerturbConfig(epsilon=0.001))
+        out = perturb(np.array([0.5]), np.array([-2.0]), 0.001)
         assert out[0] == pytest.approx(0.501)
 
-    def test_default_epsilon(self):
-        assert PerturbConfig().epsilon == 1.4e-3
+    @pytest.mark.parametrize("eps", [-1e-3, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            perturb(np.zeros(2), np.ones(2), eps)
 
     @given(arrays(float, 6, elements=st.floats(-5, 5)),
            arrays(float, 6, elements=st.floats(-3, 3)))
@@ -36,18 +37,18 @@ class TestPerturb:
         # equality up to one rounding of x - eps
         eps = 0.01
         ulp = np.max(np.spacing(np.abs(x) + eps))
-        moved = perturb(x, g, PerturbConfig(epsilon=eps))
+        moved = perturb(x, g, eps)
         assert np.max(np.abs(moved - x)) <= eps + ulp
         nonzero = g != 0
         assert np.allclose(np.abs(moved - x)[nonzero], eps, atol=ulp, rtol=0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            perturb(np.zeros(3), np.zeros(4), PerturbConfig())
+            perturb(np.zeros(3), np.zeros(4), 1.4e-3)
 
     def test_nonfinite_gradient_rejected(self):
         with pytest.raises(ValueError):
-            perturb(np.zeros(2), np.array([np.nan, 0.0]), PerturbConfig())
+            perturb(np.zeros(2), np.array([np.nan, 0.0]), 1.4e-3)
 
 
 class TestFirstOrder:
@@ -55,9 +56,8 @@ class TestFirstOrder:
         pipeline = smooth_pipeline(0)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(30, 4))
-        cfg = PerturbConfig(epsilon=1e-5)
         before = pipeline.loss_values(x, 0)
-        after = pipeline.loss_values(perturb_batch(pipeline, x, cfg), 0)
+        after = pipeline.loss_values(perturb_batch(pipeline, x, 1e-5), 0)
         assert np.all(after <= before + 1e-9)
 
     def test_fgs_dual_increases_loss(self):
@@ -79,7 +79,7 @@ class TestFirstOrder:
         for _ in range(10):
             x = rng.normal(size=4)
             loss, grad = pipeline.loss_and_input_grad(x, 0)
-            moved = perturb(x, grad, PerturbConfig(epsilon=eps))
+            moved = perturb(x, grad, eps)
             drop = (loss - pipeline.loss_values(moved, 0)[0]) / eps
             l1 = np.sum(np.abs(grad))
             if l1 > 1e-8:
@@ -88,16 +88,14 @@ class TestFirstOrder:
     def test_determinism(self):
         pipeline = smooth_pipeline(6)
         x = np.array([0.3, -0.2, 0.9, 0.0])
-        cfg = PerturbConfig(epsilon=0.01)
-        a = perturb_batch(pipeline, x, cfg)
-        b = perturb_batch(pipeline, x, cfg)
+        a = perturb_batch(pipeline, x, 0.01)
+        b = perturb_batch(pipeline, x, 0.01)
         assert np.array_equal(a, b)
 
 
 class TestBatchEqualsPerRow:
     @pytest.mark.parametrize("kind", ARCHITECTURES)
     def test_perturb_batch(self, kind):
-        cfg = PerturbConfig(epsilon=0.01)
         for cal in [None, PlattParams(0.8, 0.1)]:
             pipeline, d, _ = make_pipeline(kind, seed=12, calibrator=cal)
             x = np.random.default_rng(13).uniform(0.05, 0.95, (19, d))
@@ -107,7 +105,7 @@ class TestBatchEqualsPerRow:
             assert all(isinstance(loss, float) for loss, _ in rows)
             assert_matches_per_row(losses, [loss for loss, _ in rows])
             assert_matches_per_row(grads, [grad for _, grad in rows])
-            assert np.array_equal(perturb_batch(pipeline, x, cfg), perturb(x, grads, cfg))
+            assert np.array_equal(perturb_batch(pipeline, x, 0.01), perturb(x, grads, 0.01))
 
 
 class TestEvaluatePair:
@@ -117,7 +115,7 @@ class TestEvaluatePair:
         x = rng.normal(size=(40, 4))
         y = rng.integers(0, 2, 40)
         y[:2] = [0, 1]
-        report = evaluate_pair(pipeline, x, y, PerturbConfig(epsilon=0.0))
+        report = evaluate_pair(pipeline, x, y, 0.0)
         assert report.auroc_before == report.auroc_after
         assert np.array_equal(report.deltas[:, 1], report.deltas[:, 2])
         assert np.array_equal(report.deltas[:, 3], report.deltas[:, 4])
@@ -127,7 +125,7 @@ class TestEvaluatePair:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(12, 4))
         y = np.array([0, 1] * 6)
-        report = evaluate_pair(pipeline, x, y, PerturbConfig(epsilon=0.01))
+        report = evaluate_pair(pipeline, x, y, 0.01)
         assert report.deltas.shape == (12, 5)
         assert np.array_equal(report.deltas[:, 0], np.arange(12))
 

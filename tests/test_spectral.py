@@ -134,7 +134,7 @@ class TestSynthesize:
 
     def test_exponent_uniformity_ks(self):
         rng = np.random.default_rng(2024)
-        draws = draw_exponent_pairs(rng, 10000, 0.5, 3.5)
+        draws = draw_exponent_pairs(rng, 10000)
         for column in (draws[:, 0], draws[:, 1]):
             result = stats.kstest(column, stats.uniform(0.5, 3.0).cdf)
             assert result.pvalue > 0.01
