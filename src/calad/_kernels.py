@@ -5,8 +5,7 @@ The kernels work over the last two axes, so they take one 2-D image or a
 of the matching 2-D call, in the same order.
 
 Kernels:
-  box_sum_valid(x, w)   windowed sums of a padded image, valid mode
-  box_sum_adjoint(g, w)   its transpose, restricted to the unpadded cells
+  box_sum_valid(x, w, pad)   windowed sums of an image framed by pad zero cells
   upsample_scatter(a, kern, stride)   transpose-convolution scatter
 """
 
@@ -18,35 +17,30 @@ BACKEND = "numpy"
 
 
 @lru_cache(maxsize=64)
-def band(n: int, w: int) -> np.ndarray:
-    """(n, n + w - 1) 0/1 matrix whose row i has ones in columns i ... i + w - 1,
-    so band(n, w) @ v sums every w-long window of v. Read-only."""
-    i = np.arange(n)[:, None]
-    j = np.arange(n + w - 1)[None, :]
-    out = ((j >= i) & (j < i + w)).astype(float)
-    out.flags.writeable = False
-    return out
+def _bands(n: int, w: int, pad: int):
+    """(left, right) 0/1 matrices that sum every w-long window of an
+    n-long axis framed by pad zero cells: left @ v sums the windows of a
+    column v, and u @ right those of a row u. Only the n real cells get a
+    column (left) or row (right); both are contiguous and read-only."""
+    i = np.arange(n + 2 * pad - w + 1)[:, None]
+    j = np.arange(n)[None, :] + pad
+    left = ((j >= i) & (j < i + w)).astype(float)
+    right = np.ascontiguousarray(left.T)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
-def box_sum_valid(x: np.ndarray, w: int) -> np.ndarray:
-    """Sum of every w-by-w window of x as the band product A @ x @ B.T.
+def box_sum_valid(x: np.ndarray, w: int, pad: int = 0) -> np.ndarray:
+    """Sum of every w-by-w window of x framed by pad zero cells, as the
+    band product L @ x @ R on x itself (no padded copy is made).
 
-    Input (..., H+w-1, W+w-1) produces output (..., H, W).
+    Input (..., H, W) produces output (..., H + 2*pad - w + 1, W + 2*pad - w + 1);
+    pad=0 is valid mode. With w odd and pad = (w - 1) / 2 the output
+    keeps x's shape and the operator is symmetric, so it is its own
+    adjoint.
     """
-    hp, wp = x.shape[-2:]
-    return band(hp - w + 1, w) @ x @ band(wp - w + 1, w).T
-
-
-def box_sum_adjoint(g: np.ndarray, w: int) -> np.ndarray:
-    """Transpose of x -> box_sum_valid(zero-padded x, w) for a border of
-    (w - 1) / 2 cells (w odd): an (..., H, W) input gives (..., H, W).
-
-    The bands are cropped to the unpadded columns, so no padded copy is
-    made.
-    """
-    h, wd = g.shape[-2:]
-    pad = (w - 1) // 2
-    return band(h, w)[:, pad:pad + h].T @ g @ band(wd, w)[:, pad:pad + wd]
+    h, wd = x.shape[-2:]
+    return _bands(h, w, pad)[0] @ x @ _bands(wd, w, pad)[1]
 
 
 def upsample_scatter(a: np.ndarray, kern: np.ndarray, stride: int) -> np.ndarray:

@@ -110,7 +110,8 @@ def _read_score_csv(path):
                 body = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None,
                                   quotechar='"', ndmin=2)
     except (OSError, ValueError, csv.Error) as exc:
-        raise DataError(f"cannot read score CSV {path}: {exc}") from exc
+        raise DataError(f"cannot read score CSV {path}: "
+                        f"{harness.loadtxt_message(exc)}") from exc
     if not len(body):
         raise DataError(f"{path}: no score rows")
     bad = np.flatnonzero((body[:, 1] != 0) & (body[:, 1] != 1))

@@ -16,6 +16,7 @@ and its seed list.
 
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -58,6 +59,7 @@ ANOMALY_SOURCES = ("oe", "spectral")
 BUILTIN_DATASETS = ("builtin:gauss2d", "builtin:gauss2d-basin", "builtin:tiles")
 
 LOCALIZING_LOSSES = ("ssim", "fcdd")  # the losses with a pixel heatmap
+FCDD_SIDE = 8  # fcdd's heatmap is FCDD_SIDE x FCDD_SIDE feature cells
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,17 @@ def normalize(data, stats):
 
 # -- data loading -------------------------------------------------------
 
+# numpy.loadtxt numbers the row of a cell it cannot convert from 0, though
+# its other messages number data rows from 1
+_UNCONVERTED_CELL = re.compile(
+    r"(could not convert string .* at row )(\d+)(, column \d+\.)$", re.DOTALL)
+
+
+def loadtxt_message(exc: Exception) -> str:
+    """numpy.loadtxt's error text, every row numbered from 1 among the
+    data rows (blank and comment lines skipped), as calad counts them."""
+    return _UNCONVERTED_CELL.sub(lambda m: f"{m[1]}{int(m[2]) + 1}{m[3]}", str(exc))
+
 
 def _load_dataset(cfg: ExperimentConfig):
     """The run's dataset record: its class id, the raw normal training
@@ -231,8 +244,14 @@ def _load_dataset(cfg: ExperimentConfig):
     path = Path(name)
     if path.is_dir():
         # SSIM and spectral anomaly pools handle one channel only
-        return _dir_dataset(path, cfg.masks_dir, single_channel=(
+        dataset = _dir_dataset(path, cfg.masks_dir, single_channel=(
             cfg.loss == "ssim" or cfg.anomaly_source == "spectral"))
+        y = dataset["test"].y
+        if y.min() == y.max():
+            raise DataError(f"{cfg.masks_dir}: {int(y.sum())} of {len(y)} test masks "
+                            "mark an anomalous pixel; the test set needs normal and "
+                            "anomalous tiles")
+        return dataset
     if path.suffix == ".csv" and path.exists():
         try:
             with warnings.catch_warnings():
@@ -240,7 +259,8 @@ def _load_dataset(cfg: ExperimentConfig):
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise DataError(f"cannot read normal data from {path}: {exc}") from exc
+            raise DataError(f"cannot read normal data from {path}: "
+                            f"{loadtxt_message(exc)}") from exc
         if len(rows) < 2:
             raise DataError(f"{path}: need at least two rows of normal data, "
                             f"got {len(rows)}")
@@ -425,7 +445,7 @@ def _scorer_spec(loss: str, d: int) -> MlpSpec:
     if loss == "ssim":
         return MlpSpec((d, 64, d))
     if loss == "fcdd":
-        return MlpSpec((d, 64, 64))
+        return MlpSpec((d, 64, FCDD_SIDE ** 2))
     raise ConfigError(f"unknown loss {loss!r}")
 
 
@@ -611,6 +631,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError(
             f"loss {cfg.loss!r} gives no pixel heatmap; on tiles only "
             f"{' and '.join(LOCALIZING_LOSSES)} localize, or use --calibrator head")
+    if dataset["image_shape"] is not None:
+        h, w = dataset["image_shape"]
+        if localization and cfg.loss == "fcdd" and (h != w or h % FCDD_SIDE):
+            raise DataError(
+                f"tiles of shape {(h, w)}: fcdd upsamples its {FCDD_SIDE}x{FCDD_SIDE} "
+                f"heatmap by one integer stride, so tiles must be square with a side "
+                f"that is a multiple of {FCDD_SIDE}")
+        if cfg.anomaly_source == "spectral" and min(h, w) < 2:
+            raise DataError(f"tiles of shape {(h, w)}: spectral anomaly pools need "
+                            "tiles of at least 2x2")
     normal = dataset["normal"]
     per_seed, deltas, first = [], {}, None
     for seed in cfg.seeds:

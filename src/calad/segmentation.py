@@ -1,18 +1,20 @@
 """Pixel-wise localization machinery: SSIM maps and Gaussian upsampling.
 
 Images are (channels, height, width) float arrays; heatmaps and masks are
-2-D. SSIM statistics are plain (population) window means, so the sliding
-map reduces to box filters over zero-padded inputs, and its adjoint is
-the transposed box filter on the unpadded pixels. The SSIM functions and
-the Gaussian upsampling also take (n, height, width) stacks and treat each
-image exactly as a single 2-D call would.
+(height, width) maps or (n, height, width) stacks of them. SSIM statistics
+are plain (population) window means over images framed by a zero border,
+so the sliding map reduces to one box sum on the unpadded pixels; at that
+border the box sum is symmetric and carries the gradients back as well.
+The SSIM functions and the Gaussian upsampling take single images or
+(n, height, width) stacks and treat each image of a stack exactly as a
+single 2-D call would.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import box_sum_adjoint, box_sum_valid, upsample_scatter
+from ._kernels import box_sum_valid, upsample_scatter
 
 SSIM_WINDOW = 11  # side of the square SSIM window
 SSIM_BORDER = (SSIM_WINDOW - 1) // 2  # zero cells around each image: a conformal map
@@ -49,11 +51,12 @@ def ssim_loss(x, recon) -> SsimLoss:
     if p.ndim not in (2, 3) or p.shape != q.shape:
         raise ValueError(
             f"need equal 2-D images or (n, h, w) stacks, got {p.shape} vs {q.shape}")
-    h, w = p.shape[-2:]
-    padded = np.zeros((5,) + p.shape[:-2] + (h + 2 * SSIM_BORDER, w + 2 * SSIM_BORDER))
-    inner = padded[..., SSIM_BORDER:SSIM_BORDER + h, SSIM_BORDER:SSIM_BORDER + w]
-    inner[0], inner[1], inner[2], inner[3], inner[4] = p, q, p * p, q * q, p * q
-    mup, muq, mpp, mqq, mpq = box_sum_valid(padded, SSIM_WINDOW) / SSIM_WINDOW ** 2
+    terms = np.empty((5,) + p.shape)
+    terms[0], terms[1] = p, q
+    np.multiply(terms[:2], terms[:2], out=terms[2:4])
+    np.multiply(p, q, out=terms[4])
+    sums = box_sum_valid(terms, SSIM_WINDOW, SSIM_BORDER)
+    mup, muq, mpp, mqq, mpq = sums / SSIM_WINDOW ** 2
     a = 2 * mup * muq + SSIM_C1
     b = 2 * (mpq - mup * muq) + SSIM_C2
     c = mup * mup + muq * muq + SSIM_C1
@@ -69,8 +72,9 @@ def ssim_map_backward(fwd: SsimLoss, ds):
     image for (n, h, w) stacks, from the window terms of the forward pass
     fwd = ssim_loss(p, q).
 
-    The zero border carries no gradient, so the adjoint box sum maps the
-    window gradients onto the unpadded pixels alone.
+    The zero border carries no gradient, and at that border the box sum
+    is its own adjoint, so the forward's window sum maps the window
+    gradients back onto the pixels.
     """
     ds = np.asarray(ds, dtype=float)
     mup, muq, s, cd = fwd.mup, fwd.muq, fwd.similarity, fwd.c * fwd.d
@@ -83,8 +87,8 @@ def ssim_map_backward(fwd: SsimLoss, ds):
     g_mup = 2 * muq * g_a + 2 * mup * g_c - 2 * mup * g_d - muq * g_spq
     g_muq = 2 * mup * g_a + 2 * muq * g_c - 2 * muq * g_d - mup * g_spq
 
-    adj_mup, adj_muq, adj_d, adj_spq = box_sum_adjoint(
-        np.stack([g_mup, g_muq, g_d, g_spq]), SSIM_WINDOW) / SSIM_WINDOW ** 2
+    sums = box_sum_valid(np.stack([g_mup, g_muq, g_d, g_spq]), SSIM_WINDOW, SSIM_BORDER)
+    adj_mup, adj_muq, adj_d, adj_spq = sums / SSIM_WINDOW ** 2
     dp = adj_mup + 2 * fwd.p * adj_d + fwd.q * adj_spq
     dq = adj_muq + 2 * fwd.q * adj_d + fwd.p * adj_spq
     return dp, dq

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -492,6 +493,32 @@ class TestTileShapes:
         assert "3 channels" in err and "single-channel" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shape,flags", [
+        ((1, 12, 12), ["--loss", "fcdd"]), ((1, 8, 16), ["--loss", "fcdd"]),
+        ((1, 1, 1), ["--loss", "ssim"])], ids=["fcdd-12x12", "fcdd-8x16", "spectral-1x1"])
+    def test_tiles_the_run_cannot_use_exit_2_before_training(self, tmp_path, capsys,
+                                                             monkeypatch, shape, flags):
+        monkeypatch.setattr("calad.harness.train", no_training)
+        train, test = write_tile_dirs(tmp_path, shape, shape, shape[1:])
+        save_tensor(test / "b.calt", np.full(shape, 0.5))
+        write_pgm(test / "b.pgm", np.zeros(shape[1:]))
+        assert self.run(tmp_path, train, test, "--calibrator", "platt", *flags) == 2
+        err = capsys.readouterr().err
+        assert f"tiles of shape {shape[1:]}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mask_value", [0, 1], ids=["no-anomalous", "no-normal"])
+    def test_masks_dir_with_one_class_exits_2_before_training(self, tmp_path, capsys,
+                                                              monkeypatch, mask_value):
+        monkeypatch.setattr("calad.harness.train", no_training)
+        train, test = write_tile_dirs(tmp_path, (1, 8, 8), (1, 8, 8), (8, 8))
+        write_pgm(test / "a.pgm", np.full((8, 8), mask_value))
+        assert self.run(tmp_path, train, test, "--loss", "ssim") == 2
+        err = capsys.readouterr().err
+        assert f"{test}: {mask_value} of 1 test masks" in err
+        assert "normal and anomalous tiles" in err
+        assert not (tmp_path / "out").exists()
+
     def test_multichannel_fcdd_with_oe_runs(self, tmp_path):
         rng = np.random.default_rng(1)
         train, test = write_tile_dirs(tmp_path, (3, 16, 16), (3, 16, 16), (16, 16),
@@ -706,16 +733,19 @@ class TestCli:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("text", ["x,y\n0.1,0.2\n0.3,0.4\n",
-                                      "0.1,0.2\n0.3,oops\n", "0.1,0.2\n"],
-                             ids=["header", "non-number", "single-row"])
-    def test_run_malformed_normal_csv_exits_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text,expect", [
+        ("x,y\n0.1,0.2\n0.3,0.4\n", "'x' to float64 at row 1, column 1."),
+        ("0.1,0.2\n0.3,oops\n", "'oops' to float64 at row 2, column 2."),
+        ("0.1,0.2\n", "need at least two rows of normal data, got 1")],
+        ids=["header", "non-number", "single-row"])
+    def test_run_malformed_normal_csv_exits_2(self, tmp_path, capsys, text, expect):
         path = tmp_path / "normal.csv"
         path.write_text(text)
         rc = cli_main(["run", "--normal", str(path), "--seeds", "0",
                        "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and expect in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_run_non_finite_normal_csv_exits_2(self, tmp_path, capsys, cell):
@@ -942,10 +972,16 @@ class TestScoreCsv:
         "", "score,label\n", "score,label\n\n\n", "a,b\n1,0\n",
         "score,label\n1.5\n", "score,label\n1.5,\n", "score,label\n   \n",
         "score,label\n1_0,1\n", "score,label\n#1,0\n", "score,label\n1.5,0\x00\n",
-        'score,label\n"1,5",0\n'])
+        'score,label\n"1,5",0\n', "score,label\n0.5,1\nabc,0\n",
+        "score,label\n0.5,1\n\n0.5,0\n1.5\n"])
     def test_malformed_body_is_data_error(self, tmp_path, text):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             _read_score_csv(self.write(tmp_path, text))
+        header, _, body = text.partition("\n")
+        rows = [line for line in body.split("\n") if line]
+        if header == "score,label" and rows:
+            # the fault is in the last row, numbered from 1 among the data rows
+            assert re.search(rf"\bat row {len(rows)}\b", str(info.value)), info.value
 
     @pytest.mark.parametrize("bad", ["1.5", "-0.25", "nan", "inf"])
     def test_eval_probabilities_outside_unit_interval_exits_2(self, tmp_path, capsys, bad):

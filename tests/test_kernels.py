@@ -75,19 +75,38 @@ def test_box_sum_matches_fsum_to_last_bits():
 
 @pytest.mark.parametrize("shape,w", [((16, 16), 11), ((7, 12), 3), ((3, 9, 5), 5)])
 def test_box_sum_adjoint_dot_product(shape, w):
-    # <box(zero-padded x), g> == <x, adjoint(g)> for the cropped adjoint
+    # at a (w - 1) / 2 zero border the window sum S is its own adjoint:
+    # <S x, g> == <x, S g>
     rng = np.random.default_rng(5)
     x = rng.normal(size=shape)
     g = rng.normal(size=shape)
     pad = (w - 1) // 2
-    zero_padded = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad)] * 2)
-    lhs = np.sum(_kernels.box_sum_valid(zero_padded, w) * g)
-    rhs = np.sum(x * _kernels.box_sum_adjoint(g, w))
+    lhs = np.sum(_kernels.box_sum_valid(x, w, pad) * g)
+    rhs = np.sum(x * _kernels.box_sum_valid(g, w, pad))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_box_sum_adjoint_stack_equals_per_slice():
     g = np.random.default_rng(6).normal(size=(4, 3, 16, 16))
-    got = _kernels.box_sum_adjoint(g, 11)
+    got = _kernels.box_sum_valid(g, 11, 5)
     for idx in np.ndindex(g.shape[:2]):
-        assert np.array_equal(got[idx], _kernels.box_sum_adjoint(g[idx], 11))
+        assert np.array_equal(got[idx], _kernels.box_sum_valid(g[idx], 11, 5))
+
+
+@pytest.mark.parametrize("shape,w,pad", [((16, 16), 11, 5), ((7, 12), 3, 1),
+                                         ((2, 9, 5), 5, 3), ((4, 4), 11, 5)])
+def test_zero_border_equals_padded_copy(shape, w, pad):
+    # the bands cropped to x's cells sum exactly what the zero-padded copy sums
+    x = np.random.default_rng(7).normal(size=shape)
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad)] * 2)
+    assert np.array_equal(_kernels.box_sum_valid(x, w, pad),
+                          _kernels.box_sum_valid(padded, w))
+
+
+def test_zero_border_matches_fsum_to_last_bits():
+    x = np.random.default_rng(8).uniform(size=(16, 16, 16))
+    got = _kernels.box_sum_valid(x, 11, 5)
+    padded = np.pad(x, [(0, 0), (5, 5), (5, 5)])
+    want = np.array([[[math.fsum(padded[k, i:i + 11, j:j + 11].ravel())
+                       for j in range(16)] for i in range(16)] for k in range(16)])
+    assert np.max(np.abs(got - want) / want) <= 1e-15

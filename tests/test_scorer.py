@@ -337,21 +337,24 @@ class TestBatchedSsimEqualsPerRow:
 
 def test_ssim_param_gradient_runs_one_window_sum(monkeypatch):
     # the backward pass reads the forward's window terms, so one
-    # loss_and_param_grad makes exactly one box-sum call
+    # loss_and_param_grad sums the five forward terms once and carries
+    # the four window gradients back through one more call of the same
+    # self-adjoint window sum, all on unpadded (n, h, w) stacks
     import calad.segmentation
 
     calls = []
     box_sum_valid = calad.segmentation.box_sum_valid
 
-    def counted(x, w):
+    def counted(x, w, pad=0):
         calls.append(x.shape)
-        return box_sum_valid(x, w)
+        return box_sum_valid(x, w, pad)
 
     monkeypatch.setattr(calad.segmentation, "box_sum_valid", counted)
     pipeline, d, _ = make_pipeline("autoencoder-ssim", seed=9)
     x = np.random.default_rng(90).uniform(0.05, 0.95, (5, d))
     pipeline.loss_and_param_grad(x, np.zeros(5))
-    assert len(calls) == 1
+    h, w = pipeline.image_shape
+    assert sorted(calls) == [(4, 5, h, w), (5, 5, h, w)]
 
 
 class TestSvddCenter:
