@@ -9,6 +9,11 @@ and propagates as a traceback. ``CALAD_OUT_DIR`` supplies the default
 output directory; no other environment variable is consulted. Before
 numpy loads, the CLI sets ``OPENBLAS_NUM_THREADS`` to 1 unless the user
 has set it: calad's BLAS work is too small for a second thread to pay off.
+
+Each verb loads only what it runs. At import the CLI loads the modules the
+score verbs use (calibration, losses, metrics, reports and errors); ``run``
+and ``report`` import the experiment harness, and ``synth`` the spectral
+and tensor modules, in their own bodies.
 """
 
 import argparse
@@ -23,15 +28,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import harness, reports
+from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
 from .calibration import (ece, fit_beta, fit_platt, fitting_digest, mce, reliability,
                           save_calibrator)
-from .errors import CaladError, ConfigError, DataError
+from .errors import CaladError, ConfigError, DataError, loadtxt_message
 from .losses import sigmoid
 from .metrics import auroc
-from .scorer import LOSSES
-from .spectral import SpectralConfig, synthesize_batch
-from .tensorio import save_tensor, write_ppm
 
 
 def _default_out() -> str:
@@ -58,9 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oe-dir", dest="oe_dir", help="outlier-exposure directory")
     run.add_argument("--masks-dir", dest="masks_dir", help="mask directory")
     run.add_argument("--loss", choices=LOSSES)
-    run.add_argument("--calibrator", choices=harness.CALIBRATORS)
-    run.add_argument("--anomaly-source", dest="anomaly_source",
-                     choices=harness.ANOMALY_SOURCES)
+    run.add_argument("--calibrator", choices=CALIBRATORS)
+    run.add_argument("--anomaly-source", dest="anomaly_source", choices=ANOMALY_SOURCES)
     run.add_argument("--split-ratio", dest="split_ratio", type=float)
     run.add_argument("--seeds", type=lambda s: tuple(int(v) for v in s.split(",")))
     run.add_argument("--epsilon", type=float)
@@ -98,20 +99,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_score_csv(path):
     """Finite float64 scores and int64 0/1 labels from the first two
-    columns of a CSV with a score,label header; blank lines are skipped."""
+    columns of a CSV whose header starts score,label; blank lines are
+    skipped."""
     try:
         with open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]))
-            if {h.strip() for h in header[:2]} != {"score", "label"}:
-                raise DataError(f"{path}: expected a score,label header")
-            with warnings.catch_warnings():
-                # an empty body warns and returns no rows, rejected below
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None,
-                                  quotechar='"', ndmin=2)
+        if [h.strip() for h in header[:2]] != ["score", "label"]:
+            raise DataError(f"{path}: expected a header starting score,label, "
+                            f"found {','.join(header)!r}")
+        with warnings.catch_warnings():
+            # an empty body warns and returns no rows, rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            # numpy reads the file itself, faster than from a Python stream
+            body = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
+                              quotechar='"', ndmin=2, skiprows=1)
     except (OSError, ValueError, csv.Error) as exc:
-        raise DataError(f"cannot read score CSV {path}: "
-                        f"{harness.loadtxt_message(exc)}") from exc
+        raise DataError(f"cannot read score CSV {path}: {loadtxt_message(exc)}") from exc
     if not len(body):
         raise DataError(f"{path}: no score rows")
     bad = np.flatnonzero((body[:, 1] != 0) & (body[:, 1] != 1))
@@ -126,6 +129,8 @@ def _read_score_csv(path):
 
 
 def _cmd_run(args) -> int:
+    from . import harness
+
     cli_fields = {key: getattr(args, key) for key in harness.CONFIG_FIELDS
                   if hasattr(args, key)}
     file_fields = harness.load_config_file(args.config) if args.config else {}
@@ -142,6 +147,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .spectral import SpectralConfig, synthesize_batch
+    from .tensorio import save_tensor, write_ppm
+
     if args.count < 0:
         raise ConfigError(f"count must be nonnegative, got {args.count}")
     if args.seed < 0:
@@ -238,6 +246,8 @@ def _read_seed_rows(path):
 
 
 def _cmd_report(args) -> int:
+    from . import harness
+
     rows = _read_seed_rows(args.rows)
     out = reports.make_out_dir(args.out_dir or _default_out())
     reports.write_rows_csv(out / "summary.csv", harness.aggregate(rows))

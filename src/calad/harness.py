@@ -16,7 +16,6 @@ and its seed list.
 
 import json
 import math
-import re
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -24,14 +23,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import reports
+from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
 from .calibration import (ReliabilityHistogram, ece, fit_beta, fit_head, fit_platt,
                           fitting_digest, mce, reliability, save_calibrator)
 from .datasets import gaussian_ring, textured_tiles
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, loadtxt_message
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
 from .perturbation import evaluate_pair, perturb_batch
-from .scorer import (LOSSES, SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
+from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
                      TrainConfig, forward, init_scorer, init_svdd_center,
                      save_scorer, train)
 from .segmentation import SSIM_C1, SSIM_C2, SSIM_WINDOW, gaussian_upsample
@@ -52,9 +51,6 @@ METHOD_LABELS = {
     ("beta", "oe"): "β OE",
     ("beta", "spectral"): "β Spectral",
 }
-
-CALIBRATORS = ("none", "platt", "beta", "head")
-ANOMALY_SOURCES = ("oe", "spectral")
 
 BUILTIN_DATASETS = ("builtin:gauss2d", "builtin:gauss2d-basin", "builtin:tiles")
 
@@ -216,18 +212,6 @@ def normalize(data, stats):
 
 
 # -- data loading -------------------------------------------------------
-
-# numpy.loadtxt numbers the row of a cell it cannot convert from 0, though
-# its other messages number data rows from 1
-_UNCONVERTED_CELL = re.compile(
-    r"(could not convert string .* at row )(\d+)(, column \d+\.)$", re.DOTALL)
-
-
-def loadtxt_message(exc: Exception) -> str:
-    """numpy.loadtxt's error text, every row numbered from 1 among the
-    data rows (blank and comment lines skipped), as calad counts them."""
-    return _UNCONVERTED_CELL.sub(lambda m: f"{m[1]}{int(m[2]) + 1}{m[3]}", str(exc))
-
 
 def _load_dataset(cfg: ExperimentConfig):
     """The run's dataset record: its class id, the raw normal training

@@ -28,13 +28,15 @@ def clamp_probability(eta_hat):
 
 
 def sigmoid(v):
-    """Numerically stable logistic function 1 / (1 + exp(-v))."""
+    """Numerically stable logistic function 1 / (1 + exp(-v)).
+
+    With e = exp(-|v|), never an overflow, this is 1 / (1 + e) for v >= 0
+    and e / (1 + e) below: the same exp input and division as masked
+    branches would compute, so the bits agree, without the mask copies.
+    """
     v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import LOSSES
 from .calibration import HeadParams, calibrated_logit
 from .errors import DataError, NumericalError
 from .losses import (EPS_CLAMP, clamp_probability, hsc_loss, logistic_loss,
@@ -31,7 +32,6 @@ from .segmentation import ssim_loss, ssim_map_backward
 
 logger = logging.getLogger(__name__)
 
-LOSSES = ("svdd", "hsc", "logistic", "ssim", "fcdd")
 SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}  # the losses that train on anomalies
 
 MILESTONE_DECAY = 0.1  # learning-rate factor per milestone passed
@@ -147,8 +147,9 @@ def _backprop(state, caches, d_out, params: bool):
         w_grads, b_grads = _layer_views(state.spec, grad)
     last = state.n_layers - 1
     for i in range(last, -1, -1):
-        a_in, z = caches[i]
-        dz = g if i == last else g * (1.0 - np.tanh(z) ** 2)
+        a_in = caches[i][0]
+        # tanh' from the activation the forward pass kept as the next input
+        dz = g if i == last else g * (1.0 - caches[i + 1][0] ** 2)
         if params:
             w_grads[i][...] = a_in.T @ dz
             if b_grads[i] is not None:

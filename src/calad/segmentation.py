@@ -81,13 +81,16 @@ def ssim_map_backward(fwd: SsimLoss, ds):
     g_a = ds * fwd.b / cd
     g_b = ds * fwd.a / cd
     g_c = -ds * s / fwd.c
-    g_d = -ds * s / fwd.d
 
-    g_spq = 2 * g_b
-    g_mup = 2 * muq * g_a + 2 * mup * g_c - 2 * mup * g_d - muq * g_spq
-    g_muq = 2 * mup * g_a + 2 * muq * g_c - 2 * muq * g_d - mup * g_spq
+    # the four window gradients fill one buffer, as the forward's terms do
+    grads = np.empty((4,) + s.shape)
+    g_mup, g_muq, g_d, g_spq = grads
+    np.divide(-ds * s, fwd.d, out=g_d)
+    np.multiply(2, g_b, out=g_spq)
+    np.subtract(2 * muq * g_a + 2 * mup * g_c - 2 * mup * g_d, muq * g_spq, out=g_mup)
+    np.subtract(2 * mup * g_a + 2 * muq * g_c - 2 * muq * g_d, mup * g_spq, out=g_muq)
 
-    sums = box_sum_valid(np.stack([g_mup, g_muq, g_d, g_spq]), SSIM_WINDOW, SSIM_BORDER)
+    sums = box_sum_valid(grads, SSIM_WINDOW, SSIM_BORDER)
     adj_mup, adj_muq, adj_d, adj_spq = sums / SSIM_WINDOW ** 2
     dp = adj_mup + 2 * fwd.p * adj_d + fwd.q * adj_spq
     dq = adj_muq + 2 * fwd.q * adj_d + fwd.p * adj_spq

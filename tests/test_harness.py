@@ -849,6 +849,47 @@ class TestCli:
         assert seen["tiles run"] == []
         assert not [m for m in seen["run"] if m.startswith("scipy.optimize")]
 
+    def test_score_verbs_load_no_run_stack(self, tmp_path):
+        """Start-up, --help, eval and calibrate load none of the modules
+        that train, perturb or synthesize; run still works after them in
+        the same process."""
+        path = tmp_path / "scores.csv"
+        path.write_text("score,label\n0.3,0\n1.2,1\n-0.5,0\n0.9,1\n0.95,0\n")
+        child = textwrap.dedent(f"""
+            import json, sys
+            RUN_STACK = ["calad." + m for m in ("harness", "scorer", "perturbation",
+                         "segmentation", "spectral", "datasets", "tensorio")]
+            def run_stack():
+                return [m for m in RUN_STACK if m in sys.modules]
+            seen = {{}}
+            import calad.cli
+            seen["import"] = run_stack()
+            try:
+                calad.cli.main(["--help"])
+            except SystemExit:
+                pass
+            seen["help"] = run_stack()
+            assert calad.cli.main(["eval", {str(path)!r}]) == 0
+            seen["eval"] = run_stack()
+            for kind in ("platt", "beta"):
+                assert calad.cli.main(["calibrate", {str(path)!r}, "--kind", kind,
+                                       "--out", {str(tmp_path)!r}]) == 0
+            seen["calibrate"] = run_stack()
+            assert calad.cli.main(["run", "--normal", "builtin:gauss2d", "--loss", "svdd",
+                                   "--calibrator", "platt", "--epochs", "1", "--seeds", "0",
+                                   "--out", {str(tmp_path / "run")!r}]) == 0
+            seen["run"] = run_stack()
+            print(json.dumps(seen))
+        """)
+        package_parent = Path(calad.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(package_parent)})
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["import"] == seen["help"] == seen["eval"] == seen["calibrate"] == []
+        assert "calad.harness" in seen["run"] and "calad.scorer" in seen["run"]
+        assert (tmp_path / "run" / "summary.csv").exists()
+
     @pytest.mark.parametrize("preset", [None, "2"])
     def test_cli_sets_one_blas_thread_unless_user_set(self, preset):
         child = textwrap.dedent("""
@@ -969,7 +1010,8 @@ class TestScoreCsv:
             assert np.array_equal(scores, plain[0]) and np.array_equal(labels, plain[1])
 
     @pytest.mark.parametrize("text", [
-        "", "score,label\n", "score,label\n\n\n", "a,b\n1,0\n",
+        "", "score,label\n", "score,label\n\n\n", "a,b\n1,0\n", "score\n1\n",
+        " label , score \n0,1\n", "score;label\n1;0\n",
         "score,label\n1.5\n", "score,label\n1.5,\n", "score,label\n   \n",
         "score,label\n1_0,1\n", "score,label\n#1,0\n", "score,label\n1.5,0\x00\n",
         'score,label\n"1,5",0\n', "score,label\n0.5,1\nabc,0\n",
@@ -982,6 +1024,19 @@ class TestScoreCsv:
         if header == "score,label" and rows:
             # the fault is in the last row, numbered from 1 among the data rows
             assert re.search(rf"\bat row {len(rows)}\b", str(info.value)), info.value
+
+    @pytest.mark.parametrize("text", ["label,score\n1,0\n0,1\n1,1\n0,0\n1,0\n",
+                                      "label,score\n1,0.9\n0,0.2\n1,0.7\n"])
+    @pytest.mark.parametrize("verb", ["eval", "calibrate"])
+    def test_swapped_header_exits_2(self, tmp_path, capsys, verb, text):
+        # the score is read from the first column, so the header must say so
+        path = self.write(tmp_path, text)
+        rc = cli_main([verb, str(path), "--out", str(tmp_path)] if verb == "calibrate"
+                      else [verb, str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "expected a header starting score,label, found 'label,score'" in captured.err
+        assert captured.out == "" and not (tmp_path / "calibrator_platt.txt").exists()
 
     @pytest.mark.parametrize("bad", ["1.5", "-0.25", "nan", "inf"])
     def test_eval_probabilities_outside_unit_interval_exits_2(self, tmp_path, capsys, bad):

@@ -16,6 +16,18 @@ def mpf_float(x):
     return float(x)
 
 
+def masked_sigmoid(v):
+    """The two-branch form: 1 / (1 + e^-v) where v >= 0, e^v / (1 + e^v)
+    elsewhere, each on its own masked copy."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out if out.ndim else float(out)
+
+
 class TestLinks:
     def test_sigmoid_symmetry_at_zero(self):
         assert sigmoid(0.0) == 0.5
@@ -33,6 +45,21 @@ class TestLinks:
                                np.linspace(1e-6, 1 - 1e-6, 501)])
         back = sigmoid(logit(grid))
         assert np.max(np.abs(back - grid)) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
+    def test_sigmoid_matches_masked_branches_bit_for_bit(self, scale):
+        v = np.random.default_rng(3).normal(size=10_000) * scale
+        assert np.array_equal(sigmoid(v), masked_sigmoid(v))
+
+    def test_sigmoid_special_values_match_masked_branches(self):
+        v = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0,
+                      1e-300, -1e-300, 5e-324, -5e-324])
+        assert np.array_equal(sigmoid(v), masked_sigmoid(v), equal_nan=True)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sigmoid(v[np.isfinite(v)])  # exp(-|v|) cannot overflow
+        for x in (0.0, -0.0, 2.5, -2.5, np.float64(800.0), np.array(-3.0)):
+            out = sigmoid(x)
+            assert type(out) is float and out == masked_sigmoid(x)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
     def test_logit_domain_error(self, bad):
@@ -73,6 +100,17 @@ class TestLogisticLoss:
         with np.errstate(over="raise"):
             assert logistic_loss(0, 100.0) == pytest.approx(expected, rel=1e-12)
             assert np.isfinite(logistic_loss(0, 1000.0))
+
+    def test_is_logaddexp_bit_for_bit(self):
+        """logistic_loss stays np.logaddexp(0, (1 - 2y) v). The equal form
+        max(u, 0) + log1p(e^-|u|) differs in the last bits, and the head
+        calibrator's L-BFGS-B stopping point follows those bits: with it,
+        seed 1's CalHead Spectral AUROC on gauss2d hsc/head (spectral
+        anomalies) moves by 4.4e-5, from 0.9066222 to 0.9065778."""
+        rng = np.random.default_rng(11)
+        v = np.concatenate([rng.normal(size=5000) * 30, [0.0, -0.0, 800.0, -800.0]])
+        y = rng.integers(0, 2, len(v))
+        assert np.array_equal(logistic_loss(y, v), np.logaddexp(0.0, (1 - 2 * y) * v))
 
     def test_link_composition_identity(self):
         # 1e-10 agreement is only attainable where 1 - sigmoid(z) keeps
