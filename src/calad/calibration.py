@@ -21,17 +21,28 @@ comes out negative is pinned at exactly 0 and the rest are refitted from
 the start point. A Platt slope pinned at 0 (scores anti-correlated with
 the labels) is the temperature ``inf``, a constant map to the base rate.
 
-The calibration head is still fitted with scipy's L-BFGS-B, imported in
-``fit_head``'s body, under the same ``GTOL`` and ``MAX_ITER``. On its
-ill-conditioned frozen features L-BFGS stops on scipy's relative-reduction
-rule short of the exact optimum, and the head's stored reference outputs
-pin that stop.
+The calibration head is still fitted with L-BFGS-B (Byrd, Lu, Nocedal &
+Zhu 1995) under the same ``GTOL`` and ``MAX_ITER``: ``_lbfgsb_minimize``
+drives scipy's compiled ``setulb`` step through its reverse-communication
+loop, with scipy's ``minimize`` defaults (10 corrections, ``factr`` 1e7,
+20 line-search steps, no bounds), so its iterates are bit-identical to
+``scipy.optimize.minimize(..., method="L-BFGS-B")``. The extension is
+loaded from its file and registered under its scipy name, so the
+``scipy.optimize`` package, with the linalg and sparse modules it pulls
+in, is never imported; it needs scipy >= 1.15, whose ``setulb`` takes 17
+arguments. On the head's ill-conditioned frozen features L-BFGS stops on
+the relative-reduction rule short of the exact optimum, and the head's
+stored reference outputs pin that stop. A stop other than convergence
+(the iteration budget, a failed line search) is logged as a warning.
 
 Fitted parameters serialize to a plain-text key-value document so a run
 can be reloaded and its determinism re-verified.
 """
 
 import hashlib
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -229,16 +240,82 @@ def fit_beta(estimates, labels) -> BetaParams:
     return BetaParams(a=float(a), b=float(b), c=float(c))
 
 
+LBFGSB_MODULE = "scipy.optimize._lbfgsb"
+LBFGSB_CORRECTIONS = 10  # scipy's maxcor
+LBFGSB_FACTR = 1e7  # scipy's default ftol 2.220446049250313e-09 over machine eps
+LBFGSB_MAXLS = 20
+# setulb's task codes: task[0] is the state, task[1] the reason; only the
+# driver sets STOP, and only for the iteration budget
+FG, NEW_X, CONVERGENCE, STOP, ABNORMAL = 3, 1, 4, 5, 8
+ITERATION_BUDGET = 504
+STOP_REASONS = {STOP: "iteration budget reached", ABNORMAL: "line search failed"}
+
+
+def _lbfgsb():
+    """scipy's compiled L-BFGS-B module, loaded from its file so that the
+    scipy.optimize package is not imported. It is registered under its
+    scipy name, so a later ``import scipy.optimize`` reuses it."""
+    if LBFGSB_MODULE in sys.modules:
+        return sys.modules[LBFGSB_MODULE]
+    scipy = importlib.util.find_spec("scipy")
+    for root in scipy.submodule_search_locations if scipy else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "optimize", "_lbfgsb" + suffix)
+            if path.is_file():
+                loader = importlib.machinery.ExtensionFileLoader(LBFGSB_MODULE, str(path))
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(LBFGSB_MODULE, path, loader=loader))
+                loader.exec_module(module)
+                sys.modules[LBFGSB_MODULE] = module
+                return module
+    raise ImportError("the calibration head needs scipy>=1.15, whose compiled "
+                      f"{LBFGSB_MODULE} extension was not found")
+
+
+def _lbfgsb_minimize(objective, x0):
+    """Minimize ``objective`` (returning the loss and its gradient) from x0
+    by L-BFGS-B without bounds, stopping at ``GTOL`` or ``MAX_ITER``
+    iterations, and return the last iterate. The loop is scipy's
+    ``_minimize_lbfgsb`` without its result and operator wrappers."""
+    setulb = _lbfgsb().setulb
+    n, m = len(x0), LBFGSB_CORRECTIONS
+    x = np.array(x0, dtype=float)
+    f, g = 0.0, np.zeros(n)
+    unbounded, nbd = np.zeros(n), np.zeros(n, dtype=np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    nit = 0
+    while True:
+        setulb(m, x, unbounded, unbounded, nbd, f, g, LBFGSB_FACTR, GTOL, wa, iwa,
+               task, lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
+        if task[0] == FG:
+            f, g = objective(x)
+        elif task[0] == NEW_X:
+            nit += 1
+            if nit >= MAX_ITER:
+                task[:] = STOP, ITERATION_BUDGET
+        else:
+            break
+    if task[0] != CONVERGENCE:
+        import logging  # only here, so the score verbs' start-up does not load it
+
+        reason = STOP_REASONS.get(int(task[0]), f"setulb task {task[0]}/{task[1]}")
+        logging.getLogger(__name__).warning(
+            "calibration head fit stopped before convergence: %s after %d iterations, "
+            "max|grad| %.3g > gtol %g", reason, nit, np.max(np.abs(g)), GTOL)
+    return x
+
+
 def fit_head(features, labels, seed: int = 0) -> HeadParams:
     """Refit the final affine layer over frozen features.
 
     Weights are re-initialized from the seed with uniform fan-in scaling,
-    then optimized with L-BFGS-B to a stationary point of the mean
-    logistic loss. scipy.optimize is imported here, so only head fits load
-    it.
+    then optimized with L-BFGS-B (``_lbfgsb_minimize``, bit-identical to
+    scipy's ``minimize``) towards a stationary point of the mean logistic
+    loss. A stop short of convergence is logged as a warning, not raised.
     """
-    from scipy import optimize
-
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
         raise ValueError("features must be a (n, d) matrix")
@@ -253,8 +330,7 @@ def fit_head(features, labels, seed: int = 0) -> HeadParams:
         grad = np.concatenate([f.T @ g / len(y), [np.mean(g)]])
         return float(np.mean(logistic_loss(y, z))), grad
 
-    x = optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
-                          options={"maxiter": MAX_ITER, "gtol": GTOL}).x
+    x = _lbfgsb_minimize(objective, x0)
     return HeadParams(weights=x[:d].copy(), bias=float(x[d]))
 
 

@@ -1,7 +1,17 @@
+import importlib.machinery
+import json
+import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from mpmath import mp
 
+import calad
 from calad import calibration
 from calad.calibration import (GTOL, BetaParams, HeadParams,
                                PlattParams, beta_transform, calibrated_logit,
@@ -257,6 +267,140 @@ class TestFitHead:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             fit_head(np.ones((3, 2)), np.zeros(3))
+
+    # fit_head drives scipy's compiled setulb itself; these tests pin it to
+    # scipy.optimize.minimize bit for bit, which also guards the private
+    # setulb signature the driver depends on
+    @staticmethod
+    def assert_scipy_bits(features, labels, seed):
+        params = fit_head(features, labels, seed)
+        want = scipy_head(features, labels, seed)
+        assert np.array_equal(np.append(params.weights, params.bias), want.x)
+        return want
+
+    @pytest.mark.parametrize("d", [1, 9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_scipy_lbfgsb(self, d, seed):
+        rng = np.random.default_rng(100 + 10 * d + seed)
+        f = rng.normal(size=(300, d)) * rng.choice([0.01, 1.0, 10.0], size=d)
+        y = (rng.random(300) < sigmoid(f @ rng.normal(0, 3, d))).astype(int)
+        assert self.assert_scipy_bits(f, y, seed).success
+
+    def test_equals_scipy_lbfgsb_near_separable(self):
+        rng = np.random.default_rng(53)
+        f = np.vstack([rng.normal([-2, -2], 0.3, (200, 2)), rng.normal([2, 2], 0.3, (200, 2))])
+        y = np.repeat([0, 1], 200)
+        y[[0, 399]] = 1 - y[[0, 399]]
+        self.assert_scipy_bits(f, y, 3)
+
+    def test_equals_scipy_lbfgsb_constant_features(self):
+        rng = np.random.default_rng(54)
+        y = (rng.random(500) < 0.3).astype(int)
+        self.assert_scipy_bits(np.full((500, 3), 0.4), y, 4)
+
+    def test_budget_stop_equals_scipy_and_logs_one_warning(self, monkeypatch, caplog):
+        monkeypatch.setattr(calibration, "MAX_ITER", 3)
+        f, y = head_problem(9, 55)
+        with caplog.at_level(logging.WARNING, logger="calad.calibration"):
+            want = self.assert_scipy_bits(f, y, 5)
+        assert not want.success and want.nit == 3
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "iteration budget" in message and "after 3 iterations" in message
+        assert "max|grad|" in message
+
+    def test_line_search_failure_logs_one_warning_and_equals_scipy(self, caplog):
+        from scipy import optimize
+
+        def uphill(x):  # the gradient of -|x|^2, so no step decreases |x|^2
+            return float(x @ x), -2.0 * x
+
+        with caplog.at_level(logging.WARNING, logger="calad.calibration"):
+            x = calibration._lbfgsb_minimize(uphill, np.ones(3))
+        want = optimize.minimize(uphill, np.ones(3), jac=True, method="L-BFGS-B",
+                                 options={"maxiter": calibration.MAX_ITER, "gtol": GTOL})
+        assert np.array_equal(x, want.x) and not want.success
+        assert len(caplog.records) == 1
+        assert "line search failed after 0 iterations" in caplog.records[0].getMessage()
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        f, y = head_problem(1, 56)
+        with caplog.at_level(logging.DEBUG, logger="calad.calibration"):
+            fit_head(f, y, 6)
+        assert caplog.records == []
+
+    def test_missing_extension_names_the_scipy_requirement(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, calibration.LBFGSB_MODULE, raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            fit_head(*head_problem(1, 57))
+
+    def test_one_process_fit_then_scipy_agree(self):
+        """fit_head registers the extension before scipy.optimize is
+        imported; scipy then reuses it and returns the same bits."""
+        child = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from calad.calibration import GTOL, MAX_ITER, fit_head
+            from calad.losses import logistic_loss, sigmoid
+            rng = np.random.default_rng(58)
+            problems = []
+            for d in (1, 4, 9):
+                f = rng.normal(size=(200, d))
+                problems.append((f, (rng.random(200) < sigmoid(f.sum(axis=1))).astype(float)))
+            ours = [fit_head(f, y, seed) for seed, (f, y) in enumerate(problems)]
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            from scipy import optimize
+            same_module = optimize._lbfgsb_py._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+            equal = []
+            for seed, ((f, y), params) in enumerate(zip(problems, ours)):
+                d = f.shape[1]
+                rng = np.random.default_rng(seed)
+                x0 = np.concatenate([rng.uniform(-1, 1, d) / np.sqrt(d), [0.0]])
+                def objective(p):
+                    z = f @ p[:d] + p[d]
+                    g = sigmoid(z) - y
+                    return (float(np.mean(logistic_loss(y, z))),
+                            np.concatenate([f.T @ g / len(y), [np.mean(g)]]))
+                x = optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                                      options={"maxiter": MAX_ITER, "gtol": GTOL}).x
+                equal.append(bool(np.array_equal(np.append(params.weights, params.bias), x)))
+            print(json.dumps({"loaded": loaded, "same_module": same_module, "equal": equal}))
+        """)
+        package_parent = Path(calad.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(package_parent)})
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"loaded": [calibration.LBFGSB_MODULE], "same_module": True,
+                        "equal": [True, True, True]}
+
+
+def head_problem(d, seed, n=300):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(n, d))
+    return f, (rng.random(n) < sigmoid(f @ rng.normal(0, 2, d))).astype(int)
+
+
+def scipy_head(features, labels, seed):
+    """fit_head's start point and objective handed to scipy.optimize.minimize,
+    with fit_head's tolerances: the oracle for its L-BFGS-B driver."""
+    from scipy import optimize
+
+    f = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    d = f.shape[1]
+    rng = np.random.default_rng(seed)
+    x0 = np.concatenate([rng.uniform(-1, 1, d) / np.sqrt(d), [0.0]])
+
+    def objective(p):
+        z = f @ p[:d] + p[d]
+        g = sigmoid(z) - y
+        return (float(np.mean(logistic_loss(y, z))),
+                np.concatenate([f.T @ g / len(y), [np.mean(g)]]))
+
+    return optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                             options={"maxiter": calibration.MAX_ITER, "gtol": GTOL})
 
 
 def beta_features(e):

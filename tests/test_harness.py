@@ -804,10 +804,11 @@ class TestCli:
         assert proc.returncode == 0
         assert "run" in proc.stdout and "synth" in proc.stdout
 
-    def test_scipy_loaded_only_by_fits(self, tmp_path):
+    def test_scipy_loaded_only_as_lbfgsb_extension_by_head_fits(self, tmp_path):
         """Start-up, the verbs that fit nothing, the Platt and Beta fits and
         a tiles run with AUPRO load no scipy module; a run with a Platt
-        calibrator loads no scipy.optimize."""
+        calibrator loads no scipy.optimize, and a head run loads scipy's
+        compiled L-BFGS-B extension and no other scipy module."""
         path = tmp_path / "scores.csv"
         path.write_text("score,label\n0.3,0\n1.2,1\n-0.5,0\n0.9,1\n0.95,0\n")
         child = textwrap.dedent(f"""
@@ -838,6 +839,10 @@ class TestCli:
                                    "--calibrator", "platt", "--epochs", "1", "--seeds", "0",
                                    "--out", {str(tmp_path / "run")!r}]) == 0
             seen["run"] = scipy_modules()
+            assert calad.cli.main(["run", "--normal", "builtin:gauss2d", "--loss", "hsc",
+                                   "--calibrator", "head", "--epochs", "1", "--seeds", "0",
+                                   "--out", {str(tmp_path / "head")!r}]) == 0
+            seen["head run"] = scipy_modules()
             print(json.dumps(seen))
         """)
         package_parent = Path(calad.__file__).resolve().parents[1]
@@ -848,6 +853,8 @@ class TestCli:
         assert seen["import"] == seen["help"] == seen["eval+synth"] == seen["calibrate"] == []
         assert seen["tiles run"] == []
         assert not [m for m in seen["run"] if m.startswith("scipy.optimize")]
+        assert seen["head run"] == ["scipy.optimize._lbfgsb"]
+        assert (tmp_path / "head" / "calibrator_calhead_spectral.txt").exists()
 
     def test_score_verbs_load_no_run_stack(self, tmp_path):
         """Start-up, --help, eval and calibrate load none of the modules
