@@ -15,6 +15,14 @@ iterations first, or reaching a non-finite iterate, raises
 ``NumericalError``. Separable data is not an error: the gradient decays
 below ``GTOL`` as the slope grows.
 
+Each evaluation is one pass over the column-major design in blocks of
+``BLOCK_ROWS`` rows that gives the loss, gradient and Hessian together,
+so a fit holds no full-length temporary, and the accepted trial point's
+gradient and Hessian serve the next iteration. A fit of at most
+``BLOCK_ROWS`` rows has the bits of the whole-array expressions;
+``fit_platt`` and ``fit_beta`` write their design column-major because
+that is the layout those expressions saw.
+
 The Platt slope 1/T and the Beta weights a, b must be nonnegative. They
 are handled with Kull et al.'s active set: a constrained coefficient that
 comes out negative is pinned at exactly 0 and the rest are refitted from
@@ -146,6 +154,7 @@ def _require_both_classes(labels):
 FULL_STEP_DECREMENT = 1e-12
 GTOL = 1e-8  # a fit has converged once max|grad| is at most this
 MAX_ITER = 500  # iterations per fit, Newton and L-BFGS-B alike
+BLOCK_ROWS = 8192  # rows per block of a Newton pass; an (8192, 3) block stays in cache
 
 
 @dataclass(frozen=True)
@@ -160,32 +169,51 @@ class FitResult:
     success: bool = True
 
 
-def _newton(features, y, x0):
-    """Damped Newton on mean logistic loss of features @ x;
+def _newton(design, free, y, x0):
+    """Damped Newton on the mean logistic loss of design[:, free] @ x;
     (x, iterations, loss evaluations)."""
     n = len(y)
-    x = x0
-    z = features @ x
-    loss = float(np.mean(logistic_loss(y, z)))
-    nfev = 1
-    for nit in range(MAX_ITER + 1):
-        p = sigmoid(z)
-        grad = features.T @ (p - y) / n
-        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-            raise NumericalError(f"calibrator fit reached a non-finite iterate {x}")
-        if np.max(np.abs(grad)) <= GTOL or nit == MAX_ITER:
-            break
-        hess = (features * (p * (1.0 - p))[:, None]).T @ features / n
-        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        decrement = -float(grad @ step)
-        for t in 0.5 ** np.arange(34):
-            x_new = x + t * step
-            z_new = features @ x_new
-            loss_new = float(np.mean(logistic_loss(y, z_new)))
-            nfev += 1
-            if decrement < FULL_STEP_DECREMENT or loss_new <= loss - 1e-4 * t * decrement:
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS)]
+
+    def evaluate(x):
+        """Loss, gradient and Hessian at x from one pass over the blocks."""
+        loss, grad, hess = 0.0, None, None
+        for block in blocks:
+            f, yb = design[block, free], y[block]
+            z = f @ x
+            e = np.exp(-np.abs(z))
+            # logaddexp(0, (1 - 2y) z), since |(1 - 2y) z| = |z| for 0/1 labels
+            loss += np.maximum((1.0 - 2.0 * yb) * z, 0.0).sum() + np.log1p(e).sum()
+            p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # sigmoid(z)'s formula, reusing e
+            g = f.T @ (p - yb)
+            h = (f * (p * (1.0 - p))[:, None]).T @ f
+            # the first block's sums are taken as they are, so a fit of
+            # one block has the bits of the whole-array expressions
+            grad = g if grad is None else grad + g
+            hess = h if hess is None else hess + h
+        return loss / n, grad / n, hess / n
+
+    # an overflow shows as a non-finite iterate, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0
+        loss, grad, hess = evaluate(x)
+        nfev = 1
+        for nit in range(MAX_ITER + 1):
+            if not (np.isfinite(loss) and np.all(np.isfinite(grad))
+                    and np.all(np.isfinite(hess))):
+                raise NumericalError(f"calibrator fit reached a non-finite iterate {x}")
+            if np.max(np.abs(grad)) <= GTOL or nit == MAX_ITER:
                 break
-        x, z, loss = x_new, z_new, loss_new
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            decrement = -float(grad @ step)
+            for t in 0.5 ** np.arange(34):
+                x_new = x + t * step
+                # the accepted trial's gradient and Hessian are the next iteration's
+                loss_new, grad_new, hess_new = evaluate(x_new)
+                nfev += 1
+                if decrement < FULL_STEP_DECREMENT or loss_new <= loss - 1e-4 * t * decrement:
+                    break
+            x, loss, grad, hess = x_new, loss_new, grad_new, hess_new
     if np.max(np.abs(grad)) > GTOL:
         raise NumericalError(
             f"calibrator fit did not converge in {nit} Newton iterations: "
@@ -197,13 +225,13 @@ def minimize(features, labels, x0, nonneg=()) -> FitResult:
     """Minimize the mean logistic loss of ``features @ x`` against 0/1
     labels by Newton's method, from ``x0``, keeping the coordinates in
     ``nonneg`` nonnegative with Kull et al.'s active set."""
-    features = np.asarray(features, dtype=float)
+    design = np.asfortranarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     free = np.ones(len(x0), dtype=bool)
     nit = nfev = 0
     while True:
-        x_free, its, evals = _newton(features[:, free], y, x0[free])
+        x_free, its, evals = _newton(design, free, y, x0[free])
         x = np.zeros_like(x0)
         x[free] = x_free
         nit, nfev = nit + its, nfev + evals
@@ -219,10 +247,11 @@ def fit_platt(logits, labels) -> PlattParams:
     Starts from the identity (T = 1, c = 0), so the achieved loss never
     exceeds the identity's. A slope pinned at 0 gives T = inf.
     """
-    z = np.asarray(logits, dtype=float)
     y = _require_both_classes(labels)
-    slope, intercept = minimize(np.column_stack([z, np.ones_like(z)]), y,
-                                [1.0, 0.0], nonneg=(0,)).x
+    design = np.empty((len(y), 2), order="F")
+    design[:, 0] = logits
+    design[:, 1] = 1.0
+    slope, intercept = minimize(design, y, [1.0, 0.0], nonneg=(0,)).x
     return PlattParams(temperature=float(1.0 / slope) if slope > 0 else np.inf,
                        intercept=float(intercept))
 
@@ -235,8 +264,13 @@ def fit_beta(estimates, labels) -> BetaParams:
     """
     e = clamp_probability(np.asarray(estimates, dtype=float))
     y = _require_both_classes(labels)
-    features = np.column_stack([np.log(e), -np.log1p(-e), np.ones_like(e)])
-    a, b, c = minimize(features, y, [1.0, 1.0, 0.0], nonneg=(0, 1)).x
+    design = np.empty((len(e), 3), order="F")
+    np.log(e, out=design[:, 0])
+    # -ln(1 - e), negated in place as the expression would negate it
+    np.log1p(np.negative(e, out=design[:, 1]), out=design[:, 1])
+    np.negative(design[:, 1], out=design[:, 1])
+    design[:, 2] = 1.0
+    a, b, c = minimize(design, y, [1.0, 1.0, 0.0], nonneg=(0, 1)).x
     return BetaParams(a=float(a), b=float(b), c=float(c))
 
 

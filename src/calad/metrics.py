@@ -36,7 +36,13 @@ def _midranks(x, what):
 
 
 def auroc(scores, labels) -> float:
-    """Midrank (tie-aware) area under the ROC curve."""
+    """Midrank (tie-aware) area under the ROC curve, from one sort.
+
+    Each tie group of the sorted scores adds its positives times its
+    midrank to the positives' rank sum. Every partial sum is a multiple
+    of 0.5 below 2^53 (n up to about 1.3e8), so the sum is exact and
+    equals the sum of the positives' ``_midranks`` bit for bit.
+    """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.shape != y.shape:
@@ -45,8 +51,15 @@ def auroc(scores, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs at least one sample of each class")
-    ranks = _midranks(s, "AUROC")
-    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    _require_finite(s, "AUROC")
+    order = np.argsort(s)
+    ranked = s[order]
+    # 1-based rank of each tie group's last member
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, len(ranked))
+    positives = np.diff(np.cumsum((y == 1)[order])[ends - 1], prepend=0)
+    midranks = ends - (np.diff(ends, prepend=0) - 1) / 2.0
+    rank_sum = np.sum(positives * midranks)
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def pixel_auroc(heatmaps, masks) -> float:

@@ -6,7 +6,10 @@ head (squared distance to a hypersphere center, pseudo-Huber norm, raw
 logit, feature heatmap, or SSIM reconstruction), an optional post-hoc
 calibrator, and a core loss, and exposes the three gradient contracts:
 forward value, parameter gradient, and input gradient. All gradients are
-exact reverse-mode; finite differences are used only in tests.
+exact reverse-mode; finite differences are used only in tests. The SSIM
+head runs its forward and backward passes ``SSIM_BLOCK`` images at a
+time, after one whole-batch MLP pass, so the parameter gradient is still
+one matmul per layer.
 
 Training steps a scorer's flat parameter vector in place with Adam, the
 learning rate scaled by ``MILESTONE_DECAY`` at each milestone,
@@ -35,6 +38,7 @@ logger = logging.getLogger(__name__)
 SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}  # the losses that train on anomalies
 
 MILESTONE_DECAY = 0.1  # learning-rate factor per milestone passed
+SSIM_BLOCK = 32  # images per SSIM pass, which bounds the pass's window-term stacks
 
 
 @dataclass(frozen=True)
@@ -217,10 +221,11 @@ class LossPipeline:
 
     def _scores(self, x):
         """Per-row raw score v, (n,), the MLP caches, and what the backward
-        pass needs: dv/d(output), (n, k), or for ssim the stacked SsimLoss."""
+        pass needs: dv/d(output), (n, k); None for ssim, whose backward
+        pass runs in ``_ssim``."""
         if self.loss_name == "ssim":
-            res, caches = self._ssim_forward(x)
-            return res.loss, caches, res
+            v, caches, _, _, _ = self._ssim(x)
+            return v, caches, None
         out, caches = _forward_cache(self.state, x)
         if self.head is not None:
             w = np.asarray(self.head.weights, dtype=float)
@@ -236,14 +241,41 @@ class LossPipeline:
         root = np.sqrt(out * out + 1.0)  # fcdd
         return np.mean(root - 1.0, axis=-1), caches, out / (root * out.shape[-1])
 
-    def _ssim_forward(self, x):
-        """SSIM of every row's image against its reconstruction: the
-        stacked SsimLoss (per-row losses, (n, h, w) maps and window terms)
-        and the caches of the MLP pass."""
+    def _ssim(self, x, y=None, want_map=False):
+        """SSIM of every row's image against its reconstruction, taken
+        SSIM_BLOCK images at a time after one whole-batch MLP pass.
+
+        Returns the per-row losses, (n,): the raw scores v without labels,
+        the pipeline's losses with labels y. Then the MLP caches, the maps
+        of 1 - S, (n, h, w), if ``want_map``, and with labels the loss's
+        gradients with respect to the images and to the reconstructions,
+        (n, h * w) each; None for what is not asked.
+        """
         rows = np.atleast_2d(np.asarray(x, dtype=float))
-        shape = (len(rows),) + tuple(self.image_shape)
+        n, (h, w) = len(rows), self.image_shape
         recon, caches = _forward_cache(self.state, rows)
-        return ssim_loss(rows.reshape(shape), recon.reshape(shape)), caches
+        images, recons = rows.reshape(n, h, w), recon.reshape(n, h, w)
+        loss = np.empty(n)
+        maps = np.empty((n, h, w)) if want_map else None
+        direct = drecon = None
+        if y is not None:
+            labels = _labels(y, loss)
+            direct, drecon = np.empty((n, h * w)), np.empty((n, h * w))
+        for start in range(0, n, SSIM_BLOCK):
+            block = slice(start, start + SSIM_BLOCK)
+            res = ssim_loss(images[block], recons[block])
+            if want_map:
+                maps[block] = 1.0 - res.similarity
+            if y is None:
+                loss[block] = res.loss
+                continue
+            loss[block], dl_dv = self._loss(res.loss, labels[block])
+            # v is the mean of 1 - S over the h * w pixels
+            ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None], res.similarity.shape)
+            dp, dq = ssim_map_backward(res, ds)
+            direct[block] = dp.reshape(-1, h * w)
+            drecon[block] = dq.reshape(-1, h * w)
+        return loss, caches, maps, direct, drecon
 
     def link(self, v):
         """Logit of raw scores v of any shape, row scores or a score map's
@@ -287,7 +319,7 @@ class LossPipeline:
         for ssim, (n, h, w); for fcdd the pseudo-Huber sqrt(f^2 + 1) - 1
         of each feature cell f, (n, side, side)."""
         if self.loss_name == "ssim":
-            return 1.0 - self._ssim_forward(x)[0].similarity
+            return self._ssim(x, want_map=True)[2]
         if self.loss_name != "fcdd":
             raise ValueError(f"loss {self.loss_name!r} gives no score map")
         out = forward(self.state, x)
@@ -313,15 +345,12 @@ class LossPipeline:
     def _loss_and_output_grad(self, x, y):
         """Per-row losses, the MLP caches, dloss/d(output) per row, and the
         loss's direct input term (the ssim image side; None otherwise)."""
+        if self.loss_name == "ssim":
+            loss, caches, _, direct, drecon = self._ssim(x, y)
+            return loss, caches, drecon, direct
         v, caches, back = self._scores(x)
         loss, dl_dv = self._loss(v, _labels(y, v))
-        if self.loss_name != "ssim":
-            return loss, caches, dl_dv[:, None] * back, None
-        n, h, w = back.q.shape
-        # v is the mean of 1 - S over the h * w pixels
-        ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None], (n, h, w))
-        direct, drecon = ssim_map_backward(back, ds)
-        return loss, caches, drecon.reshape(n, h * w), direct.reshape(n, h * w)
+        return loss, caches, dl_dv[:, None] * back, None
 
     def loss_and_input_grad(self, x, y):
         """Loss and its exact gradient with respect to the input: a float

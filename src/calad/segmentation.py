@@ -7,7 +7,8 @@ so the sliding map reduces to one box sum on the unpadded pixels; at that
 border the box sum is symmetric and carries the gradients back as well.
 The SSIM functions and the Gaussian upsampling take single images or
 (n, height, width) stacks and treat each image of a stack exactly as a
-single 2-D call would.
+single 2-D call would, so a stack can be taken in blocks of images with
+the same bits; the scorer's SSIM head does so.
 """
 
 from dataclasses import dataclass

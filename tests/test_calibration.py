@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from mpmath import mp
 
 import calad
 from calad import calibration
-from calad.calibration import (GTOL, BetaParams, HeadParams,
+from calad.calibration import (BLOCK_ROWS, GTOL, BetaParams, HeadParams,
                                PlattParams, beta_transform, calibrated_logit,
                                ece, fit_beta,
                                fit_head, fit_platt, fitting_digest,
@@ -509,6 +510,118 @@ class TestNewtonSolver:
         assert np.array_equal(first.x, again.x)
         assert first.success and first.nit <= 15 and first.nfev >= first.nit
         assert fit_beta(e, y) == fit_beta(e, y)
+
+
+def unblocked_minimize(features, y, x0, nonneg=()):
+    """The whole-array Newton fit, kept as the reference for the blocked
+    one: a loss pass and a sigmoid pass per iteration over every row, and
+    a copy of the free design columns; (x, iterations, loss evaluations)."""
+    x0 = np.asarray(x0, dtype=float)
+    free = np.ones(len(x0), dtype=bool)
+    nit = nfev = 0
+    while True:
+        f = features[:, free]
+        n, x = len(y), x0[free]
+        z = f @ x
+        loss = float(np.mean(logistic_loss(y, z)))
+        evals = 1
+        for its in range(calibration.MAX_ITER + 1):
+            p = sigmoid(z)
+            grad = f.T @ (p - y) / n
+            if np.max(np.abs(grad)) <= GTOL or its == calibration.MAX_ITER:
+                break
+            hess = (f * (p * (1.0 - p))[:, None]).T @ f / n
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            decrement = -float(grad @ step)
+            for t in 0.5 ** np.arange(34):
+                x_new = x + t * step
+                z_new = f @ x_new
+                loss_new = float(np.mean(logistic_loss(y, z_new)))
+                evals += 1
+                if (decrement < calibration.FULL_STEP_DECREMENT
+                        or loss_new <= loss - 1e-4 * t * decrement):
+                    break
+            x, z, loss = x_new, z_new, loss_new
+        full = np.zeros_like(x0)
+        full[free] = x
+        nit, nfev = nit + its, nfev + evals
+        negative = [j for j in nonneg if full[j] < 0]
+        if not negative:
+            return full, nit, nfev
+        free[negative[0]] = False
+
+
+def newton_cases(n):
+    """(design, labels, start, nonneg, pinned coordinate or None) of a
+    Platt fit, a Beta fit, and a Beta fit whose active set pins b at 0
+    (a generator of test_active_set_pins_at_exactly_zero, with a seed that
+    puts the unconstrained b below 0 at every n the tests use)."""
+    z, y = make_platt_data(2.0, 0.3, n, seed=67)
+    yield np.column_stack([z, np.ones_like(z)]), y.astype(float), [1.0, 0.0], (0,), None
+    e, y = beta_generator_data(2.0, 0.5, 0.0, n, seed=68)
+    yield beta_features(e), y.astype(float), [1.0, 1.0, 0.0], (0, 1), None
+    e, y = beta_generator_data(1.5, 0.0, 0.5, n, seed=5)
+    yield beta_features(e), y.astype(float), [1.0, 1.0, 0.0], (0, 1), 1
+
+
+class TestBlockedNewton:
+    """The Newton fit reads its design in blocks of BLOCK_ROWS rows."""
+
+    def test_many_blocks_agree_with_the_whole_array_fit(self):
+        for features, y, x0, nonneg, pinned in newton_cases(3 * BLOCK_ROWS + 17):
+            got = minimize(features, y, x0, nonneg=nonneg)
+            want, _, _ = unblocked_minimize(features, y, x0, nonneg=nonneg)
+            if pinned is not None:
+                assert got.x[pinned] == 0.0 and want[pinned] == 0.0
+            # the blocks sum the same terms in another order
+            assert np.max(np.abs(got.x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1000, BLOCK_ROWS])
+    def test_one_block_is_bit_identical_to_the_whole_array_fit(self, n):
+        for features, y, x0, nonneg, pinned in newton_cases(n):
+            got = minimize(features, y, x0, nonneg=nonneg)
+            want, nit, nfev = unblocked_minimize(np.asfortranarray(features), y, x0,
+                                                 nonneg=nonneg)
+            if pinned is not None:
+                assert got.x[pinned] == 0.0
+            assert np.array_equal(got.x, want)
+            assert (got.nit, got.nfev) == (nit, nfev)
+        # the fits write the column-major design the reference reads
+        z, y = make_platt_data(2.0, 0.3, n, seed=69)
+        slope, intercept = unblocked_minimize(
+            np.asfortranarray(np.column_stack([z, np.ones_like(z)])), y.astype(float),
+            [1.0, 0.0], nonneg=(0,))[0]
+        assert fit_platt(z, y) == PlattParams(1.0 / slope, intercept)
+        e, y = beta_generator_data(2.0, 0.5, 0.0, n, seed=69)
+        a, b, c = unblocked_minimize(np.asfortranarray(beta_features(e)), y.astype(float),
+                                     [1.0, 1.0, 0.0], nonneg=(0, 1))[0]
+        assert fit_beta(e, y) == BetaParams(a, b, c)
+
+    @pytest.mark.parametrize("fit", [fit_platt, fit_beta])
+    def test_fit_allocates_at_most_48_bytes_per_row(self, fit):
+        # the whole-array fit allocated 80 (Platt) and 112 (Beta) bytes per
+        # row: the design, its column copy and a dozen full-length temporaries
+        n = 200_000
+        z, y = make_platt_data(2.0, 0.3, n, seed=70)
+        scores = z if fit is fit_platt else sigmoid(z)
+        tracemalloc.start()
+        try:
+            fit(scores, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n
+
+    def test_overflowing_fit_prints_only_its_error_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("score,label\n1e308,1\n-1e308,0\n1e307,0\n0.5,1\n")
+        proc = subprocess.run([sys.executable, "-m", "calad.cli", "calibrate", str(path),
+                               "--kind", "platt", "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: calibrator fit reached a "
+                                                       "non-finite iterate"), proc.stderr
 
 
 class TestReliability:

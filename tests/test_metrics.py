@@ -305,6 +305,22 @@ class TestMidranks:
         labels[:2] = [0, 1]
         assert auroc(scores, labels) == rankdata_auroc(scores, labels)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_sort_auroc_bitwise_equals_midrank_formula(self, data):
+        # rankdata_auroc is the midrank formula auroc evaluated before it took
+        # one sort; its ranks equal _midranks bit for bit (above)
+        n = data.draw(st.integers(2, 300))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        # a few distinct values, signed zeros among them, force heavy ties
+        few = data.draw(st.lists(finite | st.sampled_from([0.0, -0.0]),
+                                 min_size=1, max_size=4))
+        scores = data.draw(arrays(np.float64, n, elements=st.sampled_from(few) | finite))
+        labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+        labels[:2] = [0, 1]
+        want = rankdata_auroc(scores, labels)
+        assert np.float64(auroc(scores, labels)).tobytes() == np.float64(want).tobytes()
+
     def test_pixel_auroc_unchanged_from_rankdata(self):
         rng = np.random.default_rng(12)
         heatmaps = [np.round(rng.random((8, 8)), 2) for _ in range(3)]

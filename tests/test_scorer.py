@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from calad.calibration import BetaParams, HeadParams, PlattParams, calibrated_lo
 from calad.errors import DataError, NumericalError
 from calad.losses import clamp_probability, logistic_loss, sigmoid
 from calad.metrics import auroc
-from calad.scorer import (LossPipeline, MlpSpec, ScorerState, TrainConfig, _Adam,
+from calad.scorer import (SSIM_BLOCK, LossPipeline, MlpSpec, ScorerState, TrainConfig, _Adam,
                           _backprop, _forward_cache, forward, init_scorer,
                           init_svdd_center, load_scorer, save_scorer, train)
 from calad.segmentation import ssim_loss, ssim_map_backward
@@ -335,11 +336,63 @@ class TestBatchedSsimEqualsPerRow:
         assert_matches_per_row(got_flat, flat)
 
 
+def ssim_whole_stack_reference(pipeline, x, y):
+    """The ssim chain through one ssim_loss and one ssim_map_backward call
+    over the whole stack: raw scores, per-row losses, the mean loss and
+    its parameter gradient, the input gradients and the 1 - S maps."""
+    h, w = pipeline.image_shape
+    n = len(x)
+    recon, caches = _forward_cache(pipeline.state, x)
+    res = ssim_loss(x.reshape(n, h, w), recon.reshape(n, h, w))
+    loss, dl_dv = pipeline._loss(res.loss, np.asarray(y, dtype=float))
+    ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None], (n, h, w))
+    direct, drecon = ssim_map_backward(res, ds)
+    d_out = drecon.reshape(n, h * w)
+    flat = _backprop(pipeline.state, caches, d_out / n, params=True)
+    d_in = direct.reshape(n, h * w) + _backprop(pipeline.state, caches, d_out, params=False)
+    return res.loss, loss, float(np.mean(loss)), flat, d_in, 1.0 - res.similarity
+
+
+class TestSsimBlocks:
+    """The ssim head runs SSIM_BLOCK images at a time."""
+
+    @pytest.mark.parametrize("cal", CALIBRATORS)
+    def test_blocks_equal_one_whole_stack_pass(self, cal):
+        pipeline, d, _ = make_pipeline("autoencoder-ssim", seed=8, calibrator=cal)
+        n = 2 * SSIM_BLOCK + 5
+        x = np.random.default_rng(80).uniform(0.05, 0.95, (n, d))
+        y = np.arange(n) % 2
+        scores, losses, mean_loss, flat, d_in, maps = ssim_whole_stack_reference(
+            pipeline, x, y)
+        assert np.array_equal(pipeline.scores(x), scores)
+        assert np.array_equal(pipeline.loss_values(x, y), losses)
+        got_loss, got_flat = pipeline.loss_and_param_grad(x, y)
+        assert got_loss == mean_loss and np.array_equal(got_flat, flat)
+        got_losses, got_d_in = pipeline.loss_and_input_grad(x, y)
+        assert np.array_equal(got_losses, losses) and np.array_equal(got_d_in, d_in)
+        assert np.array_equal(pipeline.score_map(x), maps)
+
+    def test_param_gradient_of_128_tiles_allocates_at_most_4_mb(self):
+        # one whole-stack pass over 128 16x16 tiles allocated 8.0 MB, most
+        # of it window terms of the SSIM map
+        pipeline = LossPipeline(init_scorer(MlpSpec((256, 64, 256)), 0), "ssim",
+                                image_shape=(16, 16))
+        x = np.random.default_rng(81).uniform(0.05, 0.95, (128, 256))
+        tracemalloc.start()
+        try:
+            pipeline.loss_and_param_grad(x, np.zeros(128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6
+
+
 def test_ssim_param_gradient_runs_one_window_sum(monkeypatch):
     # the backward pass reads the forward's window terms, so one
-    # loss_and_param_grad sums the five forward terms once and carries
-    # the four window gradients back through one more call of the same
-    # self-adjoint window sum, all on unpadded (n, h, w) stacks
+    # loss_and_param_grad over at most SSIM_BLOCK rows sums the five
+    # forward terms once and carries the four window gradients back
+    # through one more call of the same self-adjoint window sum, all on
+    # unpadded (n, h, w) stacks
     import calad.segmentation
 
     calls = []
