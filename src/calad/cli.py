@@ -2,18 +2,19 @@
 
 Verbs: ``run`` executes a full experiment, ``synth`` emits spectral images,
 ``calibrate`` fits a calibrator on a score CSV, ``eval`` computes metrics
-on a score CSV, and ``report`` recomputes ``summary.csv`` from stored
-per-seed rows. Exit codes: 0 success, 1 configuration error (a usage error
-included), 2 data error, 3 numerical failure; any other exception is a bug
-and propagates as a traceback. ``CALAD_OUT_DIR`` supplies the default
-output directory; no other environment variable is consulted. Before
-numpy loads, the CLI sets ``OPENBLAS_NUM_THREADS`` to 1 unless the user
-has set it: calad's BLAS work is too small for a second thread to pay off.
+on a score CSV, and ``report`` recomputes ``summary.csv``, one row per
+class and method, from stored per-seed rows. Exit codes: 0 success, 1
+configuration error (a usage error included), 2 data error, 3 numerical
+failure; any other exception is a bug and propagates as a traceback.
+``CALAD_OUT_DIR`` supplies the default output directory; no other
+environment variable is consulted. Before numpy loads, the CLI sets
+``OPENBLAS_NUM_THREADS`` to 1 unless the user has set it: calad's BLAS
+work is too small for a second thread to pay off.
 
 Each verb loads only what it runs. At import the CLI loads the modules the
-score verbs use (calibration, losses, metrics, reports and errors); ``run``
-and ``report`` import the experiment harness, and ``synth`` the spectral
-and tensor modules, in their own bodies.
+score verbs and ``report`` use (calibration, losses, metrics, reports and
+errors); ``run`` imports the experiment harness, and ``synth`` the
+spectral and tensor modules, in their own bodies.
 """
 
 import argparse
@@ -204,7 +205,7 @@ def _cmd_eval(args) -> int:
 
 def _read_seed_rows(path):
     """Rows of a per_seed.csv: seeds parsed as nonnegative integers, one
-    row per (seed, method), and metric cells as finite floats."""
+    row per (class, seed, method), and metric cells as finite floats."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -239,18 +240,17 @@ def _read_seed_rows(path):
             if not np.isfinite(row[column]):
                 raise DataError(f"{path}: row {i} column {column} is {cell!r}, "
                                 "not a finite number")
-        first = first_row.setdefault((row["seed"], row["method"]), i)
+        first = first_row.setdefault((row["class_id"], row["seed"], row["method"]), i)
         if first != i:
-            raise DataError(f"{path}: row {i} repeats the seed and method of row {first}")
+            raise DataError(f"{path}: row {i} repeats the seed and method of row {first} "
+                            f"in class {row['class_id']!r}")
     return rows
 
 
 def _cmd_report(args) -> int:
-    from . import harness
-
     rows = _read_seed_rows(args.rows)
     out = reports.make_out_dir(args.out_dir or _default_out())
-    reports.write_rows_csv(out / "summary.csv", harness.aggregate(rows))
+    reports.write_rows_csv(out / "summary.csv", reports.aggregate(rows))
     print(f"wrote {out / 'summary.csv'}")
     return 0
 

@@ -1,28 +1,42 @@
-"""Built-in synthetic datasets exercising every pipeline path offline.
+"""Dataset records and the built-in synthetic datasets.
 
-Two families: a 2-D Gaussian cluster with ring anomalies for detection
-(plus a steep-basin variant whose anomalies sit far out where a saturating
-scorer plateaus), and textured 16x16 tiles with square defect regions and
-masks for localization.
+A dataset record is ``{"class_id", "normal", "test", "image_shape"}``: the
+raw normal training rows, the ``Holdout`` test set with normals first, and
+the (h, w) tile shape (None for rows). The built-in families return one: a
+2-D Gaussian cluster with ring anomalies (plus a steep-basin variant whose
+anomalies sit where a saturating scorer plateaus), and textured 16x16 tiles
+with square defects and their masks.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DetectionData:
-    train_normal: np.ndarray
-    test_normal: np.ndarray
-    test_anomalous: np.ndarray
+class Holdout(NamedTuple):
+    """Seed-independent test inputs: raw rows with normals first."""
+    x: np.ndarray
+    y: np.ndarray                 # 0 normal, 1 anomalous
+    masks: Optional[np.ndarray]   # tiles only, aligned with the rows
 
 
-@dataclass(frozen=True)
-class TileData:
-    train_images: np.ndarray       # (n, 1, s, s) defect-free
-    test_images: np.ndarray        # (m, 1, s, s) mixed
-    test_masks: np.ndarray         # (m, s, s) binary
+def rows_dataset(class_id, train, test_normal, test_anomalous) -> dict:
+    """Dataset record of tabular rows."""
+    test = Holdout(np.concatenate([test_normal, test_anomalous]),
+                   np.concatenate([np.zeros(len(test_normal)),
+                                   np.ones(len(test_anomalous))]), None)
+    return {"class_id": class_id, "normal": train, "test": test, "image_shape": None}
+
+
+def tiles_dataset(class_id, train_images, test_images, test_masks) -> dict:
+    """Dataset record of (n, c, h, w) tiles, flattened into rows; a test
+    tile is anomalous when its mask marks any pixel."""
+    anomalous = test_masks.sum(axis=(1, 2)) > 0
+    order = np.argsort(anomalous, kind="stable")  # normal tiles first
+    test = Holdout(test_images[order].reshape(len(order), -1),
+                   anomalous[order].astype(float), test_masks[order])
+    return {"class_id": class_id, "normal": train_images.reshape(len(train_images), -1),
+            "test": test, "image_shape": train_images.shape[-2:]}
 
 
 def _ring(rng, n, r_lo, r_hi):
@@ -32,8 +46,9 @@ def _ring(rng, n, r_lo, r_hi):
 
 
 def gaussian_ring(seed: int, n_train: int = 400, n_test: int = 150,
-                  basin: bool = False) -> DetectionData:
-    """2-D cluster at the origin with ring anomalies.
+                  basin: bool = False) -> dict:
+    """2-D cluster at the origin with ring anomalies, class gauss2d or
+    gauss2d-basin.
 
     The default layout keeps the anomalies close enough for imperfect
     separation. The basin variant pushes them into a far ring where a
@@ -48,8 +63,8 @@ def gaussian_ring(seed: int, n_train: int = 400, n_test: int = 150,
         test_anom = _ring(rng, n_test, 1.75, 3.0)
     else:
         test_anom = _ring(rng, n_test, 1.0, 2.5)
-    return DetectionData(train_normal=train, test_normal=test_normal,
-                         test_anomalous=test_anom)
+    return rows_dataset("gauss2d-basin" if basin else "gauss2d", train, test_normal,
+                        test_anom)
 
 
 def _texture(rng, size):
@@ -72,8 +87,9 @@ def _defect(rng, tile, size):
 
 
 def textured_tiles(seed: int, n_train: int = 200, n_test: int = 60,
-                   size: int = 16) -> TileData:
-    """Textured tiles; half the test tiles carry a bright square defect."""
+                   size: int = 16) -> dict:
+    """Textured tiles, class tiles; half the test tiles carry a bright
+    square defect."""
     rng = np.random.default_rng(seed)
     train = np.stack([_texture(rng, size) for _ in range(n_train)])[:, None]
     n_good = n_test // 2
@@ -86,6 +102,5 @@ def textured_tiles(seed: int, n_train: int = 200, n_test: int = 60,
     test = np.concatenate([good, np.stack(bad)])[:, None]
     test_masks = np.concatenate([np.zeros((n_good, size, size), dtype=np.uint8),
                                  np.stack(masks)])
-    return TileData(train_images=np.clip(train, 0.0, 1.0),
-                    test_images=np.clip(test, 0.0, 1.0),
-                    test_masks=test_masks)
+    return tiles_dataset("tiles", np.clip(train, 0.0, 1.0), np.clip(test, 0.0, 1.0),
+                         test_masks)

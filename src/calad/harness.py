@@ -26,13 +26,12 @@ import numpy as np
 from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
 from .calibration import (ReliabilityHistogram, ece, fit_beta, fit_head, fit_platt,
                           fitting_digest, mce, reliability, save_calibrator)
-from .datasets import gaussian_ring, textured_tiles
+from .datasets import Holdout, gaussian_ring, rows_dataset, textured_tiles, tiles_dataset
 from .errors import ConfigError, DataError, loadtxt_message
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
 from .perturbation import evaluate_pair, perturb_batch
 from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
-                     TrainConfig, forward, init_scorer, init_svdd_center,
-                     save_scorer, train)
+                     forward, init_scorer, init_svdd_center, save_scorer, train)
 from .segmentation import SSIM_C1, SSIM_C2, SSIM_WINDOW, gaussian_upsample
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
@@ -74,7 +73,6 @@ class ExperimentConfig:
     epochs: int = 40
     learning_rate: float = 1e-4
     batch_size: int = 128
-    milestones: tuple = ()
 
     def __post_init__(self):
         _check_types(self)
@@ -94,8 +92,6 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be nonnegative, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
-        if list(self.milestones) != sorted(self.milestones):
-            raise ConfigError(f"milestones must be sorted, got {list(self.milestones)}")
         if not 0 <= self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.bins < 1:
@@ -111,12 +107,6 @@ class ExperimentConfig:
     @property
     def method_label(self) -> str:
         return METHOD_LABELS[(self.calibrator, self.anomaly_source)]
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["seeds"] = list(self.seeds)
-        doc["milestones"] = list(self.milestones)
-        return doc
 
 
 CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
@@ -140,10 +130,8 @@ def _check_types(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, name)
         if not (_is_int(value) or isinstance(value, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
-    for name in ("seeds", "milestones"):
-        value = getattr(cfg, name)
-        if not (isinstance(value, tuple) and all(_is_int(v) for v in value)):
-            raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    if not (isinstance(cfg.seeds, tuple) and all(_is_int(v) for v in cfg.seeds)):
+        raise ConfigError(f"seeds must be a list of integers, got {cfg.seeds!r}")
 
 
 def load_config_file(path) -> dict:
@@ -179,9 +167,8 @@ def merge_config(cli_fields: dict, file_fields: dict) -> ExperimentConfig:
                     f"config conflict on {key!r}: flag says {value!r}, "
                     f"file says {file_value!r}")
         merged[key] = value
-    for key in ("seeds", "milestones"):
-        if isinstance(merged.get(key), list):
-            merged[key] = tuple(merged[key])
+    if isinstance(merged.get("seeds"), list):
+        merged["seeds"] = tuple(merged["seeds"])
     return ExperimentConfig(**merged)
 
 
@@ -214,17 +201,12 @@ def normalize(data, stats):
 # -- data loading -------------------------------------------------------
 
 def _load_dataset(cfg: ExperimentConfig):
-    """The run's dataset record: its class id, the raw normal training
-    rows, the test set, and the (h, w) tile shape (None for rows)."""
+    """The run's dataset record (see calad.datasets) for cfg.normal."""
     name = cfg.normal
     if name in ("builtin:gauss2d", "builtin:gauss2d-basin"):
-        data = gaussian_ring(DATA_SEED, basin=name.endswith("-basin"))
-        return _rows_dataset(name[len("builtin:"):], data.train_normal,
-                             data.test_normal, data.test_anomalous)
+        return gaussian_ring(DATA_SEED, basin=name.endswith("-basin"))
     if name == "builtin:tiles":
-        data = textured_tiles(DATA_SEED)
-        return _tiles_dataset("tiles", data.train_images, data.test_images,
-                              data.test_masks)
+        return textured_tiles(DATA_SEED)
     path = Path(name)
     if path.is_dir():
         # SSIM and spectral anomaly pools handle one channel only
@@ -260,35 +242,9 @@ def _load_dataset(cfg: ExperimentConfig):
         anoms = scale * np.column_stack([np.cos(angles), np.sin(angles)])[:, :rows.shape[1]]
         if anoms.shape[1] < rows.shape[1]:
             anoms = np.pad(anoms, ((0, 0), (0, rows.shape[1] - anoms.shape[1])))
-        return _rows_dataset(path.stem, train, test, anoms)
+        return rows_dataset(path.stem, train, test, anoms)
     raise DataError(f"cannot read normal data from {name!r}; expected a CSV file, "
                     f"a directory of raw tensors, or one of {BUILTIN_DATASETS}")
-
-
-class _TestSet(NamedTuple):
-    """Seed-independent test inputs: raw rows with normals first."""
-    x: np.ndarray
-    y: np.ndarray                 # 0 normal, 1 anomalous
-    masks: Optional[np.ndarray]   # tiles only, aligned with the rows
-
-
-def _rows_dataset(class_id, train, test_normal, test_anomalous):
-    """Dataset record of tabular rows."""
-    test = _TestSet(np.concatenate([test_normal, test_anomalous]),
-                    np.concatenate([np.zeros(len(test_normal)),
-                                    np.ones(len(test_anomalous))]), None)
-    return {"class_id": class_id, "normal": train, "test": test, "image_shape": None}
-
-
-def _tiles_dataset(class_id, train_images, test_images, test_masks):
-    """Dataset record of (n, c, h, w) tiles, flattened into rows; a test
-    tile is anomalous when its mask marks any pixel."""
-    anomalous = test_masks.sum(axis=(1, 2)) > 0
-    order = np.argsort(anomalous, kind="stable")  # normal tiles first
-    test = _TestSet(test_images[order].reshape(len(order), -1),
-                    anomalous[order].astype(float), test_masks[order])
-    return {"class_id": class_id, "normal": train_images.reshape(len(train_images), -1),
-            "test": test, "image_shape": train_images.shape[-2:]}
 
 
 def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
@@ -342,7 +298,7 @@ def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
                             f"images' {shape[1:]}")
         test_imgs.append(img)
         masks.append(mask)
-    return _tiles_dataset(normal_dir.name, train, np.stack(test_imgs), np.stack(masks))
+    return tiles_dataset(normal_dir.name, train, np.stack(test_imgs), np.stack(masks))
 
 
 def _load_oe_dir(oe_dir) -> np.ndarray:
@@ -440,9 +396,8 @@ def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
     state = init_scorer(_scorer_spec(cfg.loss, x_train.shape[1]), seed=seed)
     center = init_svdd_center(state, x_train) if cfg.loss == "svdd" else None
     pipeline = LossPipeline(state, cfg.loss, center=center, image_shape=image_shape)
-    train(pipeline, x_train, anoms_train,
-          TrainConfig(learning_rate=cfg.learning_rate, milestones=cfg.milestones,
-                      epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed))
+    train(pipeline, x_train, anoms_train, epochs=cfg.epochs, batch_size=cfg.batch_size,
+          learning_rate=cfg.learning_rate, seed=seed)
     return pipeline
 
 
@@ -494,7 +449,7 @@ def _logits(pipeline: LossPipeline, x, localization: bool):
     return pipeline.logits(x)
 
 
-def _evaluate(cfg, method, class_id, pipeline, x_test, test: _TestSet,
+def _evaluate(cfg, method, class_id, pipeline, x_test, test: Holdout,
               localization: bool, x_eval, y_eval):
     """The metrics row of one arm, its reliability histogram, the
     perturbation deltas and, for localization, the test-set heatmaps.
@@ -585,25 +540,6 @@ def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
     return _Arm(row, hist, deltas, fitted, pipeline, heatmaps)
 
 
-def aggregate(per_seed) -> list:
-    """Per-method means over the seeds, methods in first-seen order.
-
-    Values go through float(), so rows read back from per_seed.csv give
-    the same summary as the rows of the run itself.
-    """
-    groups = {}
-    for row in per_seed:
-        groups.setdefault(row["method"], []).append(row)
-    summary = []
-    for method, rows in groups.items():
-        agg = {"class_id": rows[0]["class_id"], "method": method}
-        for key in rows[0]:
-            if key not in ("seed", "class_id", "method"):
-                agg[key] = float(np.mean([float(r[key]) for r in rows]))
-        summary.append(agg)
-    return summary
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run every seed, aggregate, and write all artifacts to cfg.out_dir."""
     reports.check_out_dir(cfg.out_dir)  # fail before the data loads, not after training
@@ -615,6 +551,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError(
             f"loss {cfg.loss!r} gives no pixel heatmap; on tiles only "
             f"{' and '.join(LOCALIZING_LOSSES)} localize, or use --calibrator head")
+    if dataset["image_shape"] is None and cfg.loss == "ssim":
+        raise ConfigError(f"loss 'ssim' reconstructs images, but {cfg.normal} holds "
+                          "rows, not tiles")
     if dataset["image_shape"] is not None:
         h, w = dataset["image_shape"]
         if localization and cfg.loss == "fcdd" and (h != w or h % FCDD_SIDE):
@@ -636,7 +575,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             per_seed.append({"seed": seed, **arm.row})
             deltas[(seed, arm.row["method"])] = arm.deltas
         first = first or arms  # the first seed's arms back the figures
-    summary = aggregate(per_seed)
+    summary = reports.aggregate(per_seed)
 
     out_dir = reports.make_out_dir(cfg.out_dir)
     emit_reports(cfg, summary, per_seed, deltas, first, out_dir)
@@ -672,7 +611,7 @@ def emit_reports(cfg, summary, per_seed, deltas, arms, out_dir: Path) -> None:
     conventions = dict(CONVENTIONS)
     conventions["bins"] = cfg.bins
     conventions["library_version"] = __version__
-    reports.write_manifest(out_dir / "manifest.json", cfg.to_dict(), conventions)
+    reports.write_manifest(out_dir / "manifest.json", asdict(cfg), conventions)
     seed0 = cfg.seeds[0]
     for arm in arms:
         method = arm.row["method"]

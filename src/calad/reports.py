@@ -1,5 +1,5 @@
-"""Run artifacts: the output directory, summary CSVs, reliability-diagram
-and calibrator-curve SVGs, and the run manifest.
+"""Run artifacts: the output directory, per-seed rows and their summary
+CSVs, reliability-diagram and calibrator-curve SVGs, and the run manifest.
 
 Everything here is rendered byte-deterministically: floats are written
 with repr (shortest round-trip form) and the SVGs are assembled from
@@ -59,6 +59,25 @@ def write_rows_csv(path, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in columns])
+
+
+def aggregate(per_seed) -> list:
+    """Means over the seeds per (class, method), in first-seen order.
+
+    Values go through float(), so rows read back from per_seed.csv give
+    the same summary as the rows of the run itself.
+    """
+    groups = {}
+    for row in per_seed:
+        groups.setdefault((row["class_id"], row["method"]), []).append(row)
+    summary = []
+    for (class_id, method), rows in groups.items():
+        agg = {"class_id": class_id, "method": method}
+        for key in rows[0]:
+            if key not in ("seed", "class_id", "method"):
+                agg[key] = float(np.mean([float(r[key]) for r in rows]))
+        summary.append(agg)
+    return summary
 
 
 def write_deltas_csv(path, deltas) -> None:

@@ -11,10 +11,9 @@ head runs its forward and backward passes ``SSIM_BLOCK`` images at a
 time, after one whole-batch MLP pass, so the parameter gradient is still
 one matmul per layer.
 
-Training steps a scorer's flat parameter vector in place with Adam, the
-learning rate scaled by ``MILESTONE_DECAY`` at each milestone,
-class-balanced batches for supervised losses, and full determinism under
-the config seed.
+Training steps a scorer's flat parameter vector in place with Adam at the
+run config's learning rate, class-balanced batches for supervised losses,
+and full determinism under the run seed.
 """
 
 import json
@@ -37,7 +36,6 @@ logger = logging.getLogger(__name__)
 
 SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}  # the losses that train on anomalies
 
-MILESTONE_DECAY = 0.1  # learning-rate factor per milestone passed
 SSIM_BLOCK = 32  # images per SSIM pass, which bounds the pass's window-term stacks
 
 
@@ -52,21 +50,6 @@ class MlpSpec:
             raise ValueError("widths must list at least input and output sizes >= 1")
         if self.init_gain <= 0:
             raise ValueError("init gain must be positive")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-4
-    milestones: tuple = ()
-    epochs: int = 10
-    batch_size: int = 128
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
-        if list(self.milestones) != sorted(self.milestones):
-            raise ValueError("milestones must be sorted")
 
 
 def _layer_views(spec: MlpSpec, flat: np.ndarray):
@@ -388,7 +371,7 @@ class _Adam:
         self._a = np.empty(n)
         self._b = np.empty(n)
 
-    def step(self, params, grad, lr_scale=1.0):
+    def step(self, params, grad):
         """Update params, m and v in place."""
         self.t += 1
         a, b = self._a, self._b
@@ -399,16 +382,17 @@ class _Adam:
         self.v *= self.beta2
         np.multiply(1 - self.beta2, grad, out=a)
         self.v += np.multiply(a, grad, out=a)
-        # params -= lr * lr_scale * mhat / (sqrt(vhat) + eps)
+        # params -= lr * mhat / (sqrt(vhat) + eps)
         np.divide(self.m, 1 - self.beta1 ** self.t, out=a)
-        a *= self.lr * lr_scale
+        a *= self.lr
         np.divide(self.v, 1 - self.beta2 ** self.t, out=b)
         np.sqrt(b, out=b)
         b += self.eps
         params -= np.divide(a, b, out=a)
 
 
-def train(pipeline: LossPipeline, normal, anomalies, cfg: TrainConfig) -> None:
+def train(pipeline: LossPipeline, normal, anomalies, *, epochs: int, batch_size: int,
+          learning_rate: float, seed: int) -> None:
     """Train pipeline.state in place on the pipeline's loss.
 
     Supervised losses need `anomalies` and draw class-balanced batches:
@@ -427,13 +411,12 @@ def train(pipeline: LossPipeline, normal, anomalies, cfg: TrainConfig) -> None:
             raise DataError(f"loss {name!r} trains on normal rows and anomalies, "
                             "but got no anomalies")
         anomalies = np.atleast_2d(np.asarray(anomalies, dtype=float))
-    step = max(1, cfg.batch_size // 2) if supervised else cfg.batch_size
-    rng = np.random.default_rng(cfg.seed)
-    adam = _Adam(pipeline.state.flat.size, cfg.learning_rate)
+    step = max(1, batch_size // 2) if supervised else batch_size
+    rng = np.random.default_rng(seed)
+    adam = _Adam(pipeline.state.flat.size, learning_rate)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(cfg.epochs):
-            lr_scale = MILESTONE_DECAY ** sum(1 for m in cfg.milestones if epoch >= m)
+        for epoch in range(epochs):
             epoch_loss = 0.0
             n_batches = 0
             order = rng.permutation(len(normal))
@@ -451,7 +434,7 @@ def train(pipeline: LossPipeline, normal, anomalies, cfg: TrainConfig) -> None:
                     raise NumericalError(
                         f"training diverged: a batch loss of epoch {epoch} is {loss}; "
                         "lower the learning rate")
-                adam.step(pipeline.state.flat, grad, lr_scale)
+                adam.step(pipeline.state.flat, grad)
                 epoch_loss += loss
                 n_batches += 1
             logger.info("epoch %d: mean training loss %.6f", epoch,

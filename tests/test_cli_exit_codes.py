@@ -117,9 +117,6 @@ def bad_config_cases(draw):
         st.tuples(st.just("seeds"), st.integers(0, 9) | st.lists(
             st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3)
             | st.lists(negative, min_size=1, max_size=3) | repeating),
-        st.tuples(st.just("milestones"), st.lists(st.integers(0, 20), min_size=2,
-                                                  max_size=4, unique=True)
-                  .filter(lambda m: m != sorted(m))),
         st.tuples(st.sampled_from(["normal", "out_dir"]),
                   st.integers() | st.none() | st.lists(st.text(max_size=2), max_size=2)),
         # no config key is spelled with these letters alone

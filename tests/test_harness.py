@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -253,9 +254,12 @@ class TestRunExperiment:
             ET.parse(svg)  # raises on malformed XML
 
     def test_manifest_records_config_and_conventions(self, tmp_path):
-        r = run_experiment(fast_cfg(tmp_path, seeds=(0,)))
+        cfg = fast_cfg(tmp_path, seeds=(0,))
+        r = run_experiment(cfg)
         doc = json.loads((r.out_dir / "manifest.json").read_text())
-        assert doc["config"]["loss"] == "svdd"
+        assert doc["config"] == json.loads(json.dumps(asdict(cfg)))
+        assert doc["config"]["loss"] == "svdd" and doc["config"]["seeds"] == [0]
+        assert "milestones" not in doc["config"]
         assert doc["conventions"]["tie_handling"] == "midranks"
         assert "aupro" in doc["conventions"]
         # read from the code that applies them
@@ -353,14 +357,15 @@ class TestRunExperiment:
         from calad.tensorio import write_pgm
 
         tiles = textured_tiles(7, n_train=40, n_test=10)
+        test = tiles["test"]
         train_dir = tmp_path / "train"
         test_dir = tmp_path / "test"
         train_dir.mkdir()
         test_dir.mkdir()
-        for i, img in enumerate(tiles.train_images):
-            save_tensor(train_dir / f"tile_{i:03d}.calt", img)
-        for i, (img, mask) in enumerate(zip(tiles.test_images, tiles.test_masks)):
-            save_tensor(test_dir / f"tile_{i:03d}.calt", img)
+        for i, row in enumerate(tiles["normal"]):
+            save_tensor(train_dir / f"tile_{i:03d}.calt", row.reshape(1, 16, 16))
+        for i, (row, mask) in enumerate(zip(test.x, test.masks)):
+            save_tensor(test_dir / f"tile_{i:03d}.calt", row.reshape(1, 16, 16))
             write_pgm(test_dir / f"tile_{i:03d}.pgm", mask)
         cfg = fast_cfg(tmp_path, normal=str(train_dir), masks_dir=str(test_dir),
                        loss="fcdd", seeds=(0,), batch_size=16)
@@ -427,24 +432,33 @@ class TestRowsCsv:
 
 class TestDatasetRecord:
     """A loaded dataset carries its raw normal rows, its test set with
-    normals first, and its tile shape (None for tabular rows)."""
+    normals first, and its tile shape (None for tabular rows); a built-in
+    generator's output is that record."""
 
     def test_rows(self):
         from calad.datasets import gaussian_ring
 
-        dataset = _load_dataset(ExperimentConfig(normal="builtin:gauss2d-basin"))
-        data = gaussian_ring(54172, basin=True)
-        assert dataset["class_id"] == "gauss2d-basin"
-        assert dataset["image_shape"] is None
-        assert np.array_equal(dataset["normal"], data.train_normal)
-        test = dataset["test"]
-        assert np.array_equal(test.x, np.concatenate([data.test_normal,
-                                                      data.test_anomalous]))
-        assert test.y.tolist() == [0.0] * 150 + [1.0] * 150
-        assert test.masks is None
+        for basin, class_id, ring in ((False, "gauss2d", 1.0),
+                                      (True, "gauss2d-basin", 1.75)):
+            dataset = gaussian_ring(54172, basin=basin)
+            assert dataset["class_id"] == class_id
+            assert dataset["image_shape"] is None
+            assert dataset["normal"].shape == (400, 2)
+            test = dataset["test"]
+            assert test.x.shape == (300, 2)
+            assert test.y.tolist() == [0.0] * 150 + [1.0] * 150
+            assert test.masks is None
+            # the ring anomalies come after the normals
+            assert np.linalg.norm(test.x[150:], axis=1).min() >= ring
+            loaded = _load_dataset(ExperimentConfig(normal=f"builtin:{class_id}"))
+            assert np.array_equal(loaded["normal"], dataset["normal"])
+            assert np.array_equal(loaded["test"].x, test.x)
 
     def test_tiles(self):
-        dataset = _load_dataset(ExperimentConfig(normal="builtin:tiles", loss="fcdd"))
+        from calad.datasets import textured_tiles
+
+        dataset = textured_tiles(54172)
+        assert dataset["class_id"] == "tiles"
         assert dataset["image_shape"] == (16, 16)
         assert dataset["normal"].shape == (200, 256)
         test = dataset["test"]
@@ -452,6 +466,9 @@ class TestDatasetRecord:
         # normal tiles first, and a tile is anomalous exactly when its mask is
         assert test.y.tolist() == sorted(test.y.tolist())
         assert np.array_equal(test.y, test.masks.sum(axis=(1, 2)) > 0)
+        loaded = _load_dataset(ExperimentConfig(normal="builtin:tiles", loss="fcdd"))
+        assert np.array_equal(loaded["normal"], dataset["normal"])
+        assert np.array_equal(loaded["test"].x, test.x)
 
     def test_csv_rows(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -550,6 +567,24 @@ class TestLocalizingLoss:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"loss {loss!r} gives no pixel heatmap" in err and "ssim and fcdd" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("normal, calibrator", [
+        ("builtin:gauss2d", "platt"), ("builtin:gauss2d", "head"), ("csv", "platt")])
+    def test_ssim_on_rows_exits_1_before_work(self, tmp_path, capsys, monkeypatch,
+                                              normal, calibrator):
+        monkeypatch.setattr("calad.harness.train", no_training)
+        if normal == "csv":
+            normal = tmp_path / "rows.csv"
+            np.savetxt(normal, np.arange(20.0).reshape(10, 2), delimiter=",")
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--normal", str(normal), "--loss", "ssim",
+                       "--calibrator", calibrator, "--seeds", "0", "--epochs", "1",
+                       "--out", str(out)])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: loss 'ssim' reconstructs images")
+        assert "holds rows, not tiles" in line
         assert not out.exists()
 
     def test_head_calibrator_still_runs(self, tmp_path):
@@ -693,6 +728,8 @@ class TestCli:
         assert err.startswith("error:")
         if not isinstance(doc, dict):
             assert f"config file {cfg} must hold a JSON object" in err
+        if doc == {"milestones": [3, 1]}:  # a setting calad no longer has
+            assert "unknown config keys: ['milestones']" in err
 
     def test_calibrate_negative_seed_is_config_error_before_work(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -857,11 +894,14 @@ class TestCli:
         assert (tmp_path / "head" / "calibrator_calhead_spectral.txt").exists()
 
     def test_score_verbs_load_no_run_stack(self, tmp_path):
-        """Start-up, --help, eval and calibrate load none of the modules
-        that train, perturb or synthesize; run still works after them in
-        the same process."""
+        """Start-up, --help, eval, calibrate and report load none of the
+        modules that train, perturb or synthesize; run still works after
+        them in the same process."""
         path = tmp_path / "scores.csv"
         path.write_text("score,label\n0.3,0\n1.2,1\n-0.5,0\n0.9,1\n0.95,0\n")
+        rows = tmp_path / "per_seed.csv"
+        rows.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
+                        "0,c,Fully Trained,0.9,0.8,0.1,0.05\n")
         child = textwrap.dedent(f"""
             import json, sys
             RUN_STACK = ["calad." + m for m in ("harness", "scorer", "perturbation",
@@ -882,6 +922,9 @@ class TestCli:
                 assert calad.cli.main(["calibrate", {str(path)!r}, "--kind", kind,
                                        "--out", {str(tmp_path)!r}]) == 0
             seen["calibrate"] = run_stack()
+            assert calad.cli.main(["report", {str(rows)!r}, "--out",
+                                   {str(tmp_path / "report")!r}]) == 0
+            seen["report"] = run_stack()
             assert calad.cli.main(["run", "--normal", "builtin:gauss2d", "--loss", "svdd",
                                    "--calibrator", "platt", "--epochs", "1", "--seeds", "0",
                                    "--out", {str(tmp_path / "run")!r}]) == 0
@@ -894,6 +937,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen["import"] == seen["help"] == seen["eval"] == seen["calibrate"] == []
+        assert seen["report"] == []
         assert "calad.harness" in seen["run"] and "calad.scorer" in seen["run"]
         assert (tmp_path / "run" / "summary.csv").exists()
 
@@ -974,6 +1018,22 @@ class TestCli:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot create output directory {out}: ")
         assert taken.read_text() == "not a directory\n"
+
+    def test_report_keeps_classes_apart(self, tmp_path):
+        # per-class files concatenated: the same seeds and methods in two classes
+        header = "seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
+        body = ("0,a,Fully Trained,0.9,0.8,0.1,0.05\n1,a,Fully Trained,0.7,0.6,0.3,0.15\n"
+                "0,a,Platt Spectral,0.5,0.5,0.5,0.5\n")
+        path = tmp_path / "per_seed.csv"
+        other = body.replace(",a,", ",b,").replace(",0.9,", ",0.1,")
+        path.write_text(header + body + other)
+        assert cli_main(["report", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert [(r["class_id"], r["method"]) for r in summary] == [
+            ("a", "Fully Trained"), ("a", "Platt Spectral"),
+            ("b", "Fully Trained"), ("b", "Platt Spectral")]
+        assert [float(r["auroc"]) for r in summary] == pytest.approx([0.8, 0.5, 0.4, 0.5])
 
     def test_report_missing_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "per_seed.csv"

@@ -8,7 +8,7 @@ from calad.calibration import BetaParams, HeadParams, PlattParams, calibrated_lo
 from calad.errors import DataError, NumericalError
 from calad.losses import clamp_probability, logistic_loss, sigmoid
 from calad.metrics import auroc
-from calad.scorer import (SSIM_BLOCK, LossPipeline, MlpSpec, ScorerState, TrainConfig, _Adam,
+from calad.scorer import (SSIM_BLOCK, LossPipeline, MlpSpec, ScorerState, _Adam,
                           _backprop, _forward_cache, forward, init_scorer,
                           init_svdd_center, load_scorer, save_scorer, train)
 from calad.segmentation import ssim_loss, ssim_map_backward
@@ -435,10 +435,10 @@ class TestSvddCenter:
             init_svdd_center(state, np.empty((0, 2)))
 
 
-def trained(loss, state, normal, anomalies, cfg, **pipeline_args):
-    """The pipeline of `state` after train."""
+def trained(loss, state, normal, anomalies, settings, **pipeline_args):
+    """The pipeline of `state` after train with the keyword `settings`."""
     pipeline = LossPipeline(state, loss, **pipeline_args)
-    train(pipeline, normal, anomalies, cfg)
+    train(pipeline, normal, anomalies, **settings)
     return pipeline
 
 
@@ -449,7 +449,7 @@ class TestTraining:
         x1 = rng.normal([1.5, 1.5], 0.4, (120, 2))
         x = np.vstack([x0, x1])
         y = np.concatenate([np.zeros(120), np.ones(120)])
-        cfg = TrainConfig(learning_rate=5e-2, epochs=200, batch_size=64, seed=0)
+        cfg = dict(epochs=200, batch_size=64, learning_rate=5e-2, seed=0)
         pipe = trained("logistic", init_scorer(MlpSpec((2, 8, 1)), 0), x0, x1, cfg)
         scores = forward(pipe.state, x)[:, 0]
         assert auroc(scores, y) >= 0.99
@@ -462,8 +462,8 @@ class TestTraining:
         center = init_svdd_center(state0, x)
         pipe = LossPipeline(state0, "svdd", center=center)
         before = float(np.mean(pipe.scores(x)))
-        cfg = TrainConfig(learning_rate=1e-2, epochs=150, batch_size=64, seed=1)
-        train(pipe, x, None, cfg)
+        cfg = dict(epochs=150, batch_size=64, learning_rate=1e-2, seed=1)
+        train(pipe, x, None, **cfg)
         after = float(np.mean(pipe.scores(x)))
         assert after <= 0.5 * before
 
@@ -472,7 +472,7 @@ class TestTraining:
         x = rng.normal(size=(50, 2))
         state = init_scorer(MlpSpec((2, 4, 4), use_bias=False), 2)
         before = state.flat.copy()
-        cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=2)
+        cfg = dict(epochs=3, batch_size=128, learning_rate=0.0, seed=2)
         trained("svdd", state, x, None, cfg, center=init_svdd_center(state, x))
         assert np.array_equal(state.flat, before)
 
@@ -482,7 +482,7 @@ class TestTraining:
         x = rng.normal(size=(40, 2))
         state = init_scorer(MlpSpec((2, 5, 3), use_bias=False), 4)
         before = forward(state, x)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=16, seed=4)
+        cfg = dict(epochs=2, batch_size=16, learning_rate=1e-2, seed=4)
         pipe = trained("svdd", state, x, None, cfg, center=init_svdd_center(state, x))
         assert pipe.state is state
         after = forward(state, x)
@@ -494,7 +494,7 @@ class TestTraining:
         x = rng.normal(size=(80, 2))
         y = (rng.random(80) < 0.5).astype(int)
         y[:2] = [0, 1]
-        cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=32, seed=7)
+        cfg = dict(epochs=5, batch_size=32, learning_rate=1e-3, seed=7)
         a, b = (trained("hsc", init_scorer(MlpSpec((2, 6, 3)), 7), x[y == 0], x[y == 1],
                         cfg)
                 for _ in range(2))
@@ -503,7 +503,7 @@ class TestTraining:
         # ssim training, and batched ssim gradients with and without a
         # calibrator, rerun bit for bit
         images = rng.uniform(0.05, 0.95, (40, 16))
-        cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=16, seed=7)
+        cfg = dict(epochs=3, batch_size=16, learning_rate=1e-3, seed=7)
         a, b = (trained("ssim", init_scorer(MlpSpec((16, 10, 16)), 7), images, None, cfg,
                         image_shape=(4, 4)) for _ in range(2))
         assert np.array_equal(a.state.flat, b.state.flat)
@@ -517,22 +517,22 @@ class TestTraining:
     def test_non_finite_batch_loss_names_the_epoch(self):
         state = init_scorer(MlpSpec((2, 3, 1)), 0)
         x = np.ones((8, 2))
-        cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4)
+        cfg = dict(epochs=3, batch_size=4, learning_rate=1e-3, seed=0)
         pipeline = LossPipeline(state, "logistic")
-        train(pipeline, x[::2], x[1::2], cfg)  # finite: trains
+        train(pipeline, x[::2], x[1::2], **cfg)  # finite: trains
         state.flat[0] = np.nan
         # no local errstate: train itself keeps the NaN from raising a warning
         with pytest.raises(NumericalError, match="a batch loss of epoch 0 is nan"):
-            train(pipeline, x[::2], x[1::2], cfg)
+            train(pipeline, x[::2], x[1::2], **cfg)
 
     def test_non_finite_parameters_after_the_last_step_rejected(self):
         # the one batch's loss is finite, but Adam's step at this rate
         # overflows and leaves the parameters non-finite
         x = np.array([[1e6, 0.0], [-1e6, 0.0]])
         pipeline = LossPipeline(init_scorer(MlpSpec((2, 1)), 0), "logistic")
-        cfg = TrainConfig(learning_rate=1e305, epochs=1, batch_size=2)
+        cfg = dict(epochs=1, batch_size=2, learning_rate=1e305, seed=0)
         with pytest.raises(NumericalError, match="parameters are not all finite"):
-            train(pipeline, x[:1], x[1:], cfg)
+            train(pipeline, x[:1], x[1:], **cfg)
 
     def test_supervised_single_class_rejected(self):
         # normal rows alone: no anomalies, or an empty anomaly pool
@@ -540,7 +540,8 @@ class TestTraining:
             for anomalies in (None, np.empty((0, 2))):
                 with pytest.raises(DataError, match="got no anomalies"):
                     trained(loss, init_scorer(MlpSpec((2, 3, 1)), 0), np.ones((10, 2)),
-                            anomalies, TrainConfig(epochs=1))
+                            anomalies, dict(epochs=1, batch_size=128,
+                                            learning_rate=1e-4, seed=0))
 
     def test_svdd_rejects_biased_network(self):
         with pytest.raises(ValueError, match="bias-free"):
@@ -552,17 +553,6 @@ class TestTraining:
         assert all(b is None for b in state.biases)
         assert state.flat.size == 2 * 8 + 8 * 4
 
-    def test_milestone_decay_changes_trajectory(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(60, 2))
-        base = TrainConfig(learning_rate=1e-2, epochs=6, seed=3)
-        with_decay = TrainConfig(learning_rate=1e-2, epochs=6, milestones=(2,), seed=3)
-        spec = MlpSpec((2, 4, 2), use_bias=False)
-        center = init_svdd_center(init_scorer(spec, 3), x)
-        a, b = (trained("svdd", init_scorer(spec, 3), x, None, cfg, center=center)
-                for cfg in (base, with_decay))
-        assert not np.array_equal(a.state.flat, b.state.flat)
-
 
 class TestAdam:
     def test_in_place_step_equals_textbook_update_bitwise(self):
@@ -573,13 +563,12 @@ class TestAdam:
         want, m, v = params.copy(), np.zeros(n), np.zeros(n)
         for t in range(1, 51):
             grad = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3)
-            lr_scale = 1.0 if t <= 25 else 0.1
             m = 0.9 * m + (1 - 0.9) * grad
             v = 0.999 * v + (1 - 0.999) * grad * grad
             mhat = m / (1 - 0.9 ** t)
             vhat = v / (1 - 0.999 ** t)
-            want = want - lr * lr_scale * mhat / (np.sqrt(vhat) + 1e-8)
-            adam.step(params, grad, lr_scale)
+            want = want - lr * mhat / (np.sqrt(vhat) + 1e-8)
+            adam.step(params, grad)
             assert np.array_equal(params, want)
 
 
