@@ -92,14 +92,13 @@ class ReliabilityHistogram:
     """K equal-width bins over [0, 1] with per-bin count, empirical
     frequency of y = 1, and mean confidence.
 
-    Bin k covers (edges[k], edges[k+1]]; an estimate of exactly 0 is
+    Bin k covers (k / K, (k + 1) / K]; an estimate of exactly 0 is
     assigned to the first bin so no mass is dropped.
     """
 
     counts: np.ndarray
     freq: np.ndarray
     conf: np.ndarray
-    edges: np.ndarray
 
     @property
     def k(self) -> int:
@@ -386,7 +385,7 @@ def reliability(estimates, labels, k: int) -> ReliabilityHistogram:
     sums_e = np.bincount(idx, weights=e, minlength=k)
     freq[nonempty] = sums_y[nonempty] / counts[nonempty]
     conf[nonempty] = sums_e[nonempty] / counts[nonempty]
-    return ReliabilityHistogram(counts=counts, freq=freq, conf=conf, edges=edges)
+    return ReliabilityHistogram(counts=counts, freq=freq, conf=conf)
 
 
 def ece(hist: ReliabilityHistogram) -> float:

@@ -37,8 +37,9 @@ from .losses import sigmoid
 from .metrics import auroc
 
 
-def _default_out() -> str:
-    return os.environ.get("CALAD_OUT_DIR", "runs")
+def _out_dir(flag) -> str:
+    """--out if given, else CALAD_OUT_DIR, else runs; reports rejects ''."""
+    return os.environ.get("CALAD_OUT_DIR", "runs") if flag is None else flag
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,7 +137,7 @@ def _cmd_run(args) -> int:
                   if hasattr(args, key)}
     file_fields = harness.load_config_file(args.config) if args.config else {}
     if cli_fields.get("out_dir") is None and "out_dir" not in file_fields:
-        cli_fields["out_dir"] = _default_out()
+        cli_fields["out_dir"] = _out_dir(None)
     cfg = harness.merge_config(cli_fields, file_fields)
     result = harness.run_experiment(cfg)
     print(f"wrote {result.out_dir / 'summary.csv'}")
@@ -159,7 +160,7 @@ def _cmd_synth(args) -> int:
         cfg = SpectralConfig(args.height, args.width, args.channels, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(f"bad synth size: {exc}") from None
-    out = reports.make_out_dir(args.out_dir or _default_out())
+    out = reports.make_out_dir(_out_dir(args.out_dir))
     images, metas = synthesize_batch(cfg, args.count)
     for i, (img, meta) in enumerate(zip(images, metas)):
         save_tensor(out / f"spectral_{i:04d}.calt", img)
@@ -173,7 +174,7 @@ def _cmd_synth(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
-    out = args.out_dir or _default_out()
+    out = _out_dir(args.out_dir)
     reports.check_out_dir(out)  # fail before the fit
     scores, labels = _read_score_csv(args.scores)
     if args.kind == "platt":
@@ -248,8 +249,10 @@ def _read_seed_rows(path):
 
 
 def _cmd_report(args) -> int:
+    out = _out_dir(args.out_dir)
+    reports.check_out_dir(out)  # fail before the rows are read
     rows = _read_seed_rows(args.rows)
-    out = reports.make_out_dir(args.out_dir or _default_out())
+    out = reports.make_out_dir(out)
     reports.write_rows_csv(out / "summary.csv", reports.aggregate(rows))
     print(f"wrote {out / 'summary.csv'}")
     return 0

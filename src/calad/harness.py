@@ -4,7 +4,9 @@ evaluate with and without input perturbation, and emit reports.
 One run evaluates the configured method next to its fully trained
 baseline. Both are the same experiment arm: normalize with the statistics
 of its training rows, draw anomaly pools, train the base scorer, optionally
-fit a calibrator, and evaluate on the shared test set. The baseline arm
+fit a calibrator, and evaluate on the shared test set. The runner only
+orchestrates: each loss's scorer, svdd center and head trunk come from
+``calad.scorer``. The baseline arm
 trains on the full normal training data and fits no calibrator; a
 calibrated method's arm trains on the 3:1 training split and fits the
 calibrator on the calibration split against synthetic anomalies from the
@@ -30,8 +32,8 @@ from .datasets import Holdout, gaussian_ring, rows_dataset, textured_tiles, tile
 from .errors import ConfigError, DataError, loadtxt_message
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
 from .perturbation import evaluate_pair, perturb_batch
-from .scorer import (SUPERVISED_LOSSES, LossPipeline, MlpSpec, ScorerState,
-                     forward, init_scorer, init_svdd_center, save_scorer, train)
+from .scorer import (FCDD_SIDE, LOCALIZING_LOSSES, SUPERVISED_LOSSES, LossPipeline,
+                     forward, head_trunk, init_pipeline, save_scorer, train)
 from .segmentation import SSIM_C1, SSIM_C2, SSIM_WINDOW, gaussian_upsample
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
@@ -52,9 +54,6 @@ METHOD_LABELS = {
 }
 
 BUILTIN_DATASETS = ("builtin:gauss2d", "builtin:gauss2d-basin", "builtin:tiles")
-
-LOCALIZING_LOSSES = ("ssim", "fcdd")  # the losses with a pixel heatmap
-FCDD_SIDE = 8  # fcdd's heatmap is FCDD_SIDE x FCDD_SIDE feature cells
 
 
 @dataclass(frozen=True)
@@ -186,11 +185,16 @@ def split(data, ratio: float, seed: int):
 
 
 def fit_normalizer(train):
-    """Per-feature mean and std over the training data, std floored."""
+    """Per-feature mean and std over the training data, std floored; a
+    DataError if either overflows float64."""
     x = np.asarray(train, dtype=float)
-    mu = x.mean(axis=0)
-    sd = np.maximum(x.std(axis=0), 1e-8)
-    return mu, sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = x.mean(axis=0), x.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sd)))
+    if len(bad):
+        raise DataError(f"feature column {bad[0] + 1} of the training data has a mean "
+                        "or standard deviation beyond float64's range; rescale the data")
+    return mu, np.maximum(sd, 1e-8)
 
 
 def normalize(data, stats):
@@ -370,51 +374,11 @@ def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
     return {key: _spectral_tabular(n_each, d, seeds[key]) for key in keys}
 
 
-# -- model construction ---------------------------------------------------
-
-
-def _scorer_spec(loss: str, d: int) -> MlpSpec:
-    if loss == "svdd":
-        # enough embedding width and gain that squared distances spread the
-        # induced probability estimates across reliability bins
-        return MlpSpec((d, 64, 64, 32), use_bias=False, init_gain=2.0)
-    if loss == "hsc":
-        return MlpSpec((d, 32, 16, 8))
-    if loss == "logistic":
-        return MlpSpec((d, 32, 16, 1))
-    if loss == "ssim":
-        return MlpSpec((d, 64, d))
-    if loss == "fcdd":
-        return MlpSpec((d, 64, FCDD_SIDE ** 2))
-    raise ConfigError(f"unknown loss {loss!r}")
-
-
-def _train_base(cfg: ExperimentConfig, x_train, anoms_train, seed: int,
-                image_shape=None) -> LossPipeline:
-    """The arm's base scorer, trained on cfg.loss, in its uncalibrated
-    pipeline."""
-    state = init_scorer(_scorer_spec(cfg.loss, x_train.shape[1]), seed=seed)
-    center = init_svdd_center(state, x_train) if cfg.loss == "svdd" else None
-    pipeline = LossPipeline(state, cfg.loss, center=center, image_shape=image_shape)
-    train(pipeline, x_train, anoms_train, epochs=cfg.epochs, batch_size=cfg.batch_size,
-          learning_rate=cfg.learning_rate, seed=seed)
-    return pipeline
-
-
-def _head_trunk(state: ScorerState, loss: str) -> ScorerState:
-    """The scorer under the calibration head, which is never trained
-    again: the base scorer itself, but logistic and ssim scorers drop
-    their output layer."""
-    if loss not in ("logistic", "ssim"):
-        return state
-    spec = MlpSpec(state.spec.widths[:-1], use_bias=state.spec.use_bias)
-    out = state.weights[-1]
-    n_out = out.size + (out.shape[1] if spec.use_bias else 0)
-    return ScorerState(spec, state.flat[:-n_out])
+# -- calibration -----------------------------------------------------------
 
 
 def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
-                    seed: int, localization: bool, trunk: Optional[ScorerState] = None):
+                    seed: int, localization: bool, trunk=None):
     """Fit cfg.calibrator to the logits of the uncalibrated pipeline, a
     head to the features of `trunk`; (params, digest)."""
     if cfg.calibrator == "head":
@@ -524,11 +488,13 @@ def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
                            keys=[key for key in POOL_KEYS if reads[key]])
     x_train = normalize(normal, stats)
     x_test = normalize(test.x, stats)
-    pipeline = _train_base(cfg, x_train, pools.get("train"), seed, image_shape)
+    pipeline = init_pipeline(cfg.loss, x_train, seed, image_shape)
+    train(pipeline, x_train, pools.get("train"), epochs=cfg.epochs,
+          batch_size=cfg.batch_size, learning_rate=cfg.learning_rate, seed=seed)
     fitted = None
     if calib is not None:
         cal_x, cal_y = _balanced(normalize(calib, stats), pools["calib"])
-        trunk = _head_trunk(pipeline.state, cfg.loss) if cfg.calibrator == "head" else None
+        trunk = head_trunk(pipeline.state, cfg.loss) if cfg.calibrator == "head" else None
         fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, localization, trunk)
         if trunk is not None:
             pipeline = LossPipeline(trunk, "logistic", head=fitted[0])
@@ -616,7 +582,7 @@ def emit_reports(cfg, summary, per_seed, deltas, arms, out_dir: Path) -> None:
     for arm in arms:
         method = arm.row["method"]
         slug = _slug(method)
-        svg = reports.reliability_diagram_svg(arm.hist, ece(arm.hist), mce(arm.hist), method)
+        svg = reports.reliability_diagram_svg(arm.hist, method)
         (out_dir / f"reliability_{slug}.svg").write_text(svg)
         if arm.calibrator is not None:
             params, digest = arm.calibrator

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import HeadParams, ReliabilityHistogram, calibrated_logit
+from .calibration import HeadParams, ReliabilityHistogram, calibrated_logit, ece, mce
 from .errors import ConfigError
 from .losses import sigmoid
 
@@ -23,8 +23,12 @@ CSV_LOCALIZATION = ["aupro", "aupro_perturbed", "pixel_auroc", "pixel_auroc_pert
 
 
 def check_out_dir(path) -> None:
-    """ConfigError if `path`, or else its nearest existing ancestor, is not
-    a directory, so that make_out_dir(path) would fail. Creates nothing."""
+    """ConfigError if `path` is empty, which Path reads as the working
+    directory, or if it, or else its nearest existing ancestor, is not a
+    directory, so that make_out_dir(path) would fail. Creates nothing."""
+    if str(path) == "":
+        raise ConfigError("the output directory is empty; name one, or '.' for "
+                          "the working directory")
     out = Path(path)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
@@ -33,7 +37,8 @@ def check_out_dir(path) -> None:
 
 def make_out_dir(path) -> Path:
     """The output directory `path`, created with its parents; ConfigError
-    if it cannot be."""
+    if check_out_dir rejects it or it cannot be created."""
+    check_out_dir(path)
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -103,9 +108,9 @@ def _svg(width, height, body) -> str:
             + "\n".join(body) + "\n</svg>\n")
 
 
-def reliability_diagram_svg(hist: ReliabilityHistogram, ece_value: float,
-                            mce_value: float, title: str) -> str:
-    """Frequency-vs-confidence bars over the bin grid, with the diagonal."""
+def reliability_diagram_svg(hist: ReliabilityHistogram, title: str) -> str:
+    """Frequency-vs-confidence bars over the bin grid, with the diagonal,
+    ECE and MCE."""
     w, h, margin = 420, 420, 45
     plot = w - 2 * margin
     body = [f'<text x="{w // 2}" y="20" text-anchor="middle" '
@@ -129,7 +134,7 @@ def reliability_diagram_svg(hist: ReliabilityHistogram, ece_value: float,
                     f'x2="{x + bin_w:.2f}" y2="{margin + plot - conf_h:.2f}" '
                     'stroke="firebrick" stroke-width="2"/>')
     body.append(f'<text x="{margin}" y="{h - 8}" font-family="monospace" '
-                f'font-size="12">ECE={ece_value:.4f} MCE={mce_value:.4f} '
+                f'font-size="12">ECE={ece(hist):.4f} MCE={mce(hist):.4f} '
                 f'K={k} n={hist.n}</text>')
     return _svg(w, h, body)
 

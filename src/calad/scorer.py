@@ -5,11 +5,14 @@ are defined everywhere. A ``LossPipeline`` composes a model with a score
 head (squared distance to a hypersphere center, pseudo-Huber norm, raw
 logit, feature heatmap, or SSIM reconstruction), an optional post-hoc
 calibrator, and a core loss, and exposes the three gradient contracts:
-forward value, parameter gradient, and input gradient. All gradients are
-exact reverse-mode; finite differences are used only in tests. The SSIM
-head runs its forward and backward passes ``SSIM_BLOCK`` images at a
-time, after one whole-batch MLP pass, so the parameter gradient is still
-one matmul per layer.
+forward value, parameter gradient, and input gradient. Each method is one
+pass of the chain, ``LossPipeline._chain``. All gradients are exact
+reverse-mode; finite differences are used only in tests. The SSIM head
+runs its forward and backward passes ``SSIM_BLOCK`` images at a time,
+after one whole-batch MLP pass, so the parameter gradient is still one
+matmul per layer. Every per-loss decision lives here: ``init_pipeline``
+builds each loss's scorer and svdd center, and ``head_trunk`` is the only
+other reader of the flat parameter layout.
 
 Training steps a scorer's flat parameter vector in place with Adam at the
 run config's learning rate, class-balanced batches for supervised losses,
@@ -35,6 +38,8 @@ from .segmentation import ssim_loss, ssim_map_backward
 logger = logging.getLogger(__name__)
 
 SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}  # the losses that train on anomalies
+LOCALIZING_LOSSES = ("ssim", "fcdd")  # the losses with a pixel heatmap
+FCDD_SIDE = 8  # fcdd's heatmap is FCDD_SIDE x FCDD_SIDE feature cells
 
 SSIM_BLOCK = 32  # images per SSIM pass, which bounds the pass's window-term stacks
 
@@ -202,63 +207,65 @@ class LossPipeline:
 
     # -- the chain -------------------------------------------------------
 
-    def _scores(self, x):
-        """Per-row raw score v, (n,), the MLP caches, and what the backward
-        pass needs: dv/d(output), (n, k); None for ssim, whose backward
-        pass runs in ``_ssim``."""
-        if self.loss_name == "ssim":
-            v, caches, _, _, _ = self._ssim(x)
-            return v, caches, None
+    def _chain(self, x, y=None, want_map=False):
+        """One MLP pass and the head over the rows of x: (values, caches,
+        maps, d_out, direct). ``values`` are the per-row raw scores v, or
+        with labels y the per-row losses; ``maps`` the per-pixel raw scores
+        if ``want_map``; with labels, ``d_out`` is dloss/d(output) and
+        ``direct`` the loss's direct input term, the ssim image side. What
+        is not asked is None."""
+        if want_map and self.loss_name not in LOCALIZING_LOSSES:
+            raise ValueError(f"loss {self.loss_name!r} gives no score map")
         out, caches = _forward_cache(self.state, x)
+        maps = None
+        if self.loss_name == "ssim":
+            n, (h, w) = len(out), self.image_shape
+            images, recons = caches[0][0].reshape(n, h, w), out.reshape(n, h, w)
+            values = np.empty(n)
+            maps = np.empty((n, h, w)) if want_map else None
+            direct = d_out = None
+            if y is not None:
+                labels = _labels(y, values)
+                direct, d_out = np.empty((n, h * w)), np.empty((n, h * w))
+            for start in range(0, n, SSIM_BLOCK):
+                block = slice(start, start + SSIM_BLOCK)
+                res = ssim_loss(images[block], recons[block])
+                if want_map:
+                    maps[block] = 1.0 - res.similarity
+                if y is None:
+                    values[block] = res.loss
+                    continue
+                values[block], dl_dv = self._loss(res.loss, labels[block])
+                # v is the mean of 1 - S over the h * w pixels
+                ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None],
+                                     res.similarity.shape)
+                dp, dq = ssim_map_backward(res, ds)
+                direct[block] = dp.reshape(-1, h * w)
+                d_out[block] = dq.reshape(-1, h * w)
+            return values, caches, maps, d_out, direct
+        # per-row raw score v and dv/d(output)
         if self.head is not None:
             w = np.asarray(self.head.weights, dtype=float)
-            return out @ w + self.head.bias, caches, np.broadcast_to(w, out.shape)
-        if self.loss_name == "logistic":
-            return out[:, 0], caches, np.ones_like(out)
-        if self.loss_name == "svdd":
+            v, back = out @ w + self.head.bias, np.broadcast_to(w, out.shape)
+        elif self.loss_name == "logistic":
+            v, back = out[:, 0], np.ones_like(out)
+        elif self.loss_name == "svdd":
             diff = out - self.center
-            return np.sum(diff * diff, axis=-1), caches, 2.0 * diff
-        if self.loss_name == "hsc":
+            v, back = np.sum(diff * diff, axis=-1), 2.0 * diff
+        elif self.loss_name == "hsc":
             sq = np.sum(out * out, axis=-1)
-            return pseudo_huber(sq), caches, 2.0 * out * (0.5 / np.sqrt(sq + 1.0))[:, None]
-        root = np.sqrt(out * out + 1.0)  # fcdd
-        return np.mean(root - 1.0, axis=-1), caches, out / (root * out.shape[-1])
-
-    def _ssim(self, x, y=None, want_map=False):
-        """SSIM of every row's image against its reconstruction, taken
-        SSIM_BLOCK images at a time after one whole-batch MLP pass.
-
-        Returns the per-row losses, (n,): the raw scores v without labels,
-        the pipeline's losses with labels y. Then the MLP caches, the maps
-        of 1 - S, (n, h, w), if ``want_map``, and with labels the loss's
-        gradients with respect to the images and to the reconstructions,
-        (n, h * w) each; None for what is not asked.
-        """
-        rows = np.atleast_2d(np.asarray(x, dtype=float))
-        n, (h, w) = len(rows), self.image_shape
-        recon, caches = _forward_cache(self.state, rows)
-        images, recons = rows.reshape(n, h, w), recon.reshape(n, h, w)
-        loss = np.empty(n)
-        maps = np.empty((n, h, w)) if want_map else None
-        direct = drecon = None
-        if y is not None:
-            labels = _labels(y, loss)
-            direct, drecon = np.empty((n, h * w)), np.empty((n, h * w))
-        for start in range(0, n, SSIM_BLOCK):
-            block = slice(start, start + SSIM_BLOCK)
-            res = ssim_loss(images[block], recons[block])
+            v, back = pseudo_huber(sq), 2.0 * out * (0.5 / np.sqrt(sq + 1.0))[:, None]
+        else:  # fcdd: the pseudo-Huber cells give both the score and the map
+            root = np.sqrt(out * out + 1.0)
+            cells = root - 1.0
+            v, back = np.mean(cells, axis=-1), out / (root * out.shape[-1])
             if want_map:
-                maps[block] = 1.0 - res.similarity
-            if y is None:
-                loss[block] = res.loss
-                continue
-            loss[block], dl_dv = self._loss(res.loss, labels[block])
-            # v is the mean of 1 - S over the h * w pixels
-            ds = np.broadcast_to((-dl_dv / (h * w))[:, None, None], res.similarity.shape)
-            dp, dq = ssim_map_backward(res, ds)
-            direct[block] = dp.reshape(-1, h * w)
-            drecon[block] = dq.reshape(-1, h * w)
-        return loss, caches, maps, direct, drecon
+                side = int(np.sqrt(out.shape[1]))
+                maps = cells.reshape(len(out), side, side)
+        if y is None:
+            return v, caches, maps, None, None
+        loss, dl_dv = self._loss(v, _labels(y, v))
+        return loss, caches, maps, dl_dv[:, None] * back, None
 
     def link(self, v):
         """Logit of raw scores v of any shape, row scores or a score map's
@@ -295,22 +302,16 @@ class LossPipeline:
 
     def scores(self, x) -> np.ndarray:
         """Anomaly scores: the raw score v."""
-        return self._scores(x)[0]
+        return self._chain(x)[0]
 
     def score_map(self, x) -> np.ndarray:
         """Per-pixel raw scores whose per-row mean is scores(x): 1 - S
         for ssim, (n, h, w); for fcdd the pseudo-Huber sqrt(f^2 + 1) - 1
         of each feature cell f, (n, side, side)."""
-        if self.loss_name == "ssim":
-            return self._ssim(x, want_map=True)[2]
-        if self.loss_name != "fcdd":
-            raise ValueError(f"loss {self.loss_name!r} gives no score map")
-        out = forward(self.state, x)
-        side = int(np.sqrt(out.shape[1]))
-        return pseudo_huber(out * out).reshape(len(out), side, side)
+        return self._chain(x, want_map=True)[2]
 
     def logits(self, x) -> np.ndarray:
-        return self.link(self._scores(x)[0])[0]
+        return self.link(self._chain(x)[0])[0]
 
     def calibrate(self, z):
         """(calibrated logit, calibrated estimate) of logits z of any shape."""
@@ -321,26 +322,16 @@ class LossPipeline:
     # -- losses and gradients --------------------------------------------
 
     def loss_values(self, x, y) -> np.ndarray:
-        """Per-sample pipeline loss for a batch."""
-        v = self._scores(x)[0]
+        """Per-sample pipeline loss for a batch; no backward pass runs."""
+        v = self._chain(x)[0]
         return self._loss(v, _labels(y, v))[0]
-
-    def _loss_and_output_grad(self, x, y):
-        """Per-row losses, the MLP caches, dloss/d(output) per row, and the
-        loss's direct input term (the ssim image side; None otherwise)."""
-        if self.loss_name == "ssim":
-            loss, caches, _, direct, drecon = self._ssim(x, y)
-            return loss, caches, drecon, direct
-        v, caches, back = self._scores(x)
-        loss, dl_dv = self._loss(v, _labels(y, v))
-        return loss, caches, dl_dv[:, None] * back, None
 
     def loss_and_input_grad(self, x, y):
         """Loss and its exact gradient with respect to the input: a float
         and a (d,) gradient for one input, per-row (n,) losses and (n, d)
         gradients for a batch."""
         x = np.asarray(x, dtype=float)
-        loss, caches, d_out, direct = self._loss_and_output_grad(x, y)
+        loss, caches, _, d_out, direct = self._chain(x, y)
         d_in = _backprop(self.state, caches, d_out, params=False)
         if direct is not None:
             d_in = direct + d_in
@@ -350,7 +341,7 @@ class LossPipeline:
 
     def loss_and_param_grad(self, x, y):
         """Mean loss over a batch and its flat parameter gradient."""
-        loss, caches, d_out, _ = self._loss_and_output_grad(x, y)
+        loss, caches, _, d_out, _ = self._chain(x, y)
         grad = _backprop(self.state, caches, d_out / len(loss), params=True)
         return float(np.mean(loss)), grad
 
@@ -358,6 +349,35 @@ class LossPipeline:
 def _labels(y, v):
     """Labels as floats broadcast to one per row of v."""
     return np.broadcast_to(np.asarray(y, dtype=float), v.shape)
+
+
+def init_pipeline(loss: str, x_train, seed: int, image_shape=None) -> LossPipeline:
+    """The untrained, uncalibrated pipeline of `loss` over rows as wide as
+    x_train's: its seeded scorer and, for svdd, the center over x_train."""
+    d = x_train.shape[1]
+    widths = {"svdd": (d, 64, 64, 32), "hsc": (d, 32, 16, 8), "logistic": (d, 32, 16, 1),
+              "ssim": (d, 64, d), "fcdd": (d, 64, FCDD_SIDE ** 2)}
+    if loss not in widths:
+        raise ValueError(f"unknown loss {loss!r}")
+    svdd = loss == "svdd"
+    # svdd: enough embedding width and gain that squared distances spread
+    # the induced probability estimates across reliability bins
+    spec = MlpSpec(widths[loss], use_bias=not svdd, init_gain=2.0 if svdd else 1.0)
+    state = init_scorer(spec, seed=seed)
+    center = init_svdd_center(state, x_train) if svdd else None
+    return LossPipeline(state, loss, center=center, image_shape=image_shape)
+
+
+def head_trunk(state: ScorerState, loss: str) -> ScorerState:
+    """The scorer under the calibration head, which is never trained
+    again: the base scorer itself, but logistic and ssim scorers drop
+    their output layer."""
+    if loss not in ("logistic", "ssim"):
+        return state
+    spec = MlpSpec(state.spec.widths[:-1], use_bias=state.spec.use_bias)
+    out = state.weights[-1]
+    n_out = out.size + (out.shape[1] if spec.use_bias else 0)
+    return ScorerState(spec, state.flat[:-n_out])
 
 
 class _Adam:

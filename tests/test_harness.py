@@ -806,6 +806,59 @@ class TestCli:
         [line] = proc.stderr.splitlines()
         assert line == f"error: {path}: need at least two rows of normal data, got 0"
 
+    @pytest.mark.parametrize("scale, loss", [(1e200, "hsc"), (1e307, "svdd")])
+    def test_overflowing_normal_csv_exits_2_before_work(self, tmp_path, scale, loss):
+        # in a child process, where numpy's overflow RuntimeWarning would print;
+        # the std overflowed to inf and normalized every row to 0
+        path = tmp_path / "normal.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(60, 2)) * scale,
+                   delimiter=",")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "calad.cli", "run", "--normal", str(path), "--loss", loss,
+             "--calibrator", "platt", "--seeds", "0", "--epochs", "2", "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: feature column 1 of the training data has a mean "
+                               "or standard deviation beyond float64's range")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, source", [
+        *((verb, source) for verb in ("run", "synth", "calibrate", "report")
+          for source in ("flag", "env")),
+        ("run", "config")])
+    def test_empty_out_dir_exits_1_before_work(self, tmp_path, capsys, monkeypatch, verb,
+                                                source):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score,label\n0.1,0\n0.7,1\n0.3,0\n0.9,1\n")
+        rows = tmp_path / "per_seed.csv"
+        rows.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
+                        "0,0,Fully Trained,0.9,0.8,0.1,0.05\n")
+        argv = {"run": ["run", "--normal", "builtin:gauss2d", "--seeds", "0"],
+                "synth": ["synth", "--count", "1", "--height", "8", "--width", "8"],
+                "calibrate": ["calibrate", str(scores)],
+                "report": ["report", str(rows)]}[verb]
+        for name in ("calad.harness._load_dataset", "calad.cli._read_score_csv",
+                     "calad.cli._read_seed_rows", "calad.spectral.synthesize_batch"):
+            monkeypatch.setattr(name, no_training)
+        if source == "flag":
+            argv += ["--out", ""]
+        elif source == "env":
+            monkeypatch.setenv("CALAD_OUT_DIR", "")
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"out_dir": ""}))
+            argv += ["--config", str(config)]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli_main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("error: the output directory is empty; name one, or '.' for "
+                        "the working directory")
+        assert not list(cwd.iterdir())
+
     def test_run_normal_dir_of_mixed_shapes_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train"
         train.mkdir()

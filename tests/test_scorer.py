@@ -9,8 +9,8 @@ from calad.errors import DataError, NumericalError
 from calad.losses import clamp_probability, logistic_loss, sigmoid
 from calad.metrics import auroc
 from calad.scorer import (SSIM_BLOCK, LossPipeline, MlpSpec, ScorerState, _Adam,
-                          _backprop, _forward_cache, forward, init_scorer,
-                          init_svdd_center, load_scorer, save_scorer, train)
+                          _backprop, _forward_cache, forward, head_trunk, init_pipeline,
+                          init_scorer, init_svdd_center, load_scorer, save_scorer, train)
 from calad.segmentation import ssim_loss, ssim_map_backward
 
 FD_STEP = 1e-6
@@ -591,21 +591,48 @@ class TestHeadTrunk:
 
     @pytest.mark.parametrize("loss", ["svdd", "hsc", "fcdd"])
     def test_trunk_is_the_base_scorer(self, loss):
-        from calad.harness import _head_trunk
-
         state = init_scorer(MlpSpec((3, 6, 4)), 4)
-        assert _head_trunk(state, loss) is state
+        assert head_trunk(state, loss) is state
 
     @pytest.mark.parametrize("use_bias", [False, True])
     def test_logistic_trunk_drops_the_output_layer(self, use_bias):
-        from calad.harness import _head_trunk
-
         state = init_scorer(MlpSpec((3, 6, 1), use_bias=use_bias), 4)
-        trunk = _head_trunk(state, "logistic")
+        trunk = head_trunk(state, "logistic")
         assert trunk.spec == MlpSpec((3, 6), use_bias=use_bias)
         x = np.random.default_rng(4).normal(size=(5, 3))
         # the features are the hidden layer's pre-activations
         assert np.array_equal(forward(trunk, x), _forward_cache(state, x)[1][0][1])
+
+
+class TestInitPipeline:
+    """Each loss's untrained pipeline: its scorer's architecture and, for
+    svdd, the center of that scorer over the training rows."""
+
+    @pytest.mark.parametrize("d", [2, 256])
+    @pytest.mark.parametrize("loss, widths, use_bias, gain", [
+        ("svdd", (64, 64, 32), False, 2.0),
+        ("hsc", (32, 16, 8), True, 1.0),
+        ("logistic", (32, 16, 1), True, 1.0),
+        ("ssim", (64, None), True, 1.0),  # None: the input width
+        ("fcdd", (64, 64), True, 1.0),
+    ])
+    def test_architecture_and_center(self, loss, widths, use_bias, gain, d):
+        x = np.random.default_rng(d).normal(size=(20, d))
+        image_shape = (1, d) if loss == "ssim" else None
+        pipeline = init_pipeline(loss, x, 5, image_shape)
+        spec = MlpSpec((d, *(d if w is None else w for w in widths)), use_bias, gain)
+        assert pipeline.state.spec == spec
+        assert np.array_equal(pipeline.state.flat, init_scorer(spec, 5).flat)
+        assert (pipeline.loss_name, pipeline.image_shape) == (loss, image_shape)
+        assert pipeline.calibrator is None and pipeline.head is None
+        if loss == "svdd":
+            assert np.array_equal(pipeline.center, init_svdd_center(pipeline.state, x))
+        else:
+            assert pipeline.center is None
+
+    def test_unknown_loss_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown loss 'nope'"):
+            init_pipeline("nope", np.zeros((4, 2)), 0)
 
 
 class TestCheckpoints:
