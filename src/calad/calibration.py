@@ -47,7 +47,6 @@ Fitted parameters serialize to a plain-text key-value document so a run
 can be reloaded and its determinism re-verified.
 """
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import sys
@@ -407,6 +406,8 @@ def mce(hist: ReliabilityHistogram) -> float:
 
 def fitting_digest(scores, labels) -> str:
     """Stable digest of a fitting set, recorded next to fitted parameters."""
+    import hashlib  # only here: eval and report write no digest
+
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(np.asarray(scores, dtype=np.float64)).tobytes())
     h.update(np.ascontiguousarray(np.asarray(labels, dtype=np.int64)).tobytes())

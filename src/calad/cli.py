@@ -15,6 +15,16 @@ Each verb loads only what it runs. At import the CLI loads the modules the
 score verbs and ``report`` use (calibration, losses, metrics, reports and
 errors); ``run`` imports the experiment harness, and ``synth`` the
 spectral and tensor modules, in their own bodies.
+
+``console`` is the ``calad`` script and ``python -m calad.cli``. It runs
+``main``, flushes the logging handlers (if logging was loaded), stdout and
+stderr, and ends the process with ``os._exit``, skipping the interpreter's
+teardown: every output file is closed before ``main`` returns, so the
+teardown would only free memory and run no atexit hook calad needs. A
+reader that closes stdout early ends the process with 141 (128 + SIGPIPE,
+as a shell reports a filter cut off by its reader) and nothing on stderr.
+A bug's traceback still takes the normal exit. ``main(argv)`` returns the
+exit code and never ends the interpreter, for callers in process.
 """
 
 import argparse
@@ -269,5 +279,22 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def console() -> None:
+    """The process entry: main(), then os._exit with its code once the
+    streams are flushed; a closed stdout exits 141."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse after --help
+            code = exc.code or 0
+        if "logging" in sys.modules:
+            sys.modules["logging"].shutdown()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -32,8 +32,8 @@ from .datasets import Holdout, gaussian_ring, rows_dataset, textured_tiles, tile
 from .errors import ConfigError, DataError, loadtxt_message
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
 from .perturbation import evaluate_pair, perturb_batch
-from .scorer import (FCDD_SIDE, LOCALIZING_LOSSES, SUPERVISED_LOSSES, LossPipeline,
-                     forward, head_trunk, init_pipeline, save_scorer, train)
+from .scorer import (FCDD_SIDE, LOCALIZING_LOSSES, SUPERVISED_LOSSES, SVDD_MIN_ROWS,
+                     LossPipeline, forward, head_trunk, init_pipeline, save_scorer, train)
 from .segmentation import SSIM_C1, SSIM_C2, SSIM_WINDOW, gaussian_upsample
 from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
@@ -171,13 +171,18 @@ def merge_config(cli_fields: dict, file_fields: dict) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
+def _train_rows(n: int, ratio: float) -> int:
+    """Rows on the training side of a split of n rows at `ratio`."""
+    return int(round(n * ratio))
+
+
 def split(data, ratio: float, seed: int):
     """Seeded shuffle split into (train, calibration); disjoint, exhaustive."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split ratio must lie in (0, 1), got {ratio}")
     data = np.asarray(data)
     n = len(data)
-    n_train = int(round(n * ratio))
+    n_train = _train_rows(n, ratio)
     if n_train == 0 or n_train == n:
         raise DataError(f"split of {n} items at ratio {ratio} gives an empty side")
     perm = np.random.default_rng(seed).permutation(n)
@@ -531,6 +536,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             raise DataError(f"tiles of shape {(h, w)}: spectral anomaly pools need "
                             "tiles of at least 2x2")
     normal = dataset["normal"]
+    if cfg.loss == "svdd":
+        # the calibrated arm trains on the split's first side, the baseline on all
+        split_arm = cfg.calibrator != "none"
+        n_rows = _train_rows(len(normal), cfg.split_ratio) if split_arm else len(normal)
+        if n_rows < SVDD_MIN_ROWS:
+            where = (f"the calibrated arm trains on {n_rows} of the {len(normal)} "
+                     f"normal training rows (split ratio {cfg.split_ratio})" if split_arm
+                     else f"there are {n_rows} normal training rows")
+            raise DataError(f"{cfg.normal}: svdd needs at least {SVDD_MIN_ROWS} training "
+                            f"rows, but {where}; supply more normal rows")
     per_seed, deltas, first = [], {}, None
     for seed in cfg.seeds:
         arms = [_run_arm(cfg, dataset, localization, seed, normal)]

@@ -8,7 +8,6 @@ Timestamps appear only in the manifest.
 """
 
 import csv
-import json
 import time
 from pathlib import Path
 
@@ -94,6 +93,8 @@ def write_deltas_csv(path, deltas) -> None:
 
 
 def write_manifest(path, config: dict, conventions: dict) -> None:
+    import json  # only here: of the verbs, only run writes a manifest
+
     doc = {
         "config": config,
         "conventions": conventions,

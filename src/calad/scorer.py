@@ -40,6 +40,9 @@ logger = logging.getLogger(__name__)
 SUPERVISED_LOSSES = {"logistic", "hsc", "fcdd"}  # the losses that train on anomalies
 LOCALIZING_LOSSES = ("ssim", "fcdd")  # the losses with a pixel heatmap
 FCDD_SIDE = 8  # fcdd's heatmap is FCDD_SIDE x FCDD_SIDE feature cells
+# two normalized rows are x and -x, and the bias-free tanh MLP is odd, so
+# their svdd center is exactly 0 at every seed
+SVDD_MIN_ROWS = 3
 
 SSIM_BLOCK = 32  # images per SSIM pass, which bounds the pass's window-term stacks
 
@@ -129,26 +132,30 @@ def _forward_cache(state, x):
     return a, caches
 
 
-def _backprop(state, caches, d_out, params: bool):
+def _backprop(state, caches, d_out, params: bool, out: Optional[ScorerState] = None):
     """Gradient of sum(d_out * output): with `params`, wrt the parameters,
-    summed over the batch into a vector laid out like state.flat;
-    otherwise wrt each input row, and no parameter gradient is formed."""
+    summed over the batch into out.flat (a new vector laid out like
+    state.flat if out is None); otherwise wrt each input row, and no
+    parameter gradient is formed."""
     g = np.asarray(d_out, dtype=float)
-    if params:
-        grad = np.zeros_like(state.flat)
-        w_grads, b_grads = _layer_views(state.spec, grad)
+    if params and out is None:
+        out = ScorerState(state.spec, np.zeros_like(state.flat))
     last = state.n_layers - 1
     for i in range(last, -1, -1):
         a_in = caches[i][0]
-        # tanh' from the activation the forward pass kept as the next input
-        dz = g if i == last else g * (1.0 - caches[i + 1][0] ** 2)
+        if i == last:
+            dz = g
+        else:  # tanh' from the activation the forward pass kept as the next input
+            dz = caches[i + 1][0] ** 2
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
         if params:
-            w_grads[i][...] = a_in.T @ dz
-            if b_grads[i] is not None:
-                b_grads[i][...] = dz.sum(axis=0)
+            np.matmul(a_in.T, dz, out=out.weights[i])
+            if out.biases[i] is not None:
+                np.sum(dz, axis=0, out=out.biases[i])
         if i or not params:  # below layer 0 is the input gradient, unused in training
             g = dz @ state.weights[i].T
-    return grad if params else g
+    return out.flat if params else g
 
 
 def init_svdd_center(state: ScorerState, inputs) -> np.ndarray:
@@ -339,10 +346,12 @@ class LossPipeline:
             return float(loss[0]), d_in[0]
         return loss, d_in
 
-    def loss_and_param_grad(self, x, y):
-        """Mean loss over a batch and its flat parameter gradient."""
+    def loss_and_param_grad(self, x, y, out: Optional[ScorerState] = None):
+        """Mean loss over a batch and its flat parameter gradient, written
+        into out.flat if out, a ScorerState of the scorer's spec, is given."""
         loss, caches, _, d_out, _ = self._chain(x, y)
-        grad = _backprop(self.state, caches, d_out / len(loss), params=True)
+        d_out /= len(loss)
+        grad = _backprop(self.state, caches, d_out, params=True, out=out)
         return float(np.mean(loss)), grad
 
 
@@ -434,6 +443,8 @@ def train(pipeline: LossPipeline, normal, anomalies, *, epochs: int, batch_size:
     step = max(1, batch_size // 2) if supervised else batch_size
     rng = np.random.default_rng(seed)
     adam = _Adam(pipeline.state.flat.size, learning_rate)
+    grad = ScorerState(pipeline.state.spec, np.zeros_like(pipeline.state.flat))
+    labels = {}  # batch length -> the batch's labels: normal rows, then anomalies
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epochs):
@@ -444,17 +455,19 @@ def train(pipeline: LossPipeline, normal, anomalies, *, epochs: int, batch_size:
                 resampled = rng.choice(len(anomalies), size=len(order), replace=True)
             for start in range(0, len(order), step):
                 xb = normal[order[start:start + step]]
-                yb = np.zeros(len(xb))
                 if supervised:
                     # each normal row of the batch pairs with a resampled anomaly
                     xb = np.concatenate([xb, anomalies[resampled[start:start + step]]])
-                    yb = np.concatenate([yb, np.ones(len(yb))])
-                loss, grad = pipeline.loss_and_param_grad(xb, yb)
+                if len(xb) not in labels:
+                    n_normal = len(xb) // 2 if supervised else len(xb)
+                    labels[len(xb)] = np.concatenate(
+                        [np.zeros(n_normal), np.ones(len(xb) - n_normal)])
+                loss, _ = pipeline.loss_and_param_grad(xb, labels[len(xb)], out=grad)
                 if not math.isfinite(loss):
                     raise NumericalError(
                         f"training diverged: a batch loss of epoch {epoch} is {loss}; "
                         "lower the learning rate")
-                adam.step(pipeline.state.flat, grad)
+                adam.step(pipeline.state.flat, grad.flat)
                 epoch_loss += loss
                 n_batches += 1
             logger.info("epoch %d: mean training loss %.6f", epoch,

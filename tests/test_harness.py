@@ -1,3 +1,4 @@
+import ast
 import csv
 import inspect
 import json
@@ -794,6 +795,24 @@ class TestCli:
         assert f"{path}: data row 2 holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_rows, calibrator, left", [(3, "none", "there are 2"),
+                                                         (3, "platt", "on 2 of the 2"),
+                                                         (4, "beta", "on 2 of the 3")])
+    def test_svdd_on_too_few_training_rows_exits_2_before_work(self, tmp_path, capsys,
+                                                               monkeypatch, n_rows,
+                                                               calibrator, left):
+        # two normalized rows are x and -x, whose svdd center is 0 at every seed
+        path = tmp_path / "normal.csv"
+        path.write_text("0.1,0.2\n0.5,0.9\n-0.3,0.4\n0.7,0.1\n"[:8 * n_rows])
+        monkeypatch.setattr("calad.harness.train", no_training)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--normal", str(path), "--loss", "svdd", "--calibrator",
+                         calibrator, "--seeds", "0,1", "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: svdd needs at least 3 training rows")
+        assert left in line
+        assert not out.exists()
+
     def test_run_empty_normal_csv_prints_only_its_error(self, tmp_path):
         # in a child process, where numpy's empty-input UserWarning would print
         path = tmp_path / "normal.csv"
@@ -948,50 +967,55 @@ class TestCli:
 
     def test_score_verbs_load_no_run_stack(self, tmp_path):
         """Start-up, --help, eval, calibrate and report load none of the
-        modules that train, perturb or synthesize; run still works after
+        modules that train, perturb or synthesize; start-up, --help, eval
+        and report load neither json nor hashlib's C extension, which only
+        the manifest and the fitting digest need; run still works after
         them in the same process."""
         path = tmp_path / "scores.csv"
         path.write_text("score,label\n0.3,0\n1.2,1\n-0.5,0\n0.9,1\n0.95,0\n")
         rows = tmp_path / "per_seed.csv"
         rows.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
                         "0,c,Fully Trained,0.9,0.8,0.1,0.05\n")
+        # the child prints a repr, so that it imports no json itself
         child = textwrap.dedent(f"""
-            import json, sys
-            RUN_STACK = ["calad." + m for m in ("harness", "scorer", "perturbation",
-                         "segmentation", "spectral", "datasets", "tensorio")]
-            def run_stack():
-                return [m for m in RUN_STACK if m in sys.modules]
+            import sys
+            WATCHED = ["calad." + m for m in ("harness", "scorer", "perturbation",
+                       "segmentation", "spectral", "datasets", "tensorio")]
+            WATCHED += ["json", "_hashlib"]
+            def loaded():
+                return [m for m in WATCHED if m in sys.modules]
             seen = {{}}
             import calad.cli
-            seen["import"] = run_stack()
+            seen["import"] = loaded()
             try:
                 calad.cli.main(["--help"])
             except SystemExit:
                 pass
-            seen["help"] = run_stack()
+            seen["help"] = loaded()
             assert calad.cli.main(["eval", {str(path)!r}]) == 0
-            seen["eval"] = run_stack()
+            seen["eval"] = loaded()
+            assert calad.cli.main(["report", {str(rows)!r}, "--out",
+                                   {str(tmp_path / "report")!r}]) == 0
+            seen["report"] = loaded()
             for kind in ("platt", "beta"):
                 assert calad.cli.main(["calibrate", {str(path)!r}, "--kind", kind,
                                        "--out", {str(tmp_path)!r}]) == 0
-            seen["calibrate"] = run_stack()
-            assert calad.cli.main(["report", {str(rows)!r}, "--out",
-                                   {str(tmp_path / "report")!r}]) == 0
-            seen["report"] = run_stack()
+            seen["calibrate"] = loaded()
             assert calad.cli.main(["run", "--normal", "builtin:gauss2d", "--loss", "svdd",
                                    "--calibrator", "platt", "--epochs", "1", "--seeds", "0",
                                    "--out", {str(tmp_path / "run")!r}]) == 0
-            seen["run"] = run_stack()
-            print(json.dumps(seen))
+            seen["run"] = loaded()
+            print(repr(seen))
         """)
         package_parent = Path(calad.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(package_parent)})
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen["import"] == seen["help"] == seen["eval"] == seen["calibrate"] == []
-        assert seen["report"] == []
+        seen = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert seen["import"] == seen["help"] == seen["eval"] == seen["report"] == []
+        assert seen["calibrate"] == ["_hashlib"]
         assert "calad.harness" in seen["run"] and "calad.scorer" in seen["run"]
+        assert "json" in seen["run"]
         assert (tmp_path / "run" / "summary.csv").exists()
 
     @pytest.mark.parametrize("preset", [None, "2"])
