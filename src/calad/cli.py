@@ -31,7 +31,6 @@ import argparse
 import csv
 import os
 import sys
-import warnings
 
 # set before numpy loads; one thread suffices for the largest product,
 # 128x256 @ 256x64 (an SSIM autoencoder batch), and reduction, 200k x 3
@@ -42,7 +41,7 @@ import numpy as np
 from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
 from .calibration import (ece, fit_beta, fit_platt, fitting_digest, mce, reliability,
                           save_calibrator)
-from .errors import CaladError, ConfigError, DataError, loadtxt_message
+from .errors import CaladError, ConfigError, DataError, loadtxt
 from .losses import sigmoid
 from .metrics import auroc
 
@@ -116,17 +115,14 @@ def _read_score_csv(path):
     try:
         with open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]))
-        if [h.strip() for h in header[:2]] != ["score", "label"]:
-            raise DataError(f"{path}: expected a header starting score,label, "
-                            f"found {','.join(header)!r}")
-        with warnings.catch_warnings():
-            # an empty body warns and returns no rows, rejected below
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy reads the file itself, faster than from a Python stream
-            body = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
-                              quotechar='"', ndmin=2, skiprows=1)
     except (OSError, ValueError, csv.Error) as exc:
-        raise DataError(f"cannot read score CSV {path}: {loadtxt_message(exc)}") from exc
+        raise DataError(f"cannot read score CSV {path}: {exc}") from exc
+    if [h.strip() for h in header[:2]] != ["score", "label"]:
+        raise DataError(f"{path}: expected a header starting score,label, "
+                        f"found {','.join(header)!r}")
+    # numpy reads the file itself, faster than from a Python stream
+    body = loadtxt(path, "score CSV", usecols=(0, 1), comments=None, quotechar='"',
+                   skiprows=1)
     if not len(body):
         raise DataError(f"{path}: no score rows")
     bad = np.flatnonzero((body[:, 1] != 0) & (body[:, 1] != 1))

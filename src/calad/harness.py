@@ -6,19 +6,25 @@ baseline. Both are the same experiment arm: normalize with the statistics
 of its training rows, draw anomaly pools, train the base scorer, optionally
 fit a calibrator, and evaluate on the shared test set. The runner only
 orchestrates: each loss's scorer, svdd center and head trunk come from
-``calad.scorer``. The baseline arm
-trains on the full normal training data and fits no calibrator; a
-calibrated method's arm trains on the 3:1 training split and fits the
-calibrator on the calibration split against synthetic anomalies from the
-configured source. Calibration metrics are always measured on normal test
-data plus an equal-sized held-out pool of the synthetic anomalies, never
-on the real test anomalies. Everything is fully determined by the config
-and its seed list.
+``calad.scorer``. The baseline arm trains on the full normal training
+data and fits no calibrator; a calibrated method's arm trains on the 3:1
+training split and fits the calibrator on the calibration split against
+synthetic anomalies from the configured source. Fitting the calibrator
+gives the arm's calibrated pipeline, the head over the base's trunk or
+the base with its Platt or Beta map attached, and the arm evaluates
+whichever it gets. Calibration metrics are always measured on normal
+test data plus an equal-sized held-out pool of the synthetic anomalies,
+never on the real test anomalies. Everything is fully determined by the
+config and its seed list.
+
+Normal data is a built-in set, a CSV read by ``errors.loadtxt``, or a
+directory of raw tensors. One loader reads every raw-tensor directory
+(training tiles, test tiles, an OE pool), and a file in one that cannot
+be read is a DataError naming it.
 """
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -29,7 +35,7 @@ from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
 from .calibration import (ReliabilityHistogram, ece, fit_beta, fit_head, fit_platt,
                           fitting_digest, mce, reliability, save_calibrator)
 from .datasets import Holdout, gaussian_ring, rows_dataset, textured_tiles, tiles_dataset
-from .errors import ConfigError, DataError, loadtxt_message
+from .errors import ConfigError, DataError, loadtxt
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
 from .perturbation import evaluate_pair, perturb_batch
 from .scorer import (FCDD_SIDE, LOCALIZING_LOSSES, SUPERVISED_LOSSES, SVDD_MIN_ROWS,
@@ -228,14 +234,7 @@ def _load_dataset(cfg: ExperimentConfig):
                             "anomalous tiles")
         return dataset
     if path.suffix == ".csv" and path.exists():
-        try:
-            with warnings.catch_warnings():
-                # an empty file warns and returns no rows, rejected below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"cannot read normal data from {path}: "
-                            f"{loadtxt_message(exc)}") from exc
+        rows = loadtxt(path, "normal data from")
         if len(rows) < 2:
             raise DataError(f"{path}: need at least two rows of normal data, "
                             f"got {len(rows)}")
@@ -248,12 +247,24 @@ def _load_dataset(cfg: ExperimentConfig):
         train, test = rows[:-n_test], rows[-n_test:]
         scale = np.abs(train).max() * 2.0 + 1.0
         angles = rng.uniform(0, 2 * np.pi, n_test)
-        anoms = scale * np.column_stack([np.cos(angles), np.sin(angles)])[:, :rows.shape[1]]
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        if rows.shape[1] == 1:  # scale * cos would fall inside the data; keep its sign
+            ring = np.where(ring[:, :1] < 0, -1.0, 1.0)
+        anoms = scale * ring[:, :rows.shape[1]]
         if anoms.shape[1] < rows.shape[1]:
             anoms = np.pad(anoms, ((0, 0), (0, rows.shape[1] - anoms.shape[1])))
         return rows_dataset(path.stem, train, test, anoms)
     raise DataError(f"cannot read normal data from {name!r}; expected a CSV file, "
                     f"a directory of raw tensors, or one of {BUILTIN_DATASETS}")
+
+
+def _load_tensors(directory, what: str) -> list:
+    """(file, tensor) for every raw-tensor file under `directory`, in name
+    order; a DataError naming `what` if there is none."""
+    files = sorted(Path(directory).glob("*.calt"))
+    if not files:
+        raise DataError(f"no {what} under {directory}")
+    return [(f, load_tensor(f)) for f in files]
 
 
 def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
@@ -262,18 +273,14 @@ def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
     With `single_channel`, multi-channel tiles are a DataError."""
     from .tensorio import read_pgm
 
-    train_files = sorted(normal_dir.glob("*.calt"))
-    if not train_files:
-        raise DataError(f"no raw-tensor files under {normal_dir}")
-    train = [load_tensor(f) for f in train_files]
-    for f, img in zip(train_files, train):
-        if img.shape != train[0].shape:
-            raise DataError(f"{f}: shape {img.shape} differs from {train_files[0]}'s "
-                            f"{train[0].shape}")
-    if train[0].ndim not in (2, 3):
-        raise DataError(f"{train_files[0]}: shape {train[0].shape} is not an (h, w) "
-                        "or (c, h, w) image")
-    train = np.stack(train)
+    train = _load_tensors(normal_dir, "raw-tensor files")
+    first, shape = train[0][0], train[0][1].shape
+    for f, img in train:
+        if img.shape != shape:
+            raise DataError(f"{f}: shape {img.shape} differs from {first}'s {shape}")
+    if len(shape) not in (2, 3):
+        raise DataError(f"{first}: shape {shape} is not an (h, w) or (c, h, w) image")
+    train = np.stack([img for _, img in train])
     if train.ndim == 3:  # (n, h, w) -> single channel
         train = train[:, None]
     if single_channel and train.shape[1] > 1:
@@ -284,16 +291,11 @@ def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
         raise DataError(
             f"{normal_dir} holds image tensors; provide a masks directory with "
             "the test images and their PGM masks")
-    masks_path = Path(masks_dir)
-    test_files = sorted(masks_path.glob("*.calt"))
-    if not test_files:
-        raise DataError(f"no test images under {masks_dir}")
     # tiles are used at their stored size: test images must match the
     # training images' (c, h, w) and masks their (h, w)
     shape = train.shape[1:]
     test_imgs, masks = [], []
-    for f in test_files:
-        img = load_tensor(f)
+    for f, img in _load_tensors(masks_dir, "test images"):
         img = img if img.ndim == 3 else img[None]
         if img.shape != shape:
             raise DataError(f"{f}: shape {img.shape} differs from the training "
@@ -316,12 +318,8 @@ def _load_oe_dir(oe_dir) -> np.ndarray:
     Rank 1 and rank 3 tensors are single samples (a feature vector, an
     image); rank 2 and rank 4 are batches of them.
     """
-    files = sorted(Path(oe_dir).glob("*.calt"))
-    if not files:
-        raise DataError(f"no raw-tensor files under {oe_dir}")
     parts = []
-    for f in files:
-        arr = load_tensor(f)
+    for f, arr in _load_tensors(oe_dir, "raw-tensor files"):
         if arr.ndim in (1, 3):
             parts.append(arr.reshape(1, -1))
         elif arr.ndim in (2, 4):
@@ -383,19 +381,26 @@ def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
 
 
 def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
-                    seed: int, localization: bool, trunk=None):
-    """Fit cfg.calibrator to the logits of the uncalibrated pipeline, a
-    head to the features of `trunk`; (params, digest)."""
+                    seed: int, localization: bool):
+    """Fit cfg.calibrator on the trained, uncalibrated `base`; (calibrated
+    pipeline, (params, digest)). A head fits the features of
+    head_trunk(base) and its pipeline is the head over that trunk; Platt
+    and Beta fit base's logits and attach their map to base itself."""
     if cfg.calibrator == "head":
+        trunk = head_trunk(base.state, cfg.loss)
         feats = forward(trunk, cal_x)
-        return fit_head(feats, cal_y, seed), fitting_digest(feats, cal_y)
+        fitted = fit_head(feats, cal_y, seed), fitting_digest(feats, cal_y)
+        return LossPipeline(trunk, "logistic", head=fitted[0]), fitted
     z = _logits(base, cal_x, localization)
     cal_y = np.repeat(cal_y, z.size // len(cal_y))  # a tile's label on each pixel
     z = z.ravel()
     if cfg.calibrator == "platt":
-        return fit_platt(z, cal_y), fitting_digest(z, cal_y)
-    e = base.calibrate(z)[1]  # the uncalibrated pipeline's estimates
-    return fit_beta(e, cal_y), fitting_digest(e, cal_y)
+        fitted = fit_platt(z, cal_y), fitting_digest(z, cal_y)
+    else:
+        e = base.calibrate(z)[1]  # the uncalibrated pipeline's estimates
+        fitted = fit_beta(e, cal_y), fitting_digest(e, cal_y)
+    base.calibrator = fitted[0]
+    return base, fitted
 
 
 # -- evaluation ------------------------------------------------------------
@@ -499,12 +504,7 @@ def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
     fitted = None
     if calib is not None:
         cal_x, cal_y = _balanced(normalize(calib, stats), pools["calib"])
-        trunk = head_trunk(pipeline.state, cfg.loss) if cfg.calibrator == "head" else None
-        fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, localization, trunk)
-        if trunk is not None:
-            pipeline = LossPipeline(trunk, "logistic", head=fitted[0])
-        else:
-            pipeline.calibrator = fitted[0]
+        pipeline, fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, localization)
     x_eval, y_eval = _balanced(x_test[test.y == 0], pools["eval"])
     row, hist, deltas, heatmaps = _evaluate(cfg, method, dataset["class_id"], pipeline,
                                             x_test, test, localization, x_eval, y_eval)

@@ -103,22 +103,26 @@ def write_manifest(path, config: dict, conventions: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _svg(width, height, body) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">\n'
-            + "\n".join(body) + "\n</svg>\n")
+SIDE, MARGIN = 420, 45  # each plot is a square SIDE wide, its frame MARGIN in
+PLOT = SIDE - 2 * MARGIN  # the side of the framed plot area
+
+
+def _plot_svg(title: str, body) -> str:
+    """A plot's SVG document: its title, its frame, then `body`."""
+    frame = [f'<text x="{SIDE // 2}" y="20" text-anchor="middle" '
+             f'font-family="monospace" font-size="14">{title}</text>',
+             f'<rect x="{MARGIN}" y="{MARGIN}" width="{PLOT}" height="{PLOT}" '
+             'fill="none" stroke="black"/>']
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIDE}" '
+            f'height="{SIDE}" viewBox="0 0 {SIDE} {SIDE}">\n'
+            + "\n".join(frame + body) + "\n</svg>\n")
 
 
 def reliability_diagram_svg(hist: ReliabilityHistogram, title: str) -> str:
     """Frequency-vs-confidence bars over the bin grid, with the diagonal,
     ECE and MCE."""
-    w, h, margin = 420, 420, 45
-    plot = w - 2 * margin
-    body = [f'<text x="{w // 2}" y="20" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>',
-            f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '
-            'fill="none" stroke="black"/>',
-            f'<line x1="{margin}" y1="{margin + plot}" x2="{margin + plot}" '
+    margin, plot = MARGIN, PLOT
+    body = [f'<line x1="{margin}" y1="{margin + plot}" x2="{margin + plot}" '
             f'y2="{margin}" stroke="gray" stroke-dasharray="4 3"/>']
     k = hist.k
     bin_w = plot / k
@@ -134,18 +138,17 @@ def reliability_diagram_svg(hist: ReliabilityHistogram, title: str) -> str:
         body.append(f'<line x1="{x:.2f}" y1="{margin + plot - conf_h:.2f}" '
                     f'x2="{x + bin_w:.2f}" y2="{margin + plot - conf_h:.2f}" '
                     'stroke="firebrick" stroke-width="2"/>')
-    body.append(f'<text x="{margin}" y="{h - 8}" font-family="monospace" '
+    body.append(f'<text x="{margin}" y="{SIDE - 8}" font-family="monospace" '
                 f'font-size="12">ECE={ece(hist):.4f} MCE={mce(hist):.4f} '
                 f'K={k} n={hist.n}</text>')
-    return _svg(w, h, body)
+    return _plot_svg(title, body)
 
 
 def calibrator_curve_svg(calibrator, title: str) -> str:
     """Fitted estimate transform over the logits -8..8, with the identity;
     a calibration head maps features, not logits, so its curve is the
     identity."""
-    w, h, margin = 420, 420, 45
-    plot = w - 2 * margin
+    margin, plot = MARGIN, PLOT
     z_lo, z_hi = -8.0, 8.0
     zs = np.linspace(z_lo, z_hi, 161)
     eta = sigmoid(zs if isinstance(calibrator, HeadParams)
@@ -159,12 +162,8 @@ def calibrator_curve_svg(calibrator, title: str) -> str:
             out.append(f"{x:.2f},{y:.2f}")
         return " ".join(out)
 
-    body = [f'<text x="{w // 2}" y="20" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>',
-            f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '
-            'fill="none" stroke="black"/>',
-            f'<polyline points="{pts(sigmoid(zs))}" fill="none" stroke="gray" '
+    body = [f'<polyline points="{pts(sigmoid(zs))}" fill="none" stroke="gray" '
             'stroke-dasharray="4 3"/>',
             f'<polyline points="{pts(eta)}" fill="none" stroke="steelblue" '
             'stroke-width="2"/>']
-    return _svg(w, h, body)
+    return _plot_svg(title, body)

@@ -16,7 +16,14 @@ other reader of the flat parameter layout.
 
 Training steps a scorer's flat parameter vector in place with Adam at the
 run config's learning rate, class-balanced batches for supervised losses,
-and full determinism under the run seed.
+and full determinism under the run seed. Every step's parameter gradient
+is written into one vector that training allocates once (``out``): with a
+fresh vector per step, 5-seed tiles fcdd runs trained measurably slower.
+
+A Platt or Beta map is monotone: it scales each row's loss gradient by a
+factor that is positive or exactly 0. So a calibrated pipeline's input
+gradient has the signs of the uncalibrated one's wherever that factor is
+positive, and is 0 elsewhere.
 """
 
 import json
@@ -444,7 +451,6 @@ def train(pipeline: LossPipeline, normal, anomalies, *, epochs: int, batch_size:
     rng = np.random.default_rng(seed)
     adam = _Adam(pipeline.state.flat.size, learning_rate)
     grad = ScorerState(pipeline.state.spec, np.zeros_like(pipeline.state.flat))
-    labels = {}  # batch length -> the batch's labels: normal rows, then anomalies
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epochs):
@@ -455,14 +461,12 @@ def train(pipeline: LossPipeline, normal, anomalies, *, epochs: int, batch_size:
                 resampled = rng.choice(len(anomalies), size=len(order), replace=True)
             for start in range(0, len(order), step):
                 xb = normal[order[start:start + step]]
+                yb = np.zeros(len(xb))
                 if supervised:
                     # each normal row of the batch pairs with a resampled anomaly
                     xb = np.concatenate([xb, anomalies[resampled[start:start + step]]])
-                if len(xb) not in labels:
-                    n_normal = len(xb) // 2 if supervised else len(xb)
-                    labels[len(xb)] = np.concatenate(
-                        [np.zeros(n_normal), np.ones(len(xb) - n_normal)])
-                loss, _ = pipeline.loss_and_param_grad(xb, labels[len(xb)], out=grad)
+                    yb = np.concatenate([yb, np.ones(len(yb))])
+                loss, _ = pipeline.loss_and_param_grad(xb, yb, out=grad)
                 if not math.isfinite(loss):
                     raise NumericalError(
                         f"training diverged: a batch loss of epoch {epoch} is {loss}; "

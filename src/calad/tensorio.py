@@ -34,8 +34,17 @@ def save_tensor(path, array) -> None:
         fh.write(arr.tobytes())
 
 
+def _read_bytes(path) -> bytes:
+    """The file's bytes; a DataError naming it if it cannot be read, such
+    as a directory or a file without read permission."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def load_tensor(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     if data[:4] != MAGIC:
         raise DataError(f"{path}: not a raw-tensor container")
     if len(data) < 14:
@@ -73,7 +82,7 @@ def write_pgm(path, mask) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """PGM to a binary 0/1 mask (any nonzero level counts as anomalous)."""
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     fields = []
     pos = 0
     while len(fields) < 4:

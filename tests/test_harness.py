@@ -484,6 +484,17 @@ class TestDatasetRecord:
         # the synthesized anomalies lie outside every training row
         assert np.all(np.abs(test.x[2:]).max(axis=1) > np.abs(rows[:8]).max())
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_csv_anomalies_lie_on_the_ring(self, tmp_path, d):
+        path = tmp_path / "rows.csv"
+        np.savetxt(path, np.random.default_rng(5).normal(0.0, 0.5, (100, d)),
+                   delimiter=",")
+        dataset = _load_dataset(ExperimentConfig(normal=str(path)))
+        test = dataset["test"]
+        radius = np.abs(dataset["normal"]).max() * 2.0 + 1.0
+        norms = np.linalg.norm(test.x[test.y == 1], axis=1)
+        assert len(norms) == 20 and np.allclose(norms, radius, rtol=1e-12, atol=0.0)
+
 
 class TestTileShapes:
     def run(self, tmp_path, train, test, *flags):
@@ -535,6 +546,28 @@ class TestTileShapes:
         err = capsys.readouterr().err
         assert f"{test}: {mask_value} of 1 test masks" in err
         assert "normal and anomalous tiles" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["normal", "oe", "masks"])
+    def test_unreadable_file_in_a_directory_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                    where):
+        # a directory stands in for any file that cannot be read
+        monkeypatch.setattr("calad.harness.train", no_training)
+        train, test = write_tile_dirs(tmp_path, (1, 8, 8), (1, 8, 8), (8, 8))
+        save_tensor(test / "b.calt", np.zeros((1, 8, 8)))
+        write_pgm(test / "b.pgm", np.zeros((8, 8)))
+        oe = tmp_path / "oe"
+        oe.mkdir()
+        save_tensor(oe / "pool.calt", np.zeros((6, 1, 8, 8)))
+        if where == "masks":
+            save_tensor(test / "t1.calt", np.zeros((1, 8, 8)))
+        bad = {"normal": train / "zz.calt", "oe": oe / "zz.calt",
+               "masks": test / "t1.pgm"}[where]
+        bad.mkdir()
+        assert self.run(tmp_path, train, test, "--loss", "fcdd", "--anomaly-source", "oe",
+                        "--oe-dir", str(oe)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read {bad}: ")
         assert not (tmp_path / "out").exists()
 
     def test_multichannel_fcdd_with_oe_runs(self, tmp_path):
@@ -620,7 +653,7 @@ class TestPixelChain:
             maps = gaussian_upsample(np.sqrt(f * f + 1.0) - 1.0, 8, 8)
         assert np.array_equal(_tile_heatmaps(pipeline, x), maps)
         cfg = fast_cfg(tmp_path, normal="builtin:tiles", loss=loss)
-        _, digest = _fit_calibrator(cfg, pipeline, x, y, 0, localization=True)
+        _, (_, digest) = _fit_calibrator(cfg, pipeline, x, y, 0, localization=True)
         z = pipeline.link(maps)[0]
         assert digest == fitting_digest(z.ravel(), np.repeat(y, 64))
 

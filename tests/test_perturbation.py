@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from calad.calibration import PlattParams
+from calad import LOSSES
+from calad.calibration import PlattParams, calibrated_logit
+from calad.harness import (ExperimentConfig, _anomaly_pools, _balanced, _fit_calibrator,
+                           _load_dataset, fit_normalizer, normalize, split)
+from calad.losses import sigmoid
 from calad.perturbation import evaluate_pair, perturb, perturb_batch
-from calad.scorer import LossPipeline, MlpSpec, init_scorer
+from calad.scorer import (LOCALIZING_LOSSES, SUPERVISED_LOSSES, LossPipeline, MlpSpec,
+                          init_pipeline, init_scorer, train)
 
 from test_scorer import ARCHITECTURES, assert_matches_per_row, make_pipeline
 
@@ -139,3 +146,58 @@ class TestEvaluatePair:
         # same direction but damped by the temperature
         assert np.allclose(np.sign(g_plain), np.sign(g_scaled))
         assert np.all(np.abs(g_scaled) < np.abs(g_plain))
+
+
+@pytest.fixture(scope="module", params=LOSSES)
+def trained_base(request):
+    """(cfg, base, x, cal_x, cal_y): the uncalibrated split-arm base of a
+    run of one loss, built as the runner builds it but trained for five
+    epochs at a higher learning rate, with the run's normalized test rows
+    and balanced calibration set."""
+    loss = request.param
+    cfg = ExperimentConfig(normal="builtin:tiles" if loss in LOCALIZING_LOSSES
+                           else "builtin:gauss2d", loss=loss, seeds=(0,), epochs=5)
+    dataset = _load_dataset(cfg)
+    normal, calib = split(dataset["normal"], cfg.split_ratio, 0)
+    stats = fit_normalizer(normal)
+    pools = _anomaly_pools(cfg, dataset, 0, stats, n_each=64, keys=["train", "calib"])
+    x_train = normalize(normal, stats)
+    base = init_pipeline(loss, x_train, 0, dataset["image_shape"])
+    train(base, x_train, pools["train"] if loss in SUPERVISED_LOSSES else None,
+          epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=1e-3, seed=0)
+    cal_x, cal_y = _balanced(normalize(calib, stats), pools["calib"])
+    return cfg, base, normalize(dataset["test"].x, stats), cal_x, cal_y
+
+
+def _with_calibrator(base, calibrator):
+    return LossPipeline(base.state, base.loss_name, center=base.center,
+                        calibrator=calibrator, image_shape=base.image_shape)
+
+
+class TestMonotoneCalibrator:
+    """A Platt or Beta map scales each row's loss gradient by a factor
+    that is positive or exactly 0, so it cannot change the sign that the
+    perturbation step takes: a calibrated row moves as its uncalibrated
+    base's does, or not at all."""
+
+    @pytest.mark.parametrize("kind", ["platt", "beta"])
+    def test_perturbation_is_the_base_s_wherever_the_slope_is_positive(
+            self, trained_base, kind):
+        cfg, base, x, cal_x, cal_y = trained_base
+        calibrated, (params, _) = _fit_calibrator(
+            replace(cfg, calibrator=kind), _with_calibrator(base, None), cal_x, cal_y,
+            0, localization=cfg.loss in LOCALIZING_LOSSES)
+        moved = perturb_batch(base, x, cfg.epsilon)
+        assert not np.array_equal(moved, x)
+        # d(calibrated loss at label 0)/dv: sigmoid(zc) * dzc/dz * dz/dv
+        z, dz_dv = base.link(base.scores(x))
+        zc, dzc_dz = calibrated_logit(params, z)
+        positive = sigmoid(zc) * dzc_dz * dz_dv > 0
+        got = perturb_batch(calibrated, x, cfg.epsilon)
+        assert np.array_equal(got[positive], moved[positive])
+        assert np.array_equal(got[~positive], x[~positive])
+
+    def test_infinite_temperature_leaves_the_rows_unmoved(self, trained_base):
+        cfg, base, x, _, _ = trained_base
+        flat = _with_calibrator(base, PlattParams(np.inf, 0.25))
+        assert np.array_equal(perturb_batch(flat, x, cfg.epsilon), x)
