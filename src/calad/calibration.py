@@ -1,5 +1,5 @@
 """Post-hoc calibration maps, their fitting procedures, and reliability
-measurement.
+measurement in ``RELIABILITY_BINS`` bins, for runs and ``calad eval``.
 
 Platt and Beta calibration are logistic regressions over two and three
 features: ``[z, 1]`` for Platt and ``[ln e, -ln(1 - e), 1]`` for Beta
@@ -44,7 +44,8 @@ stored reference outputs pin that stop. A stop other than convergence
 (the iteration budget, a failed line search) is logged as a warning.
 
 Fitted parameters serialize to a plain-text key-value document so a run
-can be reloaded and its determinism re-verified.
+can be reloaded and its determinism re-verified; a document that cannot
+be read is a DataError naming it.
 """
 
 import importlib.machinery
@@ -366,6 +367,9 @@ def fit_head(features, labels, seed: int = 0) -> HeadParams:
     return HeadParams(weights=x[:d].copy(), bias=float(x[d]))
 
 
+RELIABILITY_BINS = 15  # the equal-width bins of every ECE, MCE and reliability diagram
+
+
 def reliability(estimates, labels, k: int) -> ReliabilityHistogram:
     """Bin estimates into k equal-width half-open bins (eta_k, eta_{k+1}]."""
     if k < 1:
@@ -434,9 +438,10 @@ def save_calibrator(path, params, seed: int, digest: str) -> None:
 
 
 def load_calibrator(path):
-    """Read back a calibrator document; returns (params, seed, digest). A
-    malformed document, or a coefficient other than the temperature that
-    is not finite, is a DataError naming the file."""
+    """Read back a calibrator document; returns (params, seed, digest). An
+    unreadable or malformed document, or a coefficient other than the
+    temperature that is not finite, is a DataError naming the file."""
+    from .tensorio import read_bytes  # only here, so import calad.cli loads no new module
 
     def finite(key, text):
         value = float(text)
@@ -446,7 +451,7 @@ def load_calibrator(path):
 
     try:
         fields = {}
-        for line in Path(path).read_text().splitlines():
+        for line in read_bytes(path).decode().splitlines():
             key, _, value = line.partition(" ")
             fields[key] = value
         kind = fields["kind"]

@@ -1,11 +1,13 @@
 """Command-line entry points.
 
-Verbs: ``run`` executes a full experiment, ``synth`` emits spectral images,
-``calibrate`` fits a calibrator on a score CSV, ``eval`` computes metrics
-on a score CSV, and ``report`` recomputes ``summary.csv``, one row per
-class and method, from stored per-seed rows. Exit codes: 0 success, 1
-configuration error (a usage error included), 2 data error, 3 numerical
-failure; any other exception is a bug and propagates as a traceback.
+Verbs: ``run`` executes a full experiment, ``synth`` emits spectral images
+(at most ``SYNTH_MAX_VALUES`` values), ``calibrate`` fits a calibrator on
+a score CSV, ``eval`` computes metrics on a score CSV in the run's
+``calibration.RELIABILITY_BINS`` bins, and ``report`` recomputes
+``summary.csv``, one row per class and method, from stored per-seed
+rows. Exit codes: 0 success, 1 configuration error (a usage error
+included), 2 data error, 3 numerical failure; any other exception is a
+bug and propagates as a traceback.
 ``CALAD_OUT_DIR`` supplies the default output directory; no other
 environment variable is consulted. Before numpy loads, the CLI sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless the user has set it: calad's BLAS
@@ -39,11 +41,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
-from .calibration import (ece, fit_beta, fit_platt, fitting_digest, mce, reliability,
-                          save_calibrator)
+from .calibration import (RELIABILITY_BINS, ece, fit_beta, fit_platt, fitting_digest,
+                          mce, reliability, save_calibrator)
 from .errors import CaladError, ConfigError, DataError, loadtxt
 from .losses import sigmoid
 from .metrics import auroc
+
+
+# synth's count x channels x height x width, a count of 0 counted as 1 (the
+# frequency grids of one image are laid out all the same); synthesis peaks
+# near 75 bytes a value, so about 1.3 GB at the cap
+SYNTH_MAX_VALUES = 2**24
 
 
 def _out_dir(flag) -> str:
@@ -73,10 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--loss", choices=LOSSES)
     run.add_argument("--calibrator", choices=CALIBRATORS)
     run.add_argument("--anomaly-source", dest="anomaly_source", choices=ANOMALY_SOURCES)
-    run.add_argument("--split-ratio", dest="split_ratio", type=float)
     run.add_argument("--seeds", type=lambda s: tuple(int(v) for v in s.split(",")))
     run.add_argument("--epsilon", type=float)
-    run.add_argument("--bins", type=int)
     run.add_argument("--epochs", type=int)
     run.add_argument("--learning-rate", dest="learning_rate", type=float)
     run.add_argument("--batch-size", dest="batch_size", type=int)
@@ -98,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="metrics on a score CSV")
     ev.add_argument("scores", help="CSV with columns score,label")
-    ev.add_argument("--bins", type=int, default=15)
     ev.add_argument("--probabilities", action="store_true",
                     help="scores are probability estimates already")
 
@@ -166,6 +171,11 @@ def _cmd_synth(args) -> int:
         cfg = SpectralConfig(args.height, args.width, args.channels, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(f"bad synth size: {exc}") from None
+    if max(args.count, 1) * args.channels * args.height * args.width > SYNTH_MAX_VALUES:
+        raise ConfigError(
+            f"synth size count {args.count} x channels {args.channels} x height "
+            f"{args.height} x width {args.width} is over the cap of "
+            f"{SYNTH_MAX_VALUES} values")
     out = reports.make_out_dir(_out_dir(args.out_dir))
     images, metas = synthesize_batch(cfg, args.count)
     for i, (img, meta) in enumerate(zip(images, metas)):
@@ -194,8 +204,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.bins < 1:
-        raise ConfigError(f"need at least one bin, got {args.bins}")
     scores, labels = _read_score_csv(args.scores)
     if args.probabilities:
         bad = np.flatnonzero((scores < 0) | (scores > 1))
@@ -203,7 +211,7 @@ def _cmd_eval(args) -> int:
             raise DataError(f"{args.scores}: score row {bad[0] + 1} is "
                             f"{float(scores[bad[0]])!r}, expected a probability in [0, 1]")
     estimates = scores if args.probabilities else sigmoid(scores)
-    hist = reliability(estimates, labels, args.bins)
+    hist = reliability(estimates, labels, RELIABILITY_BINS)
     print(f"auroc {auroc(scores, labels)!r}")
     print(f"ece {ece(hist)!r}")
     print(f"mce {mce(hist)!r}")

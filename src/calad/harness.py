@@ -7,15 +7,17 @@ of its training rows, draw anomaly pools, train the base scorer, optionally
 fit a calibrator, and evaluate on the shared test set. The runner only
 orchestrates: each loss's scorer, svdd center and head trunk come from
 ``calad.scorer``. The baseline arm trains on the full normal training
-data and fits no calibrator; a calibrated method's arm trains on the 3:1
-training split and fits the calibrator on the calibration split against
-synthetic anomalies from the configured source. Fitting the calibrator
-gives the arm's calibrated pipeline, the head over the base's trunk or
-the base with its Platt or Beta map attached, and the arm evaluates
-whichever it gets. Calibration metrics are always measured on normal
-test data plus an equal-sized held-out pool of the synthetic anomalies,
-never on the real test anomalies. Everything is fully determined by the
-config and its seed list.
+data and fits no calibrator; a calibrated method's arm trains on the
+``SPLIT_RATIO`` (3:1) training split and fits the calibrator on the
+calibration split against synthetic anomalies from the configured
+source. Fitting the calibrator gives the arm's calibrated pipeline, the
+head over the base's trunk or the base with its Platt or Beta map
+attached, and the arm evaluates whichever it gets. Calibration metrics
+are always measured on normal test data plus an equal-sized held-out
+pool of the synthetic anomalies, never on the real test anomalies, in
+``calibration.RELIABILITY_BINS`` bins. A method's label joins its
+calibrator's and its anomaly source's display names. Everything is
+fully determined by the config and its seed list.
 
 Normal data is a built-in set, a CSV read by ``errors.loadtxt``, or a
 directory of raw tensors. One loader reads every raw-tensor directory
@@ -32,8 +34,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
-from .calibration import (ReliabilityHistogram, ece, fit_beta, fit_head, fit_platt,
-                          fitting_digest, mce, reliability, save_calibrator)
+from .calibration import (RELIABILITY_BINS, ReliabilityHistogram, ece, fit_beta,
+                          fit_head, fit_platt, fitting_digest, mce, reliability,
+                          save_calibrator)
 from .datasets import Holdout, gaussian_ring, rows_dataset, textured_tiles, tiles_dataset
 from .errors import ConfigError, DataError, loadtxt
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
@@ -45,19 +48,11 @@ from .spectral import SpectralConfig, synthesize_batch
 from .tensorio import load_tensor
 
 DATA_SEED = 54172  # builtin datasets are fixed; run seeds vary everything else
+SPLIT_RATIO = 0.75  # the calibrated arm's share of the normal training rows
 
 BASELINE = "Fully Trained"
-
-METHOD_LABELS = {
-    ("none", "oe"): BASELINE,
-    ("none", "spectral"): BASELINE,
-    ("head", "oe"): "CalHead OE",
-    ("head", "spectral"): "CalHead Spectral",
-    ("platt", "oe"): "Platt OE",
-    ("platt", "spectral"): "Platt Spectral",
-    ("beta", "oe"): "β OE",
-    ("beta", "spectral"): "β Spectral",
-}
+CALIBRATOR_NAMES = {"head": "CalHead", "platt": "Platt", "beta": "β"}
+SOURCE_NAMES = {"oe": "OE", "spectral": "Spectral"}
 
 BUILTIN_DATASETS = ("builtin:gauss2d", "builtin:gauss2d-basin", "builtin:tiles")
 
@@ -70,10 +65,8 @@ class ExperimentConfig:
     loss: str = "svdd"
     calibrator: str = "none"
     anomaly_source: str = "spectral"
-    split_ratio: float = 0.75
     seeds: tuple = (0, 1, 2, 3, 4)
     epsilon: float = 1.4e-3
-    bins: int = 15
     out_dir: str = "runs"
     epochs: int = 40
     learning_rate: float = 1e-4
@@ -81,8 +74,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split ratio must lie in (0, 1), got {self.split_ratio}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if self.calibrator not in CALIBRATORS:
@@ -93,14 +84,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.anomaly_source == "oe" and self.oe_dir is None:
             raise ConfigError("anomaly source 'oe' requires an OE data directory")
+        if self.anomaly_source != "oe" and self.oe_dir is not None:
+            raise ConfigError(f"oe_dir {self.oe_dir} is read only with anomaly source "
+                              f"'oe', not {self.anomaly_source!r}")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be nonnegative, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         if not 0 <= self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if self.bins < 1:
-            raise ConfigError(f"need at least one bin, got {self.bins}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -111,7 +103,9 @@ class ExperimentConfig:
 
     @property
     def method_label(self) -> str:
-        return METHOD_LABELS[(self.calibrator, self.anomaly_source)]
+        if self.calibrator == "none":
+            return BASELINE
+        return f"{CALIBRATOR_NAMES[self.calibrator]} {SOURCE_NAMES[self.anomaly_source]}"
 
 
 CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
@@ -128,10 +122,10 @@ def _check_types(cfg: ExperimentConfig) -> None:
                         ("masks_dir", (str, type(None)))):
         if not isinstance(getattr(cfg, name), types):
             raise ConfigError(f"{name} must be a path, got {getattr(cfg, name)!r}")
-    for name in ("epochs", "bins", "batch_size"):
+    for name in ("epochs", "batch_size"):
         if not _is_int(getattr(cfg, name)):
             raise ConfigError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
-    for name in ("split_ratio", "epsilon", "learning_rate"):
+    for name in ("epsilon", "learning_rate"):
         value = getattr(cfg, name)
         if not (_is_int(value) or isinstance(value, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -216,13 +210,18 @@ def normalize(data, stats):
 # -- data loading -------------------------------------------------------
 
 def _load_dataset(cfg: ExperimentConfig):
-    """The run's dataset record (see calad.datasets) for cfg.normal."""
+    """The run's dataset record (see calad.datasets) for cfg.normal. Masks
+    belong to a tiles directory, so cfg.masks_dir with other normal data
+    is a ConfigError."""
     name = cfg.normal
+    path = Path(name)
+    if cfg.masks_dir is not None and not path.is_dir():
+        raise ConfigError(f"masks_dir {cfg.masks_dir} is read only with a directory of "
+                          f"tiles as normal data, not {name!r}")
     if name in ("builtin:gauss2d", "builtin:gauss2d-basin"):
         return gaussian_ring(DATA_SEED, basin=name.endswith("-basin"))
     if name == "builtin:tiles":
         return textured_tiles(DATA_SEED)
-    path = Path(name)
     if path.is_dir():
         # SSIM and spectral anomaly pools handle one channel only
         dataset = _dir_dataset(path, cfg.masks_dir, single_channel=(
@@ -434,7 +433,7 @@ def _evaluate(cfg, method, class_id, pipeline, x_test, test: Holdout,
     pair = evaluate_pair(pipeline, x_test, test.y, cfg.epsilon)
     eta = pipeline.calibrate(_logits(pipeline, x_eval, localization))[1].ravel()
     # a tile's label on each of its pixels
-    hist = reliability(eta, np.repeat(y_eval, eta.size // len(y_eval)), cfg.bins)
+    hist = reliability(eta, np.repeat(y_eval, eta.size // len(y_eval)), RELIABILITY_BINS)
     row = {
         "class_id": class_id,
         "method": method,
@@ -539,10 +538,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.loss == "svdd":
         # the calibrated arm trains on the split's first side, the baseline on all
         split_arm = cfg.calibrator != "none"
-        n_rows = _train_rows(len(normal), cfg.split_ratio) if split_arm else len(normal)
+        n_rows = _train_rows(len(normal), SPLIT_RATIO) if split_arm else len(normal)
         if n_rows < SVDD_MIN_ROWS:
             where = (f"the calibrated arm trains on {n_rows} of the {len(normal)} "
-                     f"normal training rows (split ratio {cfg.split_ratio})" if split_arm
+                     f"normal training rows (split ratio {SPLIT_RATIO})" if split_arm
                      else f"there are {n_rows} normal training rows")
             raise DataError(f"{cfg.normal}: svdd needs at least {SVDD_MIN_ROWS} training "
                             f"rows, but {where}; supply more normal rows")
@@ -551,7 +550,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         arms = [_run_arm(cfg, dataset, localization, seed, normal)]
         if cfg.calibrator != "none":
             arms.append(_run_arm(cfg, dataset, localization, seed,
-                                 *split(normal, cfg.split_ratio, seed)))
+                                 *split(normal, SPLIT_RATIO, seed)))
         for arm in arms:
             per_seed.append({"seed": seed, **arm.row})
             deltas[(seed, arm.row["method"])] = arm.deltas
@@ -576,6 +575,8 @@ CONVENTIONS = {
     "perturbation_label": 0,
     "upsample_geometry": "stride = out/in, kernel 4*stride+1, sigma = stride",
     "ssim": {"window": SSIM_WINDOW, "c1": SSIM_C1, "c2": SSIM_C2, "border_value": 0.0},
+    "bins": RELIABILITY_BINS,
+    "split_ratio": SPLIT_RATIO,
 }
 
 
@@ -589,9 +590,7 @@ def emit_reports(cfg, summary, per_seed, deltas, arms, out_dir: Path) -> None:
 
     reports.write_rows_csv(out_dir / "summary.csv", summary)
     reports.write_rows_csv(out_dir / "per_seed.csv", per_seed)
-    conventions = dict(CONVENTIONS)
-    conventions["bins"] = cfg.bins
-    conventions["library_version"] = __version__
+    conventions = {**CONVENTIONS, "library_version": __version__}
     reports.write_manifest(out_dir / "manifest.json", asdict(cfg), conventions)
     seed0 = cfg.seeds[0]
     for arm in arms:

@@ -497,15 +497,16 @@ def save_scorer(path, state: ScorerState, manifest: dict) -> None:
 
 
 def load_scorer(path):
-    """Load a checkpoint; returns (state, manifest). A damaged manifest, or
-    a parameter vector that does not fit it, is a DataError naming the
-    file. The per-layer "frozen" flags of older manifests are ignored."""
-    from .tensorio import load_tensor
+    """Load a checkpoint; returns (state, manifest). An unreadable or
+    damaged manifest, or a parameter vector that does not fit it, is a
+    DataError naming the file. The per-layer "frozen" flags of older
+    manifests are ignored."""
+    from .tensorio import load_tensor, read_bytes
 
     base = Path(path)
     manifest, params = base.with_suffix(".json"), base.with_suffix(".calt")
     try:
-        doc = json.loads(manifest.read_text())
+        doc = json.loads(read_bytes(manifest))
         if doc["activation"] != "tanh":
             raise DataError(
                 f"{manifest}: activation {doc['activation']!r}; only tanh scorers load")

@@ -34,9 +34,10 @@ def save_tensor(path, array) -> None:
         fh.write(arr.tobytes())
 
 
-def _read_bytes(path) -> bytes:
+def read_bytes(path) -> bytes:
     """The file's bytes; a DataError naming it if it cannot be read, such
-    as a directory or a file without read permission."""
+    as a missing file, a directory or a file without read permission.
+    The tensor, PGM, scorer and calibrator readers all read through here."""
     try:
         return Path(path).read_bytes()
     except OSError as exc:
@@ -44,7 +45,7 @@ def _read_bytes(path) -> bytes:
 
 
 def load_tensor(path) -> np.ndarray:
-    data = _read_bytes(path)
+    data = read_bytes(path)
     if data[:4] != MAGIC:
         raise DataError(f"{path}: not a raw-tensor container")
     if len(data) < 14:
@@ -82,7 +83,7 @@ def write_pgm(path, mask) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """PGM to a binary 0/1 mask (any nonzero level counts as anomalous)."""
-    data = _read_bytes(path)
+    data = read_bytes(path)
     fields = []
     pos = 0
     while len(fields) < 4:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calad.cli import main as cli_main
+from calad.harness import SPLIT_RATIO
 from calad.tensorio import save_tensor
 
 CONFIG, DATA, NUMERICAL = 1, 2, 3
@@ -27,8 +28,6 @@ negative = st.integers(-10**6, -1)
 not_positive = st.integers(-10**6, 0)
 bad_real = st.floats(max_value=0, exclude_max=True) | st.sampled_from(
     [math.nan, math.inf, -math.inf])
-outside_unit = (st.floats(max_value=0.0) | st.floats(min_value=1.0)
-                | st.just(math.nan))
 # seed lists that repeat a seed
 repeating = st.lists(st.integers(0, 50), min_size=1, max_size=3).flatmap(
     lambda s: st.permutations(s + s[:1]))
@@ -44,12 +43,10 @@ def fmt(value) -> str:
 # -- bad flags -------------------------------------------------------------
 
 bad_run_flags = st.one_of(
-    st.tuples(st.just("--bins"), not_positive),
     st.tuples(st.just("--batch-size"), not_positive),
     st.tuples(st.just("--epochs"), negative),
     st.tuples(st.just("--learning-rate"), bad_real),
     st.tuples(st.just("--epsilon"), bad_real),
-    st.tuples(st.just("--split-ratio"), outside_unit),
     st.tuples(st.just("--seeds"), st.lists(st.integers(-50, 50), min_size=1, max_size=4)
               .filter(lambda s: min(s) < 0).map(lambda s: ",".join(map(str, s)))),
     st.tuples(st.just("--seeds"), repeating.map(lambda s: ",".join(map(str, s)))),
@@ -73,18 +70,15 @@ def bad_flag_cases(draw):
 
 @st.composite
 def bad_synth_cases(draw):
-    flag, value = draw(st.one_of(st.tuples(st.sampled_from(["--height", "--width"]),
-                                           st.integers(-5, 1)),
-                                 st.tuples(st.just("--channels"), not_positive),
-                                 st.tuples(st.sampled_from(["--count", "--seed"]),
-                                           negative)))
-    return {"argv": ["synth", flag, str(value)]}, CONFIG
-
-
-@st.composite
-def bad_eval_bins(draw):
-    return {"argv": ["eval", "{scores}", "--bins", str(draw(not_positive))],
-            "files": {"scores.csv": "score,label\n0.1,0\n0.7,1\n"}}, CONFIG
+    huge = st.integers(10**8, 10**12)
+    flags = draw(st.one_of(st.tuples(st.sampled_from(["--height", "--width"]),
+                                     st.integers(-5, 1)),
+                           st.tuples(st.just("--channels"), not_positive),
+                           st.tuples(st.sampled_from(["--count", "--seed"]), negative),
+                           # over the value cap; at least 1e8 a side, so that
+                           # numpy would refuse the image stack without allocating
+                           st.tuples(st.just("--height"), huge, st.just("--width"), huge)))
+    return {"argv": ["synth", *map(str, flags)]}, CONFIG
 
 
 @st.composite
@@ -110,10 +104,9 @@ not_an_object = st.one_of(st.none(), st.booleans(), st.integers(),
 @st.composite
 def bad_config_cases(draw):
     bad_value = st.one_of(
-        st.tuples(st.sampled_from(["epochs", "bins", "batch_size"]),
+        st.tuples(st.sampled_from(["epochs", "batch_size"]),
                   wrong_type | st.floats(allow_nan=False, allow_infinity=False)),
-        st.tuples(st.sampled_from(["split_ratio", "epsilon", "learning_rate"]),
-                  wrong_type),
+        st.tuples(st.sampled_from(["epsilon", "learning_rate"]), wrong_type),
         st.tuples(st.just("seeds"), st.integers(0, 9) | st.lists(
             st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3)
             | st.lists(negative, min_size=1, max_size=3) | repeating),
@@ -225,16 +218,16 @@ def constant_normal_csv(draw):
     calibrator = draw(st.sampled_from(["none", "platt", "beta"]))
     train = n - max(1, n // 5)
     if calibrator != "none":
-        train = round(train * 0.75)
+        train = round(train * SPLIT_RATIO)
     return {"argv": ["run", "--normal", "{normal}", "--loss", "svdd",
                      "--calibrator", calibrator,
                      "--seeds", "0", "--epochs", "1", "--out", "{out}"],
             "files": {"normal.csv": text}}, DATA if train < 3 else NUMERICAL
 
 
-cases = st.one_of(bad_flag_cases(), bad_synth_cases(), bad_eval_bins(),
-                  bad_calibrate_seed(), bad_config_cases(), bad_score_csv(), bad_normal_csv(),
-                  bad_seed_rows(), truncated_oe_pool(), constant_normal_csv())
+cases = st.one_of(bad_flag_cases(), bad_synth_cases(), bad_calibrate_seed(),
+                  bad_config_cases(), bad_score_csv(), bad_normal_csv(), bad_seed_rows(),
+                  truncated_oe_pool(), constant_normal_csv())
 
 
 def materialize(case, root: Path):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import calad
+from calad.calibration import RELIABILITY_BINS
 from calad.cli import _read_score_csv, main as cli_main
 from calad.errors import ConfigError, DataError
-from calad.harness import (ExperimentConfig, METHOD_LABELS, _anomaly_pools,
+from calad.harness import (SPLIT_RATIO, ExperimentConfig, _anomaly_pools,
                            _dir_dataset, _load_dataset, fit_normalizer,
                            load_config_file, merge_config, normalize,
                            run_experiment, split)
@@ -112,9 +113,15 @@ class TestConfig:
             ExperimentConfig(anomaly_source="oe")
 
     def test_method_label_vocabulary(self):
-        assert set(METHOD_LABELS.values()) == {
-            "Fully Trained", "CalHead OE", "CalHead Spectral", "Platt OE",
-            "Platt Spectral", "β OE", "β Spectral"}
+        labels = {(calibrator, source): ExperimentConfig(
+                      calibrator=calibrator, anomaly_source=source,
+                      oe_dir="oe" if source == "oe" else None).method_label
+                  for calibrator in calad.CALIBRATORS for source in calad.ANOMALY_SOURCES}
+        assert labels == {
+            ("none", "oe"): "Fully Trained", ("none", "spectral"): "Fully Trained",
+            ("head", "oe"): "CalHead OE", ("head", "spectral"): "CalHead Spectral",
+            ("platt", "oe"): "Platt OE", ("platt", "spectral"): "Platt Spectral",
+            ("beta", "oe"): "β OE", ("beta", "spectral"): "β Spectral"}
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
@@ -261,6 +268,10 @@ class TestRunExperiment:
         assert doc["config"] == json.loads(json.dumps(asdict(cfg)))
         assert doc["config"]["loss"] == "svdd" and doc["config"]["seeds"] == [0]
         assert "milestones" not in doc["config"]
+        # constants, recorded once, among the conventions
+        assert not {"bins", "split_ratio"} & set(doc["config"])
+        assert doc["conventions"]["bins"] == RELIABILITY_BINS == 15
+        assert doc["conventions"]["split_ratio"] == SPLIT_RATIO == 0.75
         assert doc["conventions"]["tie_handling"] == "midranks"
         assert "aupro" in doc["conventions"]
         # read from the code that applies them
@@ -727,29 +738,69 @@ class TestCli:
         assert rc == 1
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--bins", "0"], ["run", "--batch-size", "0"],
+        ["run", "--batch-size", "0"],
         ["run", "--learning-rate", "-1"], ["run", "--learning-rate", "nan"],
         ["run", "--epochs", "-1"], ["run", "--seeds", "-1"], ["run", "--seeds", "0,-1"],
         ["run", "--seeds", "0,0"], ["run", "--seeds", "1,0,1"],
-        ["run", "--epsilon", "nan"],
-        ["eval", "--bins", "0"], ["eval", "--bins", "-1"]], ids=" ".join)
+        ["run", "--epsilon", "nan"]], ids=" ".join)
     def test_bad_setting_is_config_error_before_work(self, tmp_path, capsys, argv):
-        scores = tmp_path / "scores.csv"
-        scores.write_text("score,label\n0.1,0\n0.7,1\n")
         out = tmp_path / "out"
-        verb, *flags = argv
-        if verb == "run":
-            rc = cli_main(["run", "--normal", "builtin:gauss2d", "--seeds", "0",
-                           "--out", str(out)] + flags)
-        else:
-            rc = cli_main(["eval", str(scores)] + flags)
+        rc = cli_main(["run", "--normal", "builtin:gauss2d", "--seeds", "0",
+                       "--out", str(out)] + argv[1:])
         assert rc == 1
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("setting", [
+        ["run", "--split-ratio", "0.75"], ["run", "--bins", "15"], ["eval", "--bins", "15"],
+        {"split_ratio": 0.75}, {"bins": 15}],
+        ids=lambda s: json.dumps(s) if isinstance(s, dict) else " ".join(s))
+    def test_removed_setting_is_rejected(self, tmp_path, capsys, monkeypatch, setting):
+        """The split ratio and the bin count are constants: their flags are
+        usage errors and their config keys unknown, exit 1 before work."""
+        monkeypatch.setattr("calad.harness.gaussian_ring", no_training)
+        monkeypatch.setattr("calad.cli._read_score_csv", no_training)
+        out = tmp_path / "out"
+        if isinstance(setting, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(setting))
+            argv = ["run", "--config", str(cfg), "--out", str(out)]
+            expect = f"error: unknown config keys: {sorted(setting)}"
+        else:
+            verb, flag, value = setting
+            target = [str(tmp_path / "scores.csv")] if verb == "eval" else ["--out", str(out)]
+            argv = [verb, *target, flag, value]
+            expect = f"error: calad: unrecognized arguments: {flag} {value}"
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == expect
+        assert not out.exists()
+
+    @pytest.mark.parametrize("normal,flag", [
+        ("builtin:gauss2d", "--oe-dir"), ("builtin:tiles", "--oe-dir"),
+        ("builtin:gauss2d", "--masks-dir"), ("builtin:tiles", "--masks-dir"),
+        ("normal.csv", "--masks-dir")])
+    def test_unread_path_setting_is_config_error_before_work(self, tmp_path, capsys,
+                                                             monkeypatch, normal, flag):
+        """--oe-dir is read only with anomaly source oe, and --masks-dir only
+        with a tiles directory as normal data; either one set where the run
+        would not read it is a config error before any data loads."""
+        for loader in ("gaussian_ring", "textured_tiles", "loadtxt"):
+            monkeypatch.setattr(f"calad.harness.{loader}", no_training)
+        if normal.endswith(".csv"):
+            normal = tmp_path / normal
+            normal.write_text("0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+        given = tmp_path / "data"
+        given.mkdir()
+        out = tmp_path / "out"
+        assert cli_main(["run", "--normal", str(normal), flag, str(given), "--seeds", "0",
+                         "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {flag[2:].replace('-', '_')} {given} is read only")
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [
         {"seeds": 5}, {"seeds": [-1]}, {"seeds": [0.5]}, {"epochs": "a"},
-        {"split_ratio": None}, {"milestones": [3, 1]}, {"normal": 5},
+        {"milestones": [3, 1]}, {"normal": 5},
         {"seeds": [2, 2]}, 5, None, [{"a": 1}]], ids=json.dumps)
     def test_bad_config_file_value_is_config_error_before_work(self, tmp_path, capsys,
                                                                doc):
@@ -795,8 +846,11 @@ class TestCli:
         rc = cli_main(["eval", str(tmp_path / "nope.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("flags", [["--height", "1"], ["--channels", "0"],
-                                       ["--count", "-1"], ["--seed", "-1"]], ids=" ".join)
+    @pytest.mark.parametrize("flags", [
+        ["--height", "1"], ["--channels", "0"], ["--count", "-1"], ["--seed", "-1"],
+        # over the value cap, even with no image: one image's grids are laid out
+        ["--height", "100000000", "--width", "100000000"],
+        ["--count", "0", "--height", "100000000000000", "--width", "2"]], ids=" ".join)
     def test_synth_bad_size_is_config_error_before_writing(self, tmp_path, capsys,
                                                            flags):
         out = tmp_path / "out"
@@ -1237,5 +1291,5 @@ class TestScoreCsv:
 
     def test_eval_probabilities_accepts_closed_unit_interval(self, tmp_path, capsys):
         path = self.write(tmp_path, "score,label\n0.0,0\n1.0,1\n0.25,0\n0.75,1\n")
-        assert cli_main(["eval", str(path), "--probabilities", "--bins", "2"]) == 0
+        assert cli_main(["eval", str(path), "--probabilities"]) == 0
         assert "ece 0.125" in capsys.readouterr().out

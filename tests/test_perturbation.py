@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from calad import LOSSES
 from calad.calibration import PlattParams, calibrated_logit
-from calad.harness import (ExperimentConfig, _anomaly_pools, _balanced, _fit_calibrator,
-                           _load_dataset, fit_normalizer, normalize, split)
+from calad.harness import (SPLIT_RATIO, ExperimentConfig, _anomaly_pools, _balanced,
+                           _fit_calibrator, _load_dataset, fit_normalizer, normalize, split)
 from calad.losses import sigmoid
 from calad.perturbation import evaluate_pair, perturb, perturb_batch
 from calad.scorer import (LOCALIZING_LOSSES, SUPERVISED_LOSSES, LossPipeline, MlpSpec,
@@ -158,7 +158,7 @@ def trained_base(request):
     cfg = ExperimentConfig(normal="builtin:tiles" if loss in LOCALIZING_LOSSES
                            else "builtin:gauss2d", loss=loss, seeds=(0,), epochs=5)
     dataset = _load_dataset(cfg)
-    normal, calib = split(dataset["normal"], cfg.split_ratio, 0)
+    normal, calib = split(dataset["normal"], SPLIT_RATIO, 0)
     stats = fit_normalizer(normal)
     pools = _anomaly_pools(cfg, dataset, 0, stats, n_each=64, keys=["train", "calib"])
     x_train = normalize(normal, stats)

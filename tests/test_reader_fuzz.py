@@ -94,3 +94,17 @@ def test_damaged_file_raises_only_data_error(tmp_path, kind):
             pass
 
     check()
+
+
+@pytest.mark.parametrize("kind", READERS)
+@pytest.mark.parametrize("defect", ["missing", "directory"])
+def test_unreadable_file_is_a_data_error_naming_it(tmp_path, kind, defect):
+    """A missing file, or a directory in its place, is a DataError naming it."""
+    write, read = READERS[kind]
+    path = tmp_path / f"input.{kind}"
+    write(path)
+    path.unlink()
+    if defect == "directory":
+        path.mkdir()
+    with pytest.raises(DataError, match=f"cannot read .*{path.name}"):
+        read(path)
