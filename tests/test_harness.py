@@ -753,6 +753,7 @@ class TestCli:
 
     @pytest.mark.parametrize("setting", [
         ["run", "--split-ratio", "0.75"], ["run", "--bins", "15"], ["eval", "--bins", "15"],
+        ["eval", "--bins", "0"], ["eval", "--bins", "-1"],
         {"split_ratio": 0.75}, {"bins": 15}],
         ids=lambda s: json.dumps(s) if isinstance(s, dict) else " ".join(s))
     def test_removed_setting_is_rejected(self, tmp_path, capsys, monkeypatch, setting):
