@@ -1,13 +1,17 @@
 """Command-line entry points.
 
-Verbs: ``run`` executes a full experiment, ``synth`` emits spectral images
-(at most ``SYNTH_MAX_VALUES`` values), ``calibrate`` fits a calibrator on
-a score CSV, ``eval`` computes metrics on a score CSV in the run's
-``calibration.RELIABILITY_BINS`` bins, and ``report`` recomputes
-``summary.csv``, one row per class and method, from stored per-seed
-rows. Exit codes: 0 success, 1 configuration error (a usage error
-included), 2 data error, 3 numerical failure; any other exception is a
-bug and propagates as a traceback.
+Verbs: ``run`` executes a full experiment, set by its flags alone (each
+sets one ``ExperimentConfig`` field; there is no config file), ``synth``
+emits spectral images (at most ``SYNTH_MAX_VALUES`` values),
+``calibrate`` fits a calibrator on a score CSV, ``eval`` computes
+metrics on a score CSV in the run's ``calibration.RELIABILITY_BINS``
+bins, and ``report`` recomputes ``summary.csv``, one row per class and
+method, from stored per-seed rows. Exit codes: 0 success, 1
+configuration error (a usage error included), 2 data error, 3 numerical
+failure; any other exception is a bug and propagates as a traceback.
+Each verb runs under ``np.errstate(all="raise", under="ignore")``, so a
+floating-point fault is a NumericalError naming the verb and the
+operation, not a numpy warning followed by inf or NaN.
 ``CALAD_OUT_DIR`` supplies the default output directory; no other
 environment variable is consulted. Before numpy loads, the CLI sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless the user has set it: calad's BLAS
@@ -43,7 +47,7 @@ import numpy as np
 from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
 from .calibration import (RELIABILITY_BINS, ece, fit_beta, fit_platt, fitting_digest,
                           mce, reliability, save_calibrator)
-from .errors import CaladError, ConfigError, DataError, loadtxt
+from .errors import CaladError, ConfigError, DataError, NumericalError, loadtxt
 from .losses import sigmoid
 from .metrics import auroc
 
@@ -57,6 +61,16 @@ SYNTH_MAX_VALUES = 2**24
 def _out_dir(flag) -> str:
     """--out if given, else CALAD_OUT_DIR, else runs; reports rejects ''."""
     return os.environ.get("CALAD_OUT_DIR", "runs") if flag is None else flag
+
+
+def _seed_list(text: str) -> tuple:
+    """--seeds' value: comma-separated integers; ExperimentConfig rejects
+    a negative or repeated seed."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated nonnegative integers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,14 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="run a full experiment")
-    run.add_argument("--config", help="JSON config file; flags may not conflict")
     run.add_argument("--normal", help="normal data: CSV path or builtin:<name>")
     run.add_argument("--oe-dir", dest="oe_dir", help="outlier-exposure directory")
     run.add_argument("--masks-dir", dest="masks_dir", help="mask directory")
     run.add_argument("--loss", choices=LOSSES)
     run.add_argument("--calibrator", choices=CALIBRATORS)
     run.add_argument("--anomaly-source", dest="anomaly_source", choices=ANOMALY_SOURCES)
-    run.add_argument("--seeds", type=lambda s: tuple(int(v) for v in s.split(",")))
+    run.add_argument("--seeds", type=_seed_list)
     run.add_argument("--epsilon", type=float)
     run.add_argument("--epochs", type=int)
     run.add_argument("--learning-rate", dest="learning_rate", type=float)
@@ -144,13 +157,11 @@ def _read_score_csv(path):
 def _cmd_run(args) -> int:
     from . import harness
 
-    cli_fields = {key: getattr(args, key) for key in harness.CONFIG_FIELDS
-                  if hasattr(args, key)}
-    file_fields = harness.load_config_file(args.config) if args.config else {}
-    if cli_fields.get("out_dir") is None and "out_dir" not in file_fields:
-        cli_fields["out_dir"] = _out_dir(None)
-    cfg = harness.merge_config(cli_fields, file_fields)
-    result = harness.run_experiment(cfg)
+    # every run flag is an ExperimentConfig field; an unset one keeps its default
+    fields = {key: value for key, value in vars(args).items()
+              if key != "verb" and value is not None}
+    fields["out_dir"] = _out_dir(args.out_dir)
+    result = harness.run_experiment(harness.ExperimentConfig(**fields))
     print(f"wrote {result.out_dir / 'summary.csv'}")
     for row in result.summary_rows:
         print(f"  {row['method']}: AUROC {row['auroc']:.4f} -> "
@@ -265,9 +276,9 @@ def _read_seed_rows(path):
 def _cmd_report(args) -> int:
     out = _out_dir(args.out_dir)
     reports.check_out_dir(out)  # fail before the rows are read
-    rows = _read_seed_rows(args.rows)
+    summary = reports.aggregate(_read_seed_rows(args.rows))
     out = reports.make_out_dir(out)
-    reports.write_rows_csv(out / "summary.csv", reports.aggregate(rows))
+    reports.write_rows_csv(out / "summary.csv", summary)
     print(f"wrote {out / 'summary.csv'}")
     return 0
 
@@ -277,7 +288,13 @@ def main(argv=None) -> int:
                 "eval": _cmd_eval, "report": _cmd_report}
     try:
         args = _build_parser().parse_args(argv)
-        return handlers[args.verb](args)
+        # an overflow or invalid value stops the verb where it happens,
+        # rather than warning and carrying inf or NaN on to a later check
+        with np.errstate(all="raise", under="ignore"):
+            try:
+                return handlers[args.verb](args)
+            except FloatingPointError as exc:
+                raise NumericalError(f"calad {args.verb}: {exc}") from exc
     except CaladError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

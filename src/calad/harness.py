@@ -17,7 +17,9 @@ are always measured on normal test data plus an equal-sized held-out
 pool of the synthetic anomalies, never on the real test anomalies, in
 ``calibration.RELIABILITY_BINS`` bins. A method's label joins its
 calibrator's and its anomaly source's display names. Everything is
-fully determined by the config and its seed list.
+fully determined by the config and its seed list. ``calad run`` builds
+the ExperimentConfig from its flags alone, which argparse has typed, and
+the config checks each value's range.
 
 Normal data is a built-in set, a CSV read by ``errors.loadtxt``, or a
 directory of raw tensors. One loader reads every raw-tensor directory
@@ -25,7 +27,6 @@ directory of raw tensors. One loader reads every raw-tensor directory
 be read is a DataError naming it.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -73,7 +74,6 @@ class ExperimentConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        _check_types(self)
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if self.calibrator not in CALIBRATORS:
@@ -108,69 +108,6 @@ class ExperimentConfig:
         return f"{CALIBRATOR_NAMES[self.calibrator]} {SOURCE_NAMES[self.anomaly_source]}"
 
 
-CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_types(cfg: ExperimentConfig) -> None:
-    """ConfigError for a field of the wrong type, such as a JSON config
-    file's string or null where a number belongs."""
-    for name, types in (("normal", str), ("out_dir", str), ("oe_dir", (str, type(None))),
-                        ("masks_dir", (str, type(None)))):
-        if not isinstance(getattr(cfg, name), types):
-            raise ConfigError(f"{name} must be a path, got {getattr(cfg, name)!r}")
-    for name in ("epochs", "batch_size"):
-        if not _is_int(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
-    for name in ("epsilon", "learning_rate"):
-        value = getattr(cfg, name)
-        if not (_is_int(value) or isinstance(value, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not (isinstance(cfg.seeds, tuple) and all(_is_int(v) for v in cfg.seeds)):
-        raise ConfigError(f"seeds must be a list of integers, got {cfg.seeds!r}")
-
-
-def load_config_file(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, "
-                          f"got {json.dumps(doc)[:40]}")
-    unknown = set(doc) - CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return doc
-
-
-def merge_config(cli_fields: dict, file_fields: dict) -> ExperimentConfig:
-    """Combine flag and config-file settings.
-
-    A key set by both sides to different values is a conflict and an
-    error, never a silent override.
-    """
-    merged = dict(file_fields)
-    for key, value in cli_fields.items():
-        if value is None:
-            continue
-        if key in file_fields:
-            file_value = file_fields[key]
-            norm = tuple(value) if isinstance(value, (list, tuple)) else value
-            norm_f = tuple(file_value) if isinstance(file_value, (list, tuple)) else file_value
-            if norm != norm_f:
-                raise ConfigError(
-                    f"config conflict on {key!r}: flag says {value!r}, "
-                    f"file says {file_value!r}")
-        merged[key] = value
-    if isinstance(merged.get("seeds"), list):
-        merged["seeds"] = tuple(merged["seeds"])
-    return ExperimentConfig(**merged)
-
-
 def _train_rows(n: int, ratio: float) -> int:
     """Rows on the training side of a split of n rows at `ratio`."""
     return int(round(n * ratio))
@@ -193,6 +130,7 @@ def fit_normalizer(train):
     """Per-feature mean and std over the training data, std floored; a
     DataError if either overflows float64."""
     x = np.asarray(train, dtype=float)
+    # an overflowing mean or std is checked just below, as a DataError
     with np.errstate(over="ignore", invalid="ignore"):
         mu, sd = x.mean(axis=0), x.std(axis=0)
     bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sd)))

@@ -115,6 +115,7 @@ def check_stationarity(loss: LossSpec, eta_grid) -> np.ndarray:
     grid = np.asarray(eta_grid, dtype=float)
     if np.any((grid <= 0.0) | (grid >= 1.0)):
         raise ValueError("stationarity grid must lie strictly inside (0, 1)")
+    # a partial that overflows near 0 or 1 becomes a NaN entry below
     with np.errstate(all="ignore"):
         d0 = (loss.partial_0(grid + FD_STEP) - loss.partial_0(grid - FD_STEP)) / (2 * FD_STEP)
         d1 = (loss.partial_1(grid + FD_STEP) - loss.partial_1(grid - FD_STEP)) / (2 * FD_STEP)
@@ -129,6 +130,7 @@ def check_strict_propriety(loss: LossSpec, eta_grid) -> np.ndarray:
     the grid certify a unique risk minimizer at eta_hat = eta.
     """
     grid = np.asarray(eta_grid, dtype=float)
+    # a risk that overflows near 0 or 1 becomes a NaN entry below
     with np.errstate(all="ignore"):
         lo = conditional_risk(grid, grid - FD_STEP, loss)
         mid = conditional_risk(grid, grid, loss)

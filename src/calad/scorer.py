@@ -452,6 +452,7 @@ def train(pipeline: LossPipeline, normal, anomalies, *, epochs: int, batch_size:
     adam = _Adam(pipeline.state.flat.size, learning_rate)
     grad = ScorerState(pipeline.state.spec, np.zeros_like(pipeline.state.flat))
 
+    # a diverging step shows as a non-finite loss or parameters, which raise below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epochs):
             epoch_loss = 0.0

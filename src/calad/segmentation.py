@@ -58,10 +58,13 @@ def ssim_loss(x, recon) -> SsimLoss:
     np.multiply(p, q, out=terms[4])
     sums = box_sum_valid(terms, SSIM_WINDOW, SSIM_BORDER)
     mup, muq, mpp, mqq, mpq = sums / SSIM_WINDOW ** 2
-    a = 2 * mup * muq + SSIM_C1
-    b = 2 * (mpq - mup * muq) + SSIM_C2
-    c = mup * mup + muq * muq + SSIM_C1
-    d = (mpp - mup * mup) + (mqq - muq * muq) + SSIM_C2
+    # each product of the means enters two factors and is taken once
+    # (doubling is exact, so 2 * pq has the bits of 2 * mup * muq)
+    pq, pp, qq = mup * muq, mup * mup, muq * muq
+    a = 2 * pq + SSIM_C1
+    b = 2 * (mpq - pq) + SSIM_C2
+    c = pp + qq + SSIM_C1
+    d = (mpp - pp) + (mqq - qq) + SSIM_C2
     s = (a * b) / (c * d)
     loss = np.mean(1.0 - s, axis=(-2, -1))
     return SsimLoss(loss=float(loss) if s.ndim == 2 else loss, similarity=s,
@@ -81,15 +84,17 @@ def ssim_map_backward(fwd: SsimLoss, ds):
     mup, muq, s, cd = fwd.mup, fwd.muq, fwd.similarity, fwd.c * fwd.d
     g_a = ds * fwd.b / cd
     g_b = ds * fwd.a / cd
-    g_c = -ds * s / fwd.c
+    nds = -ds * s  # shared by g_c and g_d, as 2 mup and 2 muq are below
+    g_c = nds / fwd.c
 
     # the four window gradients fill one buffer, as the forward's terms do
     grads = np.empty((4,) + s.shape)
     g_mup, g_muq, g_d, g_spq = grads
-    np.divide(-ds * s, fwd.d, out=g_d)
+    np.divide(nds, fwd.d, out=g_d)
     np.multiply(2, g_b, out=g_spq)
-    np.subtract(2 * muq * g_a + 2 * mup * g_c - 2 * mup * g_d, muq * g_spq, out=g_mup)
-    np.subtract(2 * mup * g_a + 2 * muq * g_c - 2 * muq * g_d, mup * g_spq, out=g_muq)
+    mup2, muq2 = 2 * mup, 2 * muq
+    np.subtract(muq2 * g_a + mup2 * g_c - mup2 * g_d, muq * g_spq, out=g_mup)
+    np.subtract(mup2 * g_a + muq2 * g_c - muq2 * g_d, mup * g_spq, out=g_muq)
 
     sums = box_sum_valid(grads, SSIM_WINDOW, SSIM_BORDER)
     adj_mup, adj_muq, adj_d, adj_spq = sums / SSIM_WINDOW ** 2

@@ -1,11 +1,10 @@
-"""Property test of the CLI's exit-code table: generated bad flags, bad
-config-file values and malformed data files end in exactly the documented
-code (1 config error, 2 data error, 3 numerical failure), with an
-``error:`` line and no traceback."""
+"""Property test of the CLI's exit-code table: generated bad flags and
+malformed data files end in exactly the documented code (1 config error,
+2 data error, 3 numerical failure), with an ``error:`` line and no
+traceback."""
 
 import contextlib
 import io
-import json
 import math
 import os
 import tempfile
@@ -86,38 +85,6 @@ def bad_calibrate_seed(draw):
     return {"argv": ["calibrate", "{scores}", "--seed", str(draw(negative)),
                      "--out", "{out}"],
             "files": {"scores.csv": "score,label\n0.1,0\n0.7,1\n"}}, CONFIG
-
-
-# -- bad config-file values --------------------------------------------------
-
-wrong_type = st.one_of(st.none(), st.text(max_size=4), st.booleans(),
-                       st.lists(st.integers(0, 3), max_size=2))
-
-# JSON documents whose top level is not an object
-not_an_object = st.one_of(st.none(), st.booleans(), st.integers(),
-                          st.floats(allow_nan=False, allow_infinity=False),
-                          st.text(max_size=4),
-                          st.lists(st.dictionaries(st.text(max_size=2), st.integers(),
-                                                   max_size=2), max_size=2))
-
-
-@st.composite
-def bad_config_cases(draw):
-    bad_value = st.one_of(
-        st.tuples(st.sampled_from(["epochs", "batch_size"]),
-                  wrong_type | st.floats(allow_nan=False, allow_infinity=False)),
-        st.tuples(st.sampled_from(["epsilon", "learning_rate"]), wrong_type),
-        st.tuples(st.just("seeds"), st.integers(0, 9) | st.lists(
-            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3)
-            | st.lists(negative, min_size=1, max_size=3) | repeating),
-        st.tuples(st.sampled_from(["normal", "out_dir"]),
-                  st.integers() | st.none() | st.lists(st.text(max_size=2), max_size=2)),
-        # no config key is spelled with these letters alone
-        st.tuples(st.text(alphabet="abcdefgh_", min_size=1, max_size=8), st.integers()),
-    )
-    doc = draw(bad_value.map(lambda kv: {kv[0]: kv[1]}) | not_an_object)
-    return {"argv": ["run", "--config", "{config}"],
-            "files": {"config.json": json.dumps(doc)}}, CONFIG
 
 
 # -- malformed data files ----------------------------------------------------
@@ -225,9 +192,9 @@ def constant_normal_csv(draw):
             "files": {"normal.csv": text}}, DATA if train < 3 else NUMERICAL
 
 
-cases = st.one_of(bad_flag_cases(), bad_synth_cases(), bad_calibrate_seed(),
-                  bad_config_cases(), bad_score_csv(), bad_normal_csv(), bad_seed_rows(),
-                  truncated_oe_pool(), constant_normal_csv())
+cases = st.one_of(bad_flag_cases(), bad_synth_cases(), bad_calibrate_seed(), bad_score_csv(),
+                  bad_normal_csv(), bad_seed_rows(), truncated_oe_pool(),
+                  constant_normal_csv())
 
 
 def materialize(case, root: Path):
