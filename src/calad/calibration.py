@@ -11,8 +11,8 @@ differences are too small to resolve in float64. Steps come from a
 minimum-norm least-squares solve, so a singular Hessian (a constant
 feature) or an ill-conditioned one does not raise. A fit has converged
 when the gradient max-norm is at most ``GTOL``; spending ``MAX_ITER``
-iterations first, or reaching a non-finite iterate, raises
-``NumericalError``. Separable data is not an error: the gradient decays
+iterations first, or a non-finite iterate, loss, gradient or Hessian,
+raises ``NumericalError``. Separable data is not an error: the gradient decays
 below ``GTOL`` as the slope grows.
 
 Each evaluation is one pass over the column-major design in blocks of
@@ -168,6 +168,18 @@ class FitResult:
     success: bool = True
 
 
+def _not_finite(features, x, loss, grad, hess) -> str:
+    """What a Newton pass that is not finite at x reports: the iterate if
+    it overflowed, else which of the loss, gradient and Hessian did, and
+    the largest |feature|."""
+    if not np.all(np.isfinite(x)):
+        return f"calibrator fit reached a non-finite iterate {x}"
+    parts = {"loss": loss, "gradient": grad, "Hessian": hess}
+    names = ", ".join(k for k, v in parts.items() if not np.all(np.isfinite(v)))
+    return (f"calibrator fit: {names} not finite at {x}; the largest |feature| is "
+            f"{np.max(np.abs(features)):.3g}, rescale the scores")
+
+
 def _newton(design, free, y, x0):
     """Damped Newton on the mean logistic loss of design[:, free] @ x;
     (x, iterations, loss evaluations)."""
@@ -192,7 +204,8 @@ def _newton(design, free, y, x0):
             hess = h if hess is None else hess + h
         return loss / n, grad / n, hess / n
 
-    # an overflow shows as a non-finite iterate, which raises below
+    # an overflow shows as a non-finite iterate, loss, gradient or Hessian,
+    # which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0
         loss, grad, hess = evaluate(x)
@@ -200,7 +213,7 @@ def _newton(design, free, y, x0):
         for nit in range(MAX_ITER + 1):
             if not (np.isfinite(loss) and np.all(np.isfinite(grad))
                     and np.all(np.isfinite(hess))):
-                raise NumericalError(f"calibrator fit reached a non-finite iterate {x}")
+                raise NumericalError(_not_finite(design[:, free], x, loss, grad, hess))
             if np.max(np.abs(grad)) <= GTOL or nit == MAX_ITER:
                 break
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]

@@ -2,17 +2,18 @@
 evaluate with and without input perturbation, and emit reports.
 
 One run evaluates the configured method next to its fully trained
-baseline. Both are the same experiment arm: normalize with the statistics
-of its training rows, draw anomaly pools, train the base scorer, optionally
-fit a calibrator, and evaluate on the shared test set. The runner only
-orchestrates: each loss's scorer, svdd center and head trunk come from
-``calad.scorer``. The baseline arm trains on the full normal training
-data and fits no calibrator; a calibrated method's arm trains on the
-``SPLIT_RATIO`` (3:1) training split and fits the calibrator on the
-calibration split against synthetic anomalies from the configured
-source. Fitting the calibrator gives the arm's calibrated pipeline, the
-head over the base's trunk or the base with its Platt or Beta map
-attached, and the arm evaluates whichever it gets. Calibration metrics
+baseline. Both train the same experiment arm: normalize with the
+statistics of its training rows, draw anomaly pools and train the
+uncalibrated base scorer. One evaluation step then scores any pipeline
+on the arm's normalized sets. The runner only orchestrates: each loss's
+scorer, svdd center and head trunk come from ``calad.scorer``. The
+baseline arm trains on the full normal training data and evaluates its
+base; a calibrated method's arm trains on the ``SPLIT_RATIO`` (3:1)
+training split, and its calibrator is fitted on the calibration split
+against synthetic anomalies from the configured source. The fit builds a
+new calibrated pipeline, the head over the base's trunk or the base's
+scorer with its Platt or Beta map attached, and leaves the base
+uncalibrated; that pipeline is what the arm evaluates. Calibration metrics
 are always measured on normal test data plus an equal-sized held-out
 pool of the synthetic anomalies, never on the real test anomalies, in
 ``calibration.RELIABILITY_BINS`` bins. A method's label joins its
@@ -38,7 +39,7 @@ from . import ANOMALY_SOURCES, CALIBRATORS, LOSSES, reports
 from .calibration import (RELIABILITY_BINS, ReliabilityHistogram, ece, fit_beta,
                           fit_head, fit_platt, fitting_digest, mce, reliability,
                           save_calibrator)
-from .datasets import Holdout, gaussian_ring, rows_dataset, textured_tiles, tiles_dataset
+from .datasets import gaussian_ring, rows_dataset, textured_tiles, tiles_dataset
 from .errors import ConfigError, DataError, loadtxt
 from .metrics import AUPRO_FPR_CAP, aupro, pixel_auroc
 from .perturbation import evaluate_pair, perturb_batch
@@ -319,10 +320,11 @@ def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
 
 def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
                     seed: int, localization: bool):
-    """Fit cfg.calibrator on the trained, uncalibrated `base`; (calibrated
-    pipeline, (params, digest)). A head fits the features of
+    """Fit cfg.calibrator on the trained, uncalibrated `base`; (a new
+    calibrated pipeline, (params, digest)). A head fits the features of
     head_trunk(base) and its pipeline is the head over that trunk; Platt
-    and Beta fit base's logits and attach their map to base itself."""
+    and Beta fit base's logits, and their pipeline is base's scorer with
+    the map attached. `base` itself stays uncalibrated."""
     if cfg.calibrator == "head":
         trunk = head_trunk(base.state, cfg.loss)
         feats = forward(trunk, cal_x)
@@ -336,8 +338,8 @@ def _fit_calibrator(cfg: ExperimentConfig, base: LossPipeline, cal_x, cal_y,
     else:
         e = base.calibrate(z)[1]  # the uncalibrated pipeline's estimates
         fitted = fit_beta(e, cal_y), fitting_digest(e, cal_y)
-    base.calibrator = fitted[0]
-    return base, fitted
+    return LossPipeline(base.state, base.loss_name, center=base.center,
+                        calibrator=fitted[0], image_shape=base.image_shape), fitted
 
 
 # -- evaluation ------------------------------------------------------------
@@ -360,35 +362,48 @@ def _logits(pipeline: LossPipeline, x, localization: bool):
     return pipeline.logits(x)
 
 
-def _evaluate(cfg, method, class_id, pipeline, x_test, test: Holdout,
-              localization: bool, x_eval, y_eval):
-    """The metrics row of one arm, its reliability histogram, the
-    perturbation deltas and, for localization, the test-set heatmaps.
+class _Arm(NamedTuple):
+    """One method evaluated on one seed."""
+    row: dict
+    hist: ReliabilityHistogram
+    deltas: np.ndarray
+    calibrator: Optional[tuple]   # (params, digest) when one was fitted
+    pipeline: LossPipeline
+    heatmaps: Optional[np.ndarray]  # test-set heatmaps of localization runs
 
-    `x_eval` holds normal test rows and synthetic anomalies, labelled by
-    `y_eval`. Their reliability is per row for detection and per pixel for
+
+def _evaluate(cfg, dataset, localization: bool, trained, method: str,
+              pipeline: LossPipeline, fitted) -> _Arm:
+    """`pipeline`, built on the base of the arm `trained`, evaluated on
+    that arm's sets: its metrics row, reliability histogram, perturbation
+    deltas and, for localization, test-set heatmaps, recorded with its
+    calibrator's `fitted` (params, digest) or None.
+
+    The evaluation set holds normal test rows and synthetic anomalies.
+    Its reliability is per row for detection and per pixel for
     localization."""
+    test, x_test, y_eval = dataset["test"], trained.x_test, trained.y_eval
     pair = evaluate_pair(pipeline, x_test, test.y, cfg.epsilon)
-    eta = pipeline.calibrate(_logits(pipeline, x_eval, localization))[1].ravel()
+    eta = pipeline.calibrate(_logits(pipeline, trained.x_eval, localization))[1].ravel()
     # a tile's label on each of its pixels
     hist = reliability(eta, np.repeat(y_eval, eta.size // len(y_eval)), RELIABILITY_BINS)
     row = {
-        "class_id": class_id,
+        "class_id": dataset["class_id"],
         "method": method,
         "auroc": pair.auroc_before,
         "auroc_perturbed": pair.auroc_after,
         "mce": mce(hist),
         "ece": ece(hist),
     }
-    if not localization:
-        return row, hist, pair.deltas, None
-    maps_before = _tile_heatmaps(pipeline, x_test)
-    maps_after = _tile_heatmaps(pipeline, perturb_batch(pipeline, x_test, cfg.epsilon))
-    row["aupro"] = aupro(maps_before, test.masks)
-    row["aupro_perturbed"] = aupro(maps_after, test.masks)
-    row["pixel_auroc"] = pixel_auroc(maps_before, test.masks)
-    row["pixel_auroc_perturbed"] = pixel_auroc(maps_after, test.masks)
-    return row, hist, pair.deltas, maps_before
+    maps_before = None
+    if localization:
+        maps_before = _tile_heatmaps(pipeline, x_test)
+        maps_after = _tile_heatmaps(pipeline, perturb_batch(pipeline, x_test, cfg.epsilon))
+        row["aupro"] = aupro(maps_before, test.masks)
+        row["aupro_perturbed"] = aupro(maps_after, test.masks)
+        row["pixel_auroc"] = pixel_auroc(maps_before, test.masks)
+        row["pixel_auroc_perturbed"] = pixel_auroc(maps_after, test.masks)
+    return _Arm(row, hist, pair.deltas, fitted, pipeline, maps_before)
 
 
 # -- the runner -------------------------------------------------------------
@@ -401,14 +416,13 @@ class RunResult:
     out_dir: Path
 
 
-class _Arm(NamedTuple):
-    """One method evaluated on one seed."""
-    row: dict
-    hist: ReliabilityHistogram
-    deltas: np.ndarray
-    calibrator: Optional[tuple]   # (params, digest) when one was fitted
-    pipeline: LossPipeline
-    heatmaps: Optional[np.ndarray]  # test-set heatmaps of localization runs
+class _Trained(NamedTuple):
+    """One arm's trained, uncalibrated base and its normalized sets."""
+    base: LossPipeline
+    x_test: np.ndarray
+    x_eval: np.ndarray  # normal test rows, then held-out synthetic anomalies
+    y_eval: np.ndarray
+    calib: Optional[tuple]  # (cal_x, cal_y) of the split arm
 
 
 def _balanced(normal, anomalies):
@@ -419,14 +433,12 @@ def _balanced(normal, anomalies):
             np.concatenate([np.zeros(n), np.ones(n)]))
 
 
-def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
-             normal, calib=None) -> _Arm:
+def _train_arm(cfg: ExperimentConfig, dataset, seed: int, normal, calib=None) -> _Trained:
     """Normalize with `normal`'s statistics, draw the anomaly pools the
-    arm reads, train the base scorer on `normal`, fit cfg.calibrator on
-    `calib` if given, and evaluate on the dataset's test set. Without
-    `calib` this is the fully trained baseline."""
-    method = BASELINE if calib is None else cfg.method_label
-    test, image_shape = dataset["test"], dataset["image_shape"]
+    arm reads and train the base scorer on `normal`. Without `calib` this
+    is the fully trained baseline; with it, the split arm, whose
+    calibration set balances `calib` against synthetic anomalies."""
+    test = dataset["test"]
     stats = fit_normalizer(normal)
     n_each = max(64, len(normal) // 2 if calib is None else len(calib))
     reads = {"train": cfg.loss in SUPERVISED_LOSSES, "calib": calib is not None,
@@ -435,17 +447,11 @@ def _run_arm(cfg: ExperimentConfig, dataset, localization: bool, seed: int,
                            keys=[key for key in POOL_KEYS if reads[key]])
     x_train = normalize(normal, stats)
     x_test = normalize(test.x, stats)
-    pipeline = init_pipeline(cfg.loss, x_train, seed, image_shape)
-    train(pipeline, x_train, pools.get("train"), epochs=cfg.epochs,
+    base = init_pipeline(cfg.loss, x_train, seed, dataset["image_shape"])
+    train(base, x_train, pools.get("train"), epochs=cfg.epochs,
           batch_size=cfg.batch_size, learning_rate=cfg.learning_rate, seed=seed)
-    fitted = None
-    if calib is not None:
-        cal_x, cal_y = _balanced(normalize(calib, stats), pools["calib"])
-        pipeline, fitted = _fit_calibrator(cfg, pipeline, cal_x, cal_y, seed, localization)
-    x_eval, y_eval = _balanced(x_test[test.y == 0], pools["eval"])
-    row, hist, deltas, heatmaps = _evaluate(cfg, method, dataset["class_id"], pipeline,
-                                            x_test, test, localization, x_eval, y_eval)
-    return _Arm(row, hist, deltas, fitted, pipeline, heatmaps)
+    cal = None if calib is None else _balanced(normalize(calib, stats), pools["calib"])
+    return _Trained(base, x_test, *_balanced(x_test[test.y == 0], pools["eval"]), cal)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -485,10 +491,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                             f"rows, but {where}; supply more normal rows")
     per_seed, deltas, first = [], {}, None
     for seed in cfg.seeds:
-        arms = [_run_arm(cfg, dataset, localization, seed, normal)]
+        full = _train_arm(cfg, dataset, seed, normal)
+        arms = [_evaluate(cfg, dataset, localization, full, BASELINE, full.base, None)]
         if cfg.calibrator != "none":
-            arms.append(_run_arm(cfg, dataset, localization, seed,
-                                 *split(normal, SPLIT_RATIO, seed)))
+            part = _train_arm(cfg, dataset, seed, *split(normal, SPLIT_RATIO, seed))
+            pipeline, fitted = _fit_calibrator(cfg, part.base, *part.calib, seed, localization)
+            arms.append(_evaluate(cfg, dataset, localization, part, cfg.method_label,
+                                  pipeline, fitted))
         for arm in arms:
             per_seed.append({"seed": seed, **arm.row})
             deltas[(seed, arm.row["method"])] = arm.deltas

@@ -612,16 +612,35 @@ class TestBlockedNewton:
             tracemalloc.stop()
         assert peak <= 48 * n
 
-    def test_overflowing_fit_prints_only_its_error_line(self, tmp_path):
+    @staticmethod
+    def calibrate(tmp_path, rows, kind):
+        """`calad calibrate --kind kind` on a score CSV of (score, label) rows."""
         path = tmp_path / "scores.csv"
-        path.write_text("score,label\n1e308,1\n-1e308,0\n1e307,0\n0.5,1\n")
-        proc = subprocess.run([sys.executable, "-m", "calad.cli", "calibrate", str(path),
-                               "--kind", "platt", "--out", str(tmp_path / "out")],
+        path.write_text("score,label\n" + "".join(f"{s},{y}\n" for s, y in rows))
+        return subprocess.run([sys.executable, "-m", "calad.cli", "calibrate", str(path),
+                               "--kind", kind, "--out", str(tmp_path / kind)],
                               capture_output=True, text=True)
+
+    def test_overflowing_fit_prints_only_its_error_line(self, tmp_path):
+        proc = self.calibrate(tmp_path, [(1e308, 1), (-1e308, 0), (1e307, 0), (0.5, 1)],
+                              "platt")
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: calibrator fit reached a "
-                                                       "non-finite iterate"), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("error: calibrator fit: loss"), \
+            proc.stderr
+        assert not (tmp_path / "platt").exists()
+
+    def test_overflow_at_the_start_point_names_the_loss(self, tmp_path):
+        # the start point (1, 0) is finite; the loss of the +-1e308 scores is not
+        rows = [(s, y) for s in (1e308, -1e308, 1e300, -1e300) for y in (0, 1)]
+        proc = self.calibrate(tmp_path, rows, "platt")
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: calibrator fit: loss"), \
+            proc.stderr
+        assert "non-finite iterate" not in lines[0]
+        assert "at [1. 0.]" in lines[0] and "1e+308" in lines[0]
+        assert self.calibrate(tmp_path, rows, "beta").returncode == 0
 
 
 class TestReliability:

@@ -8,12 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from calad import LOSSES
 from calad.calibration import PlattParams, calibrated_logit
-from calad.harness import (SPLIT_RATIO, ExperimentConfig, _anomaly_pools, _balanced,
-                           _fit_calibrator, _load_dataset, fit_normalizer, normalize, split)
+from calad.harness import (SPLIT_RATIO, ExperimentConfig, _fit_calibrator, _load_dataset,
+                           _train_arm, split)
 from calad.losses import sigmoid
 from calad.perturbation import evaluate_pair, perturb, perturb_batch
-from calad.scorer import (LOCALIZING_LOSSES, SUPERVISED_LOSSES, LossPipeline, MlpSpec,
-                          init_pipeline, init_scorer, train)
+from calad.scorer import LOCALIZING_LOSSES, LossPipeline, MlpSpec, init_scorer
 
 from test_scorer import ARCHITECTURES, assert_matches_per_row, make_pipeline
 
@@ -151,27 +150,16 @@ class TestEvaluatePair:
 @pytest.fixture(scope="module", params=LOSSES)
 def trained_base(request):
     """(cfg, base, x, cal_x, cal_y): the uncalibrated split-arm base of a
-    run of one loss, built as the runner builds it but trained for five
-    epochs at a higher learning rate, with the run's normalized test rows
-    and balanced calibration set."""
+    run of one loss, trained by the runner for five epochs at a higher
+    learning rate, with the arm's normalized test rows and balanced
+    calibration set."""
     loss = request.param
     cfg = ExperimentConfig(normal="builtin:tiles" if loss in LOCALIZING_LOSSES
-                           else "builtin:gauss2d", loss=loss, seeds=(0,), epochs=5)
+                           else "builtin:gauss2d", loss=loss, seeds=(0,), epochs=5,
+                           learning_rate=1e-3)
     dataset = _load_dataset(cfg)
-    normal, calib = split(dataset["normal"], SPLIT_RATIO, 0)
-    stats = fit_normalizer(normal)
-    pools = _anomaly_pools(cfg, dataset, 0, stats, n_each=64, keys=["train", "calib"])
-    x_train = normalize(normal, stats)
-    base = init_pipeline(loss, x_train, 0, dataset["image_shape"])
-    train(base, x_train, pools["train"] if loss in SUPERVISED_LOSSES else None,
-          epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=1e-3, seed=0)
-    cal_x, cal_y = _balanced(normalize(calib, stats), pools["calib"])
-    return cfg, base, normalize(dataset["test"].x, stats), cal_x, cal_y
-
-
-def _with_calibrator(base, calibrator):
-    return LossPipeline(base.state, base.loss_name, center=base.center,
-                        calibrator=calibrator, image_shape=base.image_shape)
+    arm = _train_arm(cfg, dataset, 0, *split(dataset["normal"], SPLIT_RATIO, 0))
+    return cfg, arm.base, arm.x_test, *arm.calib
 
 
 class TestMonotoneCalibrator:
@@ -184,11 +172,14 @@ class TestMonotoneCalibrator:
     def test_perturbation_is_the_base_s_wherever_the_slope_is_positive(
             self, trained_base, kind):
         cfg, base, x, cal_x, cal_y = trained_base
-        calibrated, (params, _) = _fit_calibrator(
-            replace(cfg, calibrator=kind), _with_calibrator(base, None), cal_x, cal_y,
-            0, localization=cfg.loss in LOCALIZING_LOSSES)
         moved = perturb_batch(base, x, cfg.epsilon)
         assert not np.array_equal(moved, x)
+        calibrated, (params, _) = _fit_calibrator(
+            replace(cfg, calibrator=kind), base, cal_x, cal_y,
+            0, localization=cfg.loss in LOCALIZING_LOSSES)
+        # the fit builds a new pipeline and leaves the base uncalibrated
+        assert base.calibrator is None
+        assert np.array_equal(perturb_batch(base, x, cfg.epsilon), moved)
         # d(calibrated loss at label 0)/dv: sigmoid(zc) * dzc/dz * dz/dv
         z, dz_dv = base.link(base.scores(x))
         zc, dzc_dz = calibrated_logit(params, z)
@@ -199,5 +190,6 @@ class TestMonotoneCalibrator:
 
     def test_infinite_temperature_leaves_the_rows_unmoved(self, trained_base):
         cfg, base, x, _, _ = trained_base
-        flat = _with_calibrator(base, PlattParams(np.inf, 0.25))
+        flat = LossPipeline(base.state, base.loss_name, center=base.center,
+                            calibrator=PlattParams(np.inf, 0.25), image_shape=base.image_shape)
         assert np.array_equal(perturb_batch(flat, x, cfg.epsilon), x)
