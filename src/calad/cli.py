@@ -53,8 +53,8 @@ from .metrics import auroc
 
 
 # synth's count x channels x height x width, a count of 0 counted as 1 (the
-# frequency grids of one image are laid out all the same); synthesis peaks
-# near 75 bytes a value, so about 1.3 GB at the cap
+# frequency grids of one image are laid out all the same); blocked synthesis
+# peaks near 14 bytes a value, so about 230 MB RSS at the cap
 SYNTH_MAX_VALUES = 2**24
 
 

@@ -67,12 +67,11 @@ def gaussian_ring(seed: int, n_train: int = 400, n_test: int = 150,
                         test_anom)
 
 
-def _texture(rng, size):
+def _texture(rng, ii, jj):  # ii, jj: the tile's row and column index grids
     fy, fx = rng.uniform(0.5, 2.0, 2)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    tile = 0.5 + 0.22 * np.sin(2.0 * np.pi * (fy * ii + fx * jj) / size + phase)
-    return tile + rng.normal(0.0, 0.03, (size, size))
+    tile = 0.5 + 0.22 * np.sin(2.0 * np.pi * (fy * ii + fx * jj) / len(ii) + phase)
+    return tile + rng.normal(0.0, 0.03, ii.shape)
 
 
 def _defect(rng, tile, size):
@@ -91,12 +90,13 @@ def textured_tiles(seed: int, n_train: int = 200, n_test: int = 60,
     """Textured tiles, class tiles; half the test tiles carry a bright
     square defect."""
     rng = np.random.default_rng(seed)
-    train = np.stack([_texture(rng, size) for _ in range(n_train)])[:, None]
+    ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    train = np.stack([_texture(rng, ii, jj) for _ in range(n_train)])[:, None]
     n_good = n_test // 2
-    good = np.stack([_texture(rng, size) for _ in range(n_good)])
+    good = np.stack([_texture(rng, ii, jj) for _ in range(n_good)])
     bad, masks = [], []
     for _ in range(n_test - n_good):
-        tile, mask = _defect(rng, _texture(rng, size), size)
+        tile, mask = _defect(rng, _texture(rng, ii, jj), size)
         bad.append(tile)
         masks.append(mask)
     test = np.concatenate([good, np.stack(bad)])[:, None]

@@ -51,9 +51,9 @@ FCDD_SIDE = 8  # fcdd's heatmap is FCDD_SIDE x FCDD_SIDE feature cells
 # their svdd center is exactly 0 at every seed
 SVDD_MIN_ROWS = 3
 
-# images per SSIM pass, which bounds the pass's window-term stacks: 16 holds
-# an eighth of a 128-image batch's and runs as fast per image as 8 to 64 do
-SSIM_BLOCK = 16
+# images per SSIM pass, which bounds the pass's window-term stacks: 8 holds
+# a sixteenth of a 128-image batch's, for about 5 us per image more than 16
+SSIM_BLOCK = 8
 
 
 @dataclass(frozen=True)

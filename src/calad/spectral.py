@@ -5,7 +5,8 @@ a magnitude grid 1/(|fx|^a + |fy|^b) is laid over integer frequencies with
 the singular DC bin zeroed, and the phase is taken from the spectrum of a
 fully random image. The combined spectrum is Hermitian-symmetrized so the
 inverse transform is real by construction, which is asserted numerically
-on every synthesis; the result is min-max rescaled into [0, 1].
+on every synthesis; the result is min-max rescaled into [0, 1]. A batch
+is synthesized ``SYNTH_BLOCK`` images at a time.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,9 @@ from .errors import NumericalError
 
 IMAG_RESIDUE_LIMIT = 1e-9
 EXPONENT_RANGE = (0.5, 3.5)  # each spectral exponent is uniform on this interval
+# images per FFT pass: a pass holds about 8x its images in complex
+# temporaries, so a block bounds them while the result is filled in place
+SYNTH_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -73,12 +77,13 @@ def draw_exponent_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(*EXPONENT_RANGE, size=(n, 2))
 
 
-def _synthesize_seeds(cfg: SpectralConfig, seeds):
+def _synthesize_seeds(cfg: SpectralConfig, seeds, first: int):
     """One image per seed, shape (len(seeds), channels, height, width).
 
     Each image draws, channel by channel, its exponent pair and then its
     donor image from its own generator; the transforms then run once over
-    the whole stack.
+    the whole stack. ``first`` is the batch index of seeds[0], which a
+    residue error names.
     """
     n, c, h, w = len(seeds), cfg.channels, cfg.height, cfg.width
     exponents = np.empty((n, c, 2))
@@ -100,7 +105,7 @@ def _synthesize_seeds(cfg: SpectralConfig, seeds):
     if len(bad):
         i, ch = bad[0]
         raise NumericalError(
-            f"image {i} channel {ch}: imaginary residue {ratio[i, ch]:.3e} "
+            f"image {first + i} channel {ch}: imaginary residue {ratio[i, ch]:.3e} "
             f"exceeds {IMAG_RESIDUE_LIMIT}")
     real = signal.real
     lo = real.min(axis=(-2, -1), keepdims=True)
@@ -117,10 +122,19 @@ def synthesize(cfg: SpectralConfig):
     Returns (image, metadata); metadata records the per-channel exponent
     draws and the seed.
     """
-    images, metas = _synthesize_seeds(cfg, [cfg.seed])
+    images, metas = _synthesize_seeds(cfg, [cfg.seed], 0)
     return images[0], metas[0]
 
 
 def synthesize_batch(cfg: SpectralConfig, n: int):
-    """n independent draws with per-image seeds derived from cfg.seed."""
-    return _synthesize_seeds(cfg, np.random.SeedSequence(cfg.seed).generate_state(n))
+    """n independent draws with per-image seeds derived from cfg.seed,
+    synthesized SYNTH_BLOCK at a time; each image is the one a whole-stack
+    pass gives, bit for bit."""
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(n)
+    images = np.empty((n, cfg.channels, cfg.height, cfg.width))
+    metas = []
+    for start in range(0, n, SYNTH_BLOCK):
+        block = slice(start, start + SYNTH_BLOCK)
+        images[block], block_metas = _synthesize_seeds(cfg, seeds[block], start)
+        metas += block_metas
+    return images, metas

@@ -463,6 +463,26 @@ class TestDatasetRecord:
         assert np.array_equal(loaded["normal"], dataset["normal"])
         assert np.array_equal(loaded["test"].x, test.x)
 
+    def test_tiles_equal_per_tile_index_grids(self, monkeypatch):
+        # each tile once built its own meshgrid; the shared grids give the
+        # same draws and the same bits
+        import calad.datasets
+
+        def texture_with_own_grid(rng, ii, jj):
+            size = len(ii)
+            fy, fx = rng.uniform(0.5, 2.0, 2)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+            tile = 0.5 + 0.22 * np.sin(2.0 * np.pi * (fy * ii + fx * jj) / size + phase)
+            return tile + rng.normal(0.0, 0.03, (size, size))
+
+        dataset = calad.datasets.textured_tiles(54172)
+        monkeypatch.setattr(calad.datasets, "_texture", texture_with_own_grid)
+        want = calad.datasets.textured_tiles(54172)
+        assert np.array_equal(dataset["normal"], want["normal"])
+        assert np.array_equal(dataset["test"].x, want["test"].x)
+        assert np.array_equal(dataset["test"].masks, want["test"].masks)
+
     def test_csv_rows(self, tmp_path):
         path = tmp_path / "rows.csv"
         rows = np.arange(20.0).reshape(10, 2)

@@ -372,9 +372,9 @@ class TestSsimBlocks:
         assert np.array_equal(got_losses, losses) and np.array_equal(got_d_in, d_in)
         assert np.array_equal(pipeline.score_map(x), maps)
 
-    def test_param_gradient_of_128_tiles_allocates_at_most_4_mb(self):
+    def test_param_gradient_of_128_tiles_allocates_at_most_2_mb(self):
         # one whole-stack pass over 128 16x16 tiles allocated 8.0 MB, most
-        # of it window terms of the SSIM map
+        # of it window terms of the SSIM map; blocks of 16 allocated 2.14 MB
         pipeline = LossPipeline(init_scorer(MlpSpec((256, 64, 256)), 0), "ssim",
                                 image_shape=(16, 16))
         x = np.random.default_rng(81).uniform(0.05, 0.95, (128, 256))
@@ -384,7 +384,7 @@ class TestSsimBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.0e6
+        assert peak <= 2.0e6
 
 
 def test_ssim_param_gradient_runs_one_window_sum(monkeypatch):

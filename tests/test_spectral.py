@@ -1,10 +1,16 @@
+import resource
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import calad.spectral
+from calad.cli import SYNTH_MAX_VALUES
 from calad.errors import NumericalError
-from calad.spectral import (SpectralConfig, dft2, draw_exponent_pairs,
+from calad.spectral import (SYNTH_BLOCK, SpectralConfig, dft2, draw_exponent_pairs,
                             hermitian_symmetrize, idft2, magnitude_grid,
                             synthesize, synthesize_batch)
 
@@ -210,3 +216,64 @@ class TestStackedSynthesis:
         monkeypatch.setattr(calad.spectral, "idft2", leaky_idft2)
         with pytest.raises(NumericalError, match="image 2 channel 0"):
             synthesize_batch(SpectralConfig(16, 16, seed=0), 5)
+
+
+class TestBlockedSynthesis:
+    """A batch is synthesized SYNTH_BLOCK images at a time."""
+
+    def test_residue_in_a_later_block_names_the_batch_index(self, monkeypatch):
+        calls = []
+
+        def leaky_idft2(grid):
+            out = np.fft.ifft2(grid)
+            calls.append(len(out))
+            if len(calls) == 2:
+                out[2] += 1j  # the third image of the second block
+            return out
+
+        monkeypatch.setattr(calad.spectral, "idft2", leaky_idft2)
+        with pytest.raises(NumericalError, match=f"image {SYNTH_BLOCK + 2} channel 0"):
+            synthesize_batch(SpectralConfig(16, 16, seed=0), 2 * SYNTH_BLOCK + 3)
+        assert calls == [SYNTH_BLOCK, SYNTH_BLOCK]
+
+    def test_each_pass_takes_at_most_a_block_of_seeds(self, monkeypatch):
+        sizes = []
+        real = calad.spectral._synthesize_seeds
+
+        def spy(cfg, seeds, first):
+            sizes.append((first, len(seeds)))
+            return real(cfg, seeds, first)
+
+        monkeypatch.setattr(calad.spectral, "_synthesize_seeds", spy)
+        images, metas = synthesize_batch(SpectralConfig(8, 8, seed=2), 2 * SYNTH_BLOCK + 5)
+        assert sizes == [(0, SYNTH_BLOCK), (SYNTH_BLOCK, SYNTH_BLOCK), (2 * SYNTH_BLOCK, 5)]
+        assert len(images) == len(metas) == 2 * SYNTH_BLOCK + 5
+
+    def test_100_images_allocate_at_most_1_mb(self):
+        # one whole-stack pass over these 100 16x16 images allocated 1.72 MB,
+        # most of it complex temporaries; the result itself is 0.2 MB
+        cfg = SpectralConfig(16, 16, seed=3)
+        tracemalloc.start()
+        try:
+            synthesize_batch(cfg, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6
+
+    def test_synth_at_the_cap_fits_under_800_mb_of_address_space(self, tmp_path):
+        # a whole-stack pass at the cap peaked at 1.06 GB RSS and failed
+        # here with an allocation error
+        side = 256
+        count = SYNTH_MAX_VALUES // (side * side)
+        out = tmp_path / "big"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024, 800_000 * 1024))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "calad.cli", "synth", "--count", str(count),
+             "--height", str(side), "--width", str(side), "--out", str(out)],
+            capture_output=True, text=True, preexec_fn=limit)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.glob("*.calt"))) == count == 256
