@@ -308,10 +308,9 @@ def _lbfgsb():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = Path(root, "optimize", "_lbfgsb" + suffix)
             if path.is_file():
-                loader = importlib.machinery.ExtensionFileLoader(LBFGSB_MODULE, str(path))
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_file_location(LBFGSB_MODULE, path, loader=loader))
-                loader.exec_module(module)
+                spec = importlib.util.spec_from_file_location(LBFGSB_MODULE, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
                 sys.modules[LBFGSB_MODULE] = module
                 return module
     raise ImportError("the calibration head needs scipy>=1.15, whose compiled "

@@ -12,10 +12,13 @@ failure; any other exception is a bug and propagates as a traceback.
 Each verb runs under ``np.errstate(all="raise", under="ignore")``, so a
 floating-point fault is a NumericalError naming the verb and the
 operation, not a numpy warning followed by inf or NaN.
-``CALAD_OUT_DIR`` supplies the default output directory; no other
-environment variable is consulted. Before numpy loads, the CLI sets
-``OPENBLAS_NUM_THREADS`` to 1 unless the user has set it: calad's BLAS
-work is too small for a second thread to pay off.
+A writing verb (``run``, ``synth``, ``calibrate``, ``report``) writes
+under ``--out``, by default ``reports.DEFAULT_OUT_DIR``. It checks that
+path before its work and creates the directory only once the work has
+succeeded, so a verb that fails leaves no output directory. calad reads
+no environment variable of its own: before numpy loads, the CLI sets
+``OPENBLAS_NUM_THREADS`` to 1 unless the user has set it, since calad's
+BLAS work is too small for a second thread to pay off.
 
 Each verb loads only what it runs. At import the CLI loads the modules the
 score verbs and ``report`` use (calibration, losses, metrics, reports and
@@ -56,11 +59,6 @@ from .metrics import auroc
 # frequency grids of one image are laid out all the same); blocked synthesis
 # peaks near 14 bytes a value, so about 230 MB RSS at the cap
 SYNTH_MAX_VALUES = 2**24
-
-
-def _out_dir(flag) -> str:
-    """--out if given, else CALAD_OUT_DIR, else runs; reports rejects ''."""
-    return os.environ.get("CALAD_OUT_DIR", "runs") if flag is None else flag
 
 
 def _seed_list(text: str) -> tuple:
@@ -107,13 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--width", type=int, default=64)
     synth.add_argument("--channels", type=int, default=1)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--out", dest="out_dir", default=None)
+    synth.add_argument("--out", dest="out_dir", default=reports.DEFAULT_OUT_DIR)
 
     cal = sub.add_parser("calibrate", help="fit a calibrator on a score CSV")
     cal.add_argument("scores", help="CSV with columns score,label")
     cal.add_argument("--kind", choices=["platt", "beta"], default="platt")
     cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--out", dest="out_dir", default=None)
+    cal.add_argument("--out", dest="out_dir", default=reports.DEFAULT_OUT_DIR)
 
     ev = sub.add_parser("eval", help="metrics on a score CSV")
     ev.add_argument("scores", help="CSV with columns score,label")
@@ -122,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="recompute summary.csv from per-seed rows")
     rep.add_argument("rows", help="per_seed.csv from an earlier run")
-    rep.add_argument("--out", dest="out_dir", default=None)
+    rep.add_argument("--out", dest="out_dir", default=reports.DEFAULT_OUT_DIR)
     return parser
 
 
@@ -160,7 +158,6 @@ def _cmd_run(args) -> int:
     # every run flag is an ExperimentConfig field; an unset one keeps its default
     fields = {key: value for key, value in vars(args).items()
               if key != "verb" and value is not None}
-    fields["out_dir"] = _out_dir(args.out_dir)
     result = harness.run_experiment(harness.ExperimentConfig(**fields))
     print(f"wrote {result.out_dir / 'summary.csv'}")
     for row in result.summary_rows:
@@ -187,8 +184,9 @@ def _cmd_synth(args) -> int:
             f"synth size count {args.count} x channels {args.channels} x height "
             f"{args.height} x width {args.width} is over the cap of "
             f"{SYNTH_MAX_VALUES} values")
-    out = reports.make_out_dir(_out_dir(args.out_dir))
+    reports.check_out_dir(args.out_dir)  # fail before the synthesis
     images, metas = synthesize_batch(cfg, args.count)
+    out = reports.make_out_dir(args.out_dir)
     for i, (img, meta) in enumerate(zip(images, metas)):
         save_tensor(out / f"spectral_{i:04d}.calt", img)
         write_ppm(out / f"spectral_{i:04d}.ppm",
@@ -201,14 +199,13 @@ def _cmd_synth(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
-    out = _out_dir(args.out_dir)
-    reports.check_out_dir(out)  # fail before the fit
+    reports.check_out_dir(args.out_dir)  # fail before the fit
     scores, labels = _read_score_csv(args.scores)
     if args.kind == "platt":
         params = fit_platt(scores, labels)
     else:
         params = fit_beta(sigmoid(scores), labels)
-    path = reports.make_out_dir(out) / f"calibrator_{args.kind}.txt"
+    path = reports.make_out_dir(args.out_dir) / f"calibrator_{args.kind}.txt"
     save_calibrator(path, params, args.seed, fitting_digest(scores, labels))
     print(f"wrote {path}")
     return 0
@@ -274,10 +271,9 @@ def _read_seed_rows(path):
 
 
 def _cmd_report(args) -> int:
-    out = _out_dir(args.out_dir)
-    reports.check_out_dir(out)  # fail before the rows are read
+    reports.check_out_dir(args.out_dir)  # fail before the rows are read
     summary = reports.aggregate(_read_seed_rows(args.rows))
-    out = reports.make_out_dir(out)
+    out = reports.make_out_dir(args.out_dir)
     reports.write_rows_csv(out / "summary.csv", summary)
     print(f"wrote {out / 'summary.csv'}")
     return 0

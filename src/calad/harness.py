@@ -69,7 +69,7 @@ class ExperimentConfig:
     anomaly_source: str = "spectral"
     seeds: tuple = (0, 1, 2, 3, 4)
     epsilon: float = 1.4e-3
-    out_dir: str = "runs"
+    out_dir: str = reports.DEFAULT_OUT_DIR
     epochs: int = 40
     learning_rate: float = 1e-4
     batch_size: int = 128
@@ -211,43 +211,42 @@ def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
     With `single_channel`, multi-channel tiles are a DataError."""
     from .tensorio import read_pgm
 
-    train = _load_tensors(normal_dir, "raw-tensor files")
-    first, shape = train[0][0], train[0][1].shape
-    for f, img in train:
-        if img.shape != shape:
-            raise DataError(f"{f}: shape {img.shape} differs from {first}'s {shape}")
-    if len(shape) not in (2, 3):
-        raise DataError(f"{first}: shape {shape} is not an (h, w) or (c, h, w) image")
-    train = np.stack([img for _, img in train])
-    if train.ndim == 3:  # (n, h, w) -> single channel
-        train = train[:, None]
-    if single_channel and train.shape[1] > 1:
-        raise DataError(
-            f"{normal_dir}: tiles have {train.shape[1]} channels, but SSIM and "
-            "spectral anomaly pools are single-channel")
     if masks_dir is None:
         raise DataError(
             f"{normal_dir} holds image tensors; provide a masks directory with "
             "the test images and their PGM masks")
-    # tiles are used at their stored size: test images must match the
-    # training images' (c, h, w) and masks their (h, w)
-    shape = train.shape[1:]
-    test_imgs, masks = [], []
-    for f, img in _load_tensors(masks_dir, "test images"):
-        img = img if img.ndim == 3 else img[None]
-        if img.shape != shape:
-            raise DataError(f"{f}: shape {img.shape} differs from the training "
-                            f"images' {shape}")
-        mask_file = f.with_suffix(".pgm")
-        if not mask_file.exists():
-            raise DataError(f"missing mask {mask_file}")
-        mask = read_pgm(mask_file)
-        if mask.shape != shape[1:]:
-            raise DataError(f"{mask_file}: mask shape {mask.shape} differs from the "
-                            f"images' {shape[1:]}")
-        test_imgs.append(img)
-        masks.append(mask)
-    return tiles_dataset(normal_dir.name, train, np.stack(test_imgs), np.stack(masks))
+    # tiles are used at their stored size: each image, (h, w) read as (1, h, w),
+    # must have the first training image's (c, h, w) and each mask its (h, w)
+    first, train, test_imgs, masks = None, [], [], []
+    for directory, what, images in ((normal_dir, "raw-tensor files", train),
+                                    (masks_dir, "test images", test_imgs)):
+        for f, img in _load_tensors(directory, what):
+            if img.ndim not in (2, 3):
+                raise DataError(f"{f}: shape {img.shape} is not an (h, w) or (c, h, w) "
+                                "image")
+            image = img if img.ndim == 3 else img[None]
+            if first is None:
+                first, shape = (f, img.shape), image.shape
+                if single_channel and shape[0] > 1:
+                    raise DataError(
+                        f"{normal_dir}: tiles have {shape[0]} channels, but SSIM and "
+                        "spectral anomaly pools are single-channel")
+            if image.shape != shape:
+                raise DataError(f"{f}: shape {img.shape} differs from {first[0]}'s "
+                                f"{first[1]}")
+            images.append(image)
+            if images is train:
+                continue
+            mask_file = f.with_suffix(".pgm")
+            if not mask_file.exists():
+                raise DataError(f"missing mask {mask_file}")
+            mask = read_pgm(mask_file)
+            if mask.shape != shape[1:]:
+                raise DataError(f"{mask_file}: mask shape {mask.shape} differs from the "
+                                f"images' {shape[1:]}")
+            masks.append(mask)
+    return tiles_dataset(normal_dir.name, np.stack(train), np.stack(test_imgs),
+                         np.stack(masks))
 
 
 def _load_oe_dir(oe_dir) -> np.ndarray:
@@ -530,8 +529,8 @@ CONVENTIONS = {
 def emit_reports(cfg, summary, per_seed, deltas, arms, out_dir: Path) -> None:
     """Summary and per-seed CSVs, the manifest and every seed's deltas;
     for each of the first seed's `arms`, its reliability diagram, its
-    calibrator (curve and document), its scorer checkpoint and, for
-    localization runs, its test-set heatmaps."""
+    calibrator document (and a Platt or Beta map's curve), its scorer
+    checkpoint and, for localization runs, its test-set heatmaps."""
     from . import __version__
     from .tensorio import save_tensor
 
@@ -547,8 +546,9 @@ def emit_reports(cfg, summary, per_seed, deltas, arms, out_dir: Path) -> None:
         (out_dir / f"reliability_{slug}.svg").write_text(svg)
         if arm.calibrator is not None:
             params, digest = arm.calibrator
-            svg = reports.calibrator_curve_svg(params, method)
-            (out_dir / f"calibrator_{slug}.svg").write_text(svg)
+            if cfg.calibrator != "head":  # a head maps features, so it has no curve
+                svg = reports.calibrator_curve_svg(params, method)
+                (out_dir / f"calibrator_{slug}.svg").write_text(svg)
             save_calibrator(out_dir / f"calibrator_{slug}.txt", params, seed0, digest)
         save_scorer(out_dir / f"scorer_{slug}_seed{seed0}", arm.pipeline.state,
                     {"seed": seed0, "epoch": cfg.epochs, "loss": cfg.loss})

@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import HeadParams, ReliabilityHistogram, calibrated_logit, ece, mce
+from .calibration import ReliabilityHistogram, calibrated_logit, ece, mce
 from .errors import ConfigError
 from .losses import sigmoid
 
 CSV_COLUMNS = ["class_id", "method", "auroc", "auroc_perturbed", "mce", "ece"]
 CSV_LOCALIZATION = ["aupro", "aupro_perturbed", "pixel_auroc", "pixel_auroc_perturbed"]
+DEFAULT_OUT_DIR = "runs"  # every writing verb's --out when it is not given
 
 
 def check_out_dir(path) -> None:
@@ -145,14 +146,12 @@ def reliability_diagram_svg(hist: ReliabilityHistogram, title: str) -> str:
 
 
 def calibrator_curve_svg(calibrator, title: str) -> str:
-    """Fitted estimate transform over the logits -8..8, with the identity;
-    a calibration head maps features, not logits, so its curve is the
-    identity."""
+    """A Platt or Beta map's estimate transform over the logits -8..8,
+    with the identity."""
     margin, plot = MARGIN, PLOT
     z_lo, z_hi = -8.0, 8.0
     zs = np.linspace(z_lo, z_hi, 161)
-    eta = sigmoid(zs if isinstance(calibrator, HeadParams)
-                  else calibrated_logit(calibrator, zs)[0])
+    eta = sigmoid(calibrated_logit(calibrator, zs)[0])
 
     def pts(values):
         out = []

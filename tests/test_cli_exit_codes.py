@@ -9,7 +9,6 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -221,9 +220,14 @@ def test_exit_code_matches_documented_table(case_and_code):
     with tempfile.TemporaryDirectory() as tmp:
         argv = materialize(case, Path(tmp))
         err = io.StringIO()
-        # a verb without --out writes under CALAD_OUT_DIR
-        with mock.patch.dict(os.environ, {"CALAD_OUT_DIR": str(Path(tmp) / "out")}), \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = cli_main(argv)
+        # a verb without --out writes under ./runs, so run it inside tmp
+        # (Python 3.10 has no contextlib.chdir)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli_main(argv)
+        finally:
+            os.chdir(cwd)
     assert rc == code, (argv, err.getvalue())
     assert "error:" in err.getvalue()

@@ -17,12 +17,12 @@ import pytest
 import calad
 from calad.calibration import RELIABILITY_BINS
 from calad.cli import _read_score_csv, main as cli_main
-from calad.errors import ConfigError, DataError
+from calad.errors import ConfigError, DataError, NumericalError
 from calad.harness import (SPLIT_RATIO, ExperimentConfig, _anomaly_pools,
                            _dir_dataset, _load_dataset, fit_normalizer, normalize,
                            run_experiment, split)
 from calad.metrics import AUPRO_FPR_CAP, aupro
-from calad.tensorio import save_tensor, write_pgm
+from calad.tensorio import load_tensor, save_tensor, write_pgm
 
 FAST = dict(epochs=2, learning_rate=1e-3, batch_size=64)
 
@@ -228,6 +228,14 @@ class TestRunExperiment:
         r = run_experiment(fast_cfg(tmp_path, calibrator="head", seeds=(0,)))
         assert {row["method"] for row in r.summary_rows} == \
             {"Fully Trained", "CalHead Spectral"}
+        # a head maps features, not logits: its document is written, no curve
+        assert sorted(p.name for p in r.out_dir.iterdir()) == [
+            "calibrator_calhead_spectral.txt", "deltas_calhead_spectral_seed0.csv",
+            "deltas_fully_trained_seed0.csv", "manifest.json", "per_seed.csv",
+            "reliability_calhead_spectral.svg", "reliability_fully_trained.svg",
+            "scorer_calhead_spectral_seed0.calt", "scorer_calhead_spectral_seed0.json",
+            "scorer_fully_trained_seed0.calt", "scorer_fully_trained_seed0.json",
+            "summary.csv"]
 
     def test_zero_epsilon_pairs_identical(self, tmp_path):
         r = run_experiment(fast_cfg(tmp_path, calibrator="none", epsilon=0.0,
@@ -582,6 +590,38 @@ class TestTileShapes:
         assert line.startswith(f"error: cannot read {bad}: ")
         assert not (tmp_path / "out").exists()
 
+    def test_image_shape_error_names_the_shape_the_file_holds(self, tmp_path, capsys):
+        train, test = write_tile_dirs(tmp_path, (1, 16, 16), (8, 8), (8, 8))
+        assert self.run(tmp_path, train, test, "--loss", "fcdd") == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"error: {test / 'a.calt'}: shape (8, 8) differs from "
+                        f"{train / 't000.calt'}'s (1, 16, 16)")
+        assert not (tmp_path / "out").exists()
+
+    def test_training_files_of_either_rank_load_alike(self, tmp_path):
+        # an (h, w) file is one channel, in the training directory as in the
+        # masks directory
+        train, test = write_tile_dirs(tmp_path, (1, 16, 16), (16, 16), (16, 16),
+                                      n_train=3)
+        expected = _dir_dataset(train, test, single_channel=True)
+        save_tensor(train / "t001.calt", load_tensor(train / "t001.calt")[0])
+        dataset = _dir_dataset(train, test, single_channel=True)
+        assert np.array_equal(dataset["normal"], expected["normal"])
+        assert np.array_equal(dataset["test"].x, expected["test"].x)
+        assert dataset["image_shape"] == (16, 16)
+
+    def test_missing_masks_dir_is_reported_before_any_tensor_is_read(self, tmp_path,
+                                                                     capsys):
+        train = tmp_path / "train"
+        train.mkdir()
+        (train / "a.calt").write_bytes(b"not a raw tensor")
+        assert cli_main(["run", "--normal", str(train), "--loss", "fcdd", "--seeds", "0",
+                         "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"error: {train} holds image tensors; provide a masks directory "
+                        "with the test images and their PGM masks")
+        assert not (tmp_path / "out").exists()
+
     def test_multichannel_fcdd_with_oe_runs(self, tmp_path):
         rng = np.random.default_rng(1)
         train, test = write_tile_dirs(tmp_path, (3, 16, 16), (3, 16, 16), (16, 16),
@@ -930,11 +970,10 @@ class TestCli:
                                "or standard deviation beyond float64's range")
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb, source", [
-        *((verb, source) for verb in ("run", "synth", "calibrate", "report")
-          for source in ("flag", "env"))])
-    def test_empty_out_dir_exits_1_before_work(self, tmp_path, capsys, monkeypatch, verb,
-                                                source):
+    # the ids name the empty path's one source, the --out flag
+    @pytest.mark.parametrize("verb", ["run", "synth", "calibrate", "report"],
+                             ids=lambda verb: f"{verb}-flag")
+    def test_empty_out_dir_exits_1_before_work(self, tmp_path, capsys, monkeypatch, verb):
         scores = tmp_path / "scores.csv"
         scores.write_text("score,label\n0.1,0\n0.7,1\n0.3,0\n0.9,1\n")
         rows = tmp_path / "per_seed.csv"
@@ -943,14 +982,10 @@ class TestCli:
         argv = {"run": ["run", "--normal", "builtin:gauss2d", "--seeds", "0"],
                 "synth": ["synth", "--count", "1", "--height", "8", "--width", "8"],
                 "calibrate": ["calibrate", str(scores)],
-                "report": ["report", str(rows)]}[verb]
+                "report": ["report", str(rows)]}[verb] + ["--out", ""]
         for name in ("calad.harness._load_dataset", "calad.cli._read_score_csv",
                      "calad.cli._read_seed_rows", "calad.spectral.synthesize_batch"):
             monkeypatch.setattr(name, no_training)
-        if source == "flag":
-            argv += ["--out", ""]
-        else:
-            monkeypatch.setenv("CALAD_OUT_DIR", "")
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
@@ -991,10 +1026,40 @@ class TestCli:
         assert "usage: calad" in capsys.readouterr().out
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CALAD_OUT_DIR", str(tmp_path / "envout"))
-        rc = cli_main(["synth", "--count", "1", "--height", "8", "--width", "8"])
-        assert rc == 0
-        assert (tmp_path / "envout" / "spectral_0000.ppm").exists()
+        """Every writing verb without --out writes under ./runs, whatever
+        CALAD_OUT_DIR holds: calad reads no such variable."""
+        env = tmp_path / "env"
+        monkeypatch.setenv("CALAD_OUT_DIR", str(env))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score,label\n0.1,0\n0.7,1\n0.3,0\n0.9,1\n")
+        rows = tmp_path / "per_seed.csv"
+        rows.write_text("seed,class_id,method,auroc,auroc_perturbed,mce,ece\n"
+                        "0,0,Fully Trained,0.9,0.8,0.1,0.05\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for argv, written in (
+                (["synth", "--count", "1", "--height", "8", "--width", "8"],
+                 "spectral_0000.ppm"),
+                (["calibrate", str(scores)], "calibrator_platt.txt"),
+                (["report", str(rows)], "summary.csv"),
+                (["run", "--normal", "builtin:gauss2d", "--seeds", "0", "--epochs", "1"],
+                 "per_seed.csv")):
+            assert cli_main(argv) == 0, argv
+            assert (cwd / "runs" / written).exists(), argv
+        assert not env.exists()
+        assert [p.name for p in cwd.iterdir()] == ["runs"]
+
+    def test_synth_failure_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericalError("synthesis failed")
+
+        monkeypatch.setattr("calad.spectral.synthesize_batch", fail)
+        out = tmp_path / "out"
+        assert cli_main(["synth", "--count", "1", "--height", "8", "--width", "8",
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: synthesis failed\n"
+        assert not out.exists()
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "calad.cli", "--help"],
