@@ -25,7 +25,8 @@ the config checks each value's range.
 Normal data is a built-in set, a CSV read by ``errors.loadtxt``, or a
 directory of raw tensors. One loader reads every raw-tensor directory
 (training tiles, test tiles, an OE pool), and a file in one that cannot
-be read is a DataError naming it.
+be read is a DataError naming it. The OE pool is read and checked once,
+before the first seed, into the record's ``"oe"``; every arm draws from it.
 """
 
 import math
@@ -162,15 +163,7 @@ def _load_dataset(cfg: ExperimentConfig):
     if name == "builtin:tiles":
         return textured_tiles(DATA_SEED)
     if path.is_dir():
-        # SSIM and spectral anomaly pools handle one channel only
-        dataset = _dir_dataset(path, cfg.masks_dir, single_channel=(
-            cfg.loss == "ssim" or cfg.anomaly_source == "spectral"))
-        y = dataset["test"].y
-        if y.min() == y.max():
-            raise DataError(f"{cfg.masks_dir}: {int(y.sum())} of {len(y)} test masks "
-                            "mark an anomalous pixel; the test set needs normal and "
-                            "anomalous tiles")
-        return dataset
+        return _dir_dataset(path, cfg.masks_dir)
     if path.suffix == ".csv" and path.exists():
         rows = loadtxt(path, "normal data from")
         if len(rows) < 2:
@@ -205,10 +198,9 @@ def _load_tensors(directory, what: str) -> list:
     return [(f, load_tensor(f)) for f in files]
 
 
-def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
+def _dir_dataset(normal_dir: Path, masks_dir):
     """Training images from a raw-tensor directory; the test set is the
-    masks directory's <name>.calt images paired with <name>.pgm masks.
-    With `single_channel`, multi-channel tiles are a DataError."""
+    masks directory's <name>.calt images paired with <name>.pgm masks."""
     from .tensorio import read_pgm
 
     if masks_dir is None:
@@ -227,10 +219,6 @@ def _dir_dataset(normal_dir: Path, masks_dir, single_channel: bool):
             image = img if img.ndim == 3 else img[None]
             if first is None:
                 first, shape = (f, img.shape), image.shape
-                if single_channel and shape[0] > 1:
-                    raise DataError(
-                        f"{normal_dir}: tiles have {shape[0]} channels, but SSIM and "
-                        "spectral anomaly pools are single-channel")
             if image.shape != shape:
                 raise DataError(f"{f}: shape {img.shape} differs from {first[0]}'s "
                                 f"{first[1]}")
@@ -253,16 +241,14 @@ def _load_oe_dir(oe_dir) -> np.ndarray:
     """Flat sample pool from a directory of raw-tensor files.
 
     Rank 1 and rank 3 tensors are single samples (a feature vector, an
-    image); rank 2 and rank 4 are batches of them.
+    image); rank 2 and rank 4 are batches of them, an empty one adding none.
     """
     parts = []
     for f, arr in _load_tensors(oe_dir, "raw-tensor files"):
-        if arr.ndim in (1, 3):
-            parts.append(arr.reshape(1, -1))
-        elif arr.ndim in (2, 4):
-            parts.append(arr.reshape(len(arr), -1))
-        else:
+        if arr.ndim not in (1, 2, 3, 4):
             raise DataError(f"{f}: unsupported tensor rank {arr.ndim}")
+        batch = arr if arr.ndim % 2 == 0 else arr[None]
+        parts.append(batch.reshape(batch.shape[0], math.prod(batch.shape[1:])))
     widths = {p.shape[1] for p in parts}
     if len(widths) != 1:
         raise DataError(f"OE pool mixes sample widths {sorted(widths)}")
@@ -289,29 +275,24 @@ POOL_KEYS = ("train", "calib", "eval")
 
 def _anomaly_pools(cfg: ExperimentConfig, dataset, seed: int, stats,
                    n_each: int, keys=POOL_KEYS):
-    """Disjoint normalized pools of synthetic anomalies, one per key of
-    POOL_KEYS listed in `keys`: training, calibration, evaluation. A
+    """Disjoint normalized anomaly pools, one per key of POOL_KEYS listed in
+    `keys` (training, calibration, evaluation): seeded thirds of the
+    record's OE pool `dataset["oe"]`, or synthesized spectral anomalies. A
     pool's draw depends on its key alone, so skipping one moves no other."""
-    d = len(np.atleast_1d(stats[0]))
     if cfg.anomaly_source == "oe":
-        pool = _load_oe_dir(cfg.oe_dir)
-        if pool.shape[1] != d:
-            raise DataError(f"{cfg.oe_dir}: OE samples are {pool.shape[1]} values wide, "
-                            f"but the data rows are {d} wide")
-        if len(pool) < 3:
-            raise DataError("OE pool must hold at least three samples")
+        pool = dataset["oe"]
         perm = np.random.default_rng(seed + 101).permutation(len(pool))
         thirds = dict(zip(POOL_KEYS, np.array_split(perm, 3)))
         return {key: normalize(pool[thirds[key]], stats) for key in keys}
     seeds = {key: seed * 3 + 211 + i for i, key in enumerate(POOL_KEYS)}
-    if dataset.get("image_shape") is not None:
+    if dataset["image_shape"] is not None:
         h, w = dataset["image_shape"]
         pools = {}
         for key in keys:
             images, _ = synthesize_batch(SpectralConfig(h, w, seed=seeds[key]), n_each)
             pools[key] = normalize(images.reshape(n_each, -1), stats)
         return pools
-    return {key: _spectral_tabular(n_each, d, seeds[key]) for key in keys}
+    return {key: _spectral_tabular(n_each, len(stats[0]), seeds[key]) for key in keys}
 
 
 # -- calibration -----------------------------------------------------------
@@ -460,15 +441,25 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # the calibration head is a detection-only method, so its runs keep the
     # detection row schema even on mask-bearing data
     localization = dataset["image_shape"] is not None and cfg.calibrator != "head"
-    if localization and cfg.loss not in LOCALIZING_LOSSES:
-        raise ConfigError(
-            f"loss {cfg.loss!r} gives no pixel heatmap; on tiles only "
-            f"{' and '.join(LOCALIZING_LOSSES)} localize, or use --calibrator head")
+    normal = dataset["normal"]
     if dataset["image_shape"] is None and cfg.loss == "ssim":
         raise ConfigError(f"loss 'ssim' reconstructs images, but {cfg.normal} holds "
                           "rows, not tiles")
     if dataset["image_shape"] is not None:
         h, w = dataset["image_shape"]
+        channels = normal.shape[1] // (h * w)
+        if channels > 1 and (cfg.loss == "ssim" or cfg.anomaly_source == "spectral"):
+            raise DataError(f"{Path(cfg.normal)}: tiles have {channels} channels, but "
+                            "SSIM and spectral anomaly pools are single-channel")
+        y = dataset["test"].y
+        if y.min() == y.max():
+            raise DataError(f"{cfg.masks_dir}: {int(y.sum())} of {len(y)} test masks "
+                            "mark an anomalous pixel; the test set needs normal and "
+                            "anomalous tiles")
+        if localization and cfg.loss not in LOCALIZING_LOSSES:
+            raise ConfigError(
+                f"loss {cfg.loss!r} gives no pixel heatmap; on tiles only "
+                f"{' and '.join(LOCALIZING_LOSSES)} localize, or use --calibrator head")
         if localization and cfg.loss == "fcdd" and (h != w or h % FCDD_SIDE):
             raise DataError(
                 f"tiles of shape {(h, w)}: fcdd upsamples its {FCDD_SIDE}x{FCDD_SIDE} "
@@ -477,7 +468,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         if cfg.anomaly_source == "spectral" and min(h, w) < 2:
             raise DataError(f"tiles of shape {(h, w)}: spectral anomaly pools need "
                             "tiles of at least 2x2")
-    normal = dataset["normal"]
     if cfg.loss == "svdd":
         # the calibrated arm trains on the split's first side, the baseline on all
         split_arm = cfg.calibrator != "none"
@@ -488,6 +478,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                      else f"there are {n_rows} normal training rows")
             raise DataError(f"{cfg.normal}: svdd needs at least {SVDD_MIN_ROWS} training "
                             f"rows, but {where}; supply more normal rows")
+    dataset["oe"] = None
+    if cfg.oe_dir is not None:  # read once: every arm draws its OE pools from it
+        oe = dataset["oe"] = _load_oe_dir(cfg.oe_dir)
+        if oe.shape[1] != normal.shape[1]:
+            raise DataError(f"{cfg.oe_dir}: OE samples are {oe.shape[1]} values wide, "
+                            f"but the data rows are {normal.shape[1]} wide")
+        if len(oe) < 3:
+            raise DataError("OE pool must hold at least three samples")
     per_seed, deltas, first = [], {}, None
     for seed in cfg.seeds:
         full = _train_arm(cfg, dataset, seed, normal)

@@ -256,12 +256,12 @@ def test_criterion_10_harness_determinism(tmp_path):
         sb = (runs[1].out_dir / "summary.csv").read_bytes()
         assert sa == sb
 
-        from calad.harness import _anomaly_pools
+        from calad.harness import _anomaly_pools, _load_oe_dir
         cfg = ExperimentConfig(
             normal="builtin:gauss2d", loss="svdd", calibrator="platt",
             anomaly_source="oe", oe_dir=str(oe_dir), seeds=(0,),
             out_dir=str(tmp_path / "pools"))
-        pools = _anomaly_pools(cfg, {"kind": "detection"}, 0,
+        pools = _anomaly_pools(cfg, {"oe": _load_oe_dir(oe_dir)}, 0,
                                (np.zeros(2), np.ones(2)), n_each=40)
         train_set = set(map(tuple, pools["train"]))
         calib_set = set(map(tuple, pools["calib"]))

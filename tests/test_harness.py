@@ -19,8 +19,8 @@ from calad.calibration import RELIABILITY_BINS
 from calad.cli import _read_score_csv, main as cli_main
 from calad.errors import ConfigError, DataError, NumericalError
 from calad.harness import (SPLIT_RATIO, ExperimentConfig, _anomaly_pools,
-                           _dir_dataset, _load_dataset, fit_normalizer, normalize,
-                           run_experiment, split)
+                           _dir_dataset, _load_dataset, _load_oe_dir, fit_normalizer,
+                           normalize, run_experiment, split)
 from calad.metrics import AUPRO_FPR_CAP, aupro
 from calad.tensorio import load_tensor, save_tensor, write_pgm
 
@@ -125,7 +125,7 @@ class TestAnomalyPools:
             save_tensor(oe_dir / f"pool_{i}.calt", rng.normal(size=(30, 2)))
         cfg = fast_cfg(tmp_path, anomaly_source="oe", oe_dir=str(oe_dir))
         stats = (np.zeros(2), np.ones(2))
-        pools = _anomaly_pools(cfg, {"image_shape": None}, 0, stats, n_each=40)
+        pools = _anomaly_pools(cfg, {"oe": _load_oe_dir(oe_dir)}, 0, stats, n_each=40)
         seen = [set(map(tuple, pools[k])) for k in ("train", "calib", "eval")]
         assert not seen[0] & seen[1]
         assert not seen[0] & seen[2]
@@ -396,7 +396,7 @@ class TestResizeStub:
 
     def test_matching_shapes_pass(self, tmp_path):
         train, test = write_tile_dirs(tmp_path, (1, 8, 8), (8, 8), (8, 8))
-        dataset = _dir_dataset(train, test, single_channel=True)
+        dataset = _dir_dataset(train, test)
         assert dataset["class_id"] == "train"
         assert dataset["normal"].shape == (2, 64)
         assert dataset["image_shape"] == (8, 8)
@@ -407,7 +407,7 @@ class TestResizeStub:
     def test_resize_request_rejected(self, tmp_path):
         train, test = write_tile_dirs(tmp_path, (1, 8, 8), (1, 16, 16), (16, 16))
         with pytest.raises(DataError, match="a.calt"):
-            _dir_dataset(train, test, single_channel=False)
+            _dir_dataset(train, test)
 
 
 class TestRowsCsv:
@@ -603,9 +603,9 @@ class TestTileShapes:
         # masks directory
         train, test = write_tile_dirs(tmp_path, (1, 16, 16), (16, 16), (16, 16),
                                       n_train=3)
-        expected = _dir_dataset(train, test, single_channel=True)
+        expected = _dir_dataset(train, test)
         save_tensor(train / "t001.calt", load_tensor(train / "t001.calt")[0])
-        dataset = _dir_dataset(train, test, single_channel=True)
+        dataset = _dir_dataset(train, test)
         assert np.array_equal(dataset["normal"], expected["normal"])
         assert np.array_equal(dataset["test"].x, expected["test"].x)
         assert dataset["image_shape"] == (16, 16)
@@ -710,6 +710,22 @@ class TestPixelChain:
         assert digest == fitting_digest(z.ravel(), np.repeat(y, 64))
 
 
+def oe_run(tmp_path, oe, *flags, out="out"):
+    """`calad run` on builtin:gauss2d with the OE pool `oe`; its exit code."""
+    return cli_main(["run", "--normal", "builtin:gauss2d", "--anomaly-source", "oe",
+                     "--oe-dir", str(oe), "--seeds", "0", "--epochs", "1",
+                     "--out", str(tmp_path / out), *flags])
+
+
+def write_oe_dir(tmp_path, *pools):
+    """An OE directory holding the arrays `pools`, one file each, in order."""
+    oe = tmp_path / "oe"
+    oe.mkdir()
+    for i, pool in enumerate(pools):
+        save_tensor(oe / f"pool{i}.calt", pool)
+    return oe
+
+
 class TestOeWidth:
     def test_pool_of_another_width_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("calad.harness.train", no_training)
@@ -723,6 +739,57 @@ class TestOeWidth:
         assert f"{oe}: OE samples are 3 values wide, but the data rows are 2 wide" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,code", [
+        (["--loss", "ssim"], 1), (["--loss", "svdd", "--calibrator", "platt"], 2)],
+        ids=["ssim-on-rows", "svdd-platt"])
+    def test_config_errors_come_before_the_pool_width(self, tmp_path, capsys,
+                                                      monkeypatch, flags, code):
+        # a run that the config cannot make on this data is exit 1 whatever
+        # the pool holds; a pool of the wrong width alone is exit 2
+        monkeypatch.setattr("calad.harness.train", no_training)
+        assert oe_run(tmp_path, write_oe_dir(tmp_path, np.zeros((10, 3))), *flags) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shape,width", [
+        ((6, 0), 0), ((0, 0), 0), ((0, 1, 4, 4), 16)],
+        ids=["zero-width", "empty-zero-width-batch", "empty-image-batch"])
+    def test_pool_of_empty_samples_exits_2(self, tmp_path, capsys, monkeypatch, shape,
+                                           width):
+        monkeypatch.setattr("calad.harness.train", no_training)
+        oe = write_oe_dir(tmp_path, np.zeros(shape))
+        assert oe_run(tmp_path, oe) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"error: {oe}: OE samples are {width} values wide, but the data "
+                        "rows are 2 wide")
+        assert not (tmp_path / "out").exists()
+
+
+class TestOeRead:
+    def test_empty_batch_adds_no_samples(self, tmp_path):
+        oe = write_oe_dir(tmp_path, np.random.default_rng(3).uniform(-3, 3, (40, 2)))
+        assert oe_run(tmp_path, oe, "--calibrator", "platt", out="full") == 0
+        save_tensor(oe / "pool1.calt", np.zeros((0, 2)))
+        assert np.array_equal(_load_oe_dir(oe), load_tensor(oe / "pool0.calt"))
+        assert oe_run(tmp_path, oe, "--calibrator", "platt", out="padded") == 0
+        assert (tmp_path / "full" / "summary.csv").read_bytes() == \
+            (tmp_path / "padded" / "summary.csv").read_bytes()
+
+    def test_oe_dir_is_read_once_per_run(self, tmp_path, monkeypatch):
+        import calad.harness
+
+        reads = []
+
+        def counted(directory):
+            reads.append(directory)
+            return _load_oe_dir(directory)
+
+        monkeypatch.setattr(calad.harness, "_load_oe_dir", counted)
+        oe = write_oe_dir(tmp_path, np.random.default_rng(4).uniform(-3, 3, (60, 2)))
+        assert oe_run(tmp_path, oe, "--calibrator", "platt", "--seeds", "0,1,2") == 0
+        assert reads == [str(oe)]
 
 
 class TestCli:
