@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .losses import EPS_CLAMP, clamp_probability, logistic_loss, sigmoid
+from .losses import EPS_CLAMP, REGISTRY, clamp_probability, logistic_loss, sigmoid
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,12 @@ def platt_transform(z, params: PlattParams):
 def beta_transform(eta_hat, params: BetaParams):
     """a ln(eta) - b ln(1 - eta) + c followed by the sigmoid.
 
-    Estimates are clamped away from {0, 1} first, mirroring how saturated
-    sigmoid outputs would otherwise produce non-finite logits.
+    The logs are the log loss's partial losses, which clamp estimates
+    away from {0, 1}, as saturated sigmoid outputs would otherwise give
+    non-finite logits.
     """
-    e = clamp_probability(np.asarray(eta_hat, dtype=float))
-    zb = params.a * np.log(e) - params.b * np.log1p(-e) + params.c
+    log = REGISTRY["log"]
+    zb = params.b * log.partial_0(eta_hat) - params.a * log.partial_1(eta_hat) + params.c
     return zb, sigmoid(zb)
 
 
@@ -370,10 +371,8 @@ def fit_head(features, labels, seed: int = 0) -> HeadParams:
     x0 = np.concatenate([rng.uniform(-1, 1, d) / np.sqrt(d), [0.0]])
 
     def objective(p):
-        z = f @ p[:d] + p[d]
-        g = sigmoid(z) - y
-        grad = np.concatenate([f.T @ g / len(y), [np.mean(g)]])
-        return float(np.mean(logistic_loss(y, z))), grad
+        loss, g = logistic_loss(y, f @ p[:d] + p[d])
+        return float(np.mean(loss)), np.concatenate([f.T @ g / len(y), [np.mean(g)]])
 
     x = _lbfgsb_minimize(objective, x0)
     return HeadParams(weights=x[:d].copy(), bias=float(x[d]))

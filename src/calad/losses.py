@@ -3,7 +3,8 @@
 A binary CPE loss is a pair of partial losses over the probability estimate:
 ``loss(y, eta_hat) = y * partial_1(eta_hat) + (1 - y) * partial_0(eta_hat)``.
 The scorer-side losses (logistic, hsc, pseudo-Huber) act on unbounded
-scores; the registry reads them in estimate units for the propriety probes.
+scores and return (value, derivative in the score); the registry reads
+their values in estimate units for the propriety probes.
 
 Propriety of a loss is probed numerically: a proper loss has a vanishing
 stationarity residual ``(1 - eta) * partial_0'(eta) + eta * partial_1'(eta)``
@@ -50,19 +51,25 @@ def logit(eta_hat):
     return out if out.ndim else float(out)
 
 
+def _floats(*arrays):
+    """The arrays, each 0-d one as a Python float."""
+    return tuple(a if a.ndim else float(a) for a in arrays)
+
+
 def logistic_loss(y, v):
-    """y ln(1 + e^-v) + (1 - y) ln(1 + e^v), evaluated without overflow."""
+    """y ln(1 + e^-v) + (1 - y) ln(1 + e^v), evaluated without overflow,
+    and its derivative sigmoid(v) - y in v."""
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    out = np.logaddexp(0.0, (1.0 - 2.0 * y) * v)
-    return out if out.ndim else float(out)
+    return _floats(np.logaddexp(0.0, (1.0 - 2.0 * y) * v), sigmoid(v) - y)
 
 
 def hsc_loss(y, v):
-    """-y ln(1 - e^-v) + (1 - y) v for nonnegative scores v.
+    """-y ln(1 - e^-v) + (1 - y) v for nonnegative scores v, and its
+    derivative -y e^-v / (1 - e^-v) + (1 - y) in v.
 
-    At v = 0 the anomalous branch is clamped to a finite value and a
-    warning is emitted, since 1 - e^-v collapses to 0 there.
+    At v = 0, where 1 - e^-v collapses to 0, the anomalous branch of
+    both is clamped to a finite value and a warning is emitted.
     """
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -73,17 +80,17 @@ def hsc_loss(y, v):
         warnings.warn("hsc_loss clamped 1 - e^-v to eps for an anomalous sample",
                       stacklevel=2)
     inner = np.maximum(inner, EPS_CLAMP)
-    out = -y * np.log(inner) + (1.0 - y) * v
-    return out if out.ndim else float(out)
+    return _floats(-y * np.log(inner) + (1.0 - y) * v, -y * np.exp(-v) / inner + (1.0 - y))
 
 
 def pseudo_huber(sq_norm):
-    """Smooth distance surrogate sqrt(s + 1) - 1 of a squared norm."""
+    """Smooth distance surrogate sqrt(s + 1) - 1 of a squared norm s, and
+    its derivative 1 / (2 sqrt(s + 1)) in s."""
     s = np.asarray(sq_norm, dtype=float)
     if np.any(s < 0):
         raise ValueError("pseudo_huber requires a nonnegative squared norm")
-    out = np.sqrt(s + 1.0) - 1.0
-    return out if out.ndim else float(out)
+    root = np.sqrt(s + 1.0)
+    return _floats(root - 1.0, 0.5 / root)
 
 
 @dataclass(frozen=True)
@@ -149,11 +156,11 @@ def _log_partial_1(eta_hat):
 
 def _logistic_partial_0(eta_hat):
     # composed through the logit link; analytically equal to the log partial
-    return logistic_loss(0, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))
+    return logistic_loss(0, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))[0]
 
 
 def _logistic_partial_1(eta_hat):
-    return logistic_loss(1, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))
+    return logistic_loss(1, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))[0]
 
 
 def _hsc_probe_partial_0(eta_hat):

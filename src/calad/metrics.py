@@ -23,25 +23,27 @@ def _require_finite(x, what):
 
 
 def _midranks(x, what):
-    """1-based ranks with ties given their mean rank; raises
-    NumericalError on non-finite values, which have no rank.
+    """1-based ranks with ties given their mean rank, from one sort;
+    raises NumericalError on non-finite values, which have no rank.
 
     A midrank is a whole or half integer, so it is exact in float64 and
     equals scipy.stats.rankdata(x, method="average") bit for bit.
     """
     _require_finite(x, what)
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return (ends - (counts - 1) / 2.0)[inverse]
+    order = np.argsort(x)
+    ranked = x[order]
+    # 1-based rank of each tie group's last member
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, len(ranked))
+    counts = np.diff(ends, prepend=0)
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(ends - (counts - 1) / 2.0, counts)
+    return ranks
 
 
 def auroc(scores, labels) -> float:
-    """Midrank (tie-aware) area under the ROC curve, from one sort.
-
-    Each tie group of the sorted scores adds its positives times its
-    midrank to the positives' rank sum. Every partial sum is a multiple
-    of 0.5 below 2^53 (n up to about 1.3e8), so the sum is exact and
-    equals the sum of the positives' ``_midranks`` bit for bit.
+    """Midrank (tie-aware) area under the ROC curve, from the positives'
+    rank sum. Every partial sum is a multiple of 0.5 below 2^53 (n up to
+    about 1.3e8), so the sum is exact whatever the summation order.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
@@ -51,14 +53,7 @@ def auroc(scores, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs at least one sample of each class")
-    _require_finite(s, "AUROC")
-    order = np.argsort(s)
-    ranked = s[order]
-    # 1-based rank of each tie group's last member
-    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, len(ranked))
-    positives = np.diff(np.cumsum((y == 1)[order])[ends - 1], prepend=0)
-    midranks = ends - (np.diff(ends, prepend=0) - 1) / 2.0
-    rank_sum = np.sum(positives * midranks)
+    rank_sum = np.sum(_midranks(s, "AUROC")[y == 1])
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

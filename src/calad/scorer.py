@@ -38,7 +38,7 @@ import numpy as np
 from . import LOSSES
 from .calibration import HeadParams, calibrated_logit
 from .errors import DataError, NumericalError
-from .losses import (EPS_CLAMP, clamp_probability, hsc_loss, logistic_loss,
+from .losses import (EPS_CLAMP, clamp_probability, hsc_loss, logistic_loss, logit,
                      pseudo_huber, sigmoid)
 from .segmentation import ssim_loss, ssim_map_backward
 
@@ -124,24 +124,25 @@ def forward(state: ScorerState, x) -> np.ndarray:
 
 
 def _forward_cache(state, x):
-    """Forward pass over an (n, d) batch keeping each layer's (input,
-    pre-activation)."""
+    """Forward pass over an (n, d) batch keeping each layer's input, which
+    is all that _backprop reads."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.shape[1] != state.spec.widths[0]:
         raise ValueError(
             f"input width {a.shape[1]} does not match spec width {state.spec.widths[0]}")
-    caches = []
+    inputs = []
     last = state.n_layers - 1
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        z = a @ w
+        inputs.append(a)
+        a = a @ w
         if b is not None:
-            z = z + b
-        caches.append((a, z))
-        a = np.tanh(z) if i < last else z
-    return a, caches
+            a += b
+        if i < last:
+            np.tanh(a, out=a)
+    return a, inputs
 
 
-def _backprop(state, caches, d_out, params: bool, out: Optional[ScorerState] = None):
+def _backprop(state, inputs, d_out, params: bool, out: Optional[ScorerState] = None):
     """Gradient of sum(d_out * output): with `params`, wrt the parameters,
     summed over the batch into out.flat (a new vector laid out like
     state.flat if out is None); otherwise wrt each input row, and no
@@ -151,11 +152,11 @@ def _backprop(state, caches, d_out, params: bool, out: Optional[ScorerState] = N
         out = ScorerState(state.spec, np.zeros_like(state.flat))
     last = state.n_layers - 1
     for i in range(last, -1, -1):
-        a_in = caches[i][0]
+        a_in = inputs[i]
         if i == last:
             dz = g
         else:  # tanh' from the activation the forward pass kept as the next input
-            dz = caches[i + 1][0] ** 2
+            dz = inputs[i + 1] ** 2
             np.subtract(1.0, dz, out=dz)
             dz *= g
         if params:
@@ -236,7 +237,7 @@ class LossPipeline:
         maps = None
         if self.loss_name == "ssim":
             n, (h, w) = len(out), self.image_shape
-            images, recons = caches[0][0].reshape(n, h, w), out.reshape(n, h, w)
+            images, recons = caches[0].reshape(n, h, w), out.reshape(n, h, w)
             values = np.empty(n)
             maps = np.empty((n, h, w)) if want_map else None
             direct = d_out = None
@@ -269,8 +270,8 @@ class LossPipeline:
             diff = out - self.center
             v, back = np.sum(diff * diff, axis=-1), 2.0 * diff
         elif self.loss_name == "hsc":
-            sq = np.sum(out * out, axis=-1)
-            v, back = pseudo_huber(sq), 2.0 * out * (0.5 / np.sqrt(sq + 1.0))[:, None]
+            v, dv_dsq = pseudo_huber(np.sum(out * out, axis=-1))
+            back = 2.0 * out * dv_dsq[:, None]
         else:  # fcdd: the pseudo-Huber cells give both the score and the map
             root = np.sqrt(out * out + 1.0)
             cells = root - 1.0
@@ -292,27 +293,25 @@ class LossPipeline:
         if name == "ssim":
             # v / 2 = (1 - S) / 2 maps the similarity S in [-1, 1] into [0, 1]
             e = clamp_probability(v / 2.0)
-            return np.log(e) - np.log1p(-e), 0.5 / (e * (1.0 - e))
+            return logit(e), 0.5 / (e * (1.0 - e))
         # hsc / fcdd: estimate 1 - e^-v through the exponential link
         raw = -np.expm1(-v)
         u = clamp_probability(raw)
-        z = np.log(u) - np.log1p(-u)
         inside = (raw > EPS_CLAMP) & (raw < 1.0 - EPS_CLAMP)
-        return z, np.where(inside, 1.0 / u, 0.0)
+        return logit(u), np.where(inside, 1.0 / u, 0.0)
 
     def _loss(self, v, y):
         """Per-row loss and dloss/dv."""
         if self.calibrator is not None:
             z, dz_dv = self.link(v)
             zc, dzc_dz = calibrated_logit(self.calibrator, z)
-            return logistic_loss(y, zc), (sigmoid(zc) - y) * dzc_dz * dz_dv
+            loss, dl_dzc = logistic_loss(y, zc)
+            return loss, dl_dzc * dzc_dz * dz_dv
         if self.loss_name == "logistic":
-            return logistic_loss(y, v), sigmoid(v) - y
+            return logistic_loss(y, v)
         if self.loss_name in ("svdd", "ssim"):
             return v, np.ones_like(v)
-        # hsc / fcdd base loss
-        dl = -y * np.exp(-v) / np.maximum(-np.expm1(-v), EPS_CLAMP) + (1.0 - y)
-        return hsc_loss(y, v), dl
+        return hsc_loss(y, v)  # hsc / fcdd base loss
 
     # -- evaluation ------------------------------------------------------
 

@@ -45,6 +45,7 @@ def read_bytes(path) -> bytes:
 
 
 def load_tensor(path) -> np.ndarray:
+    """The stored float32 tensor, as a read-only view of the file's bytes."""
     data = read_bytes(path)
     if data[:4] != MAGIC:
         raise DataError(f"{path}: not a raw-tensor container")
@@ -59,15 +60,14 @@ def load_tensor(path) -> np.ndarray:
         raise DataError(f"{path}: header truncated at {len(data)} bytes, "
                         f"rank {rank} needs {14 + 4 * rank}")
     dims = struct.unpack_from(f"<{rank}I", data, 14)
-    payload = data[14 + 4 * rank:]
-    expected = math.prod(dims) * 4
-    if len(payload) != expected:
-        raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f4")
-    bad = np.flatnonzero(~np.isfinite(values))  # before the cast, which a NaN can trap
+    header, expected = 14 + 4 * rank, math.prod(dims) * 4
+    if len(data) - header != expected:
+        raise DataError(f"{path}: payload is {len(data) - header} bytes, expected {expected}")
+    values = np.frombuffer(data, dtype="<f4", offset=header)
+    bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise DataError(f"{path}: payload value {bad[0]} is not finite")
-    return values.reshape(dims).astype(np.float64)
+    return values.reshape(dims)
 
 
 def write_pgm(path, mask) -> None:

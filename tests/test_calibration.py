@@ -192,7 +192,7 @@ class TestFitPlatt:
             y = rng.integers(0, 2, 400)
             params = fit_platt(z, y)
             zp, _ = platt_transform(z, params)
-            assert np.mean(logistic_loss(y, zp)) <= np.mean(logistic_loss(y, z)) + 1e-12
+            assert np.mean(logistic_loss(y, zp)[0]) <= np.mean(logistic_loss(y, z)[0]) + 1e-12
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -231,7 +231,7 @@ class TestFitBeta:
             params = fit_beta(e, y)
             zb, _ = beta_transform(e, params)
             z0, _ = beta_transform(e, BetaParams(1.0, 1.0, 0.0))
-            assert np.mean(logistic_loss(y, zb)) <= np.mean(logistic_loss(y, z0)) + 1e-12
+            assert np.mean(logistic_loss(y, zb)[0]) <= np.mean(logistic_loss(y, z0)[0]) + 1e-12
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -361,7 +361,7 @@ class TestFitHead:
                 def objective(p):
                     z = f @ p[:d] + p[d]
                     g = sigmoid(z) - y
-                    return (float(np.mean(logistic_loss(y, z))),
+                    return (float(np.mean(logistic_loss(y, z)[0])),
                             np.concatenate([f.T @ g / len(y), [np.mean(g)]]))
                 x = optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
                                       options={"maxiter": MAX_ITER, "gtol": GTOL}).x
@@ -397,7 +397,7 @@ def scipy_head(features, labels, seed):
     def objective(p):
         z = f @ p[:d] + p[d]
         g = sigmoid(z) - y
-        return (float(np.mean(logistic_loss(y, z))),
+        return (float(np.mean(logistic_loss(y, z)[0])),
                 np.concatenate([f.T @ g / len(y), [np.mean(g)]]))
 
     return optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
@@ -415,7 +415,7 @@ def lbfgs_reference(features, y, x0, bounds=None):
 
     def objective(x):
         z = features @ x
-        return float(np.mean(logistic_loss(y, z))), features.T @ (sigmoid(z) - y) / len(y)
+        return float(np.mean(logistic_loss(y, z)[0])), features.T @ (sigmoid(z) - y) / len(y)
 
     result = optimize.minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                                options={"gtol": 1e-12, "ftol": 1e-300, "maxiter": 10000})
@@ -492,7 +492,7 @@ class TestNewtonSolver:
         y = (z > 0).astype(int)
         params = fit_platt(z, y)
         assert 0 < params.temperature < 0.1
-        assert np.mean(logistic_loss(y, platt_transform(z, params)[0])) < 1e-6
+        assert np.mean(logistic_loss(y, platt_transform(z, params)[0])[0]) < 1e-6
 
     def test_iteration_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(calibration, "MAX_ITER", 1)
@@ -523,7 +523,7 @@ def unblocked_minimize(features, y, x0, nonneg=()):
         f = features[:, free]
         n, x = len(y), x0[free]
         z = f @ x
-        loss = float(np.mean(logistic_loss(y, z)))
+        loss = float(np.mean(logistic_loss(y, z)[0]))
         evals = 1
         for its in range(calibration.MAX_ITER + 1):
             p = sigmoid(z)
@@ -536,7 +536,7 @@ def unblocked_minimize(features, y, x0, nonneg=()):
             for t in 0.5 ** np.arange(34):
                 x_new = x + t * step
                 z_new = f @ x_new
-                loss_new = float(np.mean(logistic_loss(y, z_new)))
+                loss_new = float(np.mean(logistic_loss(y, z_new)[0]))
                 evals += 1
                 if (decrement < calibration.FULL_STEP_DECREMENT
                         or loss_new <= loss - 1e-4 * t * decrement):

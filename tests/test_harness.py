@@ -791,6 +791,25 @@ class TestOeRead:
         assert oe_run(tmp_path, oe, "--calibrator", "platt", "--seeds", "0,1,2") == 0
         assert reads == [str(oe)]
 
+    def test_float32_pool_runs_as_its_float64_cast(self, tmp_path, monkeypatch):
+        # the pool is held as the stored float32; normalization is where it
+        # turns float64, so the run's CSVs are those of a float64 pool
+        import calad.harness
+
+        oe = write_oe_dir(tmp_path, np.random.default_rng(5).uniform(-3, 3, (60, 2)))
+        assert _load_oe_dir(oe).dtype == np.float32
+        assert oe_run(tmp_path, oe, "--calibrator", "platt", "--seeds", "0,1",
+                      out="stored") == 0
+        monkeypatch.setattr(calad.harness, "_load_oe_dir",
+                            lambda directory: _load_oe_dir(directory).astype(np.float64))
+        assert oe_run(tmp_path, oe, "--calibrator", "platt", "--seeds", "0,1",
+                      out="float64") == 0
+        csvs = sorted(f.name for f in (tmp_path / "stored").glob("*.csv"))
+        assert "per_seed.csv" in csvs and "summary.csv" in csvs
+        for name in csvs:
+            assert (tmp_path / "stored" / name).read_bytes() == \
+                (tmp_path / "float64" / name).read_bytes(), name
+
 
 class TestCli:
     def test_synth_writes_images(self, tmp_path, capsys):

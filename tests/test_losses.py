@@ -91,15 +91,15 @@ class TestLogLoss:
 
 class TestLogisticLoss:
     def test_ln2_at_zero(self):
-        assert logistic_loss(0, 0.0) == pytest.approx(float(mp.log(2)), abs=1e-15)
-        assert logistic_loss(1, 0.0) == pytest.approx(float(mp.log(2)), abs=1e-15)
+        assert logistic_loss(0, 0.0)[0] == pytest.approx(float(mp.log(2)), abs=1e-15)
+        assert logistic_loss(1, 0.0)[0] == pytest.approx(float(mp.log(2)), abs=1e-15)
 
     def test_large_logit_stable(self):
         # oracle: ln(1 + e^100) evaluated at 40 digits
         expected = mpf_float(mp.log(1 + mp.exp(100)))
         with np.errstate(over="raise"):
-            assert logistic_loss(0, 100.0) == pytest.approx(expected, rel=1e-12)
-            assert np.isfinite(logistic_loss(0, 1000.0))
+            assert logistic_loss(0, 100.0)[0] == pytest.approx(expected, rel=1e-12)
+            assert np.isfinite(logistic_loss(0, 1000.0)[0])
 
     def test_is_logaddexp_bit_for_bit(self):
         """logistic_loss stays np.logaddexp(0, (1 - 2y) v). The equal form
@@ -110,7 +110,7 @@ class TestLogisticLoss:
         rng = np.random.default_rng(11)
         v = np.concatenate([rng.normal(size=5000) * 30, [0.0, -0.0, 800.0, -800.0]])
         y = rng.integers(0, 2, len(v))
-        assert np.array_equal(logistic_loss(y, v), np.logaddexp(0.0, (1 - 2 * y) * v))
+        assert np.array_equal(logistic_loss(y, v)[0], np.logaddexp(0.0, (1 - 2 * y) * v))
 
     def test_link_composition_identity(self):
         # 1e-10 agreement is only attainable where 1 - sigmoid(z) keeps
@@ -119,7 +119,7 @@ class TestLogisticLoss:
         rng = np.random.default_rng(7)
         z = rng.uniform(-13, 13, 200)
         y = rng.integers(0, 2, 200)
-        assert np.max(np.abs(logistic_loss(y, z) - log_loss(y, sigmoid(z)))) < 1e-10
+        assert np.max(np.abs(logistic_loss(y, z)[0] - log_loss(y, sigmoid(z)))) < 1e-10
 
     def test_link_composition_identity_wide_range(self):
         rng = np.random.default_rng(8)
@@ -127,24 +127,24 @@ class TestLogisticLoss:
         y = rng.integers(0, 2, 200)
         # the unclamped log loss: the registry's clamp would cap it near 16.1
         e = sigmoid(z)
-        gap = np.abs(logistic_loss(y, z) - (-y * np.log(e) - (1 - y) * np.log1p(-e)))
+        gap = np.abs(logistic_loss(y, z)[0] - (-y * np.log(e) - (1 - y) * np.log1p(-e)))
         assert np.max(gap) < 2e-16 * np.exp(30.0)
 
 
 class TestHscLoss:
     def test_normal_branch_is_score(self):
-        assert hsc_loss(0, 2.0) == 2.0
+        assert hsc_loss(0, 2.0)[0] == 2.0
 
     def test_ln2_case(self):
-        assert hsc_loss(1, float(np.log(2.0))) == pytest.approx(float(mp.log(2)), abs=1e-12)
+        assert hsc_loss(1, float(np.log(2.0)))[0] == pytest.approx(float(mp.log(2)), abs=1e-12)
 
     def test_anomalous_at_three(self):
         expected = mpf_float(-mp.log(1 - mp.exp(-3)))
-        assert hsc_loss(1, 3.0) == pytest.approx(expected, abs=1e-14)
+        assert hsc_loss(1, 3.0)[0] == pytest.approx(expected, abs=1e-14)
 
     def test_clamp_warns_and_stays_finite(self):
         with pytest.warns(UserWarning):
-            v = hsc_loss(1, 0.0)
+            v = hsc_loss(1, 0.0)[0]
         assert np.isfinite(v)
 
     def test_negative_score_rejected(self):
@@ -155,13 +155,13 @@ class TestHscLoss:
 class TestPseudoHuber:
     @pytest.mark.parametrize("s,expected", [(0.0, 0.0), (3.0, 1.0), (99.0, 9.0)])
     def test_values(self, s, expected):
-        assert pseudo_huber(s) == pytest.approx(expected, abs=1e-12)
+        assert pseudo_huber(s)[0] == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(0.0, 1e6), st.floats(0.0, 1e6))
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_lipschitz_in_root(self, s1, s2):
         a, b = sorted([s1, s2])
-        va, vb = pseudo_huber(a), pseudo_huber(b)
+        va, vb = pseudo_huber(a)[0], pseudo_huber(b)[0]
         assert vb >= va
         # 1-Lipschitz in sqrt(s): |v(b) - v(a)| <= |sqrt(b) - sqrt(a)|
         assert vb - va <= np.sqrt(b) - np.sqrt(a) + 1e-9
@@ -169,6 +169,42 @@ class TestPseudoHuber:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             pseudo_huber(-0.5)
+
+
+# each scorer-side loss over points where its central difference is clean:
+# logistic on both sides of 0, hsc away from its clamp near v = 0
+DERIVATIVE_CASES = {
+    "logistic-y0": (lambda v: logistic_loss(0, v), np.linspace(-20.0, 20.0, 81)),
+    "logistic-y1": (lambda v: logistic_loss(1, v), np.linspace(-20.0, 20.0, 81)),
+    "hsc-y0": (lambda v: hsc_loss(0, v), np.linspace(0.05, 20.0, 81)),
+    "hsc-y1": (lambda v: hsc_loss(1, v), np.linspace(0.05, 20.0, 81)),
+    "pseudo-huber": (pseudo_huber, np.geomspace(0.01, 1e4, 81)),
+}
+DERIVATIVE_STEP = 1e-6
+
+
+class TestLossDerivatives:
+    """Each scorer-side loss returns (value, derivative in the score); the
+    derivative is the central difference of the value."""
+
+    @pytest.mark.parametrize("case", sorted(DERIVATIVE_CASES))
+    def test_arrays(self, case):
+        loss, v = DERIVATIVE_CASES[case]
+        value, slope = loss(v)
+        assert value.shape == slope.shape == v.shape
+        fd = (loss(v + DERIVATIVE_STEP)[0] - loss(v - DERIVATIVE_STEP)[0]) \
+            / (2 * DERIVATIVE_STEP)
+        np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("case", sorted(DERIVATIVE_CASES))
+    def test_scalars_are_floats(self, case):
+        loss, v = DERIVATIVE_CASES[case]
+        for point in v[::20].tolist():
+            value, slope = loss(point)
+            assert type(value) is float and type(slope) is float
+            fd = (loss(point + DERIVATIVE_STEP)[0] - loss(point - DERIVATIVE_STEP)[0]) \
+                / (2 * DERIVATIVE_STEP)
+            assert slope == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
 def svdd_score(embedding, center):

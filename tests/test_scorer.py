@@ -308,7 +308,7 @@ def ssim_per_row_reference(pipeline, x, y):
             e = clamp_probability(est)
             zc, dzc_dz = calibrated_logit(pipeline.calibrator,
                                           np.asarray([np.log(e) - np.log1p(-e)]))
-            loss = float(logistic_loss(yi, zc[0]))
+            loss = float(logistic_loss(yi, zc[0])[0])
             factor = (sigmoid(zc[0]) - yi) * dzc_dz[0] * (1.0 / (e * (1.0 - e)))
             ds = np.full((h, w), -factor / (2.0 * h * w))
         losses.append(loss)
@@ -600,8 +600,9 @@ class TestHeadTrunk:
         trunk = head_trunk(state, "logistic")
         assert trunk.spec == MlpSpec((3, 6), use_bias=use_bias)
         x = np.random.default_rng(4).normal(size=(5, 3))
-        # the features are the hidden layer's pre-activations
-        assert np.array_equal(forward(trunk, x), _forward_cache(state, x)[1][0][1])
+        # the features are the hidden layer's pre-activations: their tanh is
+        # the input the full scorer's output layer reads
+        assert np.array_equal(np.tanh(forward(trunk, x)), _forward_cache(state, x)[1][-1])
 
 
 class TestInitPipeline:

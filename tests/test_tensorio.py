@@ -19,6 +19,7 @@ class TestRawTensor:
         save_tensor(path, arr)
         back = load_tensor(path)
         assert back.shape == shape
+        assert back.dtype == np.float32  # as stored; callers cast where they compute
         assert np.array_equal(back, arr)
 
     def test_header_layout(self, tmp_path):
