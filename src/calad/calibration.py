@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .losses import EPS_CLAMP, REGISTRY, clamp_probability, logistic_loss, sigmoid
+from .losses import EPS_CLAMP, clamp_probability, logistic_loss, sigmoid
 
 
 @dataclass(frozen=True)
@@ -116,15 +116,21 @@ def platt_transform(z, params: PlattParams):
     return zp, sigmoid(zp)
 
 
-def beta_transform(eta_hat, params: BetaParams):
-    """a ln(eta) - b ln(1 - eta) + c followed by the sigmoid.
+def _beta_features(estimates, out):
+    """ln e and -ln(1 - e) into out[0] and out[1], for the estimates e clamped
+    away from {0, 1}, where saturated sigmoids would give non-finite logits."""
+    e = clamp_probability(np.asarray(estimates, dtype=float))
+    log_e, neg_log_1me = out[0, ...], out[1, ...]  # views, 0-d ones too
+    np.log(e, out=log_e)
+    np.log1p(np.negative(e, out=neg_log_1me), out=neg_log_1me)
+    np.negative(neg_log_1me, out=neg_log_1me)
+    return out
 
-    The logs are the log loss's partial losses, which clamp estimates
-    away from {0, 1}, as saturated sigmoid outputs would otherwise give
-    non-finite logits.
-    """
-    log = REGISTRY["log"]
-    zb = params.b * log.partial_0(eta_hat) - params.a * log.partial_1(eta_hat) + params.c
+
+def beta_transform(eta_hat, params: BetaParams):
+    """a ln(eta) - b ln(1 - eta) + c followed by the sigmoid."""
+    f = _beta_features(eta_hat, np.empty((2,) + np.shape(eta_hat)))
+    zb = params.a * f[0] + params.b * f[1] + params.c
     return zb, sigmoid(zb)
 
 
@@ -275,13 +281,9 @@ def fit_beta(estimates, labels) -> BetaParams:
     a and b stay nonnegative through the active set; the start is the
     identity map (a = b = 1, c = 0).
     """
-    e = clamp_probability(np.asarray(estimates, dtype=float))
     y = _require_both_classes(labels)
-    design = np.empty((len(e), 3), order="F")
-    np.log(e, out=design[:, 0])
-    # -ln(1 - e), negated in place as the expression would negate it
-    np.log1p(np.negative(e, out=design[:, 1]), out=design[:, 1])
-    np.negative(design[:, 1], out=design[:, 1])
+    design = np.empty((len(y), 3), order="F")
+    _beta_features(estimates, design.T)
     design[:, 2] = 1.0
     a, b, c = minimize(design, y, [1.0, 1.0, 0.0], nonneg=(0, 1)).x
     return BetaParams(a=float(a), b=float(b), c=float(c))

@@ -3,8 +3,10 @@
 A binary CPE loss is a pair of partial losses over the probability estimate:
 ``loss(y, eta_hat) = y * partial_1(eta_hat) + (1 - y) * partial_0(eta_hat)``.
 The scorer-side losses (logistic, hsc, pseudo-Huber) act on unbounded
-scores and return (value, derivative in the score); the registry reads
-their values in estimate units for the propriety probes.
+scores and return (value, derivative in the score); a caller that needs
+only the value pays for the derivative too, for hsc one more exp and
+divide per element. The registry reads their values in estimate units
+for the propriety probes.
 
 Propriety of a loss is probed numerically: a proper loss has a vanishing
 stationarity residual ``(1 - eta) * partial_0'(eta) + eta * partial_1'(eta)``
@@ -66,11 +68,8 @@ def logistic_loss(y, v):
 
 def hsc_loss(y, v):
     """-y ln(1 - e^-v) + (1 - y) v for nonnegative scores v, and its
-    derivative -y e^-v / (1 - e^-v) + (1 - y) in v.
-
-    At v = 0, where 1 - e^-v collapses to 0, the anomalous branch of
-    both is clamped to a finite value and a warning is emitted.
-    """
+    derivative -y e^-v / (1 - e^-v) + (1 - y) in v. At v = 0, where 1 - e^-v
+    collapses to 0, both anomalous branches are clamped finite, with a warning."""
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
@@ -154,13 +153,10 @@ def _log_partial_1(eta_hat):
     return -np.log(clamp_probability(np.asarray(eta_hat, dtype=float)))
 
 
-def _logistic_partial_0(eta_hat):
+def _logistic_partial(y):
     # composed through the logit link; analytically equal to the log partial
-    return logistic_loss(0, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))[0]
-
-
-def _logistic_partial_1(eta_hat):
-    return logistic_loss(1, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))[0]
+    return lambda eta_hat: logistic_loss(
+        y, logit(clamp_probability(np.asarray(eta_hat, dtype=float))))[0]
 
 
 def _hsc_probe_partial_0(eta_hat):
@@ -172,6 +168,6 @@ def _hsc_probe_partial_0(eta_hat):
 
 REGISTRY = {
     "log": LossSpec("log", _log_partial_0, _log_partial_1),
-    "logistic": LossSpec("logistic", _logistic_partial_0, _logistic_partial_1),
+    "logistic": LossSpec("logistic", _logistic_partial(0), _logistic_partial(1)),
     "hsc": LossSpec("hsc", _hsc_probe_partial_0, _log_partial_1),
 }

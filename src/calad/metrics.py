@@ -22,29 +22,29 @@ def _require_finite(x, what):
         raise NumericalError(f"{what} got {n_bad} non-finite values of {len(x)}")
 
 
-def _midranks(x, what):
-    """1-based ranks with ties given their mean rank, from one sort;
-    raises NumericalError on non-finite values, which have no rank.
-
-    A midrank is a whole or half integer, so it is exact in float64 and
-    equals scipy.stats.rankdata(x, method="average") bit for bit.
-    """
+def _tie_groups(x, what):
+    """One sort of the 1-D x: its argsort, each tie group's last 1-based rank
+    and its midrank, exact in float64; NumericalError if x is not finite."""
     _require_finite(x, what)
     order = np.argsort(x)
     ranked = x[order]
-    # 1-based rank of each tie group's last member
     ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, len(ranked))
-    counts = np.diff(ends, prepend=0)
+    return order, ends, ends - (np.diff(ends, prepend=0) - 1) / 2.0
+
+
+def _midranks(x, what):
+    """1-based midranks, equal to scipy.stats.rankdata(x, "average") bit for bit."""
+    order, ends, midranks = _tie_groups(x, what)
     ranks = np.empty(len(x))
-    ranks[order] = np.repeat(ends - (counts - 1) / 2.0, counts)
+    ranks[order] = np.repeat(midranks, np.diff(ends, prepend=0))
     return ranks
 
 
 def auroc(scores, labels) -> float:
-    """Midrank (tie-aware) area under the ROC curve, from the positives'
-    rank sum. Every partial sum is a multiple of 0.5 below 2^53 (n up to
-    about 1.3e8), so the sum is exact whatever the summation order.
-    """
+    """Midrank (tie-aware) area under the ROC curve from the positives'
+    rank sum: each tie group adds its positives times its midrank. Every
+    partial sum is a multiple of 0.5 below 2^53 (n up to about 1.3e8), so
+    the sum is exact and equals that of the positives' ``_midranks``."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.shape != y.shape:
@@ -53,7 +53,9 @@ def auroc(scores, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs at least one sample of each class")
-    rank_sum = np.sum(_midranks(s, "AUROC")[y == 1])
+    order, ends, midranks = _tie_groups(s, "AUROC")
+    positives = np.diff(np.cumsum((y == 1)[order])[ends - 1], prepend=0)
+    rank_sum = np.sum(positives * midranks)
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -177,8 +179,7 @@ def spearman(xs, ys) -> float:
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise ValueError("need two equal-length vectors of size >= 2")
-    rx = _midranks(x, "Spearman correlation")
-    ry = _midranks(y, "Spearman correlation")
+    rx, ry = _midranks(x, "Spearman correlation"), _midranks(y, "Spearman correlation")
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         return float("nan")
     return float(np.corrcoef(rx, ry)[0, 1])

@@ -600,9 +600,14 @@ class TestHeadTrunk:
         trunk = head_trunk(state, "logistic")
         assert trunk.spec == MlpSpec((3, 6), use_bias=use_bias)
         x = np.random.default_rng(4).normal(size=(5, 3))
-        # the features are the hidden layer's pre-activations: their tanh is
-        # the input the full scorer's output layer reads
-        assert np.array_equal(np.tanh(forward(trunk, x)), _forward_cache(state, x)[1][-1])
+        # the features are the hidden layer's pre-activations, bit for bit
+        z = x @ state.weights[0]
+        if use_bias:
+            z = z + state.biases[0]
+        features = forward(trunk, x)
+        assert np.array_equal(features, z)
+        # and their tanh is the input the full scorer's output layer reads
+        assert np.array_equal(np.tanh(features), _forward_cache(state, x)[1][-1])
 
 
 class TestInitPipeline:
