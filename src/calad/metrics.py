@@ -179,7 +179,8 @@ def spearman(xs, ys) -> float:
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise ValueError("need two equal-length vectors of size >= 2")
-    rx, ry = _midranks(x, "Spearman correlation"), _midranks(y, "Spearman correlation")
+    rx = _midranks(x, "Spearman correlation")
+    ry = _midranks(y, "Spearman correlation")
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         return float("nan")
     return float(np.corrcoef(rx, ry)[0, 1])
